@@ -3,8 +3,8 @@
 Every subcommand reads JSON (a file argument, or stdin via "-"), writes one
 deterministic JSON object to stdout, and prints a one-line summary to
 stderr unless --quiet.  Exit codes: 0 success or true verdict, 1 false
-verdict (a witness is in the output), 2 bad input (a machine-readable
-error object is in the output).
+verdict (a witness is in the output), 2 bad input, an unwritable output or
+an internal failure (a machine-readable error object is in the output).
 """
 
 from __future__ import annotations
@@ -436,6 +436,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except InvariantViolation as exc:
         print(_dump({"error": {"kind": "invariant", "message": str(exc)}}))
+        return 2
+    except OSError as exc:
+        print(_dump({"error": {"kind": "io", "message": str(exc)}}))
+        return 2
+    except Exception as exc:  # last resort: no input may end in a traceback
+        message = f"{type(exc).__name__}: {exc}"
+        print(_dump({"error": {"kind": "internal", "message": message}}))
         return 2
 
 

@@ -23,9 +23,10 @@ canonical representative per D1-symmetry orbit.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -68,7 +69,9 @@ class DSet:
 
     positives holds canonical quadruples of four distinct elements only.
     colors is a total map, one color id per element; a fresh DSet is
-    monochromatic.  Use DSet.build for unnormalized input.
+    monochromatic.  Use DSet.build for unnormalized input.  The relation
+    table, axiom report and reconstructed tree are computed on first
+    request and kept on the instance.
     """
 
     n: int
@@ -76,6 +79,21 @@ class DSet:
     colors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        self._finish_init()
+        quads = list(self.positives)
+        rows = _int_rows(quads)
+        if rows is not None:
+            bad = (
+                (rows < 0).any(axis=1)
+                | (rows != _canonical_rows(rows)).any(axis=1)
+                | ~_distinct_rows(rows)
+                | (rows >= self.n).any(axis=1)
+            )
+            quads = quads[: int(bad.argmax()) + 1] if bad.any() else []
+        _scan_stored_quads(quads, self.n)  # raises at the first bad quad
+
+    def _finish_init(self) -> None:
+        """Check n and colors and start the analyses kept on this instance."""
         if self.n < 0:
             raise InputError("element count must be >= 0")
         if not self.colors:
@@ -84,13 +102,24 @@ class DSet:
             raise InputError("colors must assign one color to every element")
         if any(c < 0 for c in self.colors):
             raise InputError("color ids must be non-negative")
-        for q in self.positives:
-            if q != normalize_quad(*q):
-                raise InputError(f"stored quad {q} is not canonical")
-            if len(set(q)) != 4:
-                raise InputError(f"stored quad {q} repeats an element")
-            if max(q) >= self.n:
-                raise InputError(f"quad {q} exceeds element range 0..{self.n - 1}")
+        # Not a field, so the kept analyses (see _kept) stay out of
+        # equality, hashing, repr and JSON.
+        object.__setattr__(self, "_analyses", {})
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: np.ndarray, colors: tuple[int, ...] = ()) -> "DSet":
+        """Construct from a (k, 4) array of canonical quads of four distinct
+        non-negative ids, without scanning them a second time."""
+        if len(rows) and rows.max() >= n:
+            # Raise the range error at the first stored quad, in the order a
+            # set filled row by row gives.
+            return cls(n, frozenset(set(zip(*rows.T.tolist()))), colors)
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "positives", _quad_set(rows))
+        object.__setattr__(d, "colors", colors)
+        d._finish_init()
+        return d
 
     @classmethod
     def build(
@@ -101,16 +130,22 @@ class DSet:
     ) -> "DSet":
         """Canonicalize quads and construct.  Rejects repeated-element quads
         and duplicates that collapse to the same canonical representative."""
-        seen: set[Quad] = set()
-        for q in quads:
-            if len(set(q)) != 4:
-                raise InputError(f"quad {tuple(q)} must have four distinct elements")
-            canon = normalize_quad(*q)
-            if canon in seen:
-                raise InputError(f"duplicate quad {tuple(q)} (canonical {canon})")
-            seen.add(canon)
+        quads = list(quads)
+        return cls._build(n, quads, _int_rows(quads), colors)
+
+    @classmethod
+    def _build(
+        cls, n: int, quads: list, rows: Optional[np.ndarray], colors: Optional[Iterable[int]]
+    ) -> "DSet":
+        """build, given rows = _int_rows(quads)."""
         color_tuple = tuple(colors) if colors is not None else (0,) * n
-        return cls(n=n, positives=frozenset(seen), colors=color_tuple)
+        if rows is None:
+            return cls(n, frozenset(_scan_input_quads(quads)), color_tuple)
+        canon = _canonical_rows(rows)
+        bad = ~_distinct_rows(rows) | (rows < 0).any(axis=1) | _repeated_rows(canon)
+        if bad.any():
+            _scan_input_quads(quads[: int(bad.argmax()) + 1])
+        return cls._from_rows(n, canon, color_tuple)
 
     @property
     def elements(self) -> frozenset[int]:
@@ -146,10 +181,11 @@ class DSet:
         return {c: frozenset(s) for c, s in sorted(out.items())}
 
     def to_json(self) -> str:
+        rows = _positive_rows(self)
         payload = {
             "n": self.n,
             "colors": {str(e): c for e, c in enumerate(self.colors)},
-            "positives": sorted(list(q) for q in self.positives),
+            "positives": rows[np.lexsort(rows.T[::-1])].tolist(),  # lexicographic
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -162,7 +198,7 @@ class DSet:
         if not isinstance(payload, dict) or "n" not in payload:
             raise InputError("D-set JSON must be an object with an 'n' field")
         n = payload["n"]
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise InputError("'n' must be a non-negative integer")
         raw_colors = payload.get("colors", {})
         if not isinstance(raw_colors, dict):
@@ -175,39 +211,133 @@ class DSet:
                 raise InputError(f"bad element id {key!r} in colors") from exc
             if not 0 <= e < n:
                 raise InputError(f"color for unknown element {e}")
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise InputError(f"bad color {value!r} for element {e}")
             colors[e] = value
-        raw_quads = payload.get("positives", [])
-        quads = []
-        for item in raw_quads:
-            if not (isinstance(item, list) and len(item) == 4):
-                raise InputError(f"positive entry {item!r} must be a 4-element list")
-            if any(not isinstance(v, int) or not 0 <= v < n for v in item):
-                raise InputError(f"positive entry {item!r} has ids outside 0..{n - 1}")
-            quads.append(tuple(item))
-        return cls.build(n, quads, colors)
+        quads = payload.get("positives", [])
+        if not isinstance(quads, list):
+            raise InputError("'positives' must be a list of 4-element lists")
+        rows = _int_rows(quads)
+        if rows is None or ((rows < 0) | (rows >= n)).any():
+            for item in quads:
+                if not (isinstance(item, list) and len(item) == 4):
+                    raise InputError(f"positive entry {item!r} must be a 4-element list")
+                if any(not isinstance(v, int) or not 0 <= v < n for v in item):
+                    raise InputError(f"positive entry {item!r} has ids outside 0..{n - 1}")
+        return cls._build(n, quads, rows, colors)
 
 
-@lru_cache(maxsize=512)
+def _int_rows(quads: list) -> Optional[np.ndarray]:
+    """The quads as one (k, 4) int64 array, or None unless every quad is a
+    tuple or list of four integer ids (bools excluded)."""
+    if not set(map(type, quads)) <= {tuple, list} or not set(map(len, quads)) <= {4}:
+        return None
+    flat = list(itertools.chain.from_iterable(quads))
+    for t in set(map(type, flat)):
+        if t is bool or not issubclass(t, (int, np.signedinteger)):
+            return None
+    try:
+        return np.array(flat, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:
+        return None
+
+
+def _positive_rows(d: DSet) -> np.ndarray:
+    """The stored quads of d as a (k, 4) array."""
+    flat = itertools.chain.from_iterable(d.positives)
+    return np.fromiter(flat, dtype=np.intp, count=4 * len(d.positives)).reshape(-1, 4)
+
+
+def _quad_set(rows: np.ndarray) -> frozenset[Quad]:
+    """The rows of a (k, 4) array as a frozenset of int tuples."""
+    return frozenset(zip(*rows.T.tolist()))
+
+
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """normalize_quad applied to every row of a (k, 4) array."""
+    a, b = np.minimum(rows[:, 0], rows[:, 1]), np.maximum(rows[:, 0], rows[:, 1])
+    c, e = np.minimum(rows[:, 2], rows[:, 3]), np.maximum(rows[:, 2], rows[:, 3])
+    first = ((a < c) | ((a == c) & (b <= e)))[:, None]
+    return np.where(first, np.stack([a, b, c, e], axis=1), np.stack([c, e, a, b], axis=1))
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows whose four ids are pairwise different."""
+    ok = np.ones(len(rows), dtype=bool)
+    for i, j in itertools.combinations(range(4), 2):
+        ok &= rows[:, i] != rows[:, j]
+    return ok
+
+
+def _repeated_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows equal to an earlier row."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep input order
+    ordered = rows[order]
+    repeated = np.zeros(len(rows), dtype=bool)
+    repeated[order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]] = True
+    return repeated
+
+
+def _scan_input_quads(quads: list) -> set[Quad]:
+    """Canonical forms of build's input quads, raising at the first bad one."""
+    seen: set[Quad] = set()
+    for q in quads:
+        if len(set(q)) != 4:
+            raise InputError(f"quad {tuple(q)} must have four distinct elements")
+        canon = normalize_quad(*q)
+        if canon in seen:
+            raise InputError(f"duplicate quad {tuple(q)} (canonical {canon})")
+        seen.add(canon)
+    return seen
+
+
+def _scan_stored_quads(quads: list, n: int) -> None:
+    """Raise at the first stored quad that is not canonical, repeats an
+    element or leaves 0..n-1."""
+    for q in quads:
+        if q != normalize_quad(*q):
+            raise InputError(f"stored quad {q} is not canonical")
+        if len(set(q)) != 4:
+            raise InputError(f"stored quad {q} repeats an element")
+        if max(q) >= n:
+            raise InputError(f"quad {q} exceeds element range 0..{n - 1}")
+
+
+def _kept(analysis):
+    """Run analysis(d) once per DSet instance and keep the result on it.
+
+    The returned function takes the analysis's name and docstring but no
+    __wrapped__, so unwrapping it cannot bypass the kept result.
+    """
+
+    def kept(d: DSet):
+        analyses = d._analyses
+        if analysis not in analyses:
+            analyses[analysis] = analysis(d)
+        return analyses[analysis]
+
+    functools.update_wrapper(kept, analysis)
+    del kept.__wrapped__
+    return kept
+
+
+@_kept
 def relation_table(d: DSet) -> np.ndarray:
     """Dense boolean table T[w,x,y,z] = D(wx;yz), degenerate values included.
 
-    Read-only; shared through a cache since every exhaustive check wants it.
+    Read-only; built once per structure and kept on it, since every
+    exhaustive check wants it.
     """
     n = d.n
     table = np.zeros((n, n, n, n), dtype=bool)
-    if n == 0:
-        table.flags.writeable = False
-        return table
     w, x, y, z = np.indices((n, n, n, n), sparse=True)
     disjoint = (w != y) & (w != z) & (x != y) & (x != z)
     table |= disjoint & ((w == x) | (y == z))
-    for a, b, c, e in d.positives:
-        for p, q in ((a, b), (b, a)):
-            for r, s in ((c, e), (e, c)):
-                table[p, q, r, s] = True
-                table[r, s, p, q] = True
+    a, b, c, e = _positive_rows(d).T
+    for p, q in ((a, b), (b, a)):
+        for r, s in ((c, e), (e, c)):
+            table[p, q, r, s] = True
+            table[r, s, p, q] = True
     table.flags.writeable = False
     return table
 
@@ -264,6 +394,7 @@ def _first_true(mask: np.ndarray) -> Optional[tuple[int, ...]]:
     return tuple(int(v) for v in np.unravel_index(flat, mask.shape))
 
 
+@_kept
 def check_axioms(d: DSet) -> AxiomReport:
     """Exhaustively evaluate D1..D6 over every tuple of elements.
 
@@ -271,7 +402,8 @@ def check_axioms(d: DSet) -> AxiomReport:
     offending (w,x,y,z) for D1/D2, (w,x,y,z,v) for D3, (w,x,y) for D4 and
     D5, and the witnessless premise (w,x,y,z) for D6.  D5 needs at least
     three elements and D6 at least two; below that they are reported as
-    not applicable rather than passed.
+    not applicable rather than passed.  The report is kept on d, so every
+    later call returns the same object.
     """
     n = d.n
     t = relation_table(d)
@@ -287,11 +419,15 @@ def check_axioms(d: DSet) -> AxiomReport:
     bad2 = t & t.transpose(0, 2, 1, 3)
     d2 = _verdict_from_mask(bad2)
 
-    # D3 quantifies a fifth element: ok(w,x,y,z,v) = D(vx;yz) or D(wx;yv).
-    term_v_x_y_z = np.broadcast_to(np.moveaxis(t, 0, -1)[None, :, :, :, :], (n,) * 5)
-    term_w_x_y_v = np.broadcast_to(t[:, :, :, None, :], (n,) * 5)
-    bad3 = t[..., None] & ~(term_v_x_y_z | term_w_x_y_v)
-    d3 = _verdict_from_mask(bad3)
+    # D3 and D6 quantify a fifth element v.  Both are swept one w at a time
+    # over [x,y,z,v] slices, so memory stays O(n^4).
+    v_first = np.ascontiguousarray(np.moveaxis(t, 0, -1))  # [x,y,z,v] -> D(vx;yz)
+
+    def bad3(w: int) -> np.ndarray:  # D(wx;yz) but neither D(vx;yz) nor D(wx;yv)
+        tw = t[w]
+        return tw[..., None] & ~(v_first | tw[:, :, None, :])
+
+    d3 = _sweep(n, bad3)
 
     ar = np.arange(n)
     diag_yy = t[:, :, ar, ar]  # [w,x,y] -> D(wx;yy)
@@ -309,18 +445,24 @@ def check_axioms(d: DSet) -> AxiomReport:
         bad5 = distinct3 & ~exists_z
         d5 = _verdict_from_mask(bad5)
 
-    if n < 2:
-        d6 = AxiomVerdict("not_applicable")
-    else:
-        c1 = np.broadcast_to(np.moveaxis(t, 0, -1)[None, :, :, :, :], (n,) * 5)
-        c2 = np.broadcast_to(np.moveaxis(t, 1, -1)[:, None, :, :, :], (n,) * 5)
-        c3 = np.broadcast_to(np.moveaxis(t, 2, -1)[:, :, None, :, :], (n,) * 5)
-        c4 = np.broadcast_to(t[:, :, :, :, None], (n,) * 5)
-        has_witness = (c1 & c2 & c3 & c4).any(axis=4)
-        bad6 = t & ~has_witness
-        d6 = _verdict_from_mask(bad6)
+    def bad6(w: int) -> np.ndarray:  # D(wx;yz) but no v with D(vx;yz), D(wv;yz), D(wx;vz)
+        tw = t[w]
+        found = v_first & tw.transpose(1, 2, 0)[None] & tw.transpose(0, 2, 1)[:, None]
+        return tw & ~found.any(axis=-1)
+
+    d6 = AxiomVerdict("not_applicable") if n < 2 else _sweep(n, bad6)
 
     return AxiomReport(d1, d2, d3, d4, d5, d6)
+
+
+def _sweep(n: int, bad_at) -> AxiomVerdict:
+    """Verdict from the slices bad_at(0), bad_at(1), ... in order: the
+    first slice with a failure holds the lexicographically least witness."""
+    for w in range(n):
+        witness = _first_true(bad_at(w))
+        if witness is not None:
+            return AxiomVerdict("fail", (w,) + witness)
+    return AxiomVerdict("pass")
 
 
 def _verdict_from_mask(bad: np.ndarray) -> AxiomVerdict:

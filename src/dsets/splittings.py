@@ -15,7 +15,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import DSet, InputError, InvariantViolation
+import numpy as np
+
+from .core import DSet, InputError, InvariantViolation, relation_table
 
 
 @dataclass(frozen=True)
@@ -206,19 +208,20 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
         raise InputError(f"element {e} must lie outside the subset")
     if len(sub) < 2:
         raise InputError("need at least two elements to induce a splitting")
+    known = d.elements
     for a in sub + [e]:
-        if a not in d.elements:
+        if a not in known:
             raise InputError(f"unknown element {a}")
 
-    def related(a: int, b: int) -> bool:
-        return any(d.holds(a, b, e, x) for x in sub)
-
+    # related[i][j]: some x in the subset has D(sub[i] sub[j]; e x).
+    related = relation_table(d)[:, :, e, :][np.ix_(sub, sub, sub)].any(axis=-1).tolist()
+    index = {a: i for i, a in enumerate(sub)}
     classes: list[set[int]] = []
     for a in sub:
         placed = None
         for cls in classes:
             rep = next(iter(cls))
-            if related(a, rep):
+            if related[index[a]][index[rep]]:
                 if placed is not None:
                     raise InputError(
                         f"grouping induced by {e} is not an equivalence on {sub}"
@@ -230,7 +233,7 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
     for cls in classes:
         members = sorted(cls)
         for a, b in itertools.combinations(members, 2):
-            if not related(a, b):
+            if not related[index[a]][index[b]]:
                 raise InputError(
                     f"grouping induced by {e} is not transitive at {a},{b}"
                 )

@@ -8,11 +8,22 @@ splitting dictionaries read off from internal nodes and edges.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .core import DSet, InputError, InvariantViolation, NotRepresentable, check_axioms
+import numpy as np
+
+from .core import (
+    DSet,
+    InputError,
+    InvariantViolation,
+    NotRepresentable,
+    _kept,
+    check_axioms,
+)
 
 
 @dataclass(frozen=True)
@@ -144,71 +155,85 @@ class LeafTree:
         return cls(nodes, edges, leaves)
 
 
-def _paths_between_leaves(t: LeafTree) -> dict[tuple[int, int], frozenset[int]]:
-    """Node set of the path between each pair of element ids (by element)."""
+def _leaf_distances(t: LeafTree) -> np.ndarray:
+    """Edge count between every two leaves, indexed by element id."""
     adj = t.adjacency()
-    by_elem = t.element_node()
-    out: dict[tuple[int, int], frozenset[int]] = {}
-    for e, start in by_elem.items():
-        parent: dict[int, Optional[int]] = {start: None}
+    nodes = [u for _, u in sorted(t.element_node().items())]
+    dist = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
+    for e, start in enumerate(nodes):
+        depth = {start: 0}
         order = [start]
         for u in order:
             for nb in adj[u]:
-                if nb not in parent:
-                    parent[nb] = u
+                if nb not in depth:
+                    depth[nb] = depth[u] + 1
                     order.append(nb)
-        for f, target in by_elem.items():
-            if f <= e:
-                continue
-            path = [target]
-            while path[-1] != start:
-                path.append(parent[path[-1]])  # type: ignore[arg-type]
-            out[(e, f)] = frozenset(path)
-    return out
+        dist[e] = [depth[u] for u in nodes]
+    return dist
 
 
 def d_from_tree(t: LeafTree) -> DSet:
     """Leaf relation of a tree: D(wx;yz) iff the two leaf paths are disjoint.
 
-    Elements inherit the leaf labels; the result is monochromatic.
+    Read off the leaf distances by Buneman's four-point condition: for
+    w < x < y < z the paths wx and yz are disjoint exactly when
+    d(w,x) + d(y,z) < d(w,y) + d(x,z), and likewise for the other two
+    pairings.  Elements inherit the leaf labels; the result is monochromatic.
     """
     n = t.n_elements
     if n < 4:
         return DSet.build(n)
-    paths = _paths_between_leaves(t)
-
-    def path(a: int, b: int) -> frozenset[int]:
-        return paths[(a, b) if a < b else (b, a)]
-
-    quads = []
-    elems = sorted(t.element_node())
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    w, x, y, z = elems[i], elems[j], elems[k], elems[l]
-                    if path(w, x).isdisjoint(path(y, z)):
-                        quads.append((w, x, y, z))
-                    if path(w, y).isdisjoint(path(x, z)):
-                        quads.append((w, y, x, z))
-                    if path(w, z).isdisjoint(path(x, y)):
-                        quads.append((w, z, x, y))
-    return DSet.build(n, quads)
-
-
-def _convex_hull(t: LeafTree, elems: Iterable[int], paths) -> frozenset[int]:
-    """Union of all leaf-to-leaf paths inside one set of elements."""
-    chosen = sorted(set(elems))
-    by_elem = t.element_node()
-    if len(chosen) == 1:
-        return frozenset({by_elem[chosen[0]]})
-    hull: set[int] = set()
-    for i, a in enumerate(chosen):
-        for b in chosen[i + 1 :]:
-            hull |= paths[(a, b)]
-    return frozenset(hull)
+    dist = _leaf_distances(t)
+    count = math.comb(n, 4)
+    quads = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), 4)),
+        dtype=np.intp,
+        count=4 * count,
+    ).reshape(count, 4)
+    w, x, y, z = quads.T
+    wx_yz = dist[w, x] + dist[y, z]
+    wy_xz = dist[w, y] + dist[x, z]
+    wz_xy = dist[w, z] + dist[x, y]
+    positives = np.concatenate(
+        [
+            quads[wx_yz < wy_xz],
+            quads[wy_xz < wx_yz][:, [0, 2, 1, 3]],
+            quads[wz_xy < wx_yz][:, [0, 3, 1, 2]],
+        ]
+    )
+    return DSet._from_rows(n, positives)
 
 
+def _sector_hulls(edges: Iterable[tuple[int, int]], sectors) -> list[set[int]]:
+    """Nodes of the smallest subtree holding each sector's leaves.
+
+    Leaf node ids are element ids.  The subtree is the union of the paths
+    from the sector's least element to its other elements.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    hulls = []
+    for sector in sectors:
+        root, *rest = sorted(sector)
+        parent = {root: root}
+        order = [root]
+        for u in order:
+            for nb in adj[u]:
+                if nb not in parent:
+                    parent[nb] = u
+                    order.append(nb)
+        hull = {root}
+        for leaf in rest:
+            while leaf not in hull:
+                hull.add(leaf)
+                leaf = parent[leaf]
+        hulls.append(hull)
+    return hulls
+
+
+@_kept
 def tree_from_dset(d: DSet) -> LeafTree:
     """Reconstruct the unique tree whose leaf relation is d.
 
@@ -220,7 +245,8 @@ def tree_from_dset(d: DSet) -> LeafTree:
     leaf node ids coincide with element ids.
 
     Raises NotRepresentable when d fails D1..D4 (no tree exists then), and
-    treats a missing or ambiguous attachment site as corrupt input.
+    treats a missing or ambiguous attachment site as corrupt input.  The
+    tree is kept on d, so every later call returns the same object.
     """
     report = check_axioms(d)
     if not report.core_pass:
@@ -241,10 +267,8 @@ def tree_from_dset(d: DSet) -> LeafTree:
     next_internal = n
 
     for e in range(2, n):
-        t = LeafTree(nodes, edges, leaf_of)
         split = induced_splitting(d, range(e), e)
-        paths = _paths_between_leaves(t)
-        hulls = [_convex_hull(t, sector, paths) for sector in split.sectors]
+        hulls = _sector_hulls(edges, split.sectors)
         covered: set[int] = set().union(*hulls)
         if len(split.sectors) == 2:
             crossing = [

@@ -71,14 +71,21 @@ def canon_oracle(w, x, y, z):
 
 
 def positives_oracle(tree):
-    """Canonical positive quads of a leaf tree via the path oracle."""
-    elems = sorted(e for _, e in tree.leaves)
+    """Canonical positive quads of a leaf tree via the path oracle.
+
+    Each leaf-to-leaf path is found once and shared by every quad using it;
+    four distinct leaves are positive when their two paths are disjoint.
+    """
+    at = {e: u for u, e in tree.leaves}
+    elems = sorted(at)
+    path = {}
+    for a, b in itertools.combinations(elems, 2):
+        path[a, b] = path[b, a] = path_nodes(tree.edges, at[a], at[b])
     out = set()
-    for four in itertools.combinations(elems, 4):
-        a, b, c, d = four
-        for pair in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
-            if holds_oracle(tree, *pair):
-                out.add(canon_oracle(*pair))
+    for a, b, c, d in itertools.combinations(elems, 4):
+        for w, x, y, z in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
+            if path[w, x].isdisjoint(path[y, z]):
+                out.add(canon_oracle(w, x, y, z))
     return frozenset(out)
 
 

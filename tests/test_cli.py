@@ -53,6 +53,31 @@ def test_check_rejects_malformed_json(run):
     assert _payload(out)["error"]["kind"] == "input"
 
 
+@pytest.mark.parametrize(
+    "payload",
+    (
+        {"n": True},
+        {"n": 4, "positives": 5},
+        {"n": 4, "positives": None},
+        {"n": 4, "colors": {"0": True}},
+    ),
+)
+def test_check_rejects_mistyped_payload(run, payload):
+    code, out, _ = run(["check", "-"], json.dumps(payload))
+    assert code == 2
+    assert _payload(out)["error"]["kind"] == "input"
+
+
+def test_unexpected_failure_is_an_internal_error(run, monkeypatch):
+    def broken(d):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("dsets.cli.check_axioms", broken)
+    code, out, _ = run(["check", "-"], D.DSet(4).to_json())
+    assert code == 2
+    assert _payload(out)["error"] == {"kind": "internal", "message": "RuntimeError: boom"}
+
+
 def test_max_n_guard(run, catalogue):
     code, out, _ = run(["check", "-", "--max-n", "10"], catalogue["FLW12"].dset.to_json())
     assert code == 2
@@ -291,6 +316,15 @@ def test_export_dot_output_dir(run, catalogue, tmp_path, monkeypatch):
     written = tmp_path / "cat4.dot"
     assert written.exists()
     assert _payload(out)["written"] == str(written)
+
+
+def test_export_dot_unwritable_output(run, catalogue, tmp_path):
+    target = tmp_path / "missing" / "x.dot"
+    code, out, _ = run(
+        ["export-dot", "-", "--output", str(target)], catalogue["CAT4"].tree.to_json()
+    )
+    assert code == 2
+    assert _payload(out)["error"]["kind"] == "io"
 
 
 # ---------------------------------------------------------------------------

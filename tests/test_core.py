@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 
@@ -135,6 +137,62 @@ def test_axioms_report_dict_shape(catalogue):
     assert "witness" in out["d5"]
 
 
+def _first(tuples, bad):
+    """Least tuple (in the order given) where bad holds, as a verdict dict."""
+    for tup in tuples:
+        if bad(*tup):
+            return {"status": "fail", "witness": list(tup)}
+    return {"status": "pass"}
+
+
+def _reference_axioms(d):
+    """check_axioms restated as scans over tuples in lexicographic order.
+
+    D6 asks, as the library always has, for v with D(vx;yz), D(wv;yz) and
+    D(wx;vz); it does not require D(wx;yv).
+    """
+    n, h = d.n, d.holds
+    quads = list(itertools.product(range(n), repeat=4))
+    triples = list(itertools.product(range(n), repeat=3))
+    na = {"status": "not_applicable"}
+    out = {
+        "d1": _first(quads, lambda w, x, y, z: h(w, x, y, z) and not (h(x, w, y, z) and h(y, z, w, x))),
+        "d2": _first(quads, lambda w, x, y, z: h(w, x, y, z) and h(w, y, x, z)),
+        "d3": _first(
+            itertools.product(range(n), repeat=5),
+            lambda w, x, y, z, v: h(w, x, y, z) and not h(v, x, y, z) and not h(w, x, y, v),
+        ),
+        "d4": _first(triples, lambda w, x, y: w != y and x != y and not h(w, x, y, y)),
+        "d5": na if n < 3 else _first(
+            triples,
+            lambda w, x, y: len({w, x, y}) == 3 and not any(h(w, x, y, z) for z in range(n) if z != y),
+        ),
+        "d6": na if n < 2 else _first(
+            quads,
+            lambda w, x, y, z: h(w, x, y, z) and not any(
+                h(v, x, y, z) and h(w, v, y, z) and h(w, x, v, z) for v in range(n)
+            ),
+        ),
+    }
+    out["core_pass"] = all(out[k]["status"] == "pass" for k in ("d1", "d2", "d3", "d4"))
+    return out
+
+
+def test_axioms_match_scalar_scans_on_random_tables():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        density = rng.choice((0.1, 0.3, 0.6))
+        quads = [
+            q
+            for a, b, c, e in itertools.combinations(range(n), 4)
+            for q in ((a, b, c, e), (a, c, b, e), (a, e, b, c))
+            if rng.random() < density
+        ]
+        d = DSet.build(n, quads)
+        assert check_axioms(d).as_dict() == _reference_axioms(d)
+
+
 # ---------------------------------------------------------------------------
 # substructure
 
@@ -260,6 +318,151 @@ def test_dset_json_rejects_bad_ids():
         DSet.from_json(json.dumps({"n": 3, "positives": [[0, 1, 2, 3]]}))
     with pytest.raises(InputError):
         DSet.from_json("[]")
+
+
+# ---------------------------------------------------------------------------
+# quad validation: each entry point names the first bad quad.  The references
+# restate the scalar rules of DSet.build, DSet(...) and DSet.from_json.
+
+
+def _reference_id_error(q):
+    for v in q:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            return f"element ids must be non-negative integers, got {v!r}"
+    return None
+
+
+def _reference_stored_error(n, quads):
+    for q in quads:
+        error = _reference_id_error(q)
+        if error:
+            return error
+        if q != O.canon_oracle(*q):
+            return f"stored quad {q} is not canonical"
+        if len(set(q)) != 4:
+            return f"stored quad {q} repeats an element"
+        if max(q) >= n:
+            return f"quad {q} exceeds element range 0..{n - 1}"
+    return None
+
+
+def _reference_build_error(n, quads):
+    seen = set()
+    for q in quads:
+        if len(set(q)) != 4:
+            return f"quad {tuple(q)} must have four distinct elements"
+        error = _reference_id_error(q)
+        if error:
+            return error
+        canon = O.canon_oracle(*q)
+        if canon in seen:
+            return f"duplicate quad {tuple(q)} (canonical {canon})"
+        seen.add(canon)
+    return _reference_stored_error(n, frozenset(seen))
+
+
+def _reference_json_error(n, quads):
+    for item in quads:
+        if any(not isinstance(v, int) or not 0 <= v < n for v in item):
+            return f"positive entry {list(item)!r} has ids outside 0..{n - 1}"
+    return _reference_build_error(n, quads)
+
+
+QUAD_FAILURES = (
+    "non_int", "bool", "negative", "repeated", "duplicate", "non_canonical", "out_of_range",
+)
+
+
+def _corrupted(q, kind, n, earlier, rng):
+    q = list(q)
+    i = rng.randrange(4)
+    if kind == "non_int":
+        q[i] = str(q[i])
+    elif kind == "bool":
+        q[i] = rng.choice((True, False))
+    elif kind == "negative":
+        q[i] = -rng.randint(1, 3)
+    elif kind == "repeated":
+        q[i] = q[(i + 1) % 4]
+    elif kind == "duplicate":
+        a, b, c, e = rng.choice(earlier) if earlier else q
+        q = [b, a, e, c]
+    elif kind == "non_canonical":
+        q = [q[2], q[3], q[0], q[1]]
+    else:
+        q[i] = n + rng.randrange(3)
+    return tuple(q)
+
+
+@pytest.mark.parametrize("kind", QUAD_FAILURES)
+def test_quad_errors_name_first_bad_quad(kind):
+    rng = random.Random(QUAD_FAILURES.index(kind))
+    failures = 0
+    for _ in range(80):
+        n = rng.randint(5, 9)
+        quads = []
+        for _ in range(rng.randint(2, 10)):
+            q = O.canon_oracle(*rng.sample(range(n), 4))
+            quads.append(_corrupted(q, kind, n, quads, rng) if rng.random() < 0.3 else q)
+        stored = frozenset(quads)
+        text = json.dumps({"n": n, "positives": [list(q) for q in quads]})
+        for make, expected in (
+            (lambda: DSet.build(n, quads), _reference_build_error(n, quads)),
+            (lambda: DSet(n, stored), _reference_stored_error(n, stored)),
+            (lambda: DSet.from_json(text), _reference_json_error(n, quads)),
+        ):
+            if expected is None:
+                make()
+                continue
+            failures += 1
+            with pytest.raises(InputError) as caught:
+                make()
+            assert str(caught.value) == expected
+    assert failures > 40
+
+
+# ---------------------------------------------------------------------------
+# analyses kept on the structure
+
+
+def test_analyses_computed_once(catalogue):
+    d = DSet.from_json(catalogue["CAT6"].dset.to_json())
+    assert check_axioms(d) is check_axioms(d)
+    assert D.relation_table(d) is D.relation_table(d)
+    assert D.tree_from_dset(d) is D.tree_from_dset(d)
+
+
+def test_kept_analyses_stay_out_of_identity(catalogue):
+    d = catalogue["CAT6"].dset
+    text = d.recolor([e % 2 for e in range(d.n)]).to_json()
+    fresh, analysed = DSet.from_json(text), DSet.from_json(text)
+    before = (repr(analysed), hash(analysed), analysed.to_json())
+    D.tree_from_dset(analysed)
+    D.enumerate_splittings(analysed)
+    assert analysed == fresh and hash(analysed) == hash(fresh)
+    assert (repr(analysed), hash(analysed), analysed.to_json()) == before
+    assert repr(analysed) == repr(fresh) and analysed.to_json() == fresh.to_json()
+    assert len({analysed, fresh}) == 1
+
+
+def test_kept_table_is_read_only(catalogue):
+    d = DSet.from_json(catalogue["CAT5"].dset.to_json())
+    table = D.relation_table(d)
+    check_axioms(d)
+    D.tree_from_dset(d)
+    assert table is D.relation_table(d)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 1, 2, 3] = not table[0, 1, 2, 3]
+
+
+def test_kept_analyses_die_with_structure(catalogue):
+    d = DSet.from_json(catalogue["CAT6"].dset.to_json())
+    D.enumerate_splittings(d)
+    gone = weakref.ref(d)
+    del d
+    gc.collect()
+    assert gone() is None
 
 
 # ---------------------------------------------------------------------------

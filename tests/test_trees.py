@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 import dsets as D
@@ -74,6 +76,51 @@ def test_d_from_tree_cat5(catalogue):
 def test_d_from_tree_matches_oracle_on_catalogue(catalogue):
     for fix in catalogue.values():
         assert fix.dset.positives == O.positives_oracle(fix.tree)
+
+
+# ---------------------------------------------------------------------------
+# seeded trees above the catalogue sizes, against the path oracles
+
+
+def _relabelled(tree, rng):
+    """The same tree with its element labels permuted."""
+    perm = list(range(tree.n_elements))
+    rng.shuffle(perm)
+    return LeafTree(tree.nodes, tree.edges, {u: perm[e] for u, e in tree.leaves})
+
+
+def _four_point_table(tree):
+    """T[w,x,y,z] = d(w,x) + d(y,z) < d(w,y) + d(x,z), with d counted off
+    the oracle's BFS paths."""
+    at = {e: u for u, e in tree.leaves}
+    n = len(at)
+    dist = np.zeros((n, n), dtype=int)
+    for a, b in itertools.combinations(range(n), 2):
+        dist[a, b] = dist[b, a] = len(O.path_nodes(tree.edges, at[a], at[b])) - 1
+    w, x, y, z = np.indices((n, n, n, n), sparse=True)
+    return dist[w, x] + dist[y, z] < dist[w, y] + dist[x, z]
+
+
+@pytest.mark.parametrize("leaves", (16, 24, 32))
+@pytest.mark.parametrize("kind", ("caterpillar", "star", "d_regular_random"))
+def test_large_trees_match_oracles(kind, leaves):
+    rng = random.Random(f"{kind}-{leaves}")
+    degree = 3 if kind == "d_regular_random" else None
+    t = _relabelled(D.gen_random(D.TreeSpec(kind, leaves, degree, seed=leaves)), rng)
+    d = D.d_from_tree(t)
+    assert d.positives == O.positives_oracle(t)
+    assert np.array_equal(D.relation_table(d), _four_point_table(t))
+
+    fresh = D.DSet.from_json(d.to_json())
+    assert D.canonical_form(D.tree_from_dset(fresh)) == D.canonical_form(t)
+
+    for _ in range(6):
+        e, *subset = rng.sample(range(leaves), rng.randint(3, leaves))
+        expected = {
+            frozenset(b for b in subset if any(d.holds(a, b, e, x) for x in subset))
+            for a in subset
+        }
+        assert set(D.induced_splitting(d, subset, e).sectors) == expected
 
 
 # ---------------------------------------------------------------------------
