@@ -70,12 +70,13 @@ def _read_source(path: str) -> str:
 
 
 def _load_dset(args) -> DSet:
-    d = DSet.from_json(_read_source(args.source))
-    if d.n > args.max_n:
+    # Refuse an oversized n before anything n-long is built.
+    payload = DSet._decode_json(_read_source(args.source))
+    if payload["n"] > args.max_n:
         raise InputError(
-            f"{d.n} elements exceeds the --max-n bound of {args.max_n}"
+            f"{payload['n']} elements exceeds the --max-n bound of {args.max_n}"
         )
-    return d
+    return DSet._from_payload(payload)
 
 
 def _load_tree(args) -> LeafTree:

@@ -11,8 +11,8 @@ y to z.  This module stores the relation explicitly and checks the axioms:
   D3  D(wx;yz) implies, for all v, D(vx;yz) or D(wx;yv) (spread)
   D4  w != y and x != y imply D(wx;yy)                  (degenerate truth)
   D5  three distinct w,x,y admit z != y with D(wx;yz)   (propriety, |Omega| >= 3)
-  D6  D(wx;yz) admits v with D(vx;yz), D(wv;yz),
-      D(wx;vz), D(wx;yv)                                (density, |Omega| >= 2)
+  D6  D(wx;yz) admits v with D(vx;yz), D(wv;yz)
+      and D(wx;vz)                                      (density, |Omega| >= 2)
 
 Quadruples with a repeated element are never stored.  Their truth value is
 forced: D(wx;yz) is false whenever {w,x} and {y,z} intersect as sets, and
@@ -191,6 +191,12 @@ class DSet:
 
     @classmethod
     def from_json(cls, text: str) -> "DSet":
+        return cls._from_payload(cls._decode_json(text))
+
+    @staticmethod
+    def _decode_json(text: str) -> dict:
+        """from_json's first step: parse the JSON and check that it is an
+        object with a non-negative integer 'n', building nothing n-long."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -200,6 +206,13 @@ class DSet:
         n = payload["n"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise InputError("'n' must be a non-negative integer")
+        return payload
+
+    @classmethod
+    def _from_payload(cls, payload: dict) -> "DSet":
+        """from_json's second step: validate the rest of a decoded payload
+        and construct."""
+        n = payload["n"]
         raw_colors = payload.get("colors", {})
         if not isinstance(raw_colors, dict):
             raise InputError("'colors' must map element ids to color ids")

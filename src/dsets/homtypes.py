@@ -191,9 +191,9 @@ def qftp_base(d: DSet, subset: Iterable[int], e: int) -> QftpBase:
 def same_qftp(d: DSet, subset: Iterable[int], e1: int, e2: int) -> bool:
     """Whether e1 and e2 have the same quantifier-free type over the subset.
 
-    Decided by equality of the induced splittings; always cross-checked
-    against the full atom vectors over the subset, with a disagreement
-    raised as corrupt input.
+    The type of e over A is its atom slice: the truth values of D(e x; y z)
+    for x, y, z in A.  On a D-set every other atom over A plus e follows
+    from these by pair symmetry or is forced by the degenerate rules.
     """
     sub = tuple(sorted(set(int(v) for v in subset)))
     for e in (e1, e2):
@@ -201,22 +201,9 @@ def same_qftp(d: DSet, subset: Iterable[int], e1: int, e2: int) -> bool:
             raise InputError(f"element {e} must lie outside the subset")
         if e not in d.elements:
             raise InputError(f"unknown element {e}")
-    if len(sub) >= 2:
-        verdict = induced_splitting(d, sub, e1) == induced_splitting(d, sub, e2)
-    else:
-        verdict = True
-    elems = np.array(sub, dtype=int)
-    if elems.size:
-        t = relation_table(d)
-        grid = np.ix_(elems, elems, elems)
-        direct = bool(np.array_equal(t[e1][grid], t[e2][grid]))
-    else:
-        direct = True
-    if direct != verdict:
-        raise InvariantViolation(
-            f"splitting comparison and atom vectors disagree for {e1},{e2}"
-        )
-    return verdict
+    t = relation_table(d)
+    grid = np.ix_(sub, sub, sub)
+    return bool(np.array_equal(t[e1][grid], t[e2][grid]))
 
 
 def check_partial_iso(
@@ -256,11 +243,9 @@ def check_partial_iso(
 def extend_partial_iso(d: DSet, m: PairsLike, x: int) -> list[int]:
     """All y that extend the partial isomorphism m by x -> y, sorted.
 
-    Brute force: a candidate y must be outside the current range, share
-    x's color, and preserve every atom involving x.  The induced-splitting
-    comparison serves as an accelerator but every candidate verdict is
-    confirmed directly; a disagreement between the two is raised, since it
-    would mean the input is not a D-set.
+    A candidate y must be outside the current range, share x's color, and
+    give the image of x's atom slice over the domain: D(y m(a); m(b) m(c))
+    equals D(x a; b c) for all a, b, c in the domain.
     """
     pairs = _as_map(m)
     ok, witness = check_partial_iso(d, d, pairs)
@@ -272,36 +257,14 @@ def extend_partial_iso(d: DSet, m: PairsLike, x: int) -> list[int]:
         raise InputError(f"unknown element {x}")
     dom = sorted(pairs)
     img = [pairs[a] for a in dom]
-    img_set = set(img)
-    dom_arr = np.array(dom, dtype=int)
-    img_arr = np.array(img, dtype=int)
     t = relation_table(d)
-    x_slice = t[x][np.ix_(dom_arr, dom_arr, dom_arr)] if dom else None
-    mapped = None
-    if len(dom) >= 2:
-        source = induced_splitting(d, dom, x)
-        mapped = Splitting.build(
-            [{pairs[a] for a in sec} for sec in source.sectors]
-        )
-    out = []
-    for y in sorted(d.elements - img_set):
-        if d.colors[y] != d.colors[x]:
-            continue
-        if dom:
-            direct = bool(
-                np.array_equal(x_slice, t[y][np.ix_(img_arr, img_arr, img_arr)])
-            )
-        else:
-            direct = True
-        if mapped is not None:
-            fast = induced_splitting(d, img, y) == mapped
-            if fast != direct:
-                raise InvariantViolation(
-                    f"splitting accelerator disagrees with direct check at {y}"
-                )
-        if direct:
-            out.append(y)
-    return out
+    x_slice = t[x][np.ix_(dom, dom, dom)]
+    img_grid = np.ix_(img, img, img)
+    return [
+        y
+        for y in sorted(d.elements - set(img))
+        if d.colors[y] == d.colors[x] and np.array_equal(x_slice, t[y][img_grid])
+    ]
 
 
 def homogeneity_conditions(d: DSet, min_sector_size: int = 2) -> dict:

@@ -102,9 +102,8 @@ def _check_ids(d: DSet, ids: Iterable[int]) -> None:
             raise InputError(f"element {v} outside the D-set")
 
 
-def _quad_pattern(d: DSet, a: int, b: int, c: int, e: int) -> tuple[bool, bool, bool]:
-    # The three pairings of the four elements, in a fixed order.
-    return (d.holds(a, b, c, e), d.holds(a, c, b, e), d.holds(a, e, b, c))
+# Slots of an index quad (a, b, c, e) in its three pairings ab|ce, ac|be, ae|bc.
+_PAIRINGS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
 
 
 def classify_window(d: DSet, s: SequenceWindow) -> WindowClass:
@@ -133,35 +132,32 @@ def classify_window(d: DSet, s: SequenceWindow) -> WindowClass:
                 )
             seen[v] = i
 
-    first_quad: Optional[tuple[int, ...]] = None
-    first_pattern: Optional[tuple[bool, bool, bool]] = None
-    for quad in itertools.combinations(range(len(col)), 4):
-        i, j, k, l = quad
-        pattern = _quad_pattern(d, col[i], col[j], col[k], col[l])
-        if first_pattern is None:
-            first_quad, first_pattern = quad, pattern
-        elif pattern != first_pattern:
+    quads = np.array(list(itertools.combinations(range(len(col)), 4)), dtype=np.intp)
+    args = np.array(col)[quads][:, _PAIRINGS]  # [quad, pairing, slot]
+    patterns = relation_table(d)[tuple(np.moveaxis(args, -1, 0))].tolist()
+    first_pattern = patterns[0]
+    for q, pattern in enumerate(patterns):
+        if pattern != first_pattern:
             return WindowClass(
                 "not_indiscernible",
                 {
                     "kind": "order",
-                    "quad_a": list(first_quad),
-                    "pattern_a": list(first_pattern),
-                    "quad_b": list(quad),
-                    "pattern_b": list(pattern),
+                    "quad_a": quads[0].tolist(),
+                    "pattern_a": first_pattern,
+                    "quad_b": quads[q].tolist(),
+                    "pattern_b": pattern,
                 },
             )
-    assert first_quad is not None and first_pattern is not None
-    if first_pattern == (False, False, False):
+    if first_pattern == [False, False, False]:
         return WindowClass("petaled")
-    if first_pattern == (True, False, False):
+    if first_pattern == [True, False, False]:
         return WindowClass("monotonic")
     return WindowClass(
         "not_indiscernible",
         {
             "kind": "forbidden_pattern",
-            "quad": list(first_quad),
-            "pattern": list(first_pattern),
+            "quad": quads[0].tolist(),
+            "pattern": first_pattern,
         },
     )
 
@@ -322,10 +318,6 @@ def frontiers(d: DSet, s: SequenceWindow) -> tuple[frozenset[int], frozenset[int
     return core(left_family), core(right_family)
 
 
-def _atom_value(d: DSet, args: Sequence[int]) -> bool:
-    return bool(relation_table(d)[args[0], args[1], args[2], args[3]])
-
-
 def _pattern_iter() -> list[tuple[int, ...]]:
     # 1 marks a window slot; pure-parameter and pure-window atoms are out.
     return [p for p in itertools.product((0, 1), repeat=4) if 0 < sum(p) < 4]
@@ -338,9 +330,12 @@ def weakly_indiscernible_over(
 
     Each atom fills the four slots with parameters and window entries, the
     window entries addressed by (column, row).  Two fillings with the same
-    slot layout, the same columns, and the same order/equality pattern of
-    their row indices must agree.  The first disagreement found is returned
-    as a witness pair; an empty parameter set is vacuously invariant.
+    slot layout, the same parameters and columns, and the same
+    order/equality pattern of their row indices must agree.  Slot layouts
+    are taken in product order and, within one, fillings in product order
+    of their slots; the witness pair is the first filling whose value
+    differs from the first filling with its key, together with that first
+    filling.  An empty parameter set is vacuously invariant.
     """
     if len(s) < 5:
         raise InputError("weak indiscernibility needs a window of at least 5 rows")
@@ -353,95 +348,46 @@ def weakly_indiscernible_over(
     table = relation_table(d)
     m = len(s)
     k = s.arity
-    # Window slot axis enumerates (column, row) pairs column-major.
+    # Window slots range over (column, row) pairs column-major.
     flat_ids = np.array([s.rows[r][c] for c in range(k) for r in range(m)], dtype=np.intp)
     param_ids = np.array(b_list, dtype=np.intp)
 
     for pattern in _pattern_iter():
         axes = [flat_ids if flag else param_ids for flag in pattern]
-        values = table[np.ix_(*axes)]
-        wpos = [i for i, flag in enumerate(pattern) if flag]
-        ppos = [i for i, flag in enumerate(pattern) if not flag]
-        # Parameter axes up front, window axes behind, then flatten both.
-        values = values.transpose(ppos + wpos).reshape(
-            len(param_ids) ** len(ppos), -1
-        )
-
-        w = len(wpos)
-        grids = np.meshgrid(*([np.arange(k * m)] * w), indexing="ij")
-        rows_of = [g.ravel() % m for g in grids]
-        cols_of = [g.ravel() // m for g in grids]
-        code = np.zeros(values.shape[1], dtype=np.int64)
-        for c in cols_of:
-            code = code * k + c
-        for a, b in itertools.combinations(range(w), 2):
-            code = code * 3 + (np.sign(rows_of[a] - rows_of[b]) + 1)
-
-        for u in np.unique(code):
-            mask = code == u
-            chunk = values[:, mask]
-            lo = chunk.min(axis=1)
-            hi = chunk.max(axis=1)
-            if not (lo == hi).all():
-                return False, _extract_witness(d, s, b_list, pattern)
-    return True, None
-
-
-def _slot_descriptors(
-    s: SequenceWindow, b_list: Sequence[int], pattern: Sequence[int], filling: Sequence
-) -> tuple[list[dict], list[int]]:
-    slots: list[dict] = []
-    args: list[int] = []
-    for flag, item in zip(pattern, filling):
-        if flag:
-            c, r = item
-            v = s.rows[r][c]
-            slots.append({"kind": "window", "column": c, "row": r, "id": v})
-            args.append(v)
-        else:
-            slots.append({"kind": "param", "id": item})
-            args.append(item)
-    return slots, args
-
-
-def _extract_witness(
-    d: DSet, s: SequenceWindow, b_list: Sequence[int], pattern: Sequence[int]
-) -> dict:
-    """Find the first disagreeing atom pair under one slot layout."""
-    m = len(s)
-    k = s.arity
-    choices = []
-    for flag in pattern:
-        if flag:
-            choices.append([(c, r) for c in range(k) for r in range(m)])
-        else:
-            choices.append(list(b_list))
-    seen: dict[tuple, tuple] = {}
-    for filling in itertools.product(*choices):
-        key_parts: list = []
-        w_rows: list[int] = []
-        for flag, item in zip(pattern, filling):
+        shape = tuple(len(axis) for axis in axes)
+        values = table[np.ix_(*axes)].ravel()  # fillings in product order
+        # Key of a filling: each slot's parameter or column, then the
+        # order/equality pattern of its window rows.
+        key = np.zeros(values.size, dtype=np.int64)
+        rows = []
+        for flag, size, index in zip(pattern, shape, np.indices(shape).reshape(4, -1)):
             if flag:
-                key_parts.append(("col", item[0]))
-                w_rows.append(item[1])
+                key = key * k + index // m
+                rows.append(index % m)
             else:
-                key_parts.append(("param", item))
-        for a, b in itertools.combinations(range(len(w_rows)), 2):
-            key_parts.append((w_rows[a] > w_rows[b]) - (w_rows[a] < w_rows[b]))
-        key = tuple(key_parts)
-        slots, args = _slot_descriptors(s, b_list, pattern, filling)
-        value = _atom_value(d, args)
-        if key not in seen:
-            seen[key] = (slots, args, value)
-        else:
-            first_slots, first_args, first_value = seen[key]
-            if first_value != value:
-                return {
-                    "kind": "order_type",
-                    "first": {"slots": first_slots, "args": first_args, "value": first_value},
-                    "second": {"slots": slots, "args": args, "value": value},
-                }
-    raise InvariantViolation("vectorized scan disagreed with the direct scan")
+                key = key * size + index
+        for r1, r2 in itertools.combinations(rows, 2):
+            key = key * 3 + np.sign(r1 - r2) + 1
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        first_of = first[group]
+        differs = values != values[first_of]
+        if not differs.any():
+            continue
+
+        def atom(f: int) -> dict:
+            slots: list[dict] = []
+            for flag, i in zip(pattern, np.unravel_index(f, shape)):
+                if flag:
+                    c, r = divmod(int(i), m)
+                    slots.append({"kind": "window", "column": c, "row": r, "id": s.rows[r][c]})
+                else:
+                    slots.append({"kind": "param", "id": b_list[int(i)]})
+            args = [slot["id"] for slot in slots]
+            return {"slots": slots, "args": args, "value": bool(values[f])}
+
+        j = int(differs.argmax())
+        return False, {"kind": "order_type", "first": atom(first_of[j]), "second": atom(j)}
+    return True, None
 
 
 def mutually_indiscernible(

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, InvariantViolation, relation_table
+from .core import DSet, InputError, InvariantViolation, _kept, check_axioms, relation_table
 
 
 @dataclass(frozen=True)
@@ -165,22 +165,30 @@ def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
     """All splittings of d, deduplicated and sorted canonically.
 
     method "brute" filters every partition (fine up to ~6 elements),
-    "tree" reads them off the reconstructed tree (requires D1..D4),
-    "auto" picks brute force for n <= 6 and the tree route otherwise.
-    The two routes agreeing on small inputs is itself a test target.
+    "tree" reads them off the reconstructed tree (requires D1..D4) and
+    keeps the result on d, "auto" picks brute force for n <= 6 and the
+    tree route otherwise.  Each call returns a fresh list.  The two routes
+    agreeing on small inputs is itself a test target.
     """
     if method not in ("auto", "brute", "tree"):
         raise InputError(f"unknown method {method!r}")
     if method == "auto":
         method = "brute" if d.n <= 6 else "tree"
     if method == "brute":
-        found = _brute_force_splittings(d)
-    else:
-        from .trees import splittings_from_tree, tree_from_dset
+        return _sorted_splittings(_brute_force_splittings(d))
+    return list(_tree_splittings(d))
 
-        t = tree_from_dset(d)
-        found = splittings_from_tree(t).all_splittings()
+
+def _sorted_splittings(found: Iterable[Splitting]) -> list[Splitting]:
     return sorted(set(found), key=lambda s: s.as_sorted_lists())
+
+
+@_kept
+def _tree_splittings(d: DSet) -> tuple[Splitting, ...]:
+    """The splittings read off d's reconstructed tree, kept on d."""
+    from .trees import splittings_from_tree, tree_from_dset
+
+    return tuple(_sorted_splittings(splittings_from_tree(tree_from_dset(d)).all_splittings()))
 
 
 def branch(d: DSet, a: int, b: int, c: int) -> list[int]:
@@ -271,14 +279,16 @@ def extend_by_point(d: DSet, s: Splitting) -> DSet:
     two regimes: a pair a, b from different sectors is never separated
     from a pair containing e; a pair a, b inside one sector S gets
     D(ab;ce) the value of D(ab;c x0) for x0 the least element outside S.
-    The result passes D1..D4 and induces s back on the old elements; both
-    are checked before returning.
+    The input must pass D1..D4; the result then passes D1..D4 and induces
+    s back on the old elements.
     """
     ok, witness = is_splitting(d, s)
     if not ok:
         raise InputError(f"not a splitting of the input: {witness}")
     if d.n < 2:
         raise InputError("need at least two elements to extend")
+    if not check_axioms(d).core_pass:
+        raise InputError("input fails D1..D4")
     e = d.n
     quads = list(d.positives)
     elems = sorted(d.elements)
@@ -292,18 +302,7 @@ def extend_by_point(d: DSet, s: Splitting) -> DSet:
                 continue
             if d.holds(a, b, c, x0):
                 quads.append((a, b, c, e))
-    out = DSet.build(e + 1, quads, d.colors + (0,))
-    from .core import check_axioms
-
-    report = check_axioms(out)
-    if not report.core_pass:
-        raise InvariantViolation(
-            f"extension by a point broke an axiom: {report.as_dict()}"
-        )
-    back = induced_splitting(out, elems, e)
-    if back != s:
-        raise InvariantViolation("extension does not induce the given splitting")
-    return out
+    return DSet.build(e + 1, quads, d.colors + (0,))
 
 
 def _suitable(d: DSet, sector: frozenset[int], x: int, ground: frozenset[int]) -> bool:

@@ -9,6 +9,7 @@ the element count.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import dsets as D
@@ -187,3 +188,27 @@ def regular_fixture(seed):
     leaves = hubs * (degree - 2) + 2
     spec = D.TreeSpec(kind="d_regular_random", leaves=leaves, degree=degree, seed=seed)
     return D.d_from_tree(D.gen_random(spec))
+
+
+def seeded_tree_dset(rng, leaves):
+    """D-set of a caterpillar, star or random 3-regular tree with the given
+    leaf count, its element labels permuted by rng."""
+    kind = rng.choice(("caterpillar", "star", "d_regular_random"))
+    degree = 3 if kind == "d_regular_random" else None
+    tree = D.gen_random(D.TreeSpec(kind, leaves, degree, seed=rng.randrange(1000)))
+    perm = list(range(leaves))
+    rng.shuffle(perm)
+    return D.relabel(D.d_from_tree(tree), dict(enumerate(perm)))
+
+
+def random_table(rng, n):
+    """A table on n elements with a random set of positive quads; at these
+    densities it almost never passes D1..D4."""
+    density = rng.choice((0.1, 0.3, 0.6))
+    quads = [
+        q
+        for a, b, c, e in itertools.combinations(range(n), 4)
+        for q in ((a, b, c, e), (a, c, b, e), (a, e, b, c))
+        if rng.random() < density
+    ]
+    return D.DSet.build(n, quads)

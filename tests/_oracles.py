@@ -170,6 +170,81 @@ def order_invariant(d, window):
     return True, None
 
 
+def classify_oracle(d, col):
+    """classify_window's label and witness, as a dict, from a scalar scan of
+    the index quadruples of a singleton window in increasing order."""
+    col = list(col)
+    if len(set(col)) == 1:
+        return {"label": "constant"}
+    for j, v in enumerate(col):
+        if v in col[:j]:
+            witness = {"kind": "repeat", "indices": [col.index(v), j], "element": v}
+            return {"label": "not_indiscernible", "witness": witness}
+    quads = list(itertools.combinations(range(len(col)), 4))
+    patterns = [list(quad_pattern(d, *(col[i] for i in q))) for q in quads]
+    for q, pat in zip(quads, patterns):
+        if pat != patterns[0]:
+            witness = {
+                "kind": "order",
+                "quad_a": list(quads[0]),
+                "pattern_a": patterns[0],
+                "quad_b": list(q),
+                "pattern_b": pat,
+            }
+            return {"label": "not_indiscernible", "witness": witness}
+    if patterns[0] == [False, False, False]:
+        return {"label": "petaled"}
+    if patterns[0] == [True, False, False]:
+        return {"label": "monotonic"}
+    witness = {"kind": "forbidden_pattern", "quad": list(quads[0]), "pattern": patterns[0]}
+    return {"label": "not_indiscernible", "witness": witness}
+
+
+# ---------------------------------------------------------------------------
+# weak indiscernibility over parameters
+
+
+def weak_oracle(d, rows, params):
+    """weakly_indiscernible_over's verdict and witness from a scalar scan.
+
+    Slot layouts (1 = window slot) run in product order, skipping the pure
+    ones; within a layout, fillings run in product order, window slots over
+    (column, row) column-major and parameter slots over the sorted
+    parameters.  The witness is the first filling whose atom differs from
+    the first filling with the same key: slot kinds, parameters, columns
+    and the order/equality pattern of the window rows.
+    """
+    rows = [tuple(r) for r in rows]
+    params = sorted(set(params))
+    if not params:
+        return True, None
+    m, k = len(rows), len(rows[0])
+    cells = [(c, r) for c in range(k) for r in range(m)]
+    for layout in itertools.product((0, 1), repeat=4):
+        if not 0 < sum(layout) < 4:
+            continue
+        seen = {}
+        for filling in itertools.product(*(cells if flag else params for flag in layout)):
+            key, window_rows, slots = [], [], []
+            for flag, item in zip(layout, filling):
+                if flag:
+                    c, r = item
+                    key.append(("col", c))
+                    window_rows.append(r)
+                    slots.append({"kind": "window", "column": c, "row": r, "id": rows[r][c]})
+                else:
+                    key.append(("param", item))
+                    slots.append({"kind": "param", "id": item})
+            for a, b in itertools.combinations(window_rows, 2):
+                key.append((a > b) - (a < b))
+            args = [slot["id"] for slot in slots]
+            atom = {"slots": slots, "args": args, "value": d.holds(*args)}
+            first = seen.setdefault(tuple(key), atom)
+            if first["value"] != atom["value"]:
+                return False, {"kind": "order_type", "first": first, "second": atom}
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # tree shape counting via skeletons
 

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -82,6 +83,21 @@ def test_max_n_guard(run, catalogue):
     code, out, _ = run(["check", "-", "--max-n", "10"], catalogue["FLW12"].dset.to_json())
     assert code == 2
     assert "exceeds" in _payload(out)["error"]["message"]
+
+
+def test_max_n_guard_allocates_nothing_n_long(run):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(["check", "-"], json.dumps({"n": 10_000_000}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert _payload(out)["error"] == {
+        "kind": "input",
+        "message": "10000000 elements exceeds the --max-n bound of 16",
+    }
+    assert peak < 5_000_000
 
 
 def test_quiet_silences_stderr(run, catalogue):

@@ -8,11 +8,13 @@ import json
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 import dsets as D
 from dsets import DSet, InputError, check_axioms, normalize_quad
 
+import _families as F
 import _oracles as O
 
 
@@ -181,16 +183,20 @@ def _reference_axioms(d):
 def test_axioms_match_scalar_scans_on_random_tables():
     rng = random.Random(11)
     for _ in range(200):
-        n = rng.randint(0, 5)
-        density = rng.choice((0.1, 0.3, 0.6))
-        quads = [
-            q
-            for a, b, c, e in itertools.combinations(range(n), 4)
-            for q in ((a, b, c, e), (a, c, b, e), (a, e, b, c))
-            if rng.random() < density
-        ]
-        d = DSet.build(n, quads)
+        d = F.random_table(rng, rng.randint(0, 5))
         assert check_axioms(d).as_dict() == _reference_axioms(d)
+
+
+def test_d6_fourth_conjunct_is_implied_on_tree_dsets(trees_by_k):
+    # D6 as checked asks for D(vx;yz), D(wv;yz) and D(wx;vz); on D-sets of
+    # trees D(wx;yv) then follows, so density_witnesses, which also asks
+    # for it, finds the same witnesses.
+    for k in range(1, 9):
+        for tree in trees_by_k[k]:
+            t = D.relation_table(D.d_from_tree(tree))
+            w, x, y, z, v = np.indices((k,) * 5, sparse=True)
+            three = t[w, x, y, z] & t[v, x, y, z] & t[w, v, y, z] & t[w, x, v, z]
+            assert not (three & ~t[w, x, y, v]).any(), tree
 
 
 # ---------------------------------------------------------------------------

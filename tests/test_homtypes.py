@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 import dsets as D
 from dsets import InputError, Splitting
 
+import _families as F
 from _families import spine_tree
 
 
@@ -129,6 +134,81 @@ def test_extend_candidates_verified_pointwise(catalogue):
 def test_extend_requires_unmapped_source(catalogue):
     with pytest.raises(InputError):
         D.extend_partial_iso(catalogue["CAT4"].dset, {0: 0, 1: 1}, 0)
+
+
+# ---------------------------------------------------------------------------
+# types by induced splitting and by atom slice
+
+
+def _assert_splittings_match_atoms(d, dom, img):
+    """For x outside dom and y outside img: the induced splitting of x on
+    dom, carried along dom -> img, equals that of y on img exactly when the
+    atom slice D(x a; b c) over dom, carried, equals y's over img.  Returns
+    the number of (x, y) pairs compared."""
+    t = D.relation_table(d)
+    m = dict(zip(dom, img))
+    dom_grid, img_grid = np.ix_(dom, dom, dom), np.ix_(img, img, img)
+    carried = [
+        (Splitting([{m[a] for a in sec} for sec in D.induced_splitting(d, dom, x).sectors]), t[x][dom_grid])
+        for x in sorted(d.elements - set(dom))
+    ]
+    own = [
+        (D.induced_splitting(d, img, y), t[y][img_grid])
+        for y in sorted(d.elements - set(img))
+    ]
+    for (sx, ax), (sy, ay) in itertools.product(carried, own):
+        assert (sx == sy) == np.array_equal(ax, ay), (d, dom, img)
+    return len(carried) * len(own)
+
+
+def _grown_partial_iso(d, rng, size):
+    """A partial isomorphism of d onto itself: a random first pair, then
+    random extensions by an element with a matching atom slice."""
+    t = D.relation_table(d)
+    a, b = rng.sample(range(d.n), 2)
+    m = {a: b}
+    while len(m) < size:
+        x = rng.choice(sorted(d.elements - set(m)))
+        dom = sorted(m)
+        img = [m[v] for v in dom]
+        x_slice = t[x][np.ix_(dom, dom, dom)]
+        fits = [
+            y
+            for y in sorted(d.elements - set(img))
+            if np.array_equal(x_slice, t[y][np.ix_(img, img, img)])
+        ]
+        if not fits:
+            break
+        m[x] = rng.choice(fits)
+    assert D.check_partial_iso(d, d, m)[0]
+    return m
+
+
+def test_induced_splittings_decide_types_on_small_trees(trees_by_k):
+    rng = random.Random(6)
+    compared = 0
+    for k in range(4, 8):
+        for tree in trees_by_k[k]:
+            d = D.d_from_tree(tree)
+            for size in range(2, k - 1):
+                for dom in itertools.combinations(range(k), size):
+                    compared += _assert_splittings_match_atoms(d, dom, dom)
+            for size in range(2, k):
+                m = _grown_partial_iso(d, rng, size)
+                compared += _assert_splittings_match_atoms(d, list(m), list(m.values()))
+    assert compared > 10_000
+
+
+@pytest.mark.parametrize("leaves", (16, 24, 32))
+def test_induced_splittings_decide_types_on_large_trees(leaves):
+    rng = random.Random(leaves)
+    d = F.seeded_tree_dset(rng, leaves)
+    for _ in range(4):
+        dom = rng.sample(range(leaves), rng.randint(2, leaves - 2))
+        _assert_splittings_match_atoms(d, dom, dom)
+    for size in (3, 6, 9, 12):
+        m = _grown_partial_iso(d, rng, size)
+        _assert_splittings_match_atoms(d, list(m), list(m.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 import dsets as D
 from dsets import InputError, SequenceWindow
 
+import _families as F
 import _oracles as O
 from _families import spine_tree
 
@@ -235,6 +237,58 @@ def test_mutual_window_against_widened_frontier(mkwin):
 def test_mutual_window_too_short(catalogue, mkwin):
     with pytest.raises(InputError):
         D.mutually_indiscernible(catalogue["CAT5"].dset, mkwin(range(4)), mkwin(range(5)))
+
+
+# ---------------------------------------------------------------------------
+# against the scalar scans of tests/_oracles.py
+
+
+def _seeded_structures(rng):
+    """Tree-derived D-sets with 5 to 14 leaves and random tables that fail
+    D1..D4."""
+    for leaves in (5, 8, 11, 14):
+        yield F.seeded_tree_dset(rng, leaves)
+    for n in (5, 6, 7, 8):
+        yield F.random_table(rng, n)
+
+
+def test_classify_window_matches_scalar_scan():
+    rng = random.Random(3)
+    outcomes = set()
+    for d in _seeded_structures(rng):
+        for _ in range(40):
+            length = rng.randint(4, min(8, d.n))
+            col = rng.sample(range(d.n), length)
+            if rng.random() < 0.2:
+                col[rng.randrange(1, length)] = col[0]
+            if rng.random() < 0.05:
+                col = [col[0]] * length
+            got = D.classify_window(d, SequenceWindow([(v,) for v in col])).as_dict()
+            assert got == O.classify_oracle(d, col), (d, col)
+            outcomes.add((got["label"], got.get("witness", {}).get("kind")))
+    assert len(outcomes) >= 5
+
+
+def test_weakly_indiscernible_matches_scalar_scan():
+    rng = random.Random(4)
+    verdicts = []
+    for d in _seeded_structures(rng):
+        for arity in (1, 1, 2, 2, 3):
+            rows = [[rng.randrange(d.n) for _ in range(arity)] for _ in range(5 + (arity < 3))]
+            if rng.random() < 0.3:  # every column the same distinct elements
+                rows = [[v] * arity for v in rng.sample(range(d.n), 5)]
+            params = rng.sample(range(d.n), rng.randint(1, 3))
+            got = D.weakly_indiscernible_over(d, SequenceWindow(rows), params)
+            assert got == O.weak_oracle(d, rows, params), (d, rows, params)
+            verdicts.append(got[0])
+    # Spine windows, read arity entries per row, over their frontier.
+    for length, arity in ((5, 1), (10, 2), (15, 3)):
+        d, window, extras = next(F.frontier_instances(length))
+        rows = [window[i : i + arity] for i in range(0, length, arity)]
+        got = D.weakly_indiscernible_over(d, SequenceWindow(rows), extras)
+        assert got == O.weak_oracle(d, rows, extras) == (True, None)
+        verdicts.append(got[0])
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 import dsets as D
+import dsets.trees
 from dsets import DSet, InputError, Splitting
 
+import _families as F
 import _oracles as O
 
 
@@ -126,6 +129,19 @@ def test_enumerate_routes_agree(catalogue):
         assert brute == tree
 
 
+def test_enumerate_keeps_tree_route_per_structure(catalogue, monkeypatch):
+    d = DSet.from_json(catalogue["MIX"].dset.to_json())
+    reads = []
+    read = dsets.trees.splittings_from_tree
+    monkeypatch.setattr(dsets.trees, "splittings_from_tree", lambda t: reads.append(t) or read(t))
+    first = D.enumerate_splittings(d, method="tree")
+    expected = list(first)
+    first.pop()
+    second = D.enumerate_splittings(d, method="tree")
+    assert second == expected and second is not first
+    assert len(reads) == 1
+
+
 def test_enumerate_rejects_unknown_method(catalogue):
     with pytest.raises(InputError):
         D.enumerate_splittings(catalogue["CAT4"].dset, method="magic")
@@ -231,6 +247,24 @@ def test_extend_induces_input_back(catalogue):
         grown = D.extend_by_point(d, s)
         assert D.check_axioms(grown).core_pass
         assert D.induced_splitting(grown, range(d.n), d.n) == s
+
+
+@pytest.mark.parametrize("leaves", (16, 20, 24))
+def test_extend_induces_input_back_on_large_trees(leaves):
+    rng = random.Random(leaves)
+    d = F.seeded_tree_dset(rng, leaves)
+    for s in rng.sample(D.enumerate_splittings(d), 3):
+        grown = D.extend_by_point(d, s)
+        assert D.check_axioms(grown).core_pass
+        assert D.induced_splitting(grown, range(d.n), d.n) == s
+
+
+def test_extend_rejects_input_failing_core_axioms():
+    d = DSet.build(4, [(0, 1, 2, 3), (0, 2, 1, 3)])  # fails D2
+    s = Splitting.build([{0}, {1, 2, 3}])
+    assert D.is_splitting(d, s)[0]
+    with pytest.raises(InputError, match="input fails D1..D4"):
+        D.extend_by_point(d, s)
 
 
 # ---------------------------------------------------------------------------
