@@ -122,7 +122,7 @@ def cmd_check(args) -> int:
 def cmd_from_tree(args) -> int:
     t = _load_tree(args)
     d = d_from_tree(t)
-    _emit(args, d.to_json(), f"{d.n} elements, {len(d.positives)} positive quads")
+    _emit(args, d.to_json(), f"{d.n} elements, {len(d.rows)} positive quads")
     return 0
 
 

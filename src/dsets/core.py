@@ -19,6 +19,13 @@ forced: D(wx;yz) is false whenever {w,x} and {y,z} intersect as sets, and
 true whenever the two pairs are disjoint and at least one of them is a
 doubled element.  Only quadruples of four distinct elements are kept, one
 canonical representative per D1-symmetry orbit.
+
+What is stored: each DSet holds its relation once, as a read-only (k, 4)
+int array of those canonical quadruples in lexicographic order (`rows`).
+What is derived from it, on first request and then kept on the structure:
+the `positives` frozenset, the dense relation table that `holds` and every
+exhaustive check read, the axiom report and the reconstructed tree.  D3
+and D6 pack their quantified element into uint64 words.
 """
 
 from __future__ import annotations
@@ -63,62 +70,84 @@ def normalize_quad(w: int, x: int, y: int, z: int) -> Quad:
     return (int(c), int(d), int(a), int(b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class DSet:
     """Immutable finite D-set over elements 0..n-1.
 
-    positives holds canonical quadruples of four distinct elements only.
-    colors is a total map, one color id per element; a fresh DSet is
-    monochromatic.  Use DSet.build for unnormalized input.  The relation
-    table, axiom report and reconstructed tree are computed on first
-    request and kept on the instance.
+    Stored: n, colors (one color id per element; a fresh DSet is
+    monochromatic) and `rows`, the relation as a read-only (k, 4) int array
+    of canonical quads of four distinct elements in lexicographic order,
+    sorted by the key ((a*n + b)*n + c)*n + d, or by np.lexsort once n**4
+    overflows int64.  Equality, hashing and repr read these three.  Derived
+    on first request and kept: `positives` (the quads as a frozenset), the
+    relation table, the axiom report and the tree.  Use DSet.build for
+    unnormalized input.
     """
 
     n: int
-    positives: frozenset[Quad] = frozenset()
-    colors: tuple[int, ...] = ()
+    rows: np.ndarray
+    colors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        self._finish_init()
-        quads = list(self.positives)
+    def __init__(
+        self, n: int, positives: Iterable[Quad] = frozenset(), colors: Iterable[int] = ()
+    ) -> None:
+        self._start(n, colors)
+        quads = list(positives)
         rows = _int_rows(quads)
-        if rows is not None:
-            bad = (
-                (rows < 0).any(axis=1)
-                | (rows != _canonical_rows(rows)).any(axis=1)
-                | ~_distinct_rows(rows)
-                | (rows >= self.n).any(axis=1)
-            )
-            quads = quads[: int(bad.argmax()) + 1] if bad.any() else []
-        _scan_stored_quads(quads, self.n)  # raises at the first bad quad
+        if rows is None or not (
+            (rows == _canonical_rows(rows)).all() and _distinct_rows(rows).all()
+            and ((rows >= 0) & (rows < n)).all()
+        ):
+            _scan_stored_quads(quads, n)  # raises at the first bad quad
+            rows = np.array(quads, dtype=np.int64).reshape(-1, 4)  # valid, in another shape
+        rows, repeats = _sort_rows(rows, n)
+        self._store(rows[np.concatenate([[True], ~repeats])] if repeats.any() else rows)
 
-    def _finish_init(self) -> None:
+    def _start(self, n: int, colors: Iterable[int]) -> None:
         """Check n and colors and start the analyses kept on this instance."""
-        if self.n < 0:
+        if n < 0:
             raise InputError("element count must be >= 0")
-        if not self.colors:
-            object.__setattr__(self, "colors", (0,) * self.n)
-        if len(self.colors) != self.n:
+        colors = tuple(colors) or (0,) * n
+        if len(colors) != n:
             raise InputError("colors must assign one color to every element")
-        if any(c < 0 for c in self.colors):
+        if any(c < 0 for c in colors):
             raise InputError("color ids must be non-negative")
-        # Not a field, so the kept analyses (see _kept) stay out of
-        # equality, hashing, repr and JSON.
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "_analyses", {})
 
+    def _store(self, rows: np.ndarray) -> None:
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (self.n, self.colors) == (other.n, other.colors)
+        return same and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows.tobytes(), self.colors))
+
+    def __repr__(self) -> str:
+        quads = ", ".join(map(str, map(tuple, self.rows.tolist())))
+        return f"DSet(n={self.n}, positives=frozenset([{quads}]), colors={self.colors!r})"
+
+    @property
+    def positives(self) -> frozenset[Quad]:
+        """The stored quads as a frozenset of tuples, built on first read."""
+        kept = self._analyses
+        if "positives" not in kept:
+            kept["positives"] = frozenset(zip(*self.rows.T.tolist()))
+        return kept["positives"]
+
     @classmethod
-    def _from_rows(cls, n: int, rows: np.ndarray, colors: tuple[int, ...] = ()) -> "DSet":
-        """Construct from a (k, 4) array of canonical quads of four distinct
-        non-negative ids, without scanning them a second time."""
-        if len(rows) and rows.max() >= n:
-            # Raise the range error at the first stored quad, in the order a
-            # set filled row by row gives.
-            return cls(n, frozenset(set(zip(*rows.T.tolist()))), colors)
+    def _from_rows(cls, n: int, rows: np.ndarray, colors: Iterable[int] = ()) -> "DSet":
+        """Construct from a (k, 4) array of distinct canonical quads of four
+        distinct ids in 0..n-1, in any order, without checking them again."""
         d = object.__new__(cls)
-        object.__setattr__(d, "n", n)
-        object.__setattr__(d, "positives", _quad_set(rows))
-        object.__setattr__(d, "colors", colors)
-        d._finish_init()
+        d._start(n, colors)
+        d._store(_sort_rows(rows, n)[0])
         return d
 
     @classmethod
@@ -139,12 +168,13 @@ class DSet:
     ) -> "DSet":
         """build, given rows = _int_rows(quads)."""
         color_tuple = tuple(colors) if colors is not None else (0,) * n
-        if rows is None:
+        if rows is None or (len(rows) and (rows.min() < 0 or rows.max() >= n)):
+            # Raises at the first bad input quad, else at the first stored
+            # quad out of range.
             return cls(n, frozenset(_scan_input_quads(quads)), color_tuple)
-        canon = _canonical_rows(rows)
-        bad = ~_distinct_rows(rows) | (rows < 0).any(axis=1) | _repeated_rows(canon)
-        if bad.any():
-            _scan_input_quads(quads[: int(bad.argmax()) + 1])
+        canon, repeats = _sort_rows(_canonical_rows(rows), n)
+        if repeats.any() or not _distinct_rows(rows).all():
+            _scan_input_quads(quads)  # raises at the first bad quad
         return cls._from_rows(n, canon, color_tuple)
 
     @property
@@ -156,11 +186,13 @@ class DSet:
         for v in (w, x, y, z):
             if not 0 <= v < self.n:
                 raise InputError(f"element {v} out of range 0..{self.n - 1}")
-        if w in (y, z) or x in (y, z):
-            return False
-        if w == x or y == z:
-            return True
-        return normalize_quad(w, x, y, z) in self.positives
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise InputError(f"element ids must be non-negative integers, got {v!r}")
+        # The kept table, read without a call: this is the scalar hot path.
+        table = self._analyses.get("relation_table")
+        if table is None:
+            table = relation_table(self)
+        return bool(table[w, x, y, z])
 
     def recolor(self, colors: Iterable[int] | Mapping[int, int]) -> "DSet":
         """Same relation, new colors: a per-element sequence or a total map."""
@@ -171,7 +203,7 @@ class DSet:
             seq = tuple(int(colors[e]) for e in range(self.n))
         else:
             seq = tuple(int(c) for c in colors)
-        return DSet(n=self.n, positives=self.positives, colors=seq)
+        return DSet._from_rows(self.n, self.rows, seq)
 
     def color_classes(self) -> dict[int, frozenset[int]]:
         """Nonempty color classes, keyed by color id."""
@@ -181,13 +213,11 @@ class DSet:
         return {c: frozenset(s) for c, s in sorted(out.items())}
 
     def to_json(self) -> str:
-        rows = _positive_rows(self)
-        payload = {
-            "n": self.n,
-            "colors": {str(e): c for e, c in enumerate(self.colors)},
-            "positives": rows[np.lexsort(rows.T[::-1])].tolist(),  # lexicographic
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        head = {"colors": {str(e): c for e, c in enumerate(self.colors)}, "n": self.n}
+        text = json.dumps(head, sort_keys=True, separators=(",", ":"))
+        # The ids are plain ints: format them at once, not one list per quad.
+        quads = ("[%d,%d,%d,%d]," * len(self.rows)) % tuple(self.rows.ravel().tolist())
+        return f'{text[:-1]},"positives":[{quads[:-1]}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "DSet":
@@ -255,17 +285,6 @@ def _int_rows(quads: list) -> Optional[np.ndarray]:
         return None
 
 
-def _positive_rows(d: DSet) -> np.ndarray:
-    """The stored quads of d as a (k, 4) array."""
-    flat = itertools.chain.from_iterable(d.positives)
-    return np.fromiter(flat, dtype=np.intp, count=4 * len(d.positives)).reshape(-1, 4)
-
-
-def _quad_set(rows: np.ndarray) -> frozenset[Quad]:
-    """The rows of a (k, 4) array as a frozenset of int tuples."""
-    return frozenset(zip(*rows.T.tolist()))
-
-
 def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     """normalize_quad applied to every row of a (k, 4) array."""
     a, b = np.minimum(rows[:, 0], rows[:, 1]), np.maximum(rows[:, 0], rows[:, 1])
@@ -276,19 +295,23 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """Rows whose four ids are pairwise different."""
-    ok = np.ones(len(rows), dtype=bool)
-    for i, j in itertools.combinations(range(4), 2):
-        ok &= rows[:, i] != rows[:, j]
-    return ok
+    return (np.diff(np.sort(rows, axis=1), axis=1) != 0).all(axis=1)
 
 
-def _repeated_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows equal to an earlier row."""
-    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep input order
-    ordered = rows[order]
-    repeated = np.zeros(len(rows), dtype=bool)
-    repeated[order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]] = True
-    return repeated
+_KEYED_N = 55_108  # the largest n with n**4 - 1 in int64
+
+
+def _sort_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ids in 0..n-1 in lexicographic order, and a mask of the
+    sorted rows that equal the row before them."""
+    rows = rows.astype(np.int64, copy=False)
+    if n > _KEYED_N:
+        ordered = rows[np.lexsort(rows.T[::-1])]
+        return ordered, (ordered[1:] == ordered[:-1]).all(axis=1)
+    key = ((rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]) * n + rows[:, 3]
+    order = np.argsort(key)
+    key = key[order]
+    return rows[order], key[1:] == key[:-1]
 
 
 def _scan_input_quads(quads: list) -> set[Quad]:
@@ -317,17 +340,19 @@ def _scan_stored_quads(quads: list, n: int) -> None:
 
 
 def _kept(analysis):
-    """Run analysis(d) once per DSet instance and keep the result on it.
+    """Run analysis(d) once per DSet instance and keep it there by name.
 
     The returned function takes the analysis's name and docstring but no
     __wrapped__, so unwrapping it cannot bypass the kept result.
     """
 
+    name = analysis.__name__
+
     def kept(d: DSet):
         analyses = d._analyses
-        if analysis not in analyses:
-            analyses[analysis] = analysis(d)
-        return analyses[analysis]
+        if name not in analyses:
+            analyses[name] = analysis(d)
+        return analyses[name]
 
     functools.update_wrapper(kept, analysis)
     del kept.__wrapped__
@@ -343,10 +368,12 @@ def relation_table(d: DSet) -> np.ndarray:
     """
     n = d.n
     table = np.zeros((n, n, n, n), dtype=bool)
-    w, x, y, z = np.indices((n, n, n, n), sparse=True)
-    disjoint = (w != y) & (w != z) & (x != y) & (x != z)
-    table |= disjoint & ((w == x) | (y == z))
-    a, b, c, e = _positive_rows(d).T
+    # Degenerate values: D(ww;yz) and D(wx;yy) hold when the pairs are disjoint.
+    ar = np.arange(n)
+    apart = (ar[:, None, None] != ar[:, None]) & (ar[:, None, None] != ar)  # [w,y,z]: w not in {y,z}
+    table[ar, ar] = apart
+    table[:, :, ar, ar] = apart.transpose(1, 2, 0)
+    a, b, c, e = d.rows.T
     for p, q in ((a, b), (b, a)):
         for r, s in ((c, e), (e, c)):
             table[p, q, r, s] = True
@@ -426,21 +453,27 @@ def check_axioms(d: DSet) -> AxiomReport:
         na = AxiomVerdict("not_applicable")
         return AxiomReport(passed, passed, passed, passed, na, na)
 
-    bad1 = (t & ~t.transpose(1, 0, 2, 3)) | (t & ~t.transpose(2, 3, 0, 1))
+    bad1 = t & ~(t.transpose(1, 0, 2, 3) & t.transpose(2, 3, 0, 1))
     d1 = _verdict_from_mask(bad1)
 
     bad2 = t & t.transpose(0, 2, 1, 3)
     d2 = _verdict_from_mask(bad2)
 
-    # D3 and D6 quantify a fifth element v.  Both are swept one w at a time
-    # over [x,y,z,v] slices, so memory stays O(n^4).
-    v_first = np.ascontiguousarray(np.moveaxis(t, 0, -1))  # [x,y,z,v] -> D(vx;yz)
+    # D3 and D6 quantify a fifth element v.  Its axis is packed into uint64
+    # words, and both are swept one w at a time, so memory stays O(n^3).
+    # A[x,y,z] = bits of D(vx;yz), P2[w,x,y] = bits of D(wx;yv),
+    # B[w,y,z] = bits of D(wv;yz), C[w,x,z] = bits of D(wx;vz).
+    full = _pack(np.ones(n, dtype=bool))
+    a = _pack(t.transpose(1, 2, 3, 0))
+    p2 = _pack(t)
 
     def bad3(w: int) -> np.ndarray:  # D(wx;yz) but neither D(vx;yz) nor D(wx;yv)
-        tw = t[w]
-        return tw[..., None] & ~(v_first | tw[:, :, None, :])
+        return t[w] & ((a | p2[w][:, :, None]) != full).any(axis=-1)
 
     d3 = _sweep(n, bad3)
+    if d3.witness is not None:  # the least v with neither D(vx;yz) nor D(wx;yv)
+        w, x, y, z = d3.witness
+        d3 = AxiomVerdict("fail", (w, x, y, z, int(np.argmin(t[:, x, y, z] | t[w, x, y]))))
 
     ar = np.arange(n)
     diag_yy = t[:, :, ar, ar]  # [w,x,y] -> D(wx;yy)
@@ -448,24 +481,29 @@ def check_axioms(d: DSet) -> AxiomReport:
     bad4 = ((w3 != y3) & (x3 != y3)) & ~diag_yy
     d4 = _verdict_from_mask(bad4)
 
-    if n < 3:
-        d5 = AxiomVerdict("not_applicable")
-    else:
-        off_diag = t.copy()
-        off_diag[:, :, ar, ar] = False  # drop z == y before projecting
-        exists_z = off_diag.any(axis=3)
-        distinct3 = (w3 != x3) & (w3 != y3) & (x3 != y3)
-        bad5 = distinct3 & ~exists_z
-        d5 = _verdict_from_mask(bad5)
+    # D5 fails where z == y is the only z with D(wx;yz), if even that.
+    bad5 = (w3 != x3) & (w3 != y3) & (x3 != y3) & (np.count_nonzero(t, axis=3) <= diag_yy)
+    d5 = AxiomVerdict("not_applicable") if n < 3 else _verdict_from_mask(bad5)
+
+    b = _pack(t.transpose(0, 2, 3, 1))
+    c = _pack(t.transpose(0, 1, 3, 2))
 
     def bad6(w: int) -> np.ndarray:  # D(wx;yz) but no v with D(vx;yz), D(wv;yz), D(wx;vz)
-        tw = t[w]
-        found = v_first & tw.transpose(1, 2, 0)[None] & tw.transpose(0, 2, 1)[:, None]
-        return tw & ~found.any(axis=-1)
+        return t[w] & ~(a & b[w][None] & c[w][:, None]).any(axis=-1)
 
     d6 = AxiomVerdict("not_applicable") if n < 2 else _sweep(n, bad6)
 
     return AxiomReport(d1, d2, d3, d4, d5, d6)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Boolean array packed along its last axis into little-endian uint64
+    words: bit i of the last axis is bit i % 64 of word i // 64."""
+    n = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (-(-n // 64) * 64,), dtype=bool)
+    padded[..., :n] = bits
+    words = np.packbits(padded, bitorder="little").view("<u8")
+    return words.reshape(bits.shape[:-1] + (-1,))
 
 
 def _sweep(n: int, bad_at) -> AxiomVerdict:
@@ -480,9 +518,7 @@ def _sweep(n: int, bad_at) -> AxiomVerdict:
 
 def _verdict_from_mask(bad: np.ndarray) -> AxiomVerdict:
     witness = _first_true(bad)
-    if witness is None:
-        return AxiomVerdict("pass")
-    return AxiomVerdict("fail", witness)
+    return AxiomVerdict("pass") if witness is None else AxiomVerdict("fail", witness)
 
 
 def substructure(d: DSet, subset: Iterable[int]) -> tuple[DSet, dict[int, int]]:
@@ -496,24 +532,23 @@ def substructure(d: DSet, subset: Iterable[int]) -> tuple[DSet, dict[int, int]]:
         if not 0 <= e < d.n:
             raise InputError(f"element {e} out of range 0..{d.n - 1}")
     remap = {old: new for new, old in enumerate(chosen)}
-    keep = set(chosen)
-    quads = []
-    for q in d.positives:
-        if keep.issuperset(q):
-            quads.append(tuple(remap[v] for v in q))
+    index = np.full(d.n, -1, dtype=np.int64)
+    index[chosen] = np.arange(len(chosen))
+    rows = index[d.rows]  # order-preserving, so still canonical and sorted
     colors = tuple(d.colors[e] for e in chosen)
-    return DSet.build(len(chosen), quads, colors), remap
+    return DSet._from_rows(len(chosen), rows[(rows >= 0).all(axis=1)], colors), remap
 
 
 def relabel(d: DSet, mapping: Mapping[int, int]) -> DSet:
     """Apply a bijection of 0..n-1 to every element, keeping colors attached."""
     if sorted(mapping) != list(range(d.n)) or sorted(mapping.values()) != list(range(d.n)):
         raise InputError("relabeling must be a bijection of the element range")
-    quads = [tuple(mapping[v] for v in q) for q in d.positives]
+    image = np.empty(d.n, dtype=np.int64)
+    image[list(mapping)] = list(mapping.values())
     colors = [0] * d.n
     for old, new in mapping.items():
         colors[new] = d.colors[old]
-    return DSet.build(d.n, quads, colors)
+    return DSet._from_rows(d.n, _canonical_rows(image[d.rows]), colors)
 
 
 def are_isomorphic(
@@ -565,36 +600,24 @@ def _backtrack_bijection(d1: DSet, d2: DSet, respect_colors: bool) -> Optional[d
     t1 = relation_table(d1)
     t2 = relation_table(d2)
     image = [-1] * n
-    used = [False] * n
 
     def compatible(e: int, f: int) -> bool:
         if respect_colors and d1.colors[e] != d2.colors[f]:
             return False
-        fixed = [(a, image[a]) for a in range(e)]
-        for a, fa in fixed:
-            for b, fb in fixed:
-                for c, fc in fixed:
-                    if t1[a, b, c, e] != t2[fa, fb, fc, f]:
-                        return False
-                    if t1[a, b, e, c] != t2[fa, fb, f, fc]:
-                        return False
-                    if t1[a, e, b, c] != t2[fa, f, fb, fc]:
-                        return False
-                    if t1[e, a, b, c] != t2[f, fa, fb, fc]:
-                        return False
-        return True
+        # The placed elements already agree, and a tuple repeating e is
+        # forced by its equality pattern, so this compares the tuples with e.
+        placed, images = list(range(e + 1)), image[:e] + [f]
+        return np.array_equal(t1[np.ix_(*[placed] * 4)], t2[np.ix_(*[images] * 4)])
 
     def place(e: int) -> bool:
         if e == n:
             return True
         for f in range(n):
-            if not used[f] and compatible(e, f):
+            if f not in image[:e] and compatible(e, f):
                 image[e] = f
-                used[f] = True
                 if place(e + 1):
                     return True
                 image[e] = -1
-                used[f] = False
         return False
 
     if place(0):

@@ -166,13 +166,8 @@ def qftp_base(d: DSet, subset: Iterable[int], e: int) -> QftpBase:
         if a not in d.elements:
             raise InputError(f"unknown element {a}")
     if len(sub) < 3:
-        atoms = frozenset(
-            (x, y, z)
-            for x in sub
-            for y in sub
-            for z in sub
-            if d.holds(e, x, y, z)
-        )
+        found = np.argwhere(relation_table(d)[e][np.ix_(sub, sub, sub)]).tolist()
+        atoms = frozenset((sub[i], sub[j], sub[k]) for i, j, k in found)
         return QftpBase(d, sub, e, "small", (), None, atoms)
     s = induced_splitting(d, sub, e)
     if len(s.sectors) > 2:
@@ -284,10 +279,10 @@ def homogeneity_conditions(d: DSet, min_sector_size: int = 2) -> dict:
     reg, count = is_regular(d)
     dense = True
     dense_witness = None
-    for quad in sorted(d.positives):
+    for quad in d.rows:
         if not density_witnesses(d, *quad):
             dense = False
-            dense_witness = list(quad)
+            dense_witness = quad.tolist()
             break
     hitting = True
     hitting_witness = None
@@ -315,7 +310,7 @@ def homogeneity_conditions(d: DSet, min_sector_size: int = 2) -> dict:
         "dense": {
             "verdict": dense,
             "witness": dense_witness,
-            "positive_quads": len(d.positives),
+            "positive_quads": len(d.rows),
         },
         "color_hitting": {
             "verdict": hitting,

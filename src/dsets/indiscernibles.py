@@ -207,25 +207,15 @@ class HullResult:
 def _monotonic_parts(
     d: DSet, col: Sequence[int]
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    col_set = set(col)
-    others = [x for x in sorted(d.elements) if x not in col_set]
-    h1: set[int] = set()
-    h2: set[int] = set()
-    h3: set[int] = set()
-    triples = list(itertools.combinations(range(len(col)), 3))
-    quads = list(itertools.combinations(range(len(col)), 4))
-    for x in others:
-        for i, j, k in triples:
-            a, b, c = col[i], col[j], col[k]
-            if d.holds(a, c, b, x):
-                h1.add(x)
-            if not (d.holds(a, b, c, x) or d.holds(a, c, b, x) or d.holds(a, x, b, c)):
-                h2.add(x)
-        for i, j, k, l in quads:
-            if d.holds(col[i], x, col[k], col[l]) and d.holds(col[i], col[j], x, col[l]):
-                h3.add(x)
-                break
-    return frozenset(h1), frozenset(h2), frozenset(h3)
+    others = np.array(sorted(d.elements.difference(col)), dtype=np.int64)
+    x = others[:, None]  # [outside element, index triple or quad of col]
+    t = relation_table(d)
+    a, b, c = np.array(list(itertools.combinations(col, 3)), dtype=np.int64).reshape(-1, 3).T
+    h1 = t[a, c, b, x].any(axis=1)
+    h2 = ~(t[a, b, c, x] | t[a, c, b, x] | t[a, x, b, c]).all(axis=1)
+    a, b, c, e = np.array(list(itertools.combinations(col, 4)), dtype=np.int64).reshape(-1, 4).T
+    h3 = (t[a, x, c, e] & t[a, b, x, e]).any(axis=1)
+    return tuple(frozenset(others[h].tolist()) for h in (h1, h2, h3))
 
 
 def _petaled_sectors(d: DSet, col: Sequence[int]) -> frozenset[int]:

@@ -17,7 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, InvariantViolation, _kept, check_axioms, relation_table
+from .core import DSet, InputError, InvariantViolation, check_axioms, relation_table
+from .core import _canonical_rows, _first_true, _kept
 
 
 @dataclass(frozen=True)
@@ -115,24 +116,35 @@ def is_splitting(
         }
     if len(candidate.sectors) < 2:
         return False, {"kind": "too_few_sectors", "count": len(candidate.sectors)}
-    for sec in candidate.sectors:
-        outside = sorted(d.elements - sec)
-        inside = sorted(sec)
-        for a, b in itertools.combinations_with_replacement(inside, 2):
-            for c, dd in itertools.combinations_with_replacement(outside, 2):
-                if not d.holds(a, b, c, dd):
-                    return False, {
-                        "kind": "separation_fails",
-                        "pair": [a, b],
-                        "other": [c, dd],
-                    }
-    for secs in itertools.combinations(candidate.sectors, 4):
-        for a, b, c, dd in itertools.product(*(sorted(s) for s in secs)):
-            if d.holds(a, b, c, dd) or d.holds(a, c, b, dd) or d.holds(a, dd, b, c):
-                return False, {
-                    "kind": "four_sector_relation",
-                    "elements": [a, b, c, dd],
-                }
+    t = relation_table(d)
+    sectors = [sorted(sec) for sec in candidate.sectors]
+    for inside in sectors:
+        outside = sorted(d.elements.difference(inside))
+        # [a, b, c, dd] over a <= b inside and c <= dd outside, in loop order.
+        fails = ~t[np.ix_(inside, inside, outside, outside)]
+        fails &= np.tri(len(inside), dtype=bool).T[:, :, None, None] & np.tri(len(outside), dtype=bool).T
+        found = _first_true(fails)
+        if found is not None:
+            i, j, p, q = found
+            return False, {
+                "kind": "separation_fails",
+                "pair": [inside[i], inside[j]],
+                "other": [outside[p], outside[q]],
+            }
+    if len(sectors) < 4:
+        return True, None
+    # Four elements from four sectors, sector combination by sector
+    # combination and then in id order within each: the first related one
+    # is least in (the sectors of a, b, c, dd in order, then a, b, c, dd).
+    lab = np.empty(d.n, dtype=np.int64)
+    for i, sec in enumerate(sectors):
+        lab[sec] = i
+    a, b, c, dd = np.ix_(*[lab] * 4)
+    bad = (t | t.transpose(0, 2, 1, 3) | t.transpose(0, 2, 3, 1)) & (a < b) & (b < c) & (c < dd)
+    if bad.any():
+        found = np.nonzero(bad)
+        k = np.lexsort(found[::-1] + tuple(lab[v] for v in found[::-1]))[0]
+        return False, {"kind": "four_sector_relation", "elements": [int(v[k]) for v in found]}
     return True, None
 
 
@@ -290,30 +302,21 @@ def extend_by_point(d: DSet, s: Splitting) -> DSet:
     if not check_axioms(d).core_pass:
         raise InputError("input fails D1..D4")
     e = d.n
-    quads = list(d.positives)
-    elems = sorted(d.elements)
-    for a, b in itertools.combinations(elems, 2):
-        if not s.same_sector(a, b):
-            continue
-        sec = s.sector_of(a)
-        x0 = min(d.elements - sec)
-        for c in elems:
-            if c in (a, b):
-                continue
-            if d.holds(a, b, c, x0):
-                quads.append((a, b, c, e))
-    return DSet.build(e + 1, quads, d.colors + (0,))
+    t = relation_table(d)
+    grown = [d.rows]
+    for sec in s.sectors:
+        a, b = np.array(list(itertools.combinations(sorted(sec), 2)), dtype=np.int64).reshape(-1, 2).T
+        # [pair, c] -> D(ab; c x0), false for c in {a, b}
+        p, c = np.nonzero(t[a, b, :, min(d.elements - sec)])
+        grown.append(_canonical_rows(np.stack([a[p], b[p], c, np.full(len(c), e)], axis=1)))
+    return DSet._from_rows(e + 1, np.concatenate(grown), d.colors + (0,))
 
 
 def _suitable(d: DSet, sector: frozenset[int], x: int, ground: frozenset[int]) -> bool:
     """x fits `sector` inside `ground`: every a in the sector separates ax
     from every pair outside the sector."""
     rest = sorted(ground - sector)
-    for a in sorted(sector):
-        for b, c in itertools.combinations_with_replacement(rest, 2):
-            if not d.holds(a, x, b, c):
-                return False
-    return True
+    return bool(relation_table(d)[np.ix_(sorted(sector), [x], rest, rest)].all())
 
 
 def extend_splitting(
@@ -445,11 +448,5 @@ def density_witnesses(d: DSet, w: int, x: int, y: int, z: int) -> list[int]:
     """
     if not d.holds(w, x, y, z):
         raise InputError(f"D({w}{x};{y}{z}) does not hold")
-    return [
-        v
-        for v in sorted(d.elements)
-        if d.holds(v, x, y, z)
-        and d.holds(w, v, y, z)
-        and d.holds(w, x, v, z)
-        and d.holds(w, x, y, v)
-    ]
+    t = relation_table(d)
+    return np.flatnonzero(t[:, x, y, z] & t[w, :, y, z] & t[w, x, :, z] & t[w, x, y, :]).tolist()

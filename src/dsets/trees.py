@@ -8,9 +8,7 @@ splitting dictionaries read off from internal nodes and edges.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -181,15 +179,12 @@ def d_from_tree(t: LeafTree) -> DSet:
     pairings.  Elements inherit the leaf labels; the result is monochromatic.
     """
     n = t.n_elements
-    if n < 4:
-        return DSet.build(n)
     dist = _leaf_distances(t)
-    count = math.comb(n, 4)
-    quads = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), 4)),
-        dtype=np.intp,
-        count=4 * count,
-    ).reshape(count, 4)
+    # Every w < x < y < z in lexicographic order: each pair w < x, then each
+    # pair y < z with x < y.
+    a, b = np.triu_indices(n, 1)
+    first, second = np.nonzero(b[:, None] < a)
+    quads = np.stack([a[first], b[first], a[second], b[second]], axis=1)
     w, x, y, z = quads.T
     wx_yz = dist[w, x] + dist[y, z]
     wy_xz = dist[w, y] + dist[x, z]

@@ -15,6 +15,8 @@ import itertools
 from collections import deque
 from functools import lru_cache
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
 # path disjointness on trees
@@ -145,6 +147,68 @@ def brute_splittings(d):
         if ok:
             found.add(frozenset(frozenset(c) for c in part))
     return found
+
+
+def splitting_witness_oracle(d, sectors):
+    """is_splitting's verdict and witness from a scalar loop over the
+    sectors of a partition of d's elements, in the order given (at least
+    two): each sector's pairs a <= b against outside pairs c <= dd, then
+    each combination of four sectors over the product of their sorted
+    elements."""
+    sectors = [sorted(sec) for sec in sectors]
+    elements = sorted(v for sec in sectors for v in sec)
+    for inside in sectors:
+        outside = [v for v in elements if v not in inside]
+        for a, b in itertools.combinations_with_replacement(inside, 2):
+            for c, dd in itertools.combinations_with_replacement(outside, 2):
+                if not d.holds(a, b, c, dd):
+                    return False, {"kind": "separation_fails", "pair": [a, b], "other": [c, dd]}
+    for secs in itertools.combinations(sectors, 4):
+        for a, b, c, dd in itertools.product(*secs):
+            if d.holds(a, b, c, dd) or d.holds(a, c, b, dd) or d.holds(a, dd, b, c):
+                return False, {"kind": "four_sector_relation", "elements": [a, b, c, dd]}
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# D3 and D6 as boolean sweeps over w-slices
+
+
+def _first_index(mask):
+    """Lexicographically least index where mask holds, or None."""
+    if not mask.any():
+        return None
+    return [int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape)]
+
+
+def d3_d6_oracle(table):
+    """check_axioms' D3 and D6 verdicts, as dicts, from one boolean
+    [x,y,z,v] array per w, swept in order of w.
+
+    D3: D(wx;yz) with neither D(vx;yz) nor D(wx;yv); witness (w,x,y,z,v).
+    D6: D(wx;yz) with no v giving D(vx;yz), D(wv;yz) and D(wx;vz);
+    witness (w,x,y,z), not applicable below two elements.
+    """
+    n = table.shape[0]
+    v_first = table.transpose(1, 2, 3, 0)  # [x,y,z,v] -> D(vx;yz)
+    d3 = d6 = {"status": "pass"}
+    for w in range(n):
+        tw = table[w]
+        bad = tw[..., None] & ~(v_first | tw[:, :, None, :])
+        found = _first_index(bad)
+        if found is not None:
+            d3 = {"status": "fail", "witness": [w] + found}
+            break
+    if n < 2:
+        return d3, {"status": "not_applicable"}
+    for w in range(n):
+        tw = table[w]
+        found_v = v_first & tw.transpose(1, 2, 0)[None] & tw.transpose(0, 2, 1)[:, None]
+        found = _first_index(tw & ~found_v.any(axis=-1))
+        if found is not None:
+            d6 = {"status": "fail", "witness": [w] + found}
+            break
+    return d3, d6
 
 
 # ---------------------------------------------------------------------------

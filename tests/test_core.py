@@ -199,6 +199,34 @@ def test_d6_fourth_conjunct_is_implied_on_tree_dsets(trees_by_k):
             assert not (three & ~t[w, x, y, v]).any(), tree
 
 
+@pytest.mark.parametrize("n", (63, 64, 65, 70))
+def test_packed_sweep_matches_slices_across_word_boundary(n):
+    # A caterpillar whose end cherry is {0, n-1}, with the quad {1,3 | 2,n-1}
+    # removed.  D3 then first fails at (0,2,1,3) for v = n-1 alone, and the
+    # D6 premise (0,0,1,2) has v = n-1 as its only density witness, so for
+    # n > 64 a sweep that lost the second word would report other witnesses.
+    # (No tree table passes D6 on its w = 0 slice: D(00;yz) for y, z in two
+    # branches at 0's neighbour has no witness.)
+    top = n - 1
+    swap = {e: e for e in range(n)}
+    swap[1], swap[top] = top, 1
+    tree = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", n)))
+    positives = D.relabel(tree, swap).positives
+    d = DSet(n, positives - {(1, 3, 2, top)})
+    report = check_axioms(d).as_dict()
+    d3, d6 = O.d3_d6_oracle(np.array(D.relation_table(d)))
+    assert (report["d3"], report["d6"]) == (d3, d6)
+    assert d3["witness"] == [0, 2, 1, 3, top] and d6["witness"] == [0, 0, 1, top]
+
+
+def test_packed_sweep_matches_slices_on_random_tables():
+    rng = random.Random(13)
+    for _ in range(60):
+        d = F.random_table(rng, rng.randint(6, 10))
+        report = check_axioms(d).as_dict()
+        assert (report["d3"], report["d6"]) == O.d3_d6_oracle(np.array(D.relation_table(d)))
+
+
 # ---------------------------------------------------------------------------
 # substructure
 
@@ -425,6 +453,79 @@ def test_quad_errors_name_first_bad_quad(kind):
                 make()
             assert str(caught.value) == expected
     assert failures > 40
+
+
+# ---------------------------------------------------------------------------
+# one stored relation: every route to the same relation gives the same structure
+
+
+def test_seven_routes_give_one_structure():
+    rng = random.Random(5)
+    tree = D.gen_random(D.TreeSpec("d_regular_random", 12, 3, seed=4))
+    perm = list(range(12))
+    rng.shuffle(perm)
+    tree = D.LeafTree(tree.nodes, tree.edges, {u: perm[e] for u, e in tree.leaves})
+    colors = [e % 3 for e in range(12)]
+    quads = sorted(O.positives_oracle(tree))
+    shuffled = list(quads)
+    rng.shuffle(shuffled)
+    payload = {"n": 12, "colors": {str(e): c for e, c in enumerate(colors)}}
+    inverse = {new: old for old, new in enumerate(perm)}
+    respelt = [[c, e, b, a] for a, b, c, e in shuffled]  # non-canonical spellings
+    routes = [
+        DSet(12, frozenset(shuffled), colors),
+        DSet(12, frozenset(quads), colors),
+        DSet.build(12, [(b, a, e, c) for a, b, c, e in shuffled], colors),
+        DSet.from_json(json.dumps({**payload, "positives": quads})),
+        DSet.from_json(json.dumps({**payload, "positives": respelt})),
+        DSet(12, frozenset(quads)).recolor(colors),
+        D.relabel(D.relabel(DSet(12, frozenset(quads), colors), dict(enumerate(perm))), inverse),
+        D.d_from_tree(tree).recolor(colors),
+    ]
+    first = routes[0]
+    for d in routes:
+        assert d == first and hash(d) == hash(first)
+        assert d.to_json() == first.to_json() and repr(d) == repr(first)
+        assert d.positives == frozenset(quads)
+        assert d.rows.tolist() == [list(q) for q in quads] and not d.rows.flags.writeable
+    assert len(set(routes)) == 1
+
+
+@pytest.mark.parametrize("kind", ("duplicate", "non_canonical", "out_of_range"))
+def test_shuffled_json_names_first_bad_quad(kind):
+    # A later copy of a quad (as stored, or spelt non-canonically) or a
+    # quad leaving 0..n-1, placed among shuffled valid quads.
+    rng = random.Random(kind)
+    for _ in range(40):
+        n = rng.randint(6, 12)
+        tree = D.gen_random(D.TreeSpec("caterpillar", n))
+        quads = [list(q) for q in sorted(D.d_from_tree(tree).positives)]
+        rng.shuffle(quads)
+        at = rng.randrange(len(quads))
+        a, b, c, e = quads[at]
+        bad = {"duplicate": [a, b, c, e], "non_canonical": [e, c, b, a], "out_of_range": [a, b, c, n]}
+        bad = bad[kind]
+        quads.insert(rng.randrange(at + 1, len(quads) + 1), bad)
+        with pytest.raises(InputError) as caught:
+            DSet.from_json(json.dumps({"n": n, "positives": quads}))
+        assert str(caught.value) == _reference_json_error(n, quads)
+
+
+@pytest.mark.parametrize("n", (9, 55_109))  # n**4 fits in int64 at 9, not at 55,109
+def test_rows_are_sorted_and_deduplicated(n):
+    rng = random.Random(n)
+    ids = sorted(rng.sample(range(n), 9))  # the largest id is n - 1 at n = 9
+    quads = [tuple(rng.sample(ids, 4)) for _ in range(60)]
+    canonical = sorted({O.canon_oracle(*q) for q in quads})
+    first = {}
+    for q in quads:
+        first.setdefault(O.canon_oracle(*q), q)
+    d = DSet.build(n, list(first.values()))
+    assert d.rows.tolist() == [list(q) for q in canonical]
+    assert DSet(n, canonical + canonical[::-2]) == d == DSet(n, frozenset(canonical))
+    assert DSet.from_json(d.to_json()) == d
+    with pytest.raises(InputError, match="duplicate quad"):
+        DSet.build(n, quads)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,54 @@ def test_is_splitting_agrees_with_oracle_exhaustively(catalogue):
             assert got == expected, (name, cells)
 
 
+def _random_partition(rng, n, cells):
+    labels = [rng.randrange(cells) for _ in range(n)]
+    return [[e for e in range(n) if labels[e] == i] for i in set(labels)]
+
+
+def test_is_splitting_matches_scalar_loop():
+    # Sector combinations come first: {0,5 | 2,3} is found before
+    # {0,1 | 3,4}, although (0, 1, 3, 4) is the smaller id tuple.
+    edges = [(0, 6), (2, 6), (3, 6), (4, 6), (7, 6), (1, 7), (5, 7)]
+    star = D.LeafTree(range(8), edges, {e: e for e in range(6)})
+    d = DSet.build(6, sorted(D.d_from_tree(star).positives | {(0, 5, 2, 3), (0, 1, 3, 4)}))
+    expected = (False, {"kind": "four_sector_relation", "elements": [0, 5, 2, 3]})
+    cells = [[0], [1, 5], [2], [3], [4]]
+    assert D.is_splitting(d, cells) == expected
+    assert O.splitting_witness_oracle(d, Splitting(cells).sectors) == expected
+    rng = random.Random(23)
+    kinds = {}
+    for trial in range(300):
+        if trial % 3 == 0:
+            d = F.random_table(rng, rng.randint(5, 9))
+            cases = [(d, _random_partition(rng, d.n, rng.randint(2, d.n))) for _ in range(3)]
+        else:
+            d = F.seeded_tree_dset(rng, rng.randint(5, 14))
+            cases = [(d, _random_partition(rng, d.n, rng.randint(2, d.n))) for _ in range(2)]
+            splittings = [s.as_sorted_lists() for s in D.enumerate_splittings(d, "tree")]
+            wide = [cells for cells in splittings if len(cells) >= 4]
+            for cells in rng.sample(wide, min(2, len(wide))):
+                # relate one element from each of four sectors, a few times
+                picks = [[rng.choice(c) for c in rng.sample(cells, 4)] for _ in range(4)]
+                quads = {O.canon_oracle(*q) for q in picks}
+                cases.append((DSet.build(d.n, sorted(d.positives | quads)), cells))
+            for cells in rng.sample(splittings, 2):
+                cases.append((d, cells))
+                if len(cells) > 2:  # move one element to another sector
+                    cells = [list(c) for c in cells]
+                    src, dst = rng.sample(range(len(cells)), 2)
+                    cells[dst].append(cells[src].pop())
+                    cases.append((d, [c for c in cells if c]))
+        for d, cells in cases:
+            if len(cells) < 2:
+                continue
+            expected = O.splitting_witness_oracle(d, Splitting(cells).sectors)
+            assert D.is_splitting(d, cells) == expected, (d, cells)
+            kind = expected[1]["kind"] if expected[1] else "pass"
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) > 20, kinds
+
+
 # ---------------------------------------------------------------------------
 # enumerate_splittings
 

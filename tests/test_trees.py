@@ -101,8 +101,16 @@ def _four_point_table(tree):
     return dist[w, x] + dist[y, z] < dist[w, y] + dist[x, z]
 
 
-@pytest.mark.parametrize("leaves", (16, 24, 32))
-@pytest.mark.parametrize("kind", ("caterpillar", "star", "d_regular_random"))
+FAMILIES = ("caterpillar", "star", "d_regular_random")
+
+
+# Every family up to 32 leaves; at 64 one family, since the path oracle
+# alone takes seconds there.
+@pytest.mark.parametrize(
+    ("kind", "leaves"),
+    [(kind, leaves) for leaves in (16, 24, 32) for kind in FAMILIES]
+    + [("d_regular_random", 64)],
+)
 def test_large_trees_match_oracles(kind, leaves):
     rng = random.Random(f"{kind}-{leaves}")
     degree = 3 if kind == "d_regular_random" else None
@@ -112,6 +120,7 @@ def test_large_trees_match_oracles(kind, leaves):
     assert np.array_equal(D.relation_table(d), _four_point_table(t))
 
     fresh = D.DSet.from_json(d.to_json())
+    assert fresh == d and D.check_axioms(fresh).core_pass
     assert D.canonical_form(D.tree_from_dset(fresh)) == D.canonical_form(t)
 
     for _ in range(6):
