@@ -12,12 +12,11 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from .core import DSet, InputError
 from .splittings import enumerate_splittings
-from .trees import LeafTree, _centers, canonical_form, d_from_tree
+from .trees import LeafTree, _centers, _subtree_codes, canonical_form, d_from_tree
 
 __all__ = [
     "Fixture",
@@ -155,10 +154,6 @@ def gen_fixture(name: str) -> Fixture:
     return Fixture(name, tree, d_from_tree(tree), description)
 
 
-def _shape_key(t: LeafTree) -> tuple:
-    return canonical_form(t, [0] * t.n_elements)
-
-
 def _grown(t: LeafTree) -> Iterator[LeafTree]:
     """All ways to add one leaf: widen an internal node or split an edge."""
     k = t.n_elements
@@ -175,21 +170,25 @@ def _grown(t: LeafTree) -> Iterator[LeafTree]:
         yield LeafTree(list(t.nodes) + [mid, tip], edges, {**leaf_map, tip: k})
 
 
-@lru_cache(maxsize=None)
+# _SHAPES[k]: one canonically relabelled tree per shape with k leaves, in
+# shape-code order; grown one leaf count at a time and kept.
+_SHAPES: list[tuple[LeafTree, ...]] = [
+    (),
+    (LeafTree([0], [], {0: 0}),),
+    (LeafTree([0, 1], [(0, 1)], {0: 0, 1: 1}),),
+]
+
+
 def _shapes(leaves: int) -> tuple[LeafTree, ...]:
-    if leaves == 1:
-        return (LeafTree([0], [], {0: 0}),)
-    if leaves == 2:
-        return (LeafTree([0, 1], [(0, 1)], {0: 0, 1: 1}),)
-    found: dict[tuple, LeafTree] = {}
-    for smaller in _shapes(leaves - 1):
-        for candidate in _grown(smaller):
-            key = _shape_key(candidate)
-            if key not in found:
-                found[key] = candidate
-    return tuple(
-        _canonical_relabel(found[key]) for key in sorted(found)
-    )
+    while len(_SHAPES) <= leaves:
+        found: dict[tuple, LeafTree] = {}
+        for smaller in _SHAPES[-1]:
+            for candidate in _grown(smaller):
+                key = canonical_form(candidate, [0] * candidate.n_elements)
+                if key not in found:
+                    found[key] = candidate
+        _SHAPES.append(tuple(_canonical_relabel(found[key]) for key in sorted(found)))
+    return _SHAPES[leaves]
 
 
 def enum_trees(leaves: int, allow_large: bool = False) -> Iterator[LeafTree]:
@@ -215,31 +214,22 @@ def _canonical_relabel(t: LeafTree) -> LeafTree:
     """
     adj = t.adjacency()
     labeled = set(t.leaf_map())
-    memo: dict[tuple[int, Optional[int]], tuple] = {}
+    rooted = {
+        c: _subtree_codes(adj, c, lambda u: ("leaf",) if u in labeled else ("node",))
+        for c in _centers(adj)
+    }
+    root = min(rooted, key=lambda c: (rooted[c][1][c], c))
+    parent, code = rooted[root]
 
-    def code(u: int, parent: Optional[int]) -> tuple:
-        key = (u, parent)
-        if key not in memo:
-            kids = sorted(code(v, u) for v in adj[u] if v != parent)
-            memo[key] = ("leaf" if u in labeled else "node", tuple(kids))
-        return memo[key]
-
-    centers = _centers(adj)
-    root = min(centers, key=lambda c: (code(c, None), c))
-
-    k = t.n_elements
     next_leaf = itertools.count(0)
-    next_internal = itertools.count(k)
+    next_internal = itertools.count(t.n_elements)
     mapping: dict[int, int] = {}
-
-    def walk(u: int, parent: Optional[int]) -> None:
+    stack = [root]  # preorder: each node's children in (code, id) order
+    while stack:
+        u = stack.pop()
         mapping[u] = next(next_leaf) if u in labeled else next(next_internal)
-        for v in sorted(
-            (v for v in adj[u] if v != parent), key=lambda v: (code(v, u), v)
-        ):
-            walk(v, u)
-
-    walk(root, None)
+        kids = (v for v in adj[u] if v != parent[u])
+        stack.extend(sorted(kids, key=lambda v: (code[v], v), reverse=True))
     return LeafTree(
         sorted(mapping.values()),
         [(mapping[u], mapping[v]) for u, v in t.edges],

@@ -208,9 +208,9 @@ def branch(d: DSet, a: int, b: int, c: int) -> list[int]:
     if len({a, b, c}) != 3:
         raise InputError("branch needs three distinct elements")
     for v in (a, b, c):
-        if v not in d.elements:
+        if isinstance(v, bool) or v not in d.elements:
             raise InputError(f"unknown element {v}")
-    return [x for x in sorted(d.elements) if x != a and d.holds(b, c, a, x)]
+    return [int(x) for x in np.flatnonzero(relation_table(d)[b, c, a]) if x != a]
 
 
 def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
@@ -272,15 +272,16 @@ def complementary(d: DSet, s: Splitting, sector: Iterable[int], a: int) -> int:
     sec = frozenset(int(v) for v in sector)
     if sec not in s.sectors:
         raise InputError("sector does not belong to the splitting")
-    if a not in sec:
+    if isinstance(a, bool) or a not in sec:
         raise InputError(f"element {a} not in the given sector")
-    outside = sorted(s.ground - sec)
-    inside = sorted(sec)
-    for b in inside:
-        if all(
-            not d.holds(a, b, c, x) for c in inside for x in outside
-        ):
-            return b
+    for v in sorted(s.ground):
+        if not 0 <= v < d.n:
+            raise InputError(f"element {v} out of range 0..{d.n - 1}")
+    inside, outside = sorted(sec), sorted(s.ground - sec)
+    # [b, c, x]: D(ab;cx) for b, c inside and x outside.
+    separated = relation_table(d)[a][np.ix_(inside, inside, outside)].any(axis=(1, 2))
+    if not separated.all():
+        return inside[int(np.argmin(separated))]
     raise InvariantViolation(f"no complementary element for {a} in sector {inside}")
 
 

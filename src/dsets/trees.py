@@ -4,11 +4,19 @@ Finite D-sets satisfying D1..D4 are exactly the leaf systems of finite
 trees in which every internal node has degree at least three.  This module
 holds the tree type, the two directions of that correspondence, and the
 splitting dictionaries read off from internal nodes and edges.
+
+Every traversal is one breadth-first walk, `_walk`: connectivity, leaf
+distances, sector hulls, the center, the splittings (one walk per tree)
+and the canonical codes all read its order and parents.  Canonical
+codes are flat preorder token tuples (AHU codes), so neither building nor
+comparing them recurses.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -86,15 +94,7 @@ class LeafTree:
                 raise InputError(f"internal node {u} has degree {degree[u]} < 3")
 
     def _connected(self) -> bool:
-        adj = self.adjacency()
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.nodes)
+        return len(_walk(self.adjacency(), self.nodes[0])[0]) == len(self.nodes)
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {u: [] for u in self.nodes}
@@ -144,13 +144,38 @@ class LeafTree:
             raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise InputError("tree JSON must be an object")
-        try:
-            nodes = [int(v) for v in payload.get("nodes", [])]
-            edges = [(int(u), int(v)) for u, v in payload.get("edges", [])]
-            leaves = {int(k): int(v) for k, v in payload.get("leaves", {}).items()}
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed tree JSON: {exc}") from exc
-        return cls(nodes, edges, leaves)
+        nodes = payload.get("nodes", [])
+        edges = payload.get("edges", [])
+        leaves = payload.get("leaves", {})
+        if not isinstance(nodes, list) or not isinstance(edges, list):
+            raise InputError("tree 'nodes' and 'edges' must be lists")
+        if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise InputError("every tree edge must be a 2-element list")
+        if not isinstance(leaves, dict) or not all(_DECIMAL.fullmatch(k) for k in leaves):
+            raise InputError("tree 'leaves' must map decimal node ids to element ids")
+        ids = itertools.chain(nodes, itertools.chain.from_iterable(edges), leaves.values())
+        for v in ids:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InputError(f"tree ids must be integers, got {v!r}")
+        return cls(nodes, edges, {int(k): v for k, v in leaves.items()})
+
+
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _walk(adj, root: int) -> tuple[list[int], dict]:
+    """Breadth-first walk of a tree from root: visit order and parents.
+
+    The root's parent is None.  Every traversal of a tree goes through here.
+    """
+    order = [root]
+    parent = {root: None}
+    for u in order:
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    return order, parent
 
 
 def _leaf_distances(t: LeafTree) -> np.ndarray:
@@ -159,13 +184,10 @@ def _leaf_distances(t: LeafTree) -> np.ndarray:
     nodes = [u for _, u in sorted(t.element_node().items())]
     dist = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
     for e, start in enumerate(nodes):
+        order, parent = _walk(adj, start)
         depth = {start: 0}
-        order = [start]
-        for u in order:
-            for nb in adj[u]:
-                if nb not in depth:
-                    depth[nb] = depth[u] + 1
-                    order.append(nb)
+        for u in order[1:]:
+            depth[u] = depth[parent[u]] + 1
         dist[e] = [depth[u] for u in nodes]
     return dist
 
@@ -212,13 +234,7 @@ def _sector_hulls(edges: Iterable[tuple[int, int]], sectors) -> list[set[int]]:
     hulls = []
     for sector in sectors:
         root, *rest = sorted(sector)
-        parent = {root: root}
-        order = [root]
-        for u in order:
-            for nb in adj[u]:
-                if nb not in parent:
-                    parent[nb] = u
-                    order.append(nb)
+        parent = _walk(adj, root)[1]
         hull = {root}
         for leaf in rest:
             while leaf not in hull:
@@ -320,71 +336,66 @@ def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
     """Read every splitting off the tree.
 
     Removing an internal node of degree k leaves k components and hence a
-    k-sector splitting; removing an edge leaves two.
+    k-sector splitting; removing an edge leaves two.  One walk gives the
+    elements below each node; the component across an edge is then the
+    part below the far end, or everything outside the near end's part.
     """
     from .splittings import Splitting
 
+    if not t.nodes:
+        return TreeCorrespondence((), ())
     adj = t.adjacency()
+    order, parent = _walk(adj, t.nodes[0])
     leaf_of = t.leaf_map()
+    below: dict[int, set[int]] = {u: set() for u in order}
+    for u in reversed(order):
+        if u in leaf_of:
+            below[u].add(leaf_of[u])
+        if parent[u] is not None:
+            below[parent[u]] |= below[u]
+    everything = below[order[0]]
 
-    def component_elements(start: int, banned_nodes: frozenset[int], banned_edge) -> frozenset[int]:
-        seen = {start}
-        stack = [start]
-        found = set()
-        while stack:
-            u = stack.pop()
-            if u in leaf_of:
-                found.add(leaf_of[u])
-            for nb in adj[u]:
-                if nb in seen or nb in banned_nodes:
-                    continue
-                if banned_edge and {u, nb} == set(banned_edge):
-                    continue
-                seen.add(nb)
-                stack.append(nb)
-        return frozenset(found)
+    def side(u: int, v: int) -> set[int]:
+        """Elements on v's side of the edge uv."""
+        return below[v] if parent[v] == u else everything - below[u]
 
-    node_entries = []
-    for mu in t.internal_nodes():
-        sectors = [
-            component_elements(nb, frozenset({mu}), None) for nb in adj[mu]
-        ]
-        node_entries.append((mu, Splitting.build(sectors)))
-
-    edge_entries = []
-    for u, v in t.edges:
-        side_u = component_elements(u, frozenset(), (u, v))
-        side_v = component_elements(v, frozenset(), (u, v))
-        edge_entries.append(((u, v), Splitting.build([side_u, side_v])))
-
-    return TreeCorrespondence(tuple(node_entries), tuple(edge_entries))
-
-
-def _centers(adj: dict[int, set[int]]) -> list[int]:
-    """One or two middle nodes, found by repeatedly stripping leaves."""
-    live = {u for u in adj}
-    degs = {u: len(adj[u]) for u in live}
-    if len(live) <= 2:
-        return sorted(live)
-    shell = [u for u in live if degs[u] <= 1]
-    while len(live) > 2:
-        nxt = []
-        for u in shell:
-            live.discard(u)
-            for nb in adj[u]:
-                if nb in live:
-                    degs[nb] -= 1
-                    if degs[nb] == 1:
-                        nxt.append(nb)
-        shell = nxt
-    return sorted(live)
-
-
-def _rooted_code(u: int, parent: Optional[int], adj, token) -> tuple:
-    children = sorted(
-        (_rooted_code(v, u, adj, token) for v in adj[u] if v != parent),
+    node_entries = tuple(
+        (mu, Splitting.build([side(mu, v) for v in adj[mu]])) for mu in t.internal_nodes()
     )
-    return (token(u), tuple(children))
+    edge_entries = tuple(
+        ((u, v), Splitting.build([side(v, u), side(u, v)])) for u, v in t.edges
+    )
+    return TreeCorrespondence(node_entries, edge_entries)
+
+
+def _centers(adj) -> list[int]:
+    """The middle one or two nodes of a longest path; unique in a tree."""
+    far = _walk(adj, next(iter(adj)))[0][-1]
+    order, parent = _walk(adj, far)
+    path = [order[-1]]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    length = len(path) - 1
+    return sorted(path[length // 2 : (length + 1) // 2 + 1])
+
+
+def _subtree_codes(adj, root: int, token) -> tuple[dict, dict[int, tuple]]:
+    """Parents and flat AHU codes of every subtree, the tree rooted at root.
+
+    A node's code is (token(u),) followed by its children's codes in sorted
+    order and a closing (); tokens are non-empty tuples, so () sorts below
+    all of them.  Flat codes therefore compare and order exactly as nested
+    (token, sorted children) codes would, and comparing two of them never
+    recurses past a token.
+    """
+    order, parent = _walk(adj, root)
+    kids: dict[int, list[tuple]] = {u: [] for u in order}
+    code: dict[int, tuple] = {}
+    for u in reversed(order):
+        code[u] = (token(u), *itertools.chain.from_iterable(sorted(kids.pop(u))), ())
+        if parent[u] is not None:
+            kids[parent[u]].append(code[u])
+    return parent, code
 
 
 def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple:
@@ -410,18 +421,14 @@ def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple
         e = leaf_of[u]
         return ("leaf", tokens[e] if tokens is not None else e)
 
-    adj = {u: set(vs) for u, vs in t.adjacency().items()}
-    centers = _centers(adj)
-    codes = [_rooted_code(c, None, t.adjacency(), token) for c in centers]
-    return min(codes)
+    adj = t.adjacency()
+    return min(_subtree_codes(adj, c, token)[1][c] for c in _centers(adj))
 
 
 def are_isomorphic_trees(t1: LeafTree, t2: LeafTree, respect_labels: bool = True) -> bool:
     if respect_labels:
         return canonical_form(t1) == canonical_form(t2)
-    ones1 = [0] * t1.n_elements
-    ones2 = [0] * t2.n_elements
-    return canonical_form(t1, ones1) == canonical_form(t2, ones2)
+    return canonical_form(t1, [0] * t1.n_elements) == canonical_form(t2, [0] * t2.n_elements)
 
 
 def export_dot(

@@ -92,6 +92,67 @@ def positives_oracle(tree):
 
 
 # ---------------------------------------------------------------------------
+# splittings read off a tree by removing a node or an edge
+
+
+def _component_elements(tree, start, banned_node=None, banned_edge=None):
+    """Elements on the leaves reachable from start without entering
+    banned_node or crossing banned_edge."""
+    adj = {}
+    for u, v in tree.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    leaf_of = dict(tree.leaves)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for nb in adj.get(u, ()):
+            if nb in seen or nb == banned_node or {u, nb} == set(banned_edge or ()):
+                continue
+            seen.add(nb)
+            stack.append(nb)
+    return frozenset(leaf_of[u] for u in seen if u in leaf_of)
+
+
+def tree_splittings_oracle(tree):
+    """(node entries, edge entries) as (feature, set of sectors) lists:
+    every unlabeled node in id order with the components of the tree minus
+    that node, then every edge in sorted order with its two sides."""
+    labeled = {u for u, _ in tree.leaves}
+    nodes = [
+        (mu, {_component_elements(tree, nb, banned_node=mu)
+              for u, v in tree.edges if mu in (u, v) for nb in (u, v) if nb != mu})
+        for mu in sorted(tree.nodes) if mu not in labeled
+    ]
+    edges = [
+        ((u, v), {_component_elements(tree, u, banned_edge=(u, v)),
+                  _component_elements(tree, v, banned_edge=(u, v))})
+        for u, v in sorted(tree.edges)
+    ]
+    return nodes, edges
+
+
+# ---------------------------------------------------------------------------
+# branch and complementary elements from holds
+
+
+def branch_oracle(d, a, b, c):
+    """All x other than a with D(bc;ax), in id order."""
+    return [x for x in range(d.n) if x != a and d.holds(b, c, a, x)]
+
+
+def complementary_oracle(d, sectors, sector, a):
+    """The least b in the sector with no c in it and no x outside it (in
+    the union of the sectors) satisfying D(ab;cx); None when there is none."""
+    outside = sorted(set().union(*sectors) - set(sector))
+    for b in sorted(sector):
+        if not any(d.holds(a, b, c, x) for c in sector for x in outside):
+            return b
+    return None
+
+
+# ---------------------------------------------------------------------------
 # splittings by brute force
 
 

@@ -115,6 +115,27 @@ def test_from_tree_emits_leaf_relation(run, catalogue):
     assert D.DSet.from_json(out).positives == catalogue["CAT4"].dset.positives
 
 
+@pytest.mark.parametrize(
+    "change",
+    (
+        {"leaves": [[0, 0], [1, 1]]},
+        {"leaves": {"0": 0, "1": 1.9}},
+        {"leaves": {"0": 0, "1": "1"}},
+        {"leaves": {"0": 0, "01": 1}},
+        {"nodes": [0, 1.5]},
+        {"nodes": "01"},
+        {"edges": [[0, True]]},
+        {"edges": [[0, 1, 1]]},
+        {"edges": {"0": 1}},
+    ),
+)
+def test_from_tree_rejects_malformed_payload(run, change):
+    payload = {"nodes": [0, 1], "edges": [[0, 1]], "leaves": {"0": 0, "1": 1}} | change
+    code, out, _ = run(["from-tree", "-"], json.dumps(payload))
+    assert code == 2
+    assert _payload(out)["error"]["kind"] == "input"
+
+
 def test_to_tree_reconstructs(run, catalogue):
     code, out, _ = run(["to-tree", "-"], catalogue["FLW4"].dset.to_json())
     assert code == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -72,6 +73,27 @@ def test_enum_four_leaf_shapes(catalogue, trees_by_k):
 def test_enum_counts_match_shape_oracle(trees_by_k):
     for k in range(1, 9):
         assert len(trees_by_k[k]) == O.count_shapes(k), k
+
+
+# sha256 of the newline-joined to_json of enum_trees(k), in order.  gen
+# --spec kind=enumerated picks a tree by its index, so the order is part of
+# the CLI's output.
+ENUM_DIGESTS = {
+    1: "ff420731b406ce1576ebf901b8dcb9e96377385ce254b51fb54053f6a59804d9",
+    2: "226207b8a1111002c6cf0d21f2fd4568971b006c5fd384826eb1c0c609d085ea",
+    3: "2a105200b7be08d3f513553fafdde19062e78926267023b2c4b136e34cce82f7",
+    4: "3039d301f8bad8313bd3a1bf1c615cd571671590980745e29754aaf8bab39d3c",
+    5: "de3794f03c7f043ace265926778aaba0370da647482526635f592a6db8f8c201",
+    6: "aec512efa19c98c8f2657755a9f9e43eabcb5dea151843830d978106e0fa831c",
+    7: "0ce4affdca5355543133c691c5db9c537ca44e7ede582cdc0124c307cbdfd1cf",
+    8: "ad40552d520d1dbf7d04b9524db8bccc7bc6f665d7a3e2a1443c3ba9f7cb3aad",
+}
+
+
+def test_enum_trees_are_pinned(trees_by_k):
+    for k, digest in ENUM_DIGESTS.items():
+        text = "\n".join(t.to_json() for t in trees_by_k[k])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, k
 
 
 def test_enum_pairwise_non_isomorphic(trees_by_k):

@@ -210,6 +210,50 @@ def test_branch_requires_distinct(catalogue):
         D.branch(catalogue["CAT4"].dset, 0, 0, 1)
 
 
+def _tree_and_random_structures():
+    rng = random.Random("branch-complementary")
+    for leaves in range(5, 15):
+        yield F.seeded_tree_dset(rng, leaves)
+    for n in (5, 6, 7, 8):
+        yield F.random_table(rng, n)
+
+
+def test_branch_and_complementary_match_holds_oracles():
+    rng = random.Random(7)
+    for d in _tree_and_random_structures():
+        for a, b, c in rng.sample(list(itertools.permutations(range(d.n), 3)), 12):
+            assert D.branch(d, a, b, c) == O.branch_oracle(d, a, b, c)
+        splittings = D.enumerate_splittings(d) if D.check_axioms(d).core_pass else []
+        for _ in range(6):
+            cut = sorted(rng.sample(range(1, d.n), rng.randint(1, 3)))
+            splittings.append(Splitting.build(
+                [range(lo, hi) for lo, hi in zip([0] + cut, cut + [d.n])]))
+        for s in splittings:
+            for sector in s.sectors:
+                for a in sector:
+                    expected = O.complementary_oracle(d, s.sectors, sector, a)
+                    if expected is None:
+                        with pytest.raises(D.InvariantViolation):
+                            D.complementary(d, s, sector, a)
+                    else:
+                        assert D.complementary(d, s, sector, a) == expected
+
+
+@pytest.mark.parametrize("bad", (-1, 4, True))
+def test_branch_and_complementary_reject_unknown_ids(catalogue, bad):
+    # Table indexing would wrap -1 and read True as a mask.
+    d = catalogue["CAT4"].dset
+    s = Splitting.build([{0, 1}, {2, 3}])
+    with pytest.raises(InputError):
+        D.branch(d, bad, 2, 3)
+    with pytest.raises(InputError):
+        D.complementary(d, s, {0, 1}, bad)
+    if bad is not True:  # a sector holds ints; True would become 1
+        wide = Splitting.build([{0, 1}, {2, 3, bad}])
+        with pytest.raises(InputError):
+            D.complementary(d, wide, {0, 1}, 0)
+
+
 # ---------------------------------------------------------------------------
 # induced_splitting
 

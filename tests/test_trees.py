@@ -50,6 +50,7 @@ def test_leaftree_json_round_trip(catalogue):
     for name in ("FLW4", "CAT5X", "MIX"):
         t = catalogue[name].tree
         assert LeafTree.from_json(t.to_json()) == t
+        assert LeafTree.from_json(t.to_json()).to_json() == t.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +225,39 @@ def test_all_read_off_splittings_are_splittings(catalogue):
             assert ok, witness
 
 
+def _entries(tree):
+    corr = D.splittings_from_tree(tree)
+    nodes = [(mu, set(s.sectors)) for mu, s in corr.node_splittings]
+    edges = [(e, set(s.sectors)) for e, s in corr.edge_splittings]
+    return nodes, edges
+
+
+def _renumbered(tree, rng):
+    """The same tree with node ids and element labels both shuffled, so
+    node ids no longer coincide with element ids."""
+    ids = rng.sample(range(3 * len(tree.nodes)), len(tree.nodes))
+    node = dict(zip(tree.nodes, ids))
+    perm = rng.sample(range(tree.n_elements), tree.n_elements)
+    return LeafTree(
+        ids, [(node[u], node[v]) for u, v in tree.edges], {node[u]: perm[e] for u, e in tree.leaves}
+    )
+
+
+def test_splittings_match_component_oracle_on_enumerated_trees(trees_by_k):
+    for trees in trees_by_k.values():
+        for t in trees:
+            assert _entries(t) == O.tree_splittings_oracle(t), t.to_json()
+
+
+@pytest.mark.parametrize("leaves", (16, 32, 64))
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_splittings_match_component_oracle_on_large_trees(kind, leaves):
+    rng = random.Random(f"split-{kind}-{leaves}")
+    degree = 3 if kind == "d_regular_random" else None
+    t = _renumbered(D.gen_random(D.TreeSpec(kind, leaves, degree, seed=leaves)), rng)
+    assert _entries(t) == O.tree_splittings_oracle(t)
+
+
 # ---------------------------------------------------------------------------
 # isomorphism of trees
 
@@ -235,6 +269,25 @@ def test_tree_iso_respects_labels(catalogue):
     )
     assert D.are_isomorphic_trees(cat4, relabeled, respect_labels=False)
     assert not D.are_isomorphic_trees(cat4, relabeled, respect_labels=True)
+
+
+def test_deep_caterpillar_canonical_form():
+    # 1,500 leaves: a spine of 1,498 nodes, deeper than the interpreter's
+    # default recursion limit.
+    n = 1500
+    t = D.gen_random(D.TreeSpec("caterpillar", n))
+    rng = random.Random(1500)
+    shuffled = _renumbered(t, rng)
+    # Reversing the spine is an automorphism: leaf e goes where n-1-e was.
+    mirrored = LeafTree(t.nodes, t.edges, {u: n - 1 - e for u, e in t.leaves})
+    zeros = [0] * n
+    shape, labelled = D.canonical_form(t, zeros), D.canonical_form(t)
+    assert D.canonical_form(shuffled, zeros) == shape
+    assert D.canonical_form(shuffled) != labelled
+    assert D.canonical_form(mirrored, zeros) == shape
+    assert D.canonical_form(mirrored) == labelled
+    assert D.are_isomorphic_trees(shuffled, mirrored, respect_labels=False)
+    assert not D.are_isomorphic_trees(shuffled, mirrored)
 
 
 def test_tree_iso_shape_only(catalogue):
