@@ -26,6 +26,14 @@ What is derived from it, on first request and then kept on the structure:
 the `positives` frozenset, the dense relation table that `holds` and every
 exhaustive check read, the axiom report and the reconstructed tree.  D3
 and D6 pack their quantified element into uint64 words.
+
+Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
+...]} with sorted keys, no whitespace and the rows in order, gathering the
+quads' bytes in one numpy pass.  from_json reads that spelling back the
+same way: json.loads decodes the short head only, and the quad list is
+checked and parsed on its bytes.  Any other JSON spelling of the same
+object is still accepted, through json.loads, with the same checks and
+messages.
 """
 
 from __future__ import annotations
@@ -164,9 +172,10 @@ class DSet:
 
     @classmethod
     def _build(
-        cls, n: int, quads: list, rows: Optional[np.ndarray], colors: Optional[Iterable[int]]
+        cls, n: int, quads: Optional[list], rows: Optional[np.ndarray], colors: Optional[Iterable[int]]
     ) -> "DSet":
-        """build, given rows = _int_rows(quads)."""
+        """build, given rows = _int_rows(quads).  quads may be None, standing
+        for rows.tolist(), when rows holds ids in 0..n-1."""
         color_tuple = tuple(colors) if colors is not None else (0,) * n
         if rows is None or (len(rows) and (rows.min() < 0 or rows.max() >= n)):
             # Raises at the first bad input quad, else at the first stored
@@ -174,7 +183,8 @@ class DSet:
             return cls(n, frozenset(_scan_input_quads(quads)), color_tuple)
         canon, repeats = _sort_rows(_canonical_rows(rows), n)
         if repeats.any() or not _distinct_rows(rows).all():
-            _scan_input_quads(quads)  # raises at the first bad quad
+            # Raises at the first bad quad.
+            _scan_input_quads(rows.tolist() if quads is None else quads)
         return cls._from_rows(n, canon, color_tuple)
 
     @property
@@ -215,9 +225,7 @@ class DSet:
     def to_json(self) -> str:
         head = {"colors": {str(e): c for e, c in enumerate(self.colors)}, "n": self.n}
         text = json.dumps(head, sort_keys=True, separators=(",", ":"))
-        # The ids are plain ints: format them at once, not one list per quad.
-        quads = ("[%d,%d,%d,%d]," * len(self.rows)) % tuple(self.rows.ravel().tolist())
-        return f'{text[:-1]},"positives":[{quads[:-1]}]}}'
+        return f'{text[:-1]}{_POSITIVES}{_quad_text(self.rows)}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "DSet":
@@ -226,11 +234,15 @@ class DSet:
     @staticmethod
     def _decode_json(text: str) -> dict:
         """from_json's first step: parse the JSON and check that it is an
-        object with a non-negative integer 'n', building nothing n-long."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
+        object with a non-negative integer 'n', building nothing n-long.
+        to_json's own spelling is read by _read_own_spelling; any other goes
+        through json.loads."""
+        payload = _read_own_spelling(text)
+        if payload is None:
+            try:
+                payload = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "n" not in payload:
             raise InputError("D-set JSON must be an object with an 'n' field")
         n = payload["n"]
@@ -258,11 +270,14 @@ class DSet:
                 raise InputError(f"bad color {value!r} for element {e}")
             colors[e] = value
         quads = payload.get("positives", [])
-        if not isinstance(quads, list):
+        if isinstance(quads, np.ndarray):  # already read as rows of ids >= 0
+            rows, quads = quads, None
+        elif not isinstance(quads, list):
             raise InputError("'positives' must be a list of 4-element lists")
-        rows = _int_rows(quads)
+        else:
+            rows = _int_rows(quads)
         if rows is None or ((rows < 0) | (rows >= n)).any():
-            for item in quads:
+            for item in rows.tolist() if quads is None else quads:
                 if not (isinstance(item, list) and len(item) == 4):
                     raise InputError(f"positive entry {item!r} must be a 4-element list")
                 if any(not isinstance(v, int) or not 0 <= v < n for v in item):
@@ -285,17 +300,100 @@ def _int_rows(quads: list) -> Optional[np.ndarray]:
         return None
 
 
+_POSITIVES = ',"positives":['
+_SKELETON = np.frombuffer(b"[,,,],", dtype=np.uint8)  # one quad's non-digit bytes
+
+
+def _quad_text(rows: np.ndarray) -> str:
+    """'[a,b,c,d],...' for a (k, 4) array of ids >= 0, as one byte gather:
+    each quad is laid out at a fixed width with its ids padded by zero
+    bytes, which are then dropped."""
+    if not len(rows):
+        return ""
+    ids = np.arange(int(rows.max()) + 1)[:, None]
+    powers = 10 ** np.arange(len(str(len(ids) - 1)))[::-1]
+    # The decimal digits of every id, right-aligned after zero bytes.
+    digits = np.where((ids >= powers) | (powers == 1), ids // powers % 10 + 48, 0)
+    record = np.zeros((len(rows), 5, len(powers) + 1), dtype=np.uint8)
+    record[:, :4, 0] = _SKELETON[:4]
+    record[:, :4, 1:] = digits.astype(np.uint8)[rows]
+    record[:, 4, :2] = _SKELETON[4:]
+    flat = record.reshape(-1)
+    return flat[flat != 0][:-1].tobytes().decode("ascii")
+
+
+def _read_own_spelling(text) -> Optional[dict]:
+    """The payload of a text in to_json's spelling, with its quads as a
+    (k, 4) int64 array of ids >= 0; None for any other text.
+
+    The spelling is a JSON object ending in ,"positives":[[a,b,c,d],...]}
+    (then JSON whitespace), its ids plain decimals of at most 18 digits.
+    The head before the quads is decoded by json.loads, the quads on their
+    bytes.  Where this returns a payload, json.loads(text) gives the same
+    one, with the quads as lists.
+    """
+    if not isinstance(text, str):
+        return None
+    end = len(text.rstrip(" \t\n\r"))
+    at = text.rfind(_POSITIVES, 0, end)
+    if at < 0 or text[end - 2 : end] != "]}" or not text.isascii():
+        return None
+    rows = _quad_rows(text[at + len(_POSITIVES) : end - 2].encode("ascii"))
+    if rows is None:
+        return None
+    try:
+        payload = json.loads(text[:at] + "}")
+    except (json.JSONDecodeError, RecursionError):
+        return None
+    payload["positives"] = rows  # a dict: the text decoded ends in '}'
+    return payload
+
+
+def _quad_rows(raw: bytes) -> Optional[np.ndarray]:
+    """The ids of b'[a,b,c,d],...,[a,b,c,d]' as a (k, 4) int64 array, or
+    None unless every id is 1 to 18 decimal digits without a leading zero
+    and the bytes other than digits are b'[,,,],' repeated, less the last
+    comma."""
+    if not raw:
+        return np.empty((0, 4), dtype=np.int64)
+    digit = np.frombuffer(raw + b",", dtype=np.uint8) - 48  # wraps: other bytes are >= 10
+    seps = np.flatnonzero(digit >= 10)
+    k = len(seps) // 6
+    seps = seps.reshape(k, -1) if len(seps) == 6 * k else None
+    if seps is None or not (digit[seps] == _SKELETON - 48).all():
+        return None
+    ends = seps[:, 1:5]  # where each id ends
+    lengths = ends - seps[:, :4] - 1
+    # Every digit lies in an id of 1 to 18 digits without a leading zero.
+    if (
+        lengths.min() < 1 or lengths.max() > 18 or lengths.sum() != len(digit) - 6 * k
+        or ((digit[seps[:, :4] + 1] == 0) & (lengths > 1)).any()
+    ):
+        return None
+    digit[seps] = 0
+    ids = digit[ends - 1].astype(np.int64)
+    for place in range(1, int(lengths.max())):
+        # The digit worth 10**place, or the '[' at index 0, now 0, if none.
+        ids += digit[np.where(lengths > place, ends - 1 - place, 0)].astype(np.int64) * 10**place
+    return ids
+
+
 def _canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """normalize_quad applied to every row of a (k, 4) array."""
-    a, b = np.minimum(rows[:, 0], rows[:, 1]), np.maximum(rows[:, 0], rows[:, 1])
-    c, e = np.minimum(rows[:, 2], rows[:, 3]), np.maximum(rows[:, 2], rows[:, 3])
-    first = ((a < c) | ((a == c) & (b <= e)))[:, None]
-    return np.where(first, np.stack([a, b, c, e], axis=1), np.stack([c, e, a, b], axis=1))
+    """normalize_quad applied to every row of a (k, 4) array; rows itself
+    when they are all canonical already."""
+    w, x, y, z = rows.T.copy()
+    if (((w < y) | ((w == y) & (x <= z))) & (w <= x) & (y <= z)).all():
+        return rows
+    a, b = np.minimum(w, x), np.maximum(w, x)
+    c, e = np.minimum(y, z), np.maximum(y, z)
+    first = (a < c) | ((a == c) & (b <= e))
+    return np.where(first, [a, b, c, e], [c, e, a, b]).T
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """Rows whose four ids are pairwise different."""
-    return (np.diff(np.sort(rows, axis=1), axis=1) != 0).all(axis=1)
+    w, x, y, z = rows.T.copy()
+    return (w != x) & (w != y) & (w != z) & (x != y) & (x != z) & (y != z)
 
 
 _KEYED_N = 55_108  # the largest n with n**4 - 1 in int64
@@ -309,6 +407,9 @@ def _sort_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         ordered = rows[np.lexsort(rows.T[::-1])]
         return ordered, (ordered[1:] == ordered[:-1]).all(axis=1)
     key = ((rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]) * n + rows[:, 3]
+    increasing = key[1:] > key[:-1]
+    if increasing.all():  # in order already, as to_json writes them
+        return np.ascontiguousarray(rows), ~increasing
     order = np.argsort(key)
     key = key[order]
     return rows[order], key[1:] == key[:-1]

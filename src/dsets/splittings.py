@@ -37,16 +37,14 @@ class Splitting:
     def __init__(self, sectors: Iterable[Iterable[int]]) -> None:
         normalized = []
         for sec in sectors:
-            fs = frozenset(int(v) for v in sec)
+            fs = frozenset(map(int, sec))
             if not fs:
                 raise InputError("empty sector")
             normalized.append(fs)
-        seen: set[int] = set()
-        for fs in normalized:
-            if seen & fs:
-                raise InputError("sectors overlap")
-            seen |= fs
-        normalized.sort(key=lambda fs: (min(fs), len(fs), sorted(fs)))
+        if len(frozenset().union(*normalized)) != sum(map(len, normalized)):
+            raise InputError("sectors overlap")
+        # Disjoint sectors have distinct minima, which settle the order.
+        normalized.sort(key=min)
         object.__setattr__(self, "sectors", tuple(normalized))
 
     @classmethod

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 from collections import deque
 from functools import lru_cache
 
@@ -89,6 +90,61 @@ def positives_oracle(tree):
             if path[w, x].isdisjoint(path[y, z]):
                 out.add(canon_oracle(w, x, y, z))
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# relation JSON decoded by json.loads and scalar checks
+
+
+def dset_json_oracle(text):
+    """What DSet.from_json(text) gives: ("ok", the structure's to_json text)
+    or ("error", the InputError message), from json.loads and one scalar
+    check after another in the order the library makes them."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return "error", f"invalid JSON: {exc}"
+    if not isinstance(payload, dict) or "n" not in payload:
+        return "error", "D-set JSON must be an object with an 'n' field"
+    n = payload["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        return "error", "'n' must be a non-negative integer"
+    raw_colors = payload.get("colors", {})
+    if not isinstance(raw_colors, dict):
+        return "error", "'colors' must map element ids to color ids"
+    colors = [0] * n
+    for key, value in raw_colors.items():
+        try:
+            e = int(key)
+        except ValueError:
+            return "error", f"bad element id {key!r} in colors"
+        if not 0 <= e < n:
+            return "error", f"color for unknown element {e}"
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            return "error", f"bad color {value!r} for element {e}"
+        colors[e] = value
+    quads = payload.get("positives", [])
+    if not isinstance(quads, list):
+        return "error", "'positives' must be a list of 4-element lists"
+    for item in quads:
+        if not (isinstance(item, list) and len(item) == 4):
+            return "error", f"positive entry {item!r} must be a 4-element list"
+        if any(not isinstance(v, int) or not 0 <= v < n for v in item):
+            return "error", f"positive entry {item!r} has ids outside 0..{n - 1}"
+    seen = set()
+    for q in quads:
+        if len(set(q)) != 4:
+            return "error", f"quad {tuple(q)} must have four distinct elements"
+        for v in q:
+            if isinstance(v, bool):
+                return "error", f"element ids must be non-negative integers, got {v!r}"
+        canon = canon_oracle(*q)
+        if canon in seen:
+            return "error", f"duplicate quad {tuple(q)} (canonical {canon})"
+        seen.add(canon)
+    head = {"colors": {str(e): c for e, c in enumerate(colors)}, "n": n}
+    head["positives"] = [list(q) for q in sorted(seen)]
+    return "ok", json.dumps(head, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

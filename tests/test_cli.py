@@ -85,10 +85,15 @@ def test_max_n_guard(run, catalogue):
     assert "exceeds" in _payload(out)["error"]["message"]
 
 
-def test_max_n_guard_allocates_nothing_n_long(run):
+@pytest.mark.parametrize(
+    "text",
+    [json.dumps({"n": 10_000_000}), '{"colors":{},"n":10000000,"positives":[]}'],
+    ids=["loads", "own_spelling"],  # the second is to_json's spelling, read on its bytes
+)
+def test_max_n_guard_allocates_nothing_n_long(run, text):
     tracemalloc.start()
     try:
-        code, out, _ = run(["check", "-"], json.dumps({"n": 10_000_000}))
+        code, out, _ = run(["check", "-"], text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

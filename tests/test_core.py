@@ -6,6 +6,7 @@ import gc
 import itertools
 import json
 import random
+import re
 import weakref
 
 import numpy as np
@@ -352,6 +353,114 @@ def test_dset_json_rejects_bad_ids():
         DSet.from_json(json.dumps({"n": 3, "positives": [[0, 1, 2, 3]]}))
     with pytest.raises(InputError):
         DSet.from_json("[]")
+
+
+
+# ---------------------------------------------------------------------------
+# relation JSON: to_json's own spelling is read on its bytes, any other
+# spelling by json.loads; both must agree with the scalar oracle
+
+
+JSON_MUTATIONS = (
+    "digit", "leading_zero", "negative", "float", "true", "long_id", "unicode_digit",
+    "whitespace", "drop", "extra_comma", "swapped_separator", "stray_digit", "key_order",
+    "duplicate", "non_canonical", "out_of_range", "color_key",
+)
+
+
+def _mutations(text, n, kinds, rng):
+    """(kind, text changed in one place) for each of kinds, a subset of
+    JSON_MUTATIONS; text is a to_json text with at least one quad."""
+    at = text.rindex('"positives":[')
+    quads = list(re.finditer(r"\[(\d+),(\d+),(\d+),(\d+)\]", text[at:]))
+    put = lambda a, b, new: text[:a] + new + text[b:]  # noqa: E731
+    for kind in kinds:
+        quad = rng.choice(quads)
+        slot = rng.randrange(1, 5)
+        i, j = at + quad.start(slot), at + quad.end(slot)  # one id
+        p = rng.randrange(i, j)  # one of its digits
+        # A bracket or comma of the quad, the comma after it or the list's closing bracket.
+        sep = at + rng.choice(
+            (quad.start(), quad.end(1), quad.end() - 1, quad.end(), len(text) - at - 2)
+        )
+        if kind == "key_order":
+            payload = json.loads(text)
+            keys = sorted(payload, key=lambda _: rng.random())
+            yield kind, json.dumps({k: payload[k] for k in keys}, separators=(",", ":"))
+        elif kind in ("duplicate", "non_canonical"):
+            a, b, c, e = quad.groups()
+            new = f"[{a},{b},{c},{e}],{quad.group()}" if kind == "duplicate" else f"[{c},{e},{b},{a}]"
+            yield kind, put(at + quad.start(), at + quad.end(), new)
+        elif kind == "color_key":
+            yield kind, text.replace('"colors":{', f'"colors":{{"{n + rng.randrange(3)}":1,', 1)
+        elif kind in ("digit", "unicode_digit"):
+            digit = int(text[p])
+            new = (digit + rng.randrange(1, 10)) % 10
+            yield kind, put(p, p + 1, str(new) if kind == "digit" else chr(0x660 + digit))
+        elif kind == "whitespace":
+            p = rng.randrange(len(text) + 1)
+            yield kind, put(p, p, rng.choice(" \t\n\r"))
+        elif kind == "drop":
+            yield kind, put(sep, sep + 1, "")
+        elif kind in ("extra_comma", "stray_digit"):
+            yield kind, put(sep, sep, "," if kind == "extra_comma" else str(rng.randrange(10)))
+        elif kind == "swapped_separator":
+            yield kind, put(sep, sep + 1, rng.choice([c for c in "[],}" if c != text[sep]]))
+        else:
+            new = {
+                "leading_zero": "0" + text[i:j],
+                "negative": "-1",
+                "float": text[i:j] + ".0",
+                "true": "true",
+                "long_id": str(rng.randrange(10**19, 10**20)),
+                "out_of_range": str(n + rng.randrange(3)),
+            }
+            yield kind, put(i, j, new[kind])
+
+
+def _from_json_outcome(text):
+    try:
+        return "ok", DSet.from_json(text).to_json()
+    except InputError as exc:
+        return "error", str(exc)
+
+
+def test_dset_json_matches_oracle_on_mutations():
+    rng = random.Random(6)
+    specs = [D.TreeSpec("caterpillar", 40)] + [
+        D.TreeSpec(rng.choice(("caterpillar", "d_regular_random")), rng.randint(5, 24), 3, seed=s)
+        for s in range(8)
+    ]
+    own = {"ok": 0, "error": 0}
+    for spec in specs:
+        d = D.d_from_tree(D.gen_random(spec))
+        text = d.recolor([rng.randrange(3) for _ in range(d.n)]).to_json()
+        assert _from_json_outcome(text) == O.dset_json_oracle(text) == ("ok", text)
+        # The scalar oracle takes about 0.1 s per text at 40 leaves.
+        kinds = JSON_MUTATIONS if d.n <= 24 else rng.sample(JSON_MUTATIONS, 5)
+        for kind, changed in _mutations(text, d.n, kinds, rng):
+            outcome = _from_json_outcome(changed)
+            assert outcome == O.dset_json_oracle(changed), (spec, kind)
+            if D.core._read_own_spelling(changed) is not None:
+                own[outcome[0]] += 1
+    # Both verdicts were reached on the bytes, without json.loads.
+    assert own["ok"] > 0 and own["error"] > 0
+
+
+def test_own_spelling_is_read_without_json_loads(monkeypatch):
+    d = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 40))).recolor(
+        [e % 3 for e in range(40)]
+    )
+    text = d.to_json()
+    loads = json.loads
+
+    def small_only(s, *args, **kwargs):
+        if len(s) > 1024:
+            raise AssertionError(f"json.loads given {len(s)} characters")
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", small_only)
+    assert DSet.from_json(text) == d and len(text) > 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import dsets as D
@@ -34,6 +35,17 @@ def test_splitting_rejects_overlap_and_empty():
         Splitting.build([{0, 1}, {1, 2}])
     with pytest.raises(InputError):
         Splitting.build([{0}, set()])
+
+
+def test_splitting_converts_ids_and_orders_sectors_by_least_element():
+    s = Splitting([(np.int64(2), "0"), [1.0, 3], {9, 5}, (4,)])
+    assert s.sectors == (frozenset({0, 2}), frozenset({1, 3}), frozenset({4}), frozenset({5, 9}))
+    assert {type(v) for sec in s.sectors for v in sec} == {int}
+    assert s.to_json() == '{"sectors":[[0,2],[1,3],[4],[5,9]]}'
+    with pytest.raises(InputError, match="^empty sector$"):
+        Splitting([{0, 1}, {1, 2}, set()])  # every sector is read before overlaps are sought
+    with pytest.raises(InputError, match="^sectors overlap$"):
+        Splitting([{0, 1}, {3}, {1, 2}])
 
 
 def test_splitting_json_round_trip():
