@@ -23,9 +23,22 @@ canonical representative per D1-symmetry orbit.
 What is stored: each DSet holds its relation once, as a read-only (k, 4)
 int array of those canonical quadruples in lexicographic order (`rows`).
 What is derived from it, on first request and then kept on the structure:
-the `positives` frozenset, the dense relation table that `holds` and every
-exhaustive check read, the axiom report and the reconstructed tree.  D3
-and D6 pack their quantified element into uint64 words.
+the `positives` frozenset, the dense relation table that `holds` and the
+exhaustive checks read, the axiom report and the reconstructed tree.
+
+Certification: D1..D4 are proved by rebuilding the tree.  Rooted at
+element 0, the cluster {c >= 1 : not D(ab;c0)} of elements a, b >= 1 is
+the set of leaves below the node where their paths to 0 meet; the rows
+that start with 0 give every cluster.  The distinct clusters are the
+nodes, each one's parent its smallest strict superset.  The rows are that
+tree's relation, so D1..D4 hold, when each passes the four-point condition
+on the tree's own leaf distances and they number C(n,4) less the quads
+with their four leaves in four branches at one node.  D5 then fails at
+the least (0, x, y), y >= 1, with x the least element other than y below
+y's neighbour, and D6 at (0, 0, 1, z), z the least element >= 2 outside
+1's branch at 0's neighbour.  Below four elements, or when a test fails,
+D2, D3, D5 and D6 are swept over the table, D3 and D6 one w at a time with
+their fifth element packed into uint64 words; D1 and D4 hold by storage.
 
 Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
 ...]} with sorted keys, no whitespace and the rows in order, gathering the
@@ -41,6 +54,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -115,6 +130,7 @@ class DSet:
         """Check n and colors and start the analyses kept on this instance."""
         if n < 0:
             raise InputError("element count must be >= 0")
+        _check_count(n)
         colors = tuple(colors) or (0,) * n
         if len(colors) != n:
             raise InputError("colors must assign one color to every element")
@@ -176,6 +192,7 @@ class DSet:
     ) -> "DSet":
         """build, given rows = _int_rows(quads).  quads may be None, standing
         for rows.tolist(), when rows holds ids in 0..n-1."""
+        _check_count(n)
         color_tuple = tuple(colors) if colors is not None else (0,) * n
         if rows is None or (len(rows) and (rows.min() < 0 or rows.max() >= n)):
             # Raises at the first bad input quad, else at the first stored
@@ -255,6 +272,7 @@ class DSet:
         """from_json's second step: validate the rest of a decoded payload
         and construct."""
         n = payload["n"]
+        _check_count(n)
         raw_colors = payload.get("colors", {})
         if not isinstance(raw_colors, dict):
             raise InputError("'colors' must map element ids to color ids")
@@ -283,6 +301,12 @@ class DSet:
                 if any(not isinstance(v, int) or not 0 <= v < n for v in item):
                     raise InputError(f"positive entry {item!r} has ids outside 0..{n - 1}")
         return cls._build(n, quads, rows, colors)
+
+
+def _check_count(n: int) -> None:
+    """Refuse an n too large to index, before anything n-long is built."""
+    if n > sys.maxsize:
+        raise InputError(f"element count must be at most {sys.maxsize}")
 
 
 def _int_rows(quads: list) -> Optional[np.ndarray]:
@@ -537,28 +561,38 @@ def _first_true(mask: np.ndarray) -> Optional[tuple[int, ...]]:
 
 @_kept
 def check_axioms(d: DSet) -> AxiomReport:
-    """Exhaustively evaluate D1..D6 over every tuple of elements.
+    """Evaluate D1..D6 over every tuple of elements.
 
     Each failing axiom reports its lexicographically least witness: the
     offending (w,x,y,z) for D1/D2, (w,x,y,z,v) for D3, (w,x,y) for D4 and
     D5, and the witnessless premise (w,x,y,z) for D6.  D5 needs at least
     three elements and D6 at least two; below that they are reported as
-    not applicable rather than passed.  The report is kept on d, so every
-    later call returns the same object.
+    not applicable rather than passed.  Rows that certify as a tree's
+    relation are answered from that tree, without a table (see the module
+    docstring).  The report is kept on d, so later calls return it.
     """
     n = d.n
-    t = relation_table(d)
+    passed = AxiomVerdict("pass")
+    rebuilt = _rebuild(d) if n >= 4 else None
+    if rebuilt is not None:
+        parent, below = rebuilt
+        # D5: the least (0, x, y) with x below y's neighbour, x != y.
+        y = np.arange(1, n)
+        beside = below[parent[y]]
+        beside[y - 1, y] = False
+        x, y = divmod(int((beside.argmax(axis=1) * n + y).min()), n)
+        d5 = AxiomVerdict("fail", (0, x, y))
+        # D6: (0, 0, 1, z), z >= 2 least outside 1's branch at 0's neighbour.
+        branch = np.flatnonzero((parent == np.flatnonzero(parent == 0)[0]) & below[:, 1])[0]
+        d6 = AxiomVerdict("fail", (0, 0, 1, int(np.flatnonzero(~below[branch])[1])))
+        return AxiomReport(passed, passed, passed, passed, d5, d6)
 
     if n == 0:
-        passed = AxiomVerdict("pass")
         na = AxiomVerdict("not_applicable")
         return AxiomReport(passed, passed, passed, passed, na, na)
+    t = relation_table(d)
 
-    bad1 = t & ~(t.transpose(1, 0, 2, 3) & t.transpose(2, 3, 0, 1))
-    d1 = _verdict_from_mask(bad1)
-
-    bad2 = t & t.transpose(0, 2, 1, 3)
-    d2 = _verdict_from_mask(bad2)
+    d2 = _verdict_from_mask(t & t.transpose(0, 2, 1, 3))
 
     # D3 and D6 quantify a fifth element v.  Its axis is packed into uint64
     # words, and both are swept one w at a time, so memory stays O(n^3).
@@ -576,14 +610,11 @@ def check_axioms(d: DSet) -> AxiomReport:
         w, x, y, z = d3.witness
         d3 = AxiomVerdict("fail", (w, x, y, z, int(np.argmin(t[:, x, y, z] | t[w, x, y]))))
 
-    ar = np.arange(n)
-    diag_yy = t[:, :, ar, ar]  # [w,x,y] -> D(wx;yy)
-    w3, x3, y3 = np.indices((n, n, n), sparse=True)
-    bad4 = ((w3 != y3) & (x3 != y3)) & ~diag_yy
-    d4 = _verdict_from_mask(bad4)
-
     # D5 fails where z == y is the only z with D(wx;yz), if even that.
-    bad5 = (w3 != x3) & (w3 != y3) & (x3 != y3) & (np.count_nonzero(t, axis=3) <= diag_yy)
+    ar = np.arange(n)
+    w3, x3, y3 = np.indices((n, n, n), sparse=True)
+    lone = np.count_nonzero(t, axis=3) <= t[:, :, ar, ar]
+    bad5 = (w3 != x3) & (w3 != y3) & (x3 != y3) & lone
     d5 = AxiomVerdict("not_applicable") if n < 3 else _verdict_from_mask(bad5)
 
     b = _pack(t.transpose(0, 2, 3, 1))
@@ -594,7 +625,64 @@ def check_axioms(d: DSet) -> AxiomReport:
 
     d6 = AxiomVerdict("not_applicable") if n < 2 else _sweep(n, bad6)
 
-    return AxiomReport(d1, d2, d3, d4, d5, d6)
+    return AxiomReport(passed, d2, d3, passed, d5, d6)
+
+
+@_kept
+def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """d's tree rooted at element 0, certified as in the module docstring,
+    or None.  Returns parent (-1 for node 0) and below (each node's subtree
+    elements) by node id: leaves are element ids, internal nodes n, n+1, ...
+    by the second least of their children's least elements.  n >= 2."""
+    n, rows = d.n, d.rows
+    head = rows[: np.searchsorted(rows[:, 0], 1)]  # rows (0, c, a, b): D(ab;c0)
+    inside = np.broadcast_to(np.arange(n) > 0, (n, n, n)).copy()
+    inside[head[:, 2], head[:, 3], head[:, 1]] = False
+    sets = np.concatenate([np.eye(n, dtype=bool)[1:], inside[np.triu_indices(n, 1)]])
+    sets = sets[np.unique(np.packbits(sets, axis=1), axis=0, return_index=True)[1]]
+
+    # up[i]: the smallest set strictly containing set i; top: none does.
+    size = sets.sum(axis=1)
+    contains = (sets.astype(np.int64) @ sets.T == size[:, None]) & (size > size[:, None])
+    up = np.where(contains, size, n).argmin(axis=1)
+    top = ~contains.any(axis=1)
+    child = np.flatnonzero(~top)
+    inner = np.flatnonzero(size > 1)
+    # Children partition their set iff their sizes add up to its own; then
+    # each node has two or more, and one set is on top.
+    kid_size = np.bincount(up[child], weights=size[child], minlength=len(sets))[inner]
+    if (kid_size != size[inner]).any():
+        return None
+
+    least = sets.argmax(axis=1)
+    by_up = child[np.lexsort((least[child], up[child]))]
+    second = least[by_up[np.searchsorted(up[by_up], inner) + 1]]
+    ids = least.copy()
+    ids[inner[np.argsort(second)]] = n + np.arange(len(inner))
+    parent = np.full(n + len(inner), -1)
+    parent[ids] = np.where(top, 0, ids[up])
+    below = np.zeros((len(parent), n), dtype=bool)
+    below[ids] = sets
+
+    # Leaf distances: the edges (to a node's parent) on one path to 0 only.
+    shared = below.T.astype(np.int64) @ below
+    depth = shared.diagonal()
+    dist = depth[:, None] + depth - 2 * shared
+    w, x, y, z = rows.T
+    if not (dist[w, x] + dist[y, z] < dist[w, y] + dist[x, z]).all():
+        return None
+    # Quads in four branches at a node: e4 of its branch sizes, by Newton.
+    p1, p2, p3, p4 = (
+        np.bincount(up[child], size[child] ** k, len(sets))[inner].astype(np.int64)
+        + (n - size[inner]) ** k  # the branch towards 0
+        for k in range(1, 5)
+    )
+    e2 = (p1 * p1 - p2) // 2
+    e3 = (e2 * p1 - p1 * p2 + p3) // 3
+    e4 = (e3 * p1 - e2 * p2 + p1 * p3 - p4) // 4
+    if len(rows) != math.comb(n, 4) - int(e4.sum()):
+        return None
+    return parent, below
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:

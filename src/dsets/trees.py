@@ -6,8 +6,9 @@ holds the tree type, the two directions of that correspondence, and the
 splitting dictionaries read off from internal nodes and edges.
 
 Every traversal is one breadth-first walk, `_walk`: connectivity, leaf
-distances, sector hulls, the center, the splittings (one walk per tree)
-and the canonical codes all read its order and parents.  Canonical
+distances, the center, the splittings (one walk per tree) and the
+canonical codes all read its order and parents; the tree of a D-set is
+the rooted-cluster rebuild that `core` certifies D1..D4 with.  Canonical
 codes are flat preorder token tuples (AHU codes), so neither building nor
 comparing them recurses.
 """
@@ -28,8 +29,10 @@ from .core import (
     InvariantViolation,
     NotRepresentable,
     _kept,
+    _rebuild,
     check_axioms,
 )
+from .splittings import Splitting
 
 
 @dataclass(frozen=True)
@@ -221,97 +224,26 @@ def d_from_tree(t: LeafTree) -> DSet:
     return DSet._from_rows(n, positives)
 
 
-def _sector_hulls(edges: Iterable[tuple[int, int]], sectors) -> list[set[int]]:
-    """Nodes of the smallest subtree holding each sector's leaves.
-
-    Leaf node ids are element ids.  The subtree is the union of the paths
-    from the sector's least element to its other elements.
-    """
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    hulls = []
-    for sector in sectors:
-        root, *rest = sorted(sector)
-        parent = _walk(adj, root)[1]
-        hull = {root}
-        for leaf in rest:
-            while leaf not in hull:
-                hull.add(leaf)
-                leaf = parent[leaf]
-        hulls.append(hull)
-    return hulls
-
-
 @_kept
 def tree_from_dset(d: DSet) -> LeafTree:
-    """Reconstruct the unique tree whose leaf relation is d.
+    """The unique tree whose leaf relation is d: the rooted-cluster rebuild
+    that certifies D1..D4 (see the core module docstring).  Leaf node ids
+    are element ids; internal ids run from d.n upward in the order that
+    adding the elements by increasing id would create the nodes.
 
-    Elements are attached in increasing id order.  Each new element e is
-    placed against the splitting it induces on the part already built: with
-    exactly two sectors the one uncovered edge is subdivided by a fresh
-    internal node carrying e, with more sectors e is attached to the one
-    uncovered node.  Fresh internal ids are allocated from d.n upward, so
-    leaf node ids coincide with element ids.
-
-    Raises NotRepresentable when d fails D1..D4 (no tree exists then), and
-    treats a missing or ambiguous attachment site as corrupt input.  The
-    tree is kept on d, so every later call returns the same object.
+    Raises NotRepresentable when d fails D1..D4.  The tree is kept on d.
     """
     report = check_axioms(d)
     if not report.core_pass:
         raise NotRepresentable(f"relation table fails D1..D4: {report.as_dict()}")
     n = d.n
-    if n == 0:
-        return LeafTree((), (), {})
-    if n == 1:
-        return LeafTree((0,), (), {0: 0})
-    if n == 2:
-        return LeafTree((0, 1), ((0, 1),), {0: 0, 1: 1})
-
-    from .splittings import induced_splitting
-
-    nodes: set[int] = {0, 1}
-    edges: set[tuple[int, int]] = {(0, 1)}
-    leaf_of: dict[int, int] = {0: 0, 1: 1}  # node -> element
-    next_internal = n
-
-    for e in range(2, n):
-        split = induced_splitting(d, range(e), e)
-        hulls = _sector_hulls(edges, split.sectors)
-        covered: set[int] = set().union(*hulls)
-        if len(split.sectors) == 2:
-            crossing = [
-                (u, v)
-                for u, v in sorted(edges)
-                if (u in hulls[0]) != (v in hulls[0]) and u in covered and v in covered
-            ]
-            if len(crossing) != 1:
-                raise NotRepresentable(
-                    f"element {e}: expected one edge between sector hulls, found {crossing}"
-                )
-            u, v = crossing[0]
-            m = next_internal
-            next_internal += 1
-            edges.remove((u, v))
-            edges.add((min(u, m), max(u, m)))
-            edges.add((min(v, m), max(v, m)))
-            edges.add((min(e, m), max(e, m)))
-            nodes.update({m, e})
-            leaf_of[e] = e
-        else:
-            free = [u for u in sorted(nodes) if u not in covered]
-            if len(free) != 1:
-                raise NotRepresentable(
-                    f"element {e}: expected one attachment node, found {free}"
-                )
-            site = free[0]
-            edges.add((min(e, site), max(e, site)))
-            nodes.add(e)
-            leaf_of[e] = e
-
-    return LeafTree(nodes, edges, leaf_of)
+    if n < 2:
+        return LeafTree(range(n), (), {e: e for e in range(n)})
+    rebuilt = _rebuild(d)
+    if rebuilt is None:
+        raise InvariantViolation("D1..D4 hold but the rooted clusters form no tree")
+    parent = rebuilt[0].tolist()
+    return LeafTree(range(len(parent)), enumerate(parent[1:], 1), {e: e for e in range(n)})
 
 
 @dataclass(frozen=True)
@@ -340,8 +272,6 @@ def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
     elements below each node; the component across an edge is then the
     part below the far end, or everything outside the near end's part.
     """
-    from .splittings import Splitting
-
     if not t.nodes:
         return TreeCorrespondence((), ())
     adj = t.adjacency()

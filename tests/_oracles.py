@@ -3,9 +3,10 @@
 Everything here is written directly from the definitions and shares no
 code with the package: paths are plain BFS over the edge list, splittings
 come from filtering raw set partitions, order invariance from scanning
-index quadruples, and shape counts from gluing leaves onto Pruefer-coded
-skeletons.  Expected values are frozen into tests only after one of these
-oracles produced them.
+index quadruples, the axioms from boolean masks over a relation table,
+trees from inserting one element at a time, and shape counts from gluing
+leaves onto Pruefer-coded skeletons.  Expected values are frozen into
+tests only after one of these oracles produced them.
 """
 
 from __future__ import annotations
@@ -326,6 +327,105 @@ def d3_d6_oracle(table):
             d6 = {"status": "fail", "witness": [w] + found}
             break
     return d3, d6
+
+
+def axioms_oracle(table):
+    """check_axioms(d).as_dict() from boolean masks over d's relation table,
+    swept exhaustively: each failing axiom reports the least index of its
+    mask.
+
+    D1: D(wx;yz) without D(xw;yz) and D(yz;wx).  D2: D(wx;yz) and D(wy;xz).
+    D4: w != y, x != y and not D(wx;yy).  D5 (three or more elements):
+    distinct w, x, y with no z other than y giving D(wx;yz).  D3 and D6 as
+    in d3_d6_oracle.
+    """
+    n = table.shape[0]
+    w, x, y = np.indices((n, n, n), sparse=True)
+    diag = table[:, :, np.arange(n), np.arange(n)]  # [w,x,y] -> D(wx;yy)
+
+    def verdict(mask):
+        found = _first_index(mask)
+        return {"status": "pass"} if found is None else {"status": "fail", "witness": found}
+
+    out = {
+        "d1": verdict(table & ~(table.transpose(1, 0, 2, 3) & table.transpose(2, 3, 0, 1))),
+        "d2": verdict(table & table.transpose(0, 2, 1, 3)),
+        "d4": verdict((w != y) & (x != y) & ~diag),
+    }
+    others = table.sum(axis=3) - diag  # z != y with D(wx;yz)
+    if n < 3:
+        out["d5"] = {"status": "not_applicable"}
+    else:
+        out["d5"] = verdict((w != x) & (w != y) & (x != y) & (others == 0))
+    out["d3"], out["d6"] = d3_d6_oracle(table)
+    out = {key: out[key] for key in ("d1", "d2", "d3", "d4", "d5", "d6")}
+    out["core_pass"] = all(out[key]["status"] == "pass" for key in ("d1", "d2", "d3", "d4"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reconstruction by inserting the elements one at a time
+
+
+def insertion_tree_oracle(table):
+    """LeafTree.to_json() of the tree with relation table `table`.
+
+    Elements go in by increasing id onto the edge 0-1.  Element e groups
+    the elements before it: a and b share a sector when some x among them
+    has D(ab;ex).  With two sectors e subdivides the one edge joining their
+    hulls by a fresh internal node; with more it hangs off the one node no
+    hull covers.  Internal ids are handed out from n upward.  For tables
+    that pass D1..D4 only.
+    """
+    n = table.shape[0]
+    if n < 2:
+        nodes, edges = list(range(n)), set()
+    else:
+        nodes, edges = {0, 1}, {(0, 1)}
+    fresh = n
+    for e in range(2, n):
+        sub = list(range(e))
+        related = table[np.ix_(sub, sub, [e], sub)].any(axis=(2, 3))
+        sectors = []
+        for a in sub:
+            home = next((sec for sec in sectors if related[a, sec[0]]), None)
+            if home is None:
+                sectors.append([a])
+            else:
+                home.append(a)
+        hulls = [_hull(edges, sec) for sec in sectors]
+        covered = set().union(*hulls)
+        if len(sectors) == 2:
+            crossing = [
+                (u, v) for u, v in sorted(edges)
+                if (u in hulls[0]) != (v in hulls[0]) and u in covered and v in covered
+            ]
+            assert len(crossing) == 1, crossing
+            (u, v), m = crossing[0], fresh
+            fresh += 1
+            edges -= {(u, v)}
+            edges |= {(min(u, m), m), (min(v, m), m), (e, m)}
+            nodes |= {m, e}
+        else:
+            free = [u for u in sorted(nodes) if u not in covered]
+            assert len(free) == 1, free
+            edges.add((min(e, free[0]), max(e, free[0])))
+            nodes.add(e)
+    payload = {
+        "nodes": sorted(nodes),
+        "edges": [list(edge) for edge in sorted(edges)],
+        "leaves": {str(e): e for e in range(n)},
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _hull(edges, leaves):
+    """Nodes on the paths from the least of the leaves to the others."""
+    root, *rest = sorted(leaves)
+    out = {root}
+    for leaf in rest:
+        out |= path_nodes(edges, root, leaf)
+    return out
 
 
 # ---------------------------------------------------------------------------

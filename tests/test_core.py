@@ -355,6 +355,24 @@ def test_dset_json_rejects_bad_ids():
         DSet.from_json("[]")
 
 
+HUGE_N = 99999999999999999999999  # more than an index can hold
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DSet.from_json(json.dumps({"n": HUGE_N})),
+        lambda: DSet.from_json(f'{{"colors":{{}},"n":{HUGE_N},"positives":[]}}'),
+        lambda: DSet(HUGE_N),
+        lambda: DSet.build(HUGE_N, [(0, 1, 2, 3)]),
+    ],
+    ids=["loads", "own_spelling", "constructor", "build"],
+)
+def test_unindexable_n_is_an_input_error(make):
+    with pytest.raises(InputError, match="element count must be at most"):
+        make()
+
+
 
 # ---------------------------------------------------------------------------
 # relation JSON: to_json's own spelling is read on its bytes, any other

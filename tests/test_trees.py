@@ -11,6 +11,7 @@ import pytest
 import dsets as D
 from dsets import InputError, LeafTree
 
+import _families as F
 import _oracles as O
 
 
@@ -168,6 +169,99 @@ def test_reconstruct_rejects_non_dset():
     broken = D.DSet.build(4, [(0, 1, 2, 3), (0, 2, 1, 3)])
     with pytest.raises(D.NotRepresentable):
         D.tree_from_dset(broken)
+
+
+# ---------------------------------------------------------------------------
+# certification against the sweep and the insertion reconstruction
+
+
+def _pinned(d):
+    """check_axioms and tree_from_dset on d against the sweep and insertion
+    oracles, for a structure that passes D1..D4."""
+    got = (D.check_axioms(d).as_dict(), D.tree_from_dset(d).to_json())
+    table = np.array(D.relation_table(d))
+    assert got == (O.axioms_oracle(table), O.insertion_tree_oracle(table))
+
+
+def test_certification_matches_oracles_on_enumerated_trees(trees_by_k):
+    rng = random.Random(29)
+    for k in range(1, 9):
+        for tree in trees_by_k[k]:
+            d = D.d_from_tree(tree)
+            _pinned(d)
+            for color in (0, 1):
+                perm = list(range(k))
+                rng.shuffle(perm)
+                _pinned(D.relabel(d, dict(enumerate(perm))).recolor([e % 2 * color for e in range(k)]))
+
+
+@pytest.mark.parametrize(
+    ("kind", "leaves"), [(kind, leaves) for leaves in (16, 32, 64) for kind in FAMILIES]
+)
+def test_certification_matches_oracles_on_large_trees(kind, leaves):
+    rng = random.Random(f"certify-{kind}-{leaves}")
+    degree = 3 if kind == "d_regular_random" else None
+    tree = _relabelled(D.gen_random(D.TreeSpec(kind, leaves, degree, seed=leaves)), rng)
+    plain = D.DSet.from_json(D.d_from_tree(tree).to_json())
+    colored = plain.recolor([e % 3 for e in range(leaves)])
+    got = [(D.check_axioms(d).as_dict(), D.tree_from_dset(d).to_json()) for d in (plain, colored)]
+    table = np.array(D.relation_table(plain))
+    assert got == [(O.axioms_oracle(table), O.insertion_tree_oracle(table))] * 2
+
+
+def _perturbed_tables(rng, count):
+    """count tables on 4-10 elements, in turn: a tree table with one 4-set's
+    pairing swapped for another (the row count stays; a 4-set without one
+    gains one), a tree table with one to six quads added or removed, and a
+    random table."""
+    for i in range(count):
+        n = rng.randint(4, 10)
+        if i % 3 == 2:
+            yield F.random_table(rng, n)
+            continue
+        rows = set(map(tuple, F.seeded_tree_dset(rng, n).rows.tolist()))
+        for _ in range(1 if i % 3 == 0 else rng.randint(1, 6)):
+            a, b, c, e = sorted(rng.sample(range(n), 4))
+            pairings = [(a, b, c, e), (a, c, b, e), (a, e, b, c)]
+            held = [q for q in pairings if q in rows]
+            if i % 3 == 0 and held:
+                rows.discard(held[0])
+                rows.add(rng.choice([q for q in pairings if q != held[0]]))
+            elif held and rng.random() < 0.5:
+                rows.discard(rng.choice(held))
+            else:
+                rows.add(rng.choice(pairings))
+        yield D.DSet.build(n, sorted(rows))
+
+
+# Its rooted clusters are not nested, yet distances counted off them as if
+# they were a tree's pass both the four-point and the row-count test.
+NON_NESTED = D.DSet.build(5, [(0, 2, 1, 3), (0, 2, 3, 4), (0, 3, 1, 2), (0, 4, 1, 2), (1, 2, 3, 4)])
+
+
+def test_certification_never_passes_a_non_tree_table():
+    rng = random.Random(31)
+    failing = 0
+    for d in itertools.chain([NON_NESTED], _perturbed_tables(rng, 2100)):
+        report = D.check_axioms(d).as_dict()
+        assert report == O.axioms_oracle(np.array(D.relation_table(d)))
+        if report["core_pass"]:
+            assert D.d_from_tree(D.tree_from_dset(d)) == d
+        else:
+            failing += 1
+            with pytest.raises(D.NotRepresentable) as caught:
+                D.tree_from_dset(d)
+            assert str(caught.value) == f"relation table fails D1..D4: {report}"
+    assert failing > 1000
+
+
+def test_certified_tree_dset_builds_no_table():
+    tree = D.gen_random(D.TreeSpec("d_regular_random", 40, 3, seed=40))
+    d = D.DSet.from_json(D.d_from_tree(tree).to_json())
+    assert D.check_axioms(d).core_pass
+    D.tree_from_dset(d)
+    D.enumerate_splittings(d)
+    assert "relation_table" not in d._analyses
 
 
 # ---------------------------------------------------------------------------
