@@ -116,11 +116,8 @@ class DSet:
     ) -> None:
         self._start(n, colors)
         quads = list(positives)
-        rows = _int_rows(quads)
-        if rows is None or not (
-            (rows == _canonical_rows(rows)).all() and _distinct_rows(rows).all()
-            and ((rows >= 0) & (rows < n)).all()
-        ):
+        rows = _int_rows(quads, n)
+        if rows is None or not ((rows == _canonical_rows(rows)).all() and _distinct_rows(rows).all()):
             _scan_stored_quads(quads, n)  # raises at the first bad quad
             rows = np.array(quads, dtype=np.int64).reshape(-1, 4)  # valid, in another shape
         rows, repeats = _sort_rows(rows, n)
@@ -141,6 +138,7 @@ class DSet:
         object.__setattr__(self, "_analyses", {})
 
     def _store(self, rows: np.ndarray) -> None:
+        rows = np.ascontiguousarray(rows)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
@@ -167,11 +165,12 @@ class DSet:
 
     @classmethod
     def _from_rows(cls, n: int, rows: np.ndarray, colors: Iterable[int] = ()) -> "DSet":
-        """Construct from a (k, 4) array of distinct canonical quads of four
-        distinct ids in 0..n-1, in any order, without checking them again."""
+        """Construct from a C-contiguous (k, 4) int64 array of canonical quads
+        of four distinct ids in 0..n-1, strictly increasing in lexicographic
+        order, without checking or sorting them again."""
         d = object.__new__(cls)
         d._start(n, colors)
-        d._store(_sort_rows(rows, n)[0])
+        d._store(rows)
         return d
 
     @classmethod
@@ -184,17 +183,17 @@ class DSet:
         """Canonicalize quads and construct.  Rejects repeated-element quads
         and duplicates that collapse to the same canonical representative."""
         quads = list(quads)
-        return cls._build(n, quads, _int_rows(quads), colors)
+        _check_count(n)
+        return cls._build(n, quads, _int_rows(quads, n), colors)
 
     @classmethod
     def _build(
         cls, n: int, quads: Optional[list], rows: Optional[np.ndarray], colors: Optional[Iterable[int]]
     ) -> "DSet":
-        """build, given rows = _int_rows(quads).  quads may be None, standing
-        for rows.tolist(), when rows holds ids in 0..n-1."""
-        _check_count(n)
+        """build, given n in range and rows = _int_rows(quads, n).  quads
+        may be None, standing for rows.tolist(), when rows is not None."""
         color_tuple = tuple(colors) if colors is not None else (0,) * n
-        if rows is None or (len(rows) and (rows.min() < 0 or rows.max() >= n)):
+        if rows is None:
             # Raises at the first bad input quad, else at the first stored
             # quad out of range.
             return cls(n, frozenset(_scan_input_quads(quads)), color_tuple)
@@ -289,13 +288,13 @@ class DSet:
             colors[e] = value
         quads = payload.get("positives", [])
         if isinstance(quads, np.ndarray):  # already read as rows of ids >= 0
-            rows, quads = quads, None
+            rows, quads = (quads, None) if (quads < n).all() else (None, quads.tolist())
         elif not isinstance(quads, list):
             raise InputError("'positives' must be a list of 4-element lists")
         else:
-            rows = _int_rows(quads)
-        if rows is None or ((rows < 0) | (rows >= n)).any():
-            for item in rows.tolist() if quads is None else quads:
+            rows = _int_rows(quads, n)
+        if rows is None:
+            for item in quads:
                 if not (isinstance(item, list) and len(item) == 4):
                     raise InputError(f"positive entry {item!r} must be a 4-element list")
                 if any(not isinstance(v, int) or not 0 <= v < n for v in item):
@@ -309,9 +308,9 @@ def _check_count(n: int) -> None:
         raise InputError(f"element count must be at most {sys.maxsize}")
 
 
-def _int_rows(quads: list) -> Optional[np.ndarray]:
+def _int_rows(quads: list, n: int) -> Optional[np.ndarray]:
     """The quads as one (k, 4) int64 array, or None unless every quad is a
-    tuple or list of four integer ids (bools excluded)."""
+    tuple or list of four integer ids in 0..n-1 (bools excluded)."""
     if not set(map(type, quads)) <= {tuple, list} or not set(map(len, quads)) <= {4}:
         return None
     flat = list(itertools.chain.from_iterable(quads))
@@ -319,9 +318,10 @@ def _int_rows(quads: list) -> Optional[np.ndarray]:
         if t is bool or not issubclass(t, (int, np.signedinteger)):
             return None
     try:
-        return np.array(flat, dtype=np.int64).reshape(-1, 4)
+        rows = np.array(flat, dtype=np.int64).reshape(-1, 4)
     except OverflowError:
         return None
+    return rows if not len(rows) or (rows.min() >= 0 and rows.max() < n) else None
 
 
 _POSITIVES = ',"positives":['
@@ -433,7 +433,7 @@ def _sort_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     key = ((rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]) * n + rows[:, 3]
     increasing = key[1:] > key[:-1]
     if increasing.all():  # in order already, as to_json writes them
-        return np.ascontiguousarray(rows), ~increasing
+        return rows, ~increasing
     order = np.argsort(key)
     key = key[order]
     return rows[order], key[1:] == key[:-1]
@@ -664,10 +664,7 @@ def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     below = np.zeros((len(parent), n), dtype=bool)
     below[ids] = sets
 
-    # Leaf distances: the edges (to a node's parent) on one path to 0 only.
-    shared = below.T.astype(np.int64) @ below
-    depth = shared.diagonal()
-    dist = depth[:, None] + depth - 2 * shared
+    dist = _distances(below)
     w, x, y, z = rows.T
     if not (dist[w, x] + dist[y, z] < dist[w, y] + dist[x, z]).all():
         return None
@@ -683,6 +680,16 @@ def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     if len(rows) != math.comb(n, 4) - int(e4.sum()):
         return None
     return parent, below
+
+
+def _distances(below: np.ndarray) -> np.ndarray:
+    """Leaf distances of a tree whose below[u, e] says leaf e is under the
+    edge from node u to its parent (the root's row is empty): depth_i +
+    depth_j - 2 * shared[i, j], shared counting the edges on both paths to
+    the root.  Counts far below 2**24 keep the float32 product exact."""
+    shared = below.T.astype(np.float32) @ below.astype(np.float32)
+    depth = shared.diagonal()
+    return (depth[:, None] + depth - 2 * shared).astype(np.int64)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -737,7 +744,7 @@ def relabel(d: DSet, mapping: Mapping[int, int]) -> DSet:
     colors = [0] * d.n
     for old, new in mapping.items():
         colors[new] = d.colors[old]
-    return DSet._from_rows(d.n, _canonical_rows(image[d.rows]), colors)
+    return DSet._from_rows(d.n, _sort_rows(_canonical_rows(image[d.rows]), d.n)[0], colors)
 
 
 def are_isomorphic(

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import DSet, InputError, InvariantViolation, check_axioms, relation_table
-from .core import _canonical_rows, _first_true, _kept
+from .core import _canonical_rows, _first_true, _kept, _sort_rows
 
 
 @dataclass(frozen=True)
@@ -174,17 +174,20 @@ def _brute_force_splittings(d: DSet) -> list[Splitting]:
 def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
     """All splittings of d, deduplicated and sorted canonically.
 
-    method "brute" filters every partition (fine up to ~6 elements),
-    "tree" reads them off the reconstructed tree (requires D1..D4) and
-    keeps the result on d, "auto" picks brute force for n <= 6 and the
-    tree route otherwise.  Each call returns a fresh list.  The two routes
-    agreeing on small inputs is itself a test target.
+    method "brute" filters every partition, Bell(n) of them, so it is
+    capped at 10 elements (InputError above that, as for backtracking
+    isomorphism); "tree" reads them off the reconstructed tree (requires
+    D1..D4) and keeps the result on d; "auto" picks brute force for n <= 6
+    and the tree route otherwise.  Each call returns a fresh list.  The two
+    routes agreeing on small inputs is itself a test target.
     """
     if method not in ("auto", "brute", "tree"):
         raise InputError(f"unknown method {method!r}")
     if method == "auto":
         method = "brute" if d.n <= 6 else "tree"
     if method == "brute":
+        if d.n > 10:
+            raise InputError(f"brute-force splittings capped at 10 elements, got {d.n}")
         return _sorted_splittings(_brute_force_splittings(d))
     return list(_tree_splittings(d))
 
@@ -308,7 +311,8 @@ def extend_by_point(d: DSet, s: Splitting) -> DSet:
         # [pair, c] -> D(ab; c x0), false for c in {a, b}
         p, c = np.nonzero(t[a, b, :, min(d.elements - sec)])
         grown.append(_canonical_rows(np.stack([a[p], b[p], c, np.full(len(c), e)], axis=1)))
-    return DSet._from_rows(e + 1, np.concatenate(grown), d.colors + (0,))
+    rows = _sort_rows(np.concatenate(grown), e + 1)[0]
+    return DSet._from_rows(e + 1, rows, d.colors + (0,))
 
 
 def _suitable(d: DSet, sector: frozenset[int], x: int, ground: frozenset[int]) -> bool:
@@ -443,7 +447,10 @@ def density_witnesses(d: DSet, w: int, x: int, y: int, z: int) -> list[int]:
     """All v splitting the quad wx|yz four ways, per the density axiom.
 
     Requires D(wx;yz) to hold; a witness v satisfies D(vx;yz), D(wv;yz),
-    D(wx;vz) and D(wx;yv) simultaneously.
+    D(wx;vz) and D(wx;yv) simultaneously.  The fourth conjunct goes beyond
+    the three that check_axioms' D6 tests; on tree D-sets the two agree,
+    since there the first three imply it (see
+    test_d6_fourth_conjunct_is_implied_on_tree_dsets).
     """
     if not d.holds(w, x, y, z):
         raise InputError(f"D({w}{x};{y}{z}) does not hold")

@@ -5,10 +5,13 @@ trees in which every internal node has degree at least three.  This module
 holds the tree type, the two directions of that correspondence, and the
 splitting dictionaries read off from internal nodes and edges.
 
-Every traversal is one breadth-first walk, `_walk`: connectivity, leaf
-distances, the center, the splittings (one walk per tree) and the
-canonical codes all read its order and parents; the tree of a D-set is
-the rooted-cluster rebuild that `core` certifies D1..D4 with.  Canonical
+Every traversal is one breadth-first walk, `_walk`: connectivity, the
+center, the canonical codes, and the elements below each node, from
+which both the splittings and the leaf distances are read (one walk from
+element 0's leaf, then the one matmul that `core._rebuild` also uses).
+The relation is read off a grid of leaf pairs in lexicographic order, so
+its rows come out canonical and sorted.  The tree of a D-set is the
+rooted-cluster rebuild that `core` certifies D1..D4 with.  Canonical
 codes are flat preorder token tuples (AHU codes), so neither building nor
 comparing them recurses.
 """
@@ -28,6 +31,7 @@ from .core import (
     InputError,
     InvariantViolation,
     NotRepresentable,
+    _distances,
     _kept,
     _rebuild,
     check_axioms,
@@ -181,47 +185,61 @@ def _walk(adj, root: int) -> tuple[list[int], dict]:
     return order, parent
 
 
+def _below(t: LeafTree, adj) -> tuple[list[int], dict, dict[int, set[int]]]:
+    """One walk from element 0's leaf: visit order, parents, and the elements
+    below each node (below its edge to its parent; all of them at the root)."""
+    order, parent = _walk(adj, t.element_node()[0])
+    leaf_of = t.leaf_map()
+    below: dict[int, set[int]] = {u: set() for u in order}
+    for u in reversed(order):
+        if u in leaf_of:
+            below[u].add(leaf_of[u])
+        if parent[u] is not None:
+            below[parent[u]] |= below[u]
+    return order, parent, below
+
+
 def _leaf_distances(t: LeafTree) -> np.ndarray:
-    """Edge count between every two leaves, indexed by element id."""
-    adj = t.adjacency()
-    nodes = [u for _, u in sorted(t.element_node().items())]
-    dist = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
-    for e, start in enumerate(nodes):
-        order, parent = _walk(adj, start)
-        depth = {start: 0}
-        for u in order[1:]:
-            depth[u] = depth[parent[u]] + 1
-        dist[e] = [depth[u] for u in nodes]
-    return dist
+    """Edge count between every two leaves, indexed by element id: the
+    elements below each node's edge to its parent, through core._distances."""
+    n = t.n_elements
+    if n < 2:
+        return np.zeros((n, n), dtype=np.int64)
+    order, _, below = _below(t, t.adjacency())
+    marks = np.zeros((len(order), n), dtype=bool)
+    for i, u in enumerate(order[1:], 1):  # the root has no edge to a parent
+        marks[i, list(below[u])] = True
+    return _distances(marks)
 
 
 def d_from_tree(t: LeafTree) -> DSet:
     """Leaf relation of a tree: D(wx;yz) iff the two leaf paths are disjoint.
 
-    Read off the leaf distances by Buneman's four-point condition: for
-    w < x < y < z the paths wx and yz are disjoint exactly when
-    d(w,x) + d(y,z) < d(w,y) + d(x,z), and likewise for the other two
-    pairings.  Elements inherit the leaf labels; the result is monochromatic.
+    Read off the leaf distances (one walk and one matmul, shared with the
+    certifying rebuild in core) by Buneman's four-point condition: for
+    pairs a < b and c < e with a < c, the row (a, b, c, e) holds exactly
+    when d(a,b) + d(c,e) < d(a,c) + d(b,e), which pairs sharing an element
+    fail.  Evaluated on the grid of pairs in lexicographic order, a block
+    of grid rows at a time, its true cells in row-major order are the
+    canonical rows, sorted.  Elements inherit the leaf labels; the result
+    is monochromatic.
     """
     n = t.n_elements
-    dist = _leaf_distances(t)
-    # Every w < x < y < z in lexicographic order: each pair w < x, then each
-    # pair y < z with x < y.
-    a, b = np.triu_indices(n, 1)
-    first, second = np.nonzero(b[:, None] < a)
-    quads = np.stack([a[first], b[first], a[second], b[second]], axis=1)
-    w, x, y, z = quads.T
-    wx_yz = dist[w, x] + dist[y, z]
-    wy_xz = dist[w, y] + dist[x, z]
-    wz_xy = dist[w, z] + dist[x, y]
-    positives = np.concatenate(
-        [
-            quads[wx_yz < wy_xz],
-            quads[wy_xz < wx_yz][:, [0, 2, 1, 3]],
-            quads[wz_xy < wx_yz][:, [0, 3, 1, 2]],
-        ]
-    )
-    return DSet._from_rows(n, positives)
+    # int16 holds every element id and every sum of two leaf distances (at
+    # most 2n - 2) at any n whose pair grid fits in memory.
+    dist = _leaf_distances(t).astype(np.int16)
+    a, b = (v.astype(np.int16) for v in np.triu_indices(n, 1))
+    pair = dist[a, b]
+    rows = [np.empty((0, 4), dtype=np.int16)]
+    step = 1 + (1 << 18) // max(len(a), 1)  # about 2**18 cells, a few MB, per block
+    for i0 in range(0, len(a), step):  # against the pairs that start after a[i0]
+        i, j = slice(i0, i0 + step), slice(np.searchsorted(a, a[i0], "right"), None)
+        ai, bi, aj, bj = a[i], b[i], a[j], b[j]
+        grid = pair[i, None] + pair[j] < dist[ai].take(aj, axis=1) + dist[bi].take(bj, axis=1)
+        grid &= ai[:, None] < aj
+        r, c = np.nonzero(grid)
+        rows.append(np.stack([ai[r], bi[r], aj[c], bj[c]], axis=1))
+    return DSet._from_rows(n, np.concatenate(rows, dtype=np.int64))
 
 
 @_kept
@@ -275,14 +293,7 @@ def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
     if not t.nodes:
         return TreeCorrespondence((), ())
     adj = t.adjacency()
-    order, parent = _walk(adj, t.nodes[0])
-    leaf_of = t.leaf_map()
-    below: dict[int, set[int]] = {u: set() for u in order}
-    for u in reversed(order):
-        if u in leaf_of:
-            below[u].add(leaf_of[u])
-        if parent[u] is not None:
-            below[parent[u]] |= below[u]
+    order, parent, below = _below(t, adj)
     everything = below[order[0]]
 
     def side(u: int, v: int) -> set[int]:

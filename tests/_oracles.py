@@ -93,6 +93,28 @@ def positives_oracle(tree):
     return frozenset(out)
 
 
+def leaf_distance_oracle(tree):
+    """Edge count between every two leaves, indexed by element id: one
+    breadth-first search over the edge list from every leaf."""
+    adj = {u: [] for u in tree.nodes}
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    at = [u for _, u in sorted((e, u) for u, e in tree.leaves)]
+    dist = np.zeros((len(at), len(at)), dtype=np.int64)
+    for e, start in enumerate(at):
+        depth = {start: 0}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+        dist[e] = [depth[u] for u in at]
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # relation JSON decoded by json.loads and scalar checks
 

@@ -172,6 +172,14 @@ def test_splittings_methods_agree(run, catalogue):
     assert sorted(_payload(brute)["splittings"]) == sorted(_payload(tree)["splittings"])
 
 
+def test_splittings_brute_refuses_more_than_ten_elements(run, catalogue):
+    code, out, _ = run(["splittings", "-", "--method", "brute"], catalogue["FLW12"].dset.to_json())
+    assert code == 2
+    assert _payload(out) == {
+        "error": {"kind": "input", "message": "brute-force splittings capped at 10 elements, got 12"}
+    }
+
+
 def test_extend_attaches_element(run, catalogue, tmp_path):
     sfile = tmp_path / "cut.json"
     sfile.write_text(Splitting.build([{0, 1}, {2, 3}]).to_json())

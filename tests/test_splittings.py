@@ -181,6 +181,21 @@ def test_enumerate_two_element():
     assert found[0].as_sorted_lists() == [[0], [1]]
 
 
+def test_brute_route_is_capped_at_ten_elements(monkeypatch):
+    # Bell(11) partitions would take minutes; the cap refuses them at once.
+    visited = []
+    monkeypatch.setattr(D.splittings, "_brute_force_splittings", lambda d: visited.append(d.n) or [])
+    for n in (10, 11, 16):
+        d = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", n, seed=n)))
+        if n <= 10:
+            assert D.enumerate_splittings(d, method="brute") == []
+        else:
+            with pytest.raises(InputError, match=f"capped at 10 elements, got {n}"):
+                D.enumerate_splittings(d, method="brute")
+    assert visited == [10]
+    assert len(D.enumerate_splittings(D.d_from_tree(D.gen_random(D.TreeSpec("star", 11, seed=1))))) == 12
+
+
 def test_enumerate_routes_agree(catalogue):
     for name in ("CAT5", "MIX", "CAT4E"):
         d = catalogue[name].dset

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import dsets as D
+import dsets.core
+import dsets.trees
 from dsets import InputError, LeafTree
 
 import _families as F
@@ -132,6 +134,42 @@ def test_large_trees_match_oracles(kind, leaves):
             for a in subset
         }
         assert set(D.induced_splitting(d, subset, e).sectors) == expected
+
+
+def _oracle_trees(trees_by_k):
+    """Every tree with up to 8 leaves, plain and relabelled, then the
+    caterpillar and the star at 64 leaves, relabelled."""
+    rng = random.Random(37)
+    for k in range(1, 9):
+        for tree in trees_by_k[k]:
+            yield tree
+            yield _relabelled(tree, rng)
+    for kind in ("caterpillar", "star"):
+        yield _relabelled(D.gen_random(D.TreeSpec(kind, 64, seed=64)), rng)
+
+
+def test_d_from_tree_rows_match_path_oracle(trees_by_k):
+    for tree in _oracle_trees(trees_by_k):
+        d = D.d_from_tree(tree)
+        n = d.n
+        expected = D.DSet.build(n, O.positives_oracle(tree))
+        rows = d.rows
+        assert np.array_equal(rows, expected.rows), tree
+        assert rows.dtype == np.int64 and rows.shape == (len(rows), 4)
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        key = ((rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]) * n + rows[:, 3]
+        assert (np.diff(key) > 0).all()  # sorted and free of repeats, as stored
+        assert (hash(d), repr(d), d.to_json()) == (hash(expected), repr(expected), expected.to_json())
+
+
+def test_leaf_distances_match_path_oracle(trees_by_k):
+    for tree in _oracle_trees(trees_by_k):
+        expected = O.leaf_distance_oracle(tree)
+        assert np.array_equal(dsets.trees._leaf_distances(tree), expected), tree
+        d = D.d_from_tree(tree)
+        if d.n >= 2:  # the rebuilt tree's own distances, leaves by element id
+            _, below = dsets.core._rebuild(d)
+            assert np.array_equal(dsets.core._distances(below), expected), tree
 
 
 # ---------------------------------------------------------------------------
