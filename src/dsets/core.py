@@ -628,6 +628,13 @@ def check_axioms(d: DSet) -> AxiomReport:
     return AxiomReport(passed, d2, d3, passed, d5, d6)
 
 
+def _require_core(d: DSet) -> None:
+    """Refuse d unless it passes D1..D4, the precondition of type bases,
+    hulls, the homogeneity report, its witnesses and one-point extension."""
+    if not check_axioms(d).core_pass:
+        raise InputError("input fails D1..D4")
+
+
 @_kept
 def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """d's tree rooted at element 0, certified as in the module docstring,

@@ -8,6 +8,11 @@ one-step extender for partial isomorphisms, a report of the conditions a
 colored D-set must meet to be homogeneous, and the two counterexample
 constructions that produce non-extendable partial isomorphisms when those
 conditions fail.
+
+These are theorems about D-sets, so five entry points require D1..D4 and
+raise InputError("input fails D1..D4") up front on any other table:
+`qftp_base`, `homogeneity_conditions` and `nonextendable_witness` here,
+`splittings.extend_by_point` and `indiscernibles.hull_window`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import DSet, InputError, InvariantViolation, check_axioms, relation_table
+from .core import DSet, InputError, _require_core, relation_table
 from .splittings import (
     Splitting,
     complementary,
@@ -53,9 +58,8 @@ class QftpBase:
     case "node" or "edge" carries the induced splitting and a base of at
     most three subset elements; case "small" (subset of size < 3) stores
     the atom table outright.  predict() answers D(e x; y z) for subset
-    x, y, z from the base alone; construction verifies the prediction
-    against the real relation on every triple, so a constructed instance
-    is trustworthy.
+    x, y, z from the base alone; qftp_base builds instances only on
+    D-sets, where that and shares_sector are exact.
 
     Two bases compare equal exactly when the types agree: the case, the
     induced splitting and the base are all determined by the type.
@@ -69,11 +73,14 @@ class QftpBase:
     splitting: Optional[Splitting]
     atoms: Optional[frozenset] = None
 
-    def predict(self, x: int, y: int, z: int) -> bool:
-        """Predicted value of D(e x; y z) for subset elements x, y, z."""
-        for v in (x, y, z):
+    def _check_members(self, *vs: int) -> None:
+        for v in vs:
             if v not in self.subset:
                 raise InputError(f"element {v} outside the subset")
+
+    def predict(self, x: int, y: int, z: int) -> bool:
+        """Predicted value of D(e x; y z) for subset elements x, y, z."""
+        self._check_members(x, y, z)
         if self.case == "small":
             return (x, y, z) in self.atoms  # type: ignore[operator]
         if x == y or x == z:
@@ -88,9 +95,10 @@ class QftpBase:
         return self.dset.holds(stand_in, x, y, z)
 
     def shares_sector(self, x: int, y: int) -> bool:
-        """Base-only share-a-sector predicate (node case) or side test (edge)."""
+        """Base-only share-a-sector test (node case) or side test (edge) on x, y."""
         if self.case == "small":
             raise InputError("no splitting in the small case")
+        self._check_members(x, y)
         if self.case == "node":
             a, b, c = self.base
             return (
@@ -102,69 +110,34 @@ class QftpBase:
         return self.dset.holds(p, q, r, x) == self.dset.holds(p, q, r, y)
 
 
-def _verify_base(qb: QftpBase) -> None:
-    d, e = qb.dset, qb.element
-    elems = np.array(qb.subset)
-    k = len(elems)
-    t = relation_table(d)
-    actual = t[e][np.ix_(elems, elems, elems)]
-    s = qb.splitting
-    assert s is not None
-    sec_index = {sec: i for i, sec in enumerate(s.sectors)}
-    sec_id = np.array([sec_index[s.sector_of(int(a))] for a in elems])
-    x_sec = sec_id[:, None, None]
-    y_sec = sec_id[None, :, None]
-    z_sec = sec_id[None, None, :]
-    x_el = elems[:, None, None]
-    y_el = elems[None, :, None]
-    z_el = elems[None, None, :]
-    clash = (x_el == y_el) | (x_el == z_el)
-    same_yz = y_sec == z_sec
-    pred = same_yz & (x_sec != y_sec) & ~clash
-    stand_in = np.array(
-        [
-            min(b for b in qb.base if b not in s.sector_of(int(a)))
-            for a in elems
-        ]
-    )
-    substituted = t[
-        stand_in[:, None, None],
-        np.broadcast_to(x_el, actual.shape),
-        np.broadcast_to(y_el, actual.shape),
-        np.broadcast_to(z_el, actual.shape),
-    ]
-    interior = same_yz & (x_sec == y_sec) & ~clash
-    pred = np.where(interior, substituted, pred)
-    if not np.array_equal(pred, actual):
-        bad = np.argwhere(pred != actual)[0]
-        raise InvariantViolation(
-            f"type base fails to reproduce D(e,{elems[bad[0]]};"
-            f"{elems[bad[1]]},{elems[bad[2]]})"
-        )
-    for x, y in itertools.combinations(sorted(int(v) for v in elems), 2):
-        if qb.shares_sector(x, y) != s.same_sector(x, y):
-            raise InvariantViolation(
-                f"share-sector predicate disagrees with the splitting at {x},{y}"
-            )
+def _subset_outside(d: DSet, subset: Iterable[int], *outside: int) -> tuple[int, ...]:
+    """The subset, sorted, once it and `outside` are elements of d and disjoint."""
+    sub = tuple(sorted(set(int(v) for v in subset)))
+    for e in outside:
+        if e in sub:
+            raise InputError(f"element {e} must lie outside the subset")
+    for a in sub + outside:
+        if a not in d.elements:
+            raise InputError(f"unknown element {a}")
+    return sub
 
 
 def qftp_base(d: DSet, subset: Iterable[int], e: int) -> QftpBase:
     """Type base of e over the subset.
 
-    Subsets of size at least 3 go through the induced splitting: three or
-    more sectors give the node case with the least elements of the three
-    least sectors as base; two sectors give the edge case with base
-    (p, q, r) for p the least element of the sector holding the subset
-    minimum, q its complementary element there, r the least element of the
-    other sector.  Smaller subsets are tabulated directly.  The returned
-    scheme is verified to reproduce every atom D(e x; y z) exactly.
+    Requires d to pass D1..D4 and raises InputError("input fails D1..D4")
+    otherwise, as do homogeneity_conditions, nonextendable_witness,
+    splittings.extend_by_point and indiscernibles.hull_window.  Subsets of
+    size at least 3 go through the induced splitting: three or more
+    sectors give the node case with the least elements of the three least
+    sectors as base; two sectors give the edge case with base (p, q, r)
+    for p the least element of the sector holding the subset minimum, q
+    its complementary element there, r the least element of the other
+    sector.  Smaller subsets are tabulated directly.  On a D-set the base
+    reproduces every atom D(e x; y z) exactly.
     """
-    sub = tuple(sorted(set(int(v) for v in subset)))
-    if e in sub:
-        raise InputError(f"element {e} must lie outside the subset")
-    for a in sub + (e,):
-        if a not in d.elements:
-            raise InputError(f"unknown element {a}")
+    _require_core(d)
+    sub = _subset_outside(d, subset, e)
     if len(sub) < 3:
         found = np.argwhere(relation_table(d)[e][np.ix_(sub, sub, sub)]).tolist()
         atoms = frozenset((sub[i], sub[j], sub[k]) for i, j, k in found)
@@ -172,15 +145,12 @@ def qftp_base(d: DSet, subset: Iterable[int], e: int) -> QftpBase:
     s = induced_splitting(d, sub, e)
     if len(s.sectors) > 2:
         base = tuple(min(sec) for sec in s.sectors[:3])
-        qb = QftpBase(d, sub, e, "node", base, s)
-    else:
-        first, second = s.sectors
-        p = min(first)
-        q = complementary(d, s, first, p)
-        r = min(second)
-        qb = QftpBase(d, sub, e, "edge", (p, q, r), s)
-    _verify_base(qb)
-    return qb
+        return QftpBase(d, sub, e, "node", base, s)
+    first, second = s.sectors
+    p = min(first)
+    q = complementary(d, s, first, p)
+    r = min(second)
+    return QftpBase(d, sub, e, "edge", (p, q, r), s)
 
 
 def same_qftp(d: DSet, subset: Iterable[int], e1: int, e2: int) -> bool:
@@ -190,12 +160,7 @@ def same_qftp(d: DSet, subset: Iterable[int], e1: int, e2: int) -> bool:
     for x, y, z in A.  On a D-set every other atom over A plus e follows
     from these by pair symmetry or is forced by the degenerate rules.
     """
-    sub = tuple(sorted(set(int(v) for v in subset)))
-    for e in (e1, e2):
-        if e in sub:
-            raise InputError(f"element {e} must lie outside the subset")
-        if e not in d.elements:
-            raise InputError(f"unknown element {e}")
+    sub = _subset_outside(d, subset, e1, e2)
     t = relation_table(d)
     grid = np.ix_(sub, sub, sub)
     return bool(np.array_equal(t[e1][grid], t[e2][grid]))
@@ -273,9 +238,7 @@ def homogeneity_conditions(d: DSet, min_sector_size: int = 2) -> dict:
     threshold stands in for "infinite sector", with non-singleton (2) as
     the default reading.
     """
-    report_axioms = check_axioms(d)
-    if not report_axioms.core_pass:
-        raise InputError("input fails D1..D4")
+    _require_core(d)
     reg, count = is_regular(d)
     dense = True
     dense_witness = None
@@ -332,9 +295,7 @@ def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
     sector.  Every candidate is verified by brute force before being
     returned; None means neither construction produced a verified witness.
     """
-    report_axioms = check_axioms(d)
-    if not report_axioms.core_pass:
-        raise InputError("input fails D1..D4")
+    _require_core(d)
     splits = enumerate_splittings(d)
     colors_present = sorted(set(d.colors))
     all_elems = sorted(d.elements)

@@ -15,8 +15,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, InvariantViolation, relation_table
-from .splittings import Splitting, enumerate_splittings, extend_splitting, is_splitting
+from .core import DSet, InputError, _require_core, relation_table
+from .splittings import Splitting, enumerate_splittings, extend_splitting
 
 __all__ = [
     "SequenceWindow",
@@ -221,27 +221,21 @@ def _monotonic_parts(
 def _petaled_sectors(d: DSet, col: Sequence[int]) -> frozenset[int]:
     partial = Splitting([{v} for v in col])
     full = extend_splitting(d, partial.ground, partial)
-    ok, witness = is_splitting(d, full)
-    if not ok:
-        raise InvariantViolation(
-            f"petaled column failed to extend to a splitting: {witness}"
-        )
-    col_set = set(col)
-    union: set[int] = set()
-    for sec in full.sectors:
-        if sec & col_set:
-            union |= sec
-    return frozenset(union)
+    return frozenset().union(*(sec for sec in full.sectors if sec & partial.ground))
 
 
 def hull_window(d: DSet, s: SequenceWindow) -> HullResult:
     """Discernible hull of a window: union over its columns.
 
+    Requires d to pass D1..D4 and raises InputError("input fails D1..D4")
+    otherwise, as do homtypes.qftp_base, homtypes.homogeneity_conditions,
+    homtypes.nonextendable_witness and splittings.extend_by_point.
     Constant columns contribute nothing.  A petaled column grows its
     singletons into a full node splitting and takes every sector the column
     meets.  A monotonic column takes its own elements plus the three
     witnessed side sets, and also reports the frontier pair.
     """
+    _require_core(d)
     hulls: list[ColumnHull] = []
     for j, col in enumerate(s.columns()):
         window = SequenceWindow([(v,) for v in col])

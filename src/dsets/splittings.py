@@ -17,8 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, InvariantViolation, check_axioms, relation_table
-from .core import _canonical_rows, _first_true, _kept, _sort_rows
+from .core import DSet, InputError, InvariantViolation, relation_table
+from .core import _canonical_rows, _first_true, _kept, _require_core, _sort_rows
 
 
 @dataclass(frozen=True)
@@ -293,16 +293,15 @@ def extend_by_point(d: DSet, s: Splitting) -> DSet:
     two regimes: a pair a, b from different sectors is never separated
     from a pair containing e; a pair a, b inside one sector S gets
     D(ab;ce) the value of D(ab;c x0) for x0 the least element outside S.
-    The input must pass D1..D4; the result then passes D1..D4 and induces
-    s back on the old elements.
+    The input must pass D1..D4 (InputError otherwise); the result then
+    passes D1..D4 and induces s back on the old elements.
     """
     ok, witness = is_splitting(d, s)
     if not ok:
         raise InputError(f"not a splitting of the input: {witness}")
     if d.n < 2:
         raise InputError("need at least two elements to extend")
-    if not check_axioms(d).core_pass:
-        raise InputError("input fails D1..D4")
+    _require_core(d)
     e = d.n
     t = relation_table(d)
     grown = [d.rows]
@@ -444,15 +443,12 @@ def is_true_edge_splitting(d: DSet, p: Splitting | Iterable[Iterable[int]]) -> b
 
 
 def density_witnesses(d: DSet, w: int, x: int, y: int, z: int) -> list[int]:
-    """All v splitting the quad wx|yz four ways, per the density axiom.
+    """All v that witness density (D6) for the quad wx|yz.
 
-    Requires D(wx;yz) to hold; a witness v satisfies D(vx;yz), D(wv;yz),
-    D(wx;vz) and D(wx;yv) simultaneously.  The fourth conjunct goes beyond
-    the three that check_axioms' D6 tests; on tree D-sets the two agree,
-    since there the first three imply it (see
-    test_d6_fourth_conjunct_is_implied_on_tree_dsets).
+    Requires D(wx;yz) to hold; a witness v satisfies D(vx;yz), D(wv;yz)
+    and D(wx;vz) simultaneously.
     """
     if not d.holds(w, x, y, z):
         raise InputError(f"D({w}{x};{y}{z}) does not hold")
     t = relation_table(d)
-    return np.flatnonzero(t[:, x, y, z] & t[w, :, y, z] & t[w, x, :, z] & t[w, x, y, :]).tolist()
+    return np.flatnonzero(t[:, x, y, z] & t[w, :, y, z] & t[w, x, :, z]).tolist()

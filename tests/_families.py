@@ -190,15 +190,28 @@ def regular_fixture(seed):
     return D.d_from_tree(D.gen_random(spec))
 
 
-def seeded_tree_dset(rng, leaves):
-    """D-set of a caterpillar, star or random 3-regular tree with the given
-    leaf count, its element labels permuted by rng."""
-    kind = rng.choice(("caterpillar", "star", "d_regular_random"))
-    degree = 3 if kind == "d_regular_random" else None
+def seeded_tree_dset(rng, leaves, kind=None, degree=3):
+    """D-set of a caterpillar, star or random `degree`-regular tree with the
+    given leaf count, its element labels permuted by rng; rng picks the
+    kind unless one is given."""
+    kind = kind or rng.choice(("caterpillar", "star", "d_regular_random"))
+    degree = degree if kind == "d_regular_random" else None
     tree = D.gen_random(D.TreeSpec(kind, leaves, degree, seed=rng.randrange(1000)))
     perm = list(range(leaves))
     rng.shuffle(perm)
     return D.relabel(D.d_from_tree(tree), dict(enumerate(perm)))
+
+
+def renumbered_trees(seed):
+    """Caterpillar, star and random 3- and 4-regular tree D-sets with 16,
+    32 and 64 leaves, their labels permuted by a seeded rng."""
+    rng = random.Random(seed)
+    shapes = (("caterpillar", None), ("star", None), ("d_regular_random", 3), ("d_regular_random", 4))
+    return [
+        seeded_tree_dset(rng, leaves, kind, degree)
+        for leaves in (16, 32, 64)
+        for kind, degree in shapes
+    ]
 
 
 def random_table(rng, n):
@@ -212,3 +225,19 @@ def random_table(rng, n):
         if rng.random() < density
     ]
     return D.DSet.build(n, quads)
+
+
+def failing_tables(seed, count):
+    """count seeded random tables on 5-8 elements that fail D1..D4, each
+    with a window of 4 or 5 distinct elements, a subset of at least three
+    elements and an element outside it: (dset, window, subset, element)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = random_table(rng, rng.randint(5, 8))
+        if D.check_axioms(d).core_pass:
+            continue
+        window = rng.sample(range(d.n), rng.randint(4, 5))
+        e, *subset = rng.sample(range(d.n), rng.randint(4, d.n))
+        out.append((d, window, sorted(subset), e))
+    return out

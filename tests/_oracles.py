@@ -451,6 +451,44 @@ def _hull(edges, leaves):
 
 
 # ---------------------------------------------------------------------------
+# type bases against the relation table
+
+
+def type_base_mismatch(qb, table):
+    """The first place a node or edge type base disagrees with the relation
+    table, as a dict, or None.
+
+    The base's answer for D(e x; y z) is rebuilt on the whole subset grid
+    at once from its case split: false when x is y or z, or when y and z
+    lie in different sectors; true when x lies in another sector than y
+    and z; otherwise D(s x; y z) for s the least base element outside x's
+    sector.  Then shares_sector must agree with the splitting on every pair.
+    """
+    e = qb.element
+    elems = np.array(qb.subset)
+    actual = table[e][np.ix_(elems, elems, elems)]
+    sectors = qb.splitting.sectors
+    sec_id = np.array([next(i for i, sec in enumerate(sectors) if a in sec) for a in qb.subset])
+    x_sec, y_sec, z_sec = np.ix_(sec_id, sec_id, sec_id)
+    x_el, y_el, z_el = np.ix_(elems, elems, elems)
+    clash = (x_el == y_el) | (x_el == z_el)
+    same_yz = y_sec == z_sec
+    stand_in = np.array(
+        [min(b for b in qb.base if b not in sectors[i]) for i in sec_id]
+    )[:, None, None]
+    substituted = table[stand_in, x_el, y_el, z_el]
+    interior = same_yz & (x_sec == y_sec) & ~clash
+    pred = np.where(interior, substituted, same_yz & (x_sec != y_sec) & ~clash)
+    if not np.array_equal(pred, actual):
+        i, j, k = np.argwhere(pred != actual)[0]
+        return {"kind": "atom", "triple": [int(elems[i]), int(elems[j]), int(elems[k])]}
+    for i, j in itertools.combinations(range(len(elems)), 2):
+        if qb.shares_sector(int(elems[i]), int(elems[j])) != (sec_id[i] == sec_id[j]):
+            return {"kind": "shares_sector", "pair": [int(elems[i]), int(elems[j])]}
+    return None
+
+
+# ---------------------------------------------------------------------------
 # order invariance of parameter-free windows
 
 

@@ -14,6 +14,8 @@ import dsets as D
 from dsets import Splitting
 from dsets.cli import main
 
+import _families as F
+
 
 @pytest.fixture
 def run(monkeypatch, capsys):
@@ -218,6 +220,13 @@ def test_hull_reports_interior(run, catalogue):
     payload = _payload(out)
     assert payload["hull"] == [0, 1, 2, 3, 4, 5]
     assert payload["columns"][0]["h3"] == [5]
+
+
+def test_hull_refuses_tables_failing_core_axioms(run):
+    refused = {"error": {"kind": "input", "message": "input fails D1..D4"}}
+    for d, window, _, _ in F.failing_tables(5, 300):
+        code, out, _ = run(["hull", "-", "--seq", ",".join(map(str, window))], d.to_json())
+        assert (code, _payload(out)) == (2, refused), window
 
 
 def test_indisc_discernible_exits_one(run, catalogue):

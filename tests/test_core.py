@@ -189,9 +189,9 @@ def test_axioms_match_scalar_scans_on_random_tables():
 
 
 def test_d6_fourth_conjunct_is_implied_on_tree_dsets(trees_by_k):
-    # D6 as checked asks for D(vx;yz), D(wv;yz) and D(wx;vz); on D-sets of
-    # trees D(wx;yv) then follows, so density_witnesses, which also asks
-    # for it, finds the same witnesses.
+    # D6 asks for D(vx;yz), D(wv;yz) and D(wx;vz); on D-sets of trees
+    # D(wx;yv) then follows, so a density witness there splits the quad
+    # all four ways.
     for k in range(1, 9):
         for tree in trees_by_k[k]:
             t = D.relation_table(D.d_from_tree(tree))

@@ -12,6 +12,7 @@ import dsets as D
 from dsets import InputError, Splitting
 
 import _families as F
+import _oracles as O
 from _families import spine_tree
 
 
@@ -45,6 +46,50 @@ def test_qftp_base_requires_outside_element(catalogue):
         D.qftp_base(catalogue["CAT4"].dset, [0, 1, 2], 2)
 
 
+def test_qftp_base_refuses_tables_failing_core_axioms():
+    for d, _, subset, e in F.failing_tables(5, 300):
+        with pytest.raises(InputError, match=r"^input fails D1\.\.D4$"):
+            D.qftp_base(d, subset, e)
+
+
+def test_shares_sector_rejects_elements_outside_the_subset(catalogue):
+    qb = D.qftp_base(catalogue["CAT5"].dset, [0, 1, 2], 3)
+    with pytest.raises(InputError, match="outside the subset"):
+        qb.shares_sector(0, 4)
+
+
+def _assert_base_exact(d, subset, e, triples):
+    """The base of e over the subset reproduces the relation (checked by the
+    reference), and predict agrees with the table on the given triples."""
+    table = D.relation_table(d)
+    qb = D.qftp_base(d, subset, e)
+    assert O.type_base_mismatch(qb, table) is None, (d.n, subset, e)
+    for x, y, z in triples:
+        assert qb.predict(x, y, z) == table[e, x, y, z], (d.n, subset, e, (x, y, z))
+
+
+def test_qftp_base_exact_on_small_trees(trees_by_k):
+    checked = 0
+    for k in range(4, 7):
+        for tree in trees_by_k[k]:
+            d = D.d_from_tree(tree)
+            for size in range(3, k):
+                for subset in itertools.combinations(range(k), size):
+                    for e in sorted(d.elements - set(subset)):
+                        _assert_base_exact(d, subset, e, itertools.product(subset, repeat=3))
+                        checked += 1
+    assert checked == 2 * 4 + 3 * 25 + 7 * 96
+
+
+def test_qftp_base_exact_on_renumbered_trees():
+    rng = random.Random(17)
+    for d in F.renumbered_trees(3):
+        for _ in range(6):
+            e, *subset = rng.sample(range(d.n), rng.randint(4, d.n))
+            triples = [tuple(rng.choice(subset) for _ in range(3)) for _ in range(60)]
+            _assert_base_exact(d, subset, e, triples)
+
+
 # ---------------------------------------------------------------------------
 # same_qftp
 
@@ -61,6 +106,12 @@ def test_same_qftp_different_attachment():
 
 def test_same_qftp_reflexive(catalogue):
     assert D.same_qftp(catalogue["CAT4E"].dset, [0, 1, 2, 3], 4, 4)
+
+
+@pytest.mark.parametrize("subset", ([-1, 0, 1], [0, 1, 99]))
+def test_same_qftp_rejects_unknown_subset_elements(catalogue, subset):
+    with pytest.raises(InputError, match="unknown element"):
+        D.same_qftp(catalogue["CAT4E"].dset, subset, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,44 @@ def test_hull_rejects_unclassifiable(catalogue, mkwin):
         D.hull_window(catalogue["CAT5"].dset, mkwin([0, 2, 1, 3, 4]))
 
 
+def _assert_petaled_hull_from_splitting(d, mkwin, col):
+    """The splitting a petaled column's singletons extend to passes the
+    definition, and the hull takes exactly its sectors that meet the column."""
+    partial = D.Splitting([{v} for v in col])
+    full = D.extend_splitting(d, partial.ground, partial)
+    assert O.splitting_ok(d, full.sectors)[0], (d.n, col)
+    got = D.hull_window(d, mkwin(col)).columns[0]
+    assert got.klass.label == "petaled", (d.n, col)
+    assert got.sector_union == frozenset().union(*(sec for sec in full.sectors if sec & set(col)))
+
+
+def test_petaled_hulls_extend_to_splittings_on_small_trees(trees_by_k, mkwin):
+    checked = 0
+    for k in range(4, 7):
+        for tree in trees_by_k[k]:
+            d = D.d_from_tree(tree)
+            for size in range(4, k + 1):
+                for col in itertools.combinations(range(k), size):
+                    if D.classify_window(d, mkwin(col)).label == "petaled":
+                        _assert_petaled_hull_from_splitting(d, mkwin, col)
+                        checked += 1
+    assert checked == 55
+
+
+def test_petaled_hulls_extend_to_splittings_on_renumbered_trees(mkwin):
+    # The scalar oracle visits every four sectors, about 6 s on the
+    # 64-sector star, so node splittings with more than 32 sectors are left out.
+    rng = random.Random(19)
+    checked = 0
+    for d in F.renumbered_trees(3):
+        nodes = [s for s in D.enumerate_splittings(d) if 4 <= len(s.sectors) <= 32]
+        for s in rng.sample(nodes, min(2, len(nodes))):
+            sectors = rng.sample(s.sectors, rng.randint(4, min(6, len(s.sectors))))
+            _assert_petaled_hull_from_splitting(d, mkwin, [rng.choice(sorted(sec)) for sec in sectors])
+            checked += 1
+    assert checked == 8
+
+
 # ---------------------------------------------------------------------------
 # frontiers
 

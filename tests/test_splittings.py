@@ -492,6 +492,16 @@ def test_density_witnesses_degenerate_quad(catalogue):
     assert D.density_witnesses(catalogue["FLW4"].dset, 0, 0, 1, 2) == []
 
 
+def test_density_witnesses_follow_d6_on_random_tables():
+    # The least premise without a density witness is check_axioms' D6 witness.
+    rng = random.Random(29)
+    for _ in range(600):
+        d = F.random_table(rng, rng.randint(4, 7))
+        t = D.relation_table(d)
+        bare = (q for q in itertools.product(range(d.n), repeat=4) if t[q] and not D.density_witnesses(d, *q))
+        assert next(bare, None) == D.check_axioms(d).d6.witness, d.positives
+
+
 def test_density_requires_premise(catalogue):
     with pytest.raises(InputError):
         D.density_witnesses(catalogue["FLW4"].dset, 0, 1, 2, 3)
