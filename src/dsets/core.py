@@ -760,13 +760,16 @@ def are_isomorphic(
     respect_colors: bool = True,
     max_n: int = 10,
 ) -> Optional[dict[int, int]]:
-    """Find a relation-preserving bijection, or None.
+    """The lexicographically least relation-preserving bijection (element 0
+    gets the least feasible image, and so on), or None.
 
     Tables that satisfy D1..D4 are compared through canonical forms of
-    their trees first, which settles existence quickly; the bijection
-    itself is then recovered by backtracking and is the lexicographically
-    least one (element 0 gets the least feasible image, and so on).
-    Arbitrary tables fall back to pure backtracking, capped at max_n
+    their trees, which are equal exactly when a leaf-matching tree
+    isomorphism exists.  The bijection is then built greedily by
+    individualisation: element e and its candidate image f get the fresh
+    leaf token (color, e + 1), and e keeps the least unused f for which
+    the two forms still agree.  This takes O(n^2) canonical forms.
+    Tables that fail D1..D4 fall back to backtracking, capped at max_n
     elements; raise the cap explicitly for bigger instances.
     """
     if d1.n != d2.n:
@@ -780,22 +783,35 @@ def are_isomorphic(
     core2 = check_axioms(d2).core_pass
     if core1 != core2:
         return None
-    if core1 and core2:
-        from .trees import canonical_form, tree_from_dset
+    if not core1:
+        if d1.n > max_n:
+            raise InputError(
+                f"backtracking isomorphism capped at {max_n} elements for tables "
+                "that fail D1..D4; pass max_n to override"
+            )
+        return _backtrack_bijection(d1, d2, respect_colors)
 
-        t1 = tree_from_dset(d1)
-        t2 = tree_from_dset(d2)
-        tokens1 = d1.colors if respect_colors else None
-        tokens2 = d2.colors if respect_colors else None
-        if canonical_form(t1, leaf_tokens=tokens1) != canonical_form(t2, leaf_tokens=tokens2):
-            return None
-    elif d1.n > max_n:
-        raise InputError(
-            f"backtracking isomorphism capped at {max_n} elements for tables "
-            "that fail D1..D4; pass max_n to override"
-        )
+    from .trees import canonical_form, tree_from_dset
 
-    return _backtrack_bijection(d1, d2, respect_colors)
+    t1, t2 = tree_from_dset(d1), tree_from_dset(d2)
+    colors1, colors2 = (d1.colors, d2.colors) if respect_colors else ((0,) * d1.n,) * 2
+    tokens1, tokens2 = [(c, 0) for c in colors1], [(c, 0) for c in colors2]
+    if canonical_form(t1, tokens1) != canonical_form(t2, tokens2):
+        return None
+    image = {}
+    for e, color in enumerate(colors1):
+        tokens1[e] = (color, e + 1)
+        target = canonical_form(t1, tokens1)
+        for f in range(d2.n):
+            if tokens2[f] == (color, 0):  # not yet an image, and e's color
+                tokens2[f] = (color, e + 1)
+                if canonical_form(t2, tokens2) == target:
+                    image[e] = f
+                    break
+                tokens2[f] = (color, 0)
+        else:
+            raise InvariantViolation("equal canonical forms but no individualised image")
+    return image
 
 
 def _backtrack_bijection(d1: DSet, d2: DSet, respect_colors: bool) -> Optional[dict[int, int]]:

@@ -397,13 +397,12 @@ def detect_petaled(d: DSet, k: int) -> Optional[SequenceWindow]:
         raise InputError("petaled detection needs k of at least 3")
     if d.n < k:
         return None
-    node_splittings = [
-        sp for sp in enumerate_splittings(d) if len(sp.sectors) > 2
-    ]
-    if not node_splittings:
+    # Fewer than k sectors cannot separate k elements.
+    wide = [sp for sp in enumerate_splittings(d) if len(sp.sectors) >= k]
+    if not wide:
         return None
     for combo in itertools.combinations(range(d.n), k):
-        for sp in node_splittings:
+        for sp in wide:
             sectors = {sp.sector_of(v) for v in combo}
             if len(sectors) == len(combo):
                 return SequenceWindow([(v,) for v in combo])

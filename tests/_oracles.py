@@ -235,13 +235,15 @@ def complementary_oracle(d, sectors, sector, a):
 # splittings by brute force
 
 
-def splitting_ok(d, cells):
+def splitting_ok(d, cells, holds=None):
     """Conditions on a partition, straight from the definition.
 
     (1) any two elements of one cell are separated from any two elements
     outside it; (2) no quadruple drawn from four different cells is
-    related.  Elements inside a quantifier may coincide.
+    related.  Elements inside a quantifier may coincide.  holds defaults
+    to d.holds.
     """
+    holds = holds or d.holds
     cells = [frozenset(c) for c in cells]
     if len(cells) < 2:
         return False, {"kind": "too_few"}
@@ -252,12 +254,12 @@ def splitting_ok(d, cells):
         rest = [v for v in universe if v not in cell]
         for a, b in itertools.combinations_with_replacement(sorted(cell), 2):
             for c, e in itertools.combinations_with_replacement(rest, 2):
-                if not d.holds(a, b, c, e):
+                if not holds(a, b, c, e):
                     return False, {"kind": "unseparated", "quad": (a, b, c, e)}
     for four_cells in itertools.combinations(cells, 4):
         for w, x, y, z in itertools.product(*(sorted(c) for c in four_cells)):
             for quad in ((w, x, y, z), (w, y, x, z), (w, z, x, y)):
-                if d.holds(*quad):
+                if holds(*quad):
                     return False, {"kind": "four_sector", "quad": quad}
     return True, None
 
@@ -279,11 +281,12 @@ def set_partitions(items):
 def brute_splittings(d):
     """Every partition of the elements that passes splitting_ok, as a set
     of frozen sector families."""
+    table = dense_table(d).tolist()
     found = set()
     for part in set_partitions(sorted(d.elements)):
         if len(part) < 2:
             continue
-        ok, _ = splitting_ok(d, part)
+        ok, _ = splitting_ok(d, part, lambda w, x, y, z: table[w][x][y][z])
         if ok:
             found.add(frozenset(frozenset(c) for c in part))
     return found
@@ -485,6 +488,45 @@ def type_base_mismatch(qb, table):
     for i, j in itertools.combinations(range(len(elems)), 2):
         if qb.shares_sector(int(elems[i]), int(elems[j])) != (sec_id[i] == sec_id[j]):
             return {"kind": "shares_sector", "pair": [int(elems[i]), int(elems[j])]}
+    return None
+
+
+# ---------------------------------------------------------------------------
+# least isomorphism by permutation search
+
+
+def dense_table(d):
+    """T[w,x,y,z] = D(wx;yz) from d's positive quads, closed under D1, and
+    the truth values forced by repeated elements."""
+    w, x, y, z = np.ix_(*[np.arange(d.n)] * 4)
+    table = ((w == x) | (y == z)) & (w != y) & (w != z) & (x != y) & (x != z)
+    for a, b, c, e in d.positives:
+        for left, right in (((a, b), (c, e)), ((c, e), (a, b))):
+            for p in (left, left[::-1]):
+                for q in (right, right[::-1]):
+                    table[p + q] = True
+    return table
+
+
+def least_bijection_oracle(d1, d2, respect_colors):
+    """The first permutation m of d2's elements, in lexicographic order, with
+    T1[w,x,y,z] == T2[m(w),m(x),m(y),m(z)] everywhere (and d1's colors
+    carried onto d2's when asked), as {e: m(e)}; None if there is none."""
+    if d1.n != d2.n:
+        return None
+    t1, t2 = dense_table(d1), dense_table(d2)
+    # A bijection that keeps the relation keeps, for each element e, the
+    # multiset of true-cell counts of the pairs (e, x); comparing those
+    # first skips most permutations cheaply.
+    keys1, keys2 = (
+        [(c if respect_colors else 0, sorted(row)) for c, row in zip(d.colors, t.sum(axis=(2, 3)).tolist())]
+        for d, t in ((d1, t1), (d2, t2))
+    )
+    for images in itertools.permutations(range(d1.n)):
+        if any(keys1[e] != keys2[f] for e, f in enumerate(images)):
+            continue
+        if np.array_equal(t1, t2[np.ix_(*[images] * 4)]):
+            return dict(enumerate(images))
     return None
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import dsets as D
 from dsets import DSet, InputError, check_axioms, normalize_quad
+from dsets.core import _backtrack_bijection
 
 import _families as F
 import _oracles as O
@@ -294,18 +295,8 @@ def test_iso_relabeling(catalogue):
     other = D.relabel(d, perm)
     assert other != d
 
-    # least valid bijection, found independently
-    expected = None
-    for images in itertools.permutations(range(4)):
-        m = dict(zip(range(4), images))
-        if all(
-            d.holds(*q) == other.holds(*(m[v] for v in q))
-            for q in itertools.product(range(4), repeat=4)
-        ):
-            expected = m
-            break
+    expected = O.least_bijection_oracle(d, other, True)
     assert expected is not None
-
     got = D.are_isomorphic(d, other)
     assert got == expected
     for q in itertools.product(range(4), repeat=4):
@@ -324,6 +315,96 @@ def test_iso_respects_colors(catalogue):
     uneven = d.recolor([1, 1, 0, 0])
     assert D.are_isomorphic(left, uneven) is None
     assert D.are_isomorphic(left, uneven, respect_colors=False) is not None
+
+
+def _relabelled(d, seed):
+    perm = list(range(d.n))
+    random.Random(seed).shuffle(perm)
+    return D.relabel(d, dict(enumerate(perm)))
+
+
+def test_iso_is_least_bijection_on_small_trees(trees_by_k):
+    """Individualisation gives backtracking's bijection on every tree up to
+    8 leaves, and both give the permutation search's up to 7.  Colors are
+    round-robin; a plain pair is the colored pair with colors ignored."""
+    for k, trees in trees_by_k.items():
+        for t in trees:
+            a = D.d_from_tree(t).recolor([e % 2 for e in range(k)])
+            b = _relabelled(a, k)
+            plain_a, plain_b = a.recolor([0] * k), b.recolor([0] * k)
+            colored, plain = _backtrack_bijection(a, b, True), _backtrack_bijection(a, b, False)
+            assert D.are_isomorphic(a, b) == colored, t
+            assert D.are_isomorphic(a, b, respect_colors=False) == plain, t
+            assert D.are_isomorphic(plain_a, plain_b) == plain, t
+            assert D.are_isomorphic(plain_a, plain_b, respect_colors=False) == plain, t
+            if k <= 7:
+                assert colored == O.least_bijection_oracle(a, b, True), t
+                assert plain == O.least_bijection_oracle(a, b, False), t
+
+
+def test_iso_none_for_non_isomorphic_pairs(trees_by_k):
+    """Distinct shapes give None, and so does one marked element whose image
+    lies in another orbit; marks in one orbit give backtracking's map.
+    Backtracking, exhaustive when there is no map, is the reference up to 6
+    leaves for shapes and 7 for marks."""
+    for k in range(4, 9):
+        plain = [D.d_from_tree(t) for t in trees_by_k[k]]
+        for a, b in zip(plain, plain[1:]):
+            b = _relabelled(b, k)
+            assert D.are_isomorphic(a, b, respect_colors=False) is None
+            if k <= 6:
+                assert _backtrack_bijection(a, b, False) is None
+    nones = 0
+    for k in range(4, 8):
+        for d in map(D.d_from_tree, trees_by_k[k]):
+            a = d.recolor([e == 0 for e in range(k)])
+            for f in range(k):
+                b = _relabelled(d.recolor([e == f for e in range(k)]), f)
+                got = D.are_isomorphic(a, b)
+                assert got == _backtrack_bijection(a, b, True), (d, f)
+                nones += got is None
+    assert nones > 0
+
+
+@pytest.mark.parametrize("leaves", (10, 11, 12))
+@pytest.mark.parametrize("kind", ("caterpillar", "d_regular_random"))
+def test_iso_matches_backtracking_on_seeded_relabellings(kind, leaves):
+    # Random colors prune backtracking; ignoring them, its cost grows
+    # several-fold per leaf, so that route is compared at 10 leaves only.
+    rng = random.Random(leaves)
+    a = F.seeded_tree_dset(rng, leaves, kind).recolor([rng.randrange(2) for _ in range(leaves)])
+    b = _relabelled(a, leaves)
+    assert D.are_isomorphic(a, b) == _backtrack_bijection(a, b, True)
+    if leaves == 10:
+        assert D.are_isomorphic(a, b, respect_colors=False) == _backtrack_bijection(a, b, False)
+
+
+@pytest.mark.parametrize("kind", ("caterpillar", "d_regular_random"))
+def test_iso_maps_large_relabelled_trees(kind):
+    rng = random.Random(64)
+    a = F.seeded_tree_dset(rng, 64, kind).recolor([e % 2 for e in range(64)])
+    b = _relabelled(a, 64)
+    assert D.relabel(a, D.are_isomorphic(a, b)) == b
+    plain_a, plain_b = a.recolor([0] * 64), b.recolor([0] * 64)
+    assert D.relabel(plain_a, D.are_isomorphic(a, b, respect_colors=False)) == plain_b
+
+
+def test_iso_ignoring_colors_matches_labels_by_shape():
+    # Ignoring colors compares the trees' shapes, never their element ids.
+    a = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 6)))
+    b = D.relabel(a, dict(enumerate([2, 3, 0, 4, 5, 1])))
+    assert D.are_isomorphic(a, b, respect_colors=False) == D.are_isomorphic(a, b)
+    assert D.are_isomorphic(a, b) is not None
+
+
+def test_iso_backtracks_on_tables_failing_core():
+    for d, *_ in F.failing_tables(10, 6):
+        b = _relabelled(d, d.n)
+        if d.n <= 7:
+            assert D.are_isomorphic(d, b) == O.least_bijection_oracle(d, b, True)
+        assert D.relabel(d, D.are_isomorphic(d, b)) == b
+        with pytest.raises(InputError, match="capped at 4"):
+            D.are_isomorphic(d, b, max_n=4)
 
 
 # ---------------------------------------------------------------------------

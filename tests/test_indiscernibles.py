@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -19,9 +20,14 @@ def _pairings(d, a, b, c, e):
     return (d.holds(a, b, c, e), d.holds(a, c, b, e), d.holds(a, e, b, c))
 
 
+@functools.lru_cache(maxsize=None)
+def _brute_splittings(d):
+    return O.brute_splittings(d)
+
+
 def _detect_oracle(d, k):
     """Least k distinct elements with no positive quad, pairwise split apart."""
-    partitions = O.brute_splittings(d)
+    partitions = _brute_splittings(d)
     for combo in itertools.combinations(sorted(d.elements), k):
         chosen = set(combo)
         if any(set(q) <= chosen for q in d.positives):
@@ -361,3 +367,21 @@ def test_detect_matches_oracle_on_catalogue(catalogue):
 
 def test_detect_too_few_elements(catalogue):
     assert D.detect_petaled(catalogue["CAT5"].dset, 9) is None
+
+
+def test_detect_matches_oracle_on_small_trees(trees_by_k):
+    for trees in trees_by_k.values():
+        for t in trees:
+            d = D.d_from_tree(t)
+            for k in range(3, 7):
+                expected = _detect_oracle(d, k)
+                got = D.detect_petaled(d, k)
+                assert got == (None if expected is None else SequenceWindow([(e,) for e in expected])), (t, k)
+
+
+def test_detect_none_without_a_wide_enough_node():
+    # Every node of a caterpillar has degree 3, so no 5 elements are split
+    # apart; the k-subsets (42,504 here) are never scanned.
+    d = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 24)))
+    assert D.detect_petaled(d, 3) == SequenceWindow([(0,), (1,), (2,)])
+    assert D.detect_petaled(d, 5) is None
