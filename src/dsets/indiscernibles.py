@@ -3,15 +3,18 @@
 A window is a finite list of same-arity tuples read in list order.  The
 operations here classify singleton windows (constant, petaled, monotonic),
 compute discernible hulls and frontier sets, and decide weak indiscernibility
-over a parameter set by brute order-type scanning of relation atoms.
+over a parameter set by comparing each relation atom with the first atom of
+its order type, all atoms read in one gather over a layout kept per window
+shape (up to 2**16 atoms, for at most 32 shapes).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +35,12 @@ __all__ = [
 ]
 
 
+def _element_id(v: object) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise InputError(f"element ids must be integers, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class SequenceWindow:
     """Ordered rows of element tuples; row order is the index order."""
@@ -39,7 +48,7 @@ class SequenceWindow:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Sequence[int]]) -> None:
-        packed = tuple(tuple(int(v) for v in row) for row in rows)
+        packed = tuple(tuple(_element_id(v) for v in row) for row in rows)
         if not packed:
             raise InputError("window must hold at least one row")
         arity = len(packed[0])
@@ -307,6 +316,49 @@ def _pattern_iter() -> list[tuple[int, ...]]:
     return [p for p in itertools.product((0, 1), repeat=4) if 0 < sum(p) < 4]
 
 
+def _slot_layouts(m: int, k: int, nb: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per slot layout in scan order, the fillings of m rows of arity k over
+    nb params: slots, (F, 4) indices into [window cells column-major...,
+    sorted params...], and first_of, each filling's first with its key."""
+    km = k * m
+    for pattern in _pattern_iter():
+        shape = tuple(km if flag else nb for flag in pattern)
+        index = np.indices(shape).reshape(4, -1)
+        # Key of a filling: each slot's parameter or column, then the
+        # order/equality pattern of its window rows.
+        key = np.zeros(index.shape[1], dtype=np.int64)
+        rows = []
+        for flag, size, idx in zip(pattern, shape, index):
+            if flag:
+                key = key * k + idx // m
+                rows.append(idx % m)
+            else:
+                key = key * size + idx
+        for r1, r2 in itertools.combinations(rows, 2):
+            key = key * 3 + np.sign(r1 - r2) + 1
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        yield index.T + km * (1 - np.array(pattern)), first[group]
+
+
+# Kept layouts: at most this many fillings (12 bytes each), 32 shapes.
+_KEEP_FILLINGS = 2**16
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(m: int, k: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every slot layout of a shape in one read-only block: int16 slots and
+    int32 first_of, indexing the whole block."""
+    slots, first_of, start = [], [], 0
+    for layout_slots, layout_first in _slot_layouts(m, k, nb):
+        slots.append(layout_slots)
+        first_of.append(start + layout_first)
+        start += len(layout_first)
+    out = np.concatenate(slots).astype(np.int16), np.concatenate(first_of).astype(np.int32)
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
 def weakly_indiscernible_over(
     d: DSet, s: SequenceWindow, params: Iterable[int]
 ) -> tuple[bool, Optional[dict]]:
@@ -320,57 +372,48 @@ def weakly_indiscernible_over(
     of their slots; the witness pair is the first filling whose value
     differs from the first filling with its key, together with that first
     filling.  An empty parameter set is vacuously invariant.
+
+    The fillings and their keys depend only on the window's shape (rows,
+    arity, parameter count).  A shape of up to 2**16 fillings has them
+    built once and kept, for at most 32 shapes, and a call reads all its
+    atoms in one gather.  A larger shape builds them for the call, one slot
+    layout at a time, and stops at the first layout with a witness.
     """
     if len(s) < 5:
         raise InputError("weak indiscernibility needs a window of at least 5 rows")
-    b_list = sorted(set(int(v) for v in params))
+    if not isinstance(params, Iterable):
+        raise InputError(f"params must be an iterable of element ids, got {params!r}")
+    b_list = sorted({_element_id(v) for v in params})
     _check_ids(d, b_list)
     _check_ids(d, s.elements())
     if not b_list:
         return True, None
 
     table = relation_table(d)
-    m = len(s)
-    k = s.arity
+    m, k, nb = len(s), s.arity, len(b_list)
+    fillings = (k * m + nb) ** 4 - (k * m) ** 4 - nb**4
+    blocks = [_layout(m, k, nb)] if fillings <= _KEEP_FILLINGS else _slot_layouts(m, k, nb)
     # Window slots range over (column, row) pairs column-major.
-    flat_ids = np.array([s.rows[r][c] for c in range(k) for r in range(m)], dtype=np.intp)
-    param_ids = np.array(b_list, dtype=np.intp)
-
-    for pattern in _pattern_iter():
-        axes = [flat_ids if flag else param_ids for flag in pattern]
-        shape = tuple(len(axis) for axis in axes)
-        values = table[np.ix_(*axes)].ravel()  # fillings in product order
-        # Key of a filling: each slot's parameter or column, then the
-        # order/equality pattern of its window rows.
-        key = np.zeros(values.size, dtype=np.int64)
-        rows = []
-        for flag, size, index in zip(pattern, shape, np.indices(shape).reshape(4, -1)):
-            if flag:
-                key = key * k + index // m
-                rows.append(index % m)
-            else:
-                key = key * size + index
-        for r1, r2 in itertools.combinations(rows, 2):
-            key = key * 3 + np.sign(r1 - r2) + 1
-        _, first, group = np.unique(key, return_index=True, return_inverse=True)
-        first_of = first[group]
+    ids = np.array([s.rows[r][c] for c in range(k) for r in range(m)] + b_list, dtype=np.intp)
+    for slots, first_of in blocks:
+        args = ids[slots]
+        values = table[args[:, 0], args[:, 1], args[:, 2], args[:, 3]]
         differs = values != values[first_of]
-        if not differs.any():
+        j = int(differs.argmax())
+        if not differs[j]:
             continue
 
         def atom(f: int) -> dict:
-            slots: list[dict] = []
-            for flag, i in zip(pattern, np.unravel_index(f, shape)):
-                if flag:
-                    c, r = divmod(int(i), m)
-                    slots.append({"kind": "window", "column": c, "row": r, "id": s.rows[r][c]})
+            out: list[dict] = []
+            for slot, v in zip(slots[f].tolist(), args[f].tolist()):
+                if slot < k * m:
+                    c, r = divmod(slot, m)
+                    out.append({"kind": "window", "column": c, "row": r, "id": v})
                 else:
-                    slots.append({"kind": "param", "id": b_list[int(i)]})
-            args = [slot["id"] for slot in slots]
-            return {"slots": slots, "args": args, "value": bool(values[f])}
+                    out.append({"kind": "param", "id": v})
+            return {"slots": out, "args": args[f].tolist(), "value": bool(values[f])}
 
-        j = int(differs.argmax())
-        return False, {"kind": "order_type", "first": atom(first_of[j]), "second": atom(j)}
+        return False, {"kind": "order_type", "first": atom(int(first_of[j])), "second": atom(j)}
     return True, None
 
 

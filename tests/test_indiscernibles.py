@@ -6,10 +6,12 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import dsets as D
 from dsets import InputError, SequenceWindow
+from dsets.indiscernibles import _KEEP_FILLINGS, _layout
 
 import _families as F
 import _oracles as O
@@ -78,6 +80,18 @@ def test_classify_errors(catalogue):
         D.classify_window(d, SequenceWindow([(0,), (1,), (2,)]))
     with pytest.raises(InputError):
         D.classify_window(d, SequenceWindow([(0, 1), (2, 3), (1, 0), (3, 2)]))
+
+
+@pytest.mark.parametrize("bad", [1.7, True, "3", None])
+def test_window_rejects_non_integer_ids(bad):
+    with pytest.raises(InputError, match="must be integers"):
+        SequenceWindow([(bad,), (2,), (3,), (4,), (5,)])
+
+
+def test_window_takes_numpy_integers():
+    w = SequenceWindow([(np.int64(v), np.int32(v)) for v in range(5)])
+    assert w.rows == tuple((v, v) for v in range(5))
+    assert all(type(v) is int for row in w.rows for v in row)
 
 
 def test_window_json_round_trip():
@@ -242,6 +256,19 @@ def test_weak_constant_window(catalogue, mkwin):
     assert ok
 
 
+@pytest.mark.parametrize("params", [[5.9], [True], ["5"], 6, None])
+def test_weak_rejects_non_integer_params(catalogue, mkwin, params):
+    with pytest.raises(InputError):
+        D.weakly_indiscernible_over(catalogue["CAT5X"].dset, mkwin(range(5)), params)
+
+
+def test_weak_takes_numpy_integer_params(catalogue, mkwin):
+    d = catalogue["CAT5X"].dset
+    got = D.weakly_indiscernible_over(d, mkwin(range(5)), [np.int64(5)])
+    assert got == D.weakly_indiscernible_over(d, mkwin(range(5)), [5])
+    assert got[0] is False
+
+
 def test_weak_window_too_short(catalogue, mkwin):
     with pytest.raises(InputError):
         D.weakly_indiscernible_over(catalogue["CAT5"].dset, mkwin(range(4)), [4])
@@ -333,6 +360,67 @@ def test_weakly_indiscernible_matches_scalar_scan():
         assert got == O.weak_oracle(d, rows, extras) == (True, None)
         verdicts.append(got[0])
     assert True in verdicts and False in verdicts
+
+
+def _spine_window(rng, leaves, arity, length, nb):
+    """A caterpillar with seeded labels, a window of `arity` columns read
+    off consecutive stretches of its spine (in either direction), and nb
+    params outside the window, one of them swapped for a window element
+    now and then.  Windows on the spine are order-invariant over outside
+    params, so most such calls answer True."""
+    spine = rng.sample(range(leaves), leaves)
+    d = D.d_from_tree(spine_tree([spine[:2]] + [[v] for v in spine[2:-2]] + [spine[-2:]]))
+    start = rng.randrange(leaves - arity * length + 1)
+    cells = spine[start : start + arity * length]
+    if rng.random() < 0.5:
+        cells.reverse()
+    rows = [[cells[c * length + r] for c in range(arity)] for r in range(length)]
+    params = rng.sample([v for v in spine if v not in cells], nb)
+    if params and rng.random() < 0.2:
+        params[0] = rng.choice(cells)
+    return d, rows, params
+
+
+def test_weakly_indiscernible_kept_layouts_match_scalar_scan():
+    # Session sizes, with shapes (rows, arity, params) interleaved and
+    # repeated on other structures and ids, so a kept layout that carried
+    # anything over from an earlier call would show.  Spine windows keep
+    # to shapes of at most 40,000 fillings: a positive answer makes the
+    # scalar oracle visit every one of them.
+    rng = random.Random(11)
+    spine_shapes = [(5, 1, 4), (8, 1, 4), (6, 1, 2), (5, 2, 3), (7, 2, 1), (8, 2, 2), (5, 3, 1), (6, 3, 0)]
+    calls = []
+    for leaves in (24, 40, 24, 40):
+        for length, arity, nb in rng.sample(spine_shapes, 4):
+            calls.append(_spine_window(rng, leaves, arity, length, nb))
+        for d in (F.seeded_tree_dset(rng, leaves), F.random_table(rng, rng.randint(5, 8))):
+            for _ in range(4):
+                arity, length = rng.randint(1, 3), rng.randint(5, 8)
+                rows = [[rng.randrange(d.n) for _ in range(arity)] for _ in range(length)]
+                calls.append((d, rows, rng.sample(range(d.n), rng.randint(0, 4))))
+    _layout.cache_clear()
+    answers = []
+    for d, rows, params in calls:
+        got = D.weakly_indiscernible_over(d, SequenceWindow(rows), params)
+        assert got == O.weak_oracle(d, rows, params), (d, rows, params)
+        answers.append(got)
+    verdicts = [ok for ok, _ in answers]
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10, verdicts
+    assert len({(len(rows), len(rows[0]), len(set(params))) for _, rows, params in calls}) < len(calls)
+    # Cold calls build the layout again and answer as the warm ones did.
+    for (d, rows, params), warm in list(zip(calls, answers))[::3]:
+        _layout.cache_clear()
+        assert D.weakly_indiscernible_over(d, SequenceWindow(rows), params) == warm
+    # 20 window cells over 2 params: 74,240 fillings, answered layout by
+    # layout and not kept.
+    _layout.cache_clear()
+    d, rows, params = _spine_window(random.Random(5), 40, 2, 10, 2)
+    assert 22**4 - 20**4 - 2**4 > _KEEP_FILLINGS
+    overs = (params, [params[0], rows[3][1]])
+    got = [D.weakly_indiscernible_over(d, SequenceWindow(rows), over) for over in overs]
+    assert got == [O.weak_oracle(d, rows, over) for over in overs]
+    assert [ok for ok, _ in got] == [True, False]
+    assert _layout.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
