@@ -41,12 +41,11 @@ D2, D3, D5 and D6 are swept over the table, D3 and D6 one w at a time with
 their fifth element packed into uint64 words; D1 and D4 hold by storage.
 
 Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
-...]} with sorted keys, no whitespace and the rows in order, gathering the
-quads' bytes in one numpy pass.  from_json reads that spelling back the
-same way: json.loads decodes the short head only, and the quad list is
-checked and parsed on its bytes.  Any other JSON spelling of the same
-object is still accepted, through json.loads, with the same checks and
-messages.
+...]} with sorted keys, no whitespace and the rows in order, _BLOCK = 8,192
+quads at a time.  from_json reads it back in blocks of about as many quads,
+each parsed and checked on its bytes into one preallocated array, with about
+2 MiB of scratch at 40 to 64 leaves.  Any other spelling of the same object
+goes through json.loads, with the same checks and messages.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ class DSet:
         self._start(n, colors)
         quads = list(positives)
         rows = _int_rows(quads, n)
-        if rows is None or not ((rows == _canonical_rows(rows)).all() and _distinct_rows(rows).all()):
+        if rows is None or not _distinct_canonical(rows.T).all():
             _scan_stored_quads(quads, n)  # raises at the first bad quad
             rows = np.array(quads, dtype=np.int64).reshape(-1, 4)  # valid, in another shape
         rows, repeats = _sort_rows(rows, n)
@@ -198,7 +197,7 @@ class DSet:
             # quad out of range.
             return cls(n, frozenset(_scan_input_quads(quads)), color_tuple)
         canon, repeats = _sort_rows(_canonical_rows(rows), n)
-        if repeats.any() or not _distinct_rows(rows).all():
+        if repeats.any() or not _distinct_canonical(canon.T).all():
             # Raises at the first bad quad.
             _scan_input_quads(rows.tolist() if quads is None else quads)
         return cls._from_rows(n, canon, color_tuple)
@@ -210,10 +209,10 @@ class DSet:
     def holds(self, w: int, x: int, y: int, z: int) -> bool:
         """Truth of D(wx;yz), including the forced degenerate values."""
         for v in (w, x, y, z):
-            if not 0 <= v < self.n:
-                raise InputError(f"element {v} out of range 0..{self.n - 1}")
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise InputError(f"element ids must be non-negative integers, got {v!r}")
+            if not 0 <= v < self.n:
+                raise InputError(f"element {v} out of range 0..{self.n - 1}")
         # The kept table, read without a call: this is the scalar hot path.
         table = self._analyses.get("relation_table")
         if table is None:
@@ -287,12 +286,11 @@ class DSet:
                 raise InputError(f"bad color {value!r} for element {e}")
             colors[e] = value
         quads = payload.get("positives", [])
-        if isinstance(quads, np.ndarray):  # already read as rows of ids >= 0
-            rows, quads = (quads, None) if (quads < n).all() else (None, quads.tolist())
-        elif not isinstance(quads, list):
+        if isinstance(quads, np.ndarray):  # stored rows, checked as they were read
+            return cls._from_rows(n, quads, colors)
+        if not isinstance(quads, list):
             raise InputError("'positives' must be a list of 4-element lists")
-        else:
-            rows = _int_rows(quads, n)
+        rows = _int_rows(quads, n)
         if rows is None:
             for item in quads:
                 if not (isinstance(item, list) and len(item) == 4):
@@ -326,79 +324,93 @@ def _int_rows(quads: list, n: int) -> Optional[np.ndarray]:
 
 _POSITIVES = ',"positives":['
 _SKELETON = np.frombuffer(b"[,,,],", dtype=np.uint8)  # one quad's non-digit bytes
+# Quads per block of relation JSON: of 2,048 to 16,384, the fastest at 32 to 64 leaves.
+_BLOCK = 8192
 
 
 def _quad_text(rows: np.ndarray) -> str:
-    """'[a,b,c,d],...' for a (k, 4) array of ids >= 0, as one byte gather:
-    each quad is laid out at a fixed width with its ids padded by zero
-    bytes, which are then dropped."""
+    """'[a,b,c,d],...' for a (k, 4) array of ids >= 0, _BLOCK quads at a time:
+    each quad's ids are gathered into one reused fixed-width record from a
+    table of zero-padded tokens, and the zero bytes are dropped."""
     if not len(rows):
         return ""
     ids = np.arange(int(rows.max()) + 1)[:, None]
     powers = 10 ** np.arange(len(str(len(ids) - 1)))[::-1]
-    # The decimal digits of every id, right-aligned after zero bytes.
+    # Each id's decimal digits, right-aligned after zero bytes, as one token.
     digits = np.where((ids >= powers) | (powers == 1), ids // powers % 10 + 48, 0)
-    record = np.zeros((len(rows), 5, len(powers) + 1), dtype=np.uint8)
-    record[:, :4, 0] = _SKELETON[:4]
-    record[:, :4, 1:] = digits.astype(np.uint8)[rows]
-    record[:, 4, :2] = _SKELETON[4:]
-    flat = record.reshape(-1)
-    return flat[flat != 0][:-1].tobytes().decode("ascii")
+    tokens = digits.astype(np.uint8).view(np.dtype((np.void, len(powers))))[:, 0]
+    record = np.zeros((min(len(rows), _BLOCK), 5, len(powers) + 1), dtype=np.uint8)
+    record[:, :4, 0], record[:, 4, :2] = _SKELETON[:4], _SKELETON[4:]
+    slots = record[:, :4, 1:].view(tokens.dtype)[..., 0]
+    parts = []
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start : start + _BLOCK]
+        slots[: len(block)] = tokens[block]
+        flat = record[: len(block)].reshape(-1)
+        parts.append(str(flat[flat != 0], "ascii"))
+    parts[-1] = parts[-1][:-1]
+    return "".join(parts)
 
 
 def _read_own_spelling(text) -> Optional[dict]:
-    """The payload of a text in to_json's spelling, with its quads as a
-    (k, 4) int64 array of ids >= 0; None for any other text.
-
-    The spelling is a JSON object ending in ,"positives":[[a,b,c,d],...]}
-    (then JSON whitespace), its ids plain decimals of at most 18 digits.
-    The head before the quads is decoded by json.loads, the quads on their
-    bytes.  Where this returns a payload, json.loads(text) gives the same
-    one, with the quads as lists.
-    """
+    """The payload of a text in to_json's spelling, a JSON object ending in
+    ,"positives":[...]} (then JSON whitespace), as json.loads gives it; None
+    for any other text.  json.loads decodes the head; the quads are read in
+    blocks of about _BLOCK, cut at quad boundaries, into one (k, 4) int64
+    array, kept if they are the stored rows of an n-element DSet, else
+    turned into lists."""
     if not isinstance(text, str):
         return None
     end = len(text.rstrip(" \t\n\r"))
     at = text.rfind(_POSITIVES, 0, end)
     if at < 0 or text[end - 2 : end] != "]}" or not text.isascii():
         return None
-    rows = _quad_rows(text[at + len(_POSITIVES) : end - 2].encode("ascii"))
-    if rows is None:
-        return None
     try:
-        payload = json.loads(text[:at] + "}")
+        payload = json.loads(text[:at] + "}")  # a dict: the text decoded ends in '}'
     except (json.JSONDecodeError, RecursionError):
         return None
-    payload["positives"] = rows  # a dict: the text decoded ends in '}'
+    n = payload["n"] if isinstance(payload.get("n"), int) else -1  # any bad n fails later
+    start, end = at + len(_POSITIVES), end - 2
+    rows = np.empty((text.count("[", start, end), 4), dtype=np.int64)
+    every = _BLOCK * (end - start) // max(len(rows), 1)  # bytes in about _BLOCK quads
+    done, stored = 0, True
+    while start < end:
+        cut = text.find("],[", start + every, end) + 1 or end
+        ids = _quad_ids(text[start:cut].encode("ascii"))
+        if ids is None:
+            return None
+        rows[done : done + ids.shape[1]] = ids.T
+        # Each quad's first change from the quad before it (or from -1s) is a rise.
+        step = np.sign(np.diff(ids, prepend=rows[done - 1, :, None] if done else -1))
+        rise = (step * [[8], [4], [2], [1]]).sum(axis=0) > 0
+        stored = stored and int(ids.max()) < n and rise.all() and _distinct_canonical(ids).all()
+        done, start = done + ids.shape[1], cut + 1
+    payload["positives"] = rows if stored else rows.tolist()
     return payload
 
 
-def _quad_rows(raw: bytes) -> Optional[np.ndarray]:
-    """The ids of b'[a,b,c,d],...,[a,b,c,d]' as a (k, 4) int64 array, or
-    None unless every id is 1 to 18 decimal digits without a leading zero
-    and the bytes other than digits are b'[,,,],' repeated, less the last
-    comma."""
-    if not raw:
-        return np.empty((0, 4), dtype=np.int64)
+def _quad_ids(raw: bytes) -> Optional[np.ndarray]:
+    """The ids of b'[a,b,c,d],...,[a,b,c,d]' as a (4, k) int64 array, or None
+    unless the non-digit bytes are b'[,,,],' repeated less the last comma and
+    every id is 1 to 18 decimal digits without a leading zero."""
     digit = np.frombuffer(raw + b",", dtype=np.uint8) - 48  # wraps: other bytes are >= 10
-    seps = np.flatnonzero(digit >= 10)
-    k = len(seps) // 6
-    seps = seps.reshape(k, -1) if len(seps) == 6 * k else None
-    if seps is None or not (digit[seps] == _SKELETON - 48).all():
+    sep = digit >= 10
+    seps = np.flatnonzero(sep)
+    if len(seps) % 6:
         return None
-    ends = seps[:, 1:5]  # where each id ends
-    lengths = ends - seps[:, :4] - 1
-    # Every digit lies in an id of 1 to 18 digits without a leading zero.
+    seps = seps.reshape(-1, 6).T.copy()  # the i-th non-digit byte of every quad
+    ends = seps[1:5]  # where each id ends
+    lengths = ends - seps[:4] - 1
+    width = int(lengths.max())
     if (
-        lengths.min() < 1 or lengths.max() > 18 or lengths.sum() != len(digit) - 6 * k
-        or ((digit[seps[:, :4] + 1] == 0) & (lengths > 1)).any()
+        not (digit[seps] == _SKELETON[:, None] - 48).all()
+        or lengths.min() < 1 or width > 18 or lengths.sum() != len(digit) - seps.size
+        or (sep[:-2] & (digit[1:-1] == 0) & ~sep[2:]).any()  # a leading zero
     ):
         return None
-    digit[seps] = 0
     ids = digit[ends - 1].astype(np.int64)
-    for place in range(1, int(lengths.max())):
-        # The digit worth 10**place, or the '[' at index 0, now 0, if none.
-        ids += digit[np.where(lengths > place, ends - 1 - place, 0)].astype(np.int64) * 10**place
+    for place in range(1, width):
+        ids += digit[ends - 1 - place] * ((lengths > place) * 10**place)
     return ids
 
 
@@ -414,10 +426,10 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     return np.where(first, [a, b, c, e], [c, e, a, b]).T
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows whose four ids are pairwise different."""
-    w, x, y, z = rows.T.copy()
-    return (w != x) & (w != y) & (w != z) & (x != y) & (x != z) & (y != z)
+def _distinct_canonical(quads: np.ndarray) -> np.ndarray:
+    """Which quads of a (4, k) array of ids are canonical, of 4 distinct ids."""
+    w, x, y, z = quads
+    return (w < x) & (y < z) & (w < y) & (x != y) & (x != z)
 
 
 _KEYED_N = 55_108  # the largest n with n**4 - 1 in int64

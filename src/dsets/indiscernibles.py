@@ -48,7 +48,10 @@ class SequenceWindow:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Sequence[int]]) -> None:
-        packed = tuple(tuple(_element_id(v) for v in row) for row in rows)
+        try:
+            packed = tuple(tuple(_element_id(v) for v in row) for row in rows)
+        except TypeError as exc:  # rows, or one of them, is not iterable
+            raise InputError(f"window rows must be a sequence of sequences: {exc}") from exc
         if not packed:
             raise InputError("window must hold at least one row")
         arity = len(packed[0])
@@ -81,7 +84,7 @@ class SequenceWindow:
     def from_json(cls, text: str) -> "SequenceWindow":
         try:
             payload = json.loads(text)
-            rows = payload["rows"]
+            rows = [tuple(row) for row in payload["rows"]]  # TypeError if rows or a row is not iterable
         except (json.JSONDecodeError, TypeError, KeyError) as exc:
             raise InputError(f"bad window payload: {exc}") from exc
         return cls(rows)

@@ -71,6 +71,15 @@ def test_holds_out_of_range(catalogue):
         catalogue["FLW4"].dset.holds(0, 1, 2, 4)
 
 
+@pytest.mark.parametrize("bad", ["a", None, 1.5, True, 99.0, np.float64(2)])
+@pytest.mark.parametrize("slot", range(4))
+def test_holds_rejects_non_integer_ids(catalogue, bad, slot):
+    ids = [0, 1, 2, 3]
+    ids[slot] = bad
+    with pytest.raises(InputError, match=f"must be non-negative integers, got {re.escape(repr(bad))}$"):
+        catalogue["CAT5"].dset.holds(*ids)
+
+
 def test_holds_d1_symmetry_exhaustive(catalogue):
     for name in ("FLW4", "CAT4", "CAT5", "MIX"):
         d = catalogue[name].dset
@@ -467,14 +476,15 @@ JSON_MUTATIONS = (
 )
 
 
-def _mutations(text, n, kinds, rng):
+def _mutations(text, n, kinds, rng, at_quad=None):
     """(kind, text changed in one place) for each of kinds, a subset of
-    JSON_MUTATIONS; text is a to_json text with at least one quad."""
+    JSON_MUTATIONS; text is a to_json text with at least one quad.  The
+    quad changed is the at_quad-th, or one drawn at random."""
     at = text.rindex('"positives":[')
     quads = list(re.finditer(r"\[(\d+),(\d+),(\d+),(\d+)\]", text[at:]))
     put = lambda a, b, new: text[:a] + new + text[b:]  # noqa: E731
     for kind in kinds:
-        quad = rng.choice(quads)
+        quad = rng.choice(quads) if at_quad is None else quads[at_quad]
         slot = rng.randrange(1, 5)
         i, j = at + quad.start(slot), at + quad.end(slot)  # one id
         p = rng.randrange(i, j)  # one of its digits
@@ -544,6 +554,71 @@ def test_dset_json_matches_oracle_on_mutations():
                 own[outcome[0]] += 1
     # Both verdicts were reached on the bytes, without json.loads.
     assert own["ok"] > 0 and own["error"] > 0
+
+
+def _block_sizes(text, monkeypatch):
+    """The number of quads in each block that from_json reads text in."""
+    sizes, read = [], D.core._quad_ids
+
+    def spy(raw):
+        ids = read(raw)
+        sizes.append(ids.shape[1])
+        return ids
+
+    monkeypatch.setattr(D.core, "_quad_ids", spy)
+    DSet.from_json(text)
+    monkeypatch.undo()
+    return sizes
+
+
+# Kinds that change the chosen quad or a separator next to it.
+QUAD_MUTATIONS = tuple(k for k in JSON_MUTATIONS if k not in ("key_order", "whitespace", "color_key"))
+
+
+def test_dset_json_matches_oracle_at_block_seams(monkeypatch):
+    # Random quads almost never sit next to a cut between two blocks; here
+    # the quads on both sides of four cuts are changed, and the last one
+    # before the cut is also repeated, its copy starting the next block.
+    rng = random.Random(12)
+    d = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 40)))
+    text = d.recolor([rng.randrange(3) for _ in range(d.n)]).to_json()
+    sizes = _block_sizes(text, monkeypatch)
+    assert len(sizes) > 10 and sum(sizes) == len(d.rows)
+    assert isinstance(D.core._read_own_spelling(text)["positives"], np.ndarray)
+    # The scalar oracle takes up to 0.7 s per text at 40 leaves.
+    for seam in rng.sample(list(np.cumsum(sizes)[:-1]), 4):
+        before, after = ["duplicate", rng.choice(QUAD_MUTATIONS)], [rng.choice(QUAD_MUTATIONS)]
+        for at_quad, kinds in ((seam - 1, before), (seam, after)):
+            for kind, changed in _mutations(text, d.n, kinds, rng, at_quad):
+                assert _from_json_outcome(changed) == O.dset_json_oracle(changed), (seam, at_quad, kind)
+
+
+def test_dset_json_swapped_across_a_seam_is_sorted(monkeypatch):
+    # Quads in order inside each block but not across a cut are taken, in
+    # lexicographic order, as json.loads would take them.
+    d = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 24)))
+    text = d.to_json()
+    seam = _block_sizes(text, monkeypatch)[0]
+    rows = d.rows.tolist()
+    rows[seam - 1], rows[seam] = rows[seam], rows[seam - 1]
+    swapped = text[: text.index("[[")] + json.dumps(rows, separators=(",", ":")) + "}"
+    assert DSet.from_json(swapped) == d and _block_sizes(swapped, monkeypatch)[0] == seam
+
+
+@pytest.mark.parametrize("blocks", (1, 2))
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+def test_to_json_at_block_boundaries(blocks, extra):
+    # Row counts of a whole number of blocks, one less and one more, with ids
+    # of one width (whole quads end every 14 bytes) and of mixed widths.
+    d = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 40)))
+    k = blocks * D.core._BLOCK + extra
+    for rows in (d.rows[(d.rows >= 10).all(axis=1)][:k], d.rows[:k]):
+        part = DSet._from_rows(40, rows.copy())
+        text = part.to_json()
+        expected = {"colors": {str(e): 0 for e in range(40)}, "n": 40, "positives": rows.tolist()}
+        assert text == json.dumps(expected, sort_keys=True, separators=(",", ":"))
+        assert len(rows) == k and DSet.from_json(text) == part
+        assert isinstance(D.core._read_own_spelling(text)["positives"], np.ndarray)
 
 
 def test_own_spelling_is_read_without_json_loads(monkeypatch):

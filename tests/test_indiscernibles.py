@@ -99,6 +99,18 @@ def test_window_json_round_trip():
     assert SequenceWindow.from_json(w.to_json()) == w
 
 
+@pytest.mark.parametrize("rows", ["[1, 2]", "5", "null", "[[0], 3]"])
+def test_window_json_rejects_rows_not_lists_of_lists(rows):
+    with pytest.raises(InputError, match="bad window payload"):
+        SequenceWindow.from_json(f'{{"rows": {rows}}}')
+
+
+@pytest.mark.parametrize("rows", [[1, 2], 5, None, [(0,), 3]])
+def test_window_rejects_rows_not_sequences_of_sequences(rows):
+    with pytest.raises(InputError, match="window rows must be a sequence of sequences"):
+        SequenceWindow(rows)
+
+
 # ---------------------------------------------------------------------------
 # hull_window
 
