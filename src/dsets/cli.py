@@ -5,6 +5,8 @@ deterministic JSON object to stdout, and prints a one-line summary to
 stderr unless --quiet.  Exit codes: 0 success or true verdict, 1 false
 verdict (a witness is in the output), 2 bad input, an unwritable output or
 an internal failure (a machine-readable error object is in the output).
+Library functions are reached through the lazy `dsets` namespace, so a
+command loads only the modules it calls.
 """
 
 from __future__ import annotations
@@ -15,36 +17,16 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import dsets as D
+
 from .core import (
     DSet,
     InputError,
     InvariantViolation,
     NotRepresentable,
+    _require_ids,
     check_axioms,
 )
-from .generators import (
-    TreeSpec,
-    color_round_robin,
-    color_sector_avoiding,
-    color_uniform,
-    fixture_names,
-    gen_fixture,
-    gen_random,
-)
-from .homtypes import (
-    check_partial_iso,
-    extend_partial_iso,
-    homogeneity_conditions,
-    nonextendable_witness,
-)
-from .indiscernibles import (
-    SequenceWindow,
-    classify_window,
-    hull_window,
-    weakly_indiscernible_over,
-)
-from .splittings import Splitting, enumerate_splittings, extend_by_point
-from .trees import LeafTree, d_from_tree, export_dot, tree_from_dset
 
 OUTDIR_ENV = "DSETS_OUTDIR"
 
@@ -79,8 +61,8 @@ def _load_dset(args) -> DSet:
     return DSet._from_payload(payload)
 
 
-def _load_tree(args) -> LeafTree:
-    t = LeafTree.from_json(_read_source(args.source))
+def _load_tree(args) -> D.LeafTree:
+    t = D.LeafTree.from_json(_read_source(args.source))
     if t.n_elements > args.max_n:
         raise InputError(
             f"{t.n_elements} leaves exceeds the --max-n bound of {args.max_n}"
@@ -95,8 +77,8 @@ def _parse_ids(text: str) -> list[int]:
         raise InputError(f"bad id list {text!r}: {exc}") from exc
 
 
-def _singleton_window(ids: Sequence[int]) -> SequenceWindow:
-    return SequenceWindow([(v,) for v in ids])
+def _singleton_window(ids: Sequence[int]) -> D.SequenceWindow:
+    return D.SequenceWindow([(v,) for v in ids])
 
 
 def _resolve_output(path: str) -> str:
@@ -121,7 +103,7 @@ def cmd_check(args) -> int:
 
 def cmd_from_tree(args) -> int:
     t = _load_tree(args)
-    d = d_from_tree(t)
+    d = D.d_from_tree(t)
     _emit(args, d.to_json(), f"{d.n} elements, {len(d.rows)} positive quads")
     return 0
 
@@ -136,7 +118,7 @@ def cmd_to_tree(args) -> int:
             "not representable: a core axiom fails",
         )
         return 1
-    t = tree_from_dset(d)
+    t = D.tree_from_dset(d)
     _emit(
         args,
         t.to_json(),
@@ -147,7 +129,7 @@ def cmd_to_tree(args) -> int:
 
 def cmd_splittings(args) -> int:
     d = _load_dset(args)
-    ss = enumerate_splittings(d, method=args.method)
+    ss = D.enumerate_splittings(d, method=args.method)
     payload = {
         "count": len(ss),
         "splittings": [s.as_sorted_lists() for s in ss],
@@ -158,8 +140,8 @@ def cmd_splittings(args) -> int:
 
 def cmd_extend(args) -> int:
     d = _load_dset(args)
-    s = Splitting.from_json(_read_source(args.splitting))
-    out = extend_by_point(d, s)
+    s = D.Splitting.from_json(_read_source(args.splitting))
+    out = D.extend_by_point(d, s)
     _emit(args, out.to_json(), f"element {d.n} attached; now {out.n} elements")
     return 0
 
@@ -167,7 +149,7 @@ def cmd_extend(args) -> int:
 def cmd_classify(args) -> int:
     d = _load_dset(args)
     window = _singleton_window(_parse_ids(args.seq))
-    verdict = classify_window(d, window)
+    verdict = D.classify_window(d, window)
     _emit(args, _dump(verdict.as_dict()), verdict.label)
     return 0 if verdict.label != "not_indiscernible" else 1
 
@@ -175,7 +157,7 @@ def cmd_classify(args) -> int:
 def cmd_hull(args) -> int:
     d = _load_dset(args)
     window = _singleton_window(_parse_ids(args.seq))
-    result = hull_window(d, window)
+    result = D.hull_window(d, window)
     _emit(args, _dump(result.as_dict()), f"hull of {len(result.hull)} elements")
     return 0
 
@@ -184,7 +166,7 @@ def cmd_indisc(args) -> int:
     d = _load_dset(args)
     window = _singleton_window(_parse_ids(args.seq))
     over = _parse_ids(args.over)
-    ok, witness = weakly_indiscernible_over(d, window, over)
+    ok, witness = D.weakly_indiscernible_over(d, window, over)
     _emit(
         args,
         _dump({"weakly_indiscernible": ok, "witness": witness}),
@@ -202,16 +184,19 @@ def _parse_map(text: str) -> dict[int, int]:
         payload = payload["map"]
     try:
         if isinstance(payload, dict):
-            return {int(k): int(v) for k, v in payload.items()}
-        return {int(k): int(v) for k, v in payload}
+            pairs = [(int(k), v) for k, v in payload.items()]
+        else:
+            pairs = [(k, v) for k, v in payload]
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed map payload: {exc}") from exc
+    _require_ids(v for pair in pairs for v in pair)
+    return dict(pairs)
 
 
 def cmd_probe(args) -> int:
     d = _load_dset(args)
     pairs = _parse_map(_read_source(args.map))
-    ok, witness = check_partial_iso(d, d, pairs)
+    ok, witness = D.check_partial_iso(d, d, pairs)
     if not ok:
         _emit(
             args,
@@ -219,7 +204,7 @@ def cmd_probe(args) -> int:
             "map is not a partial isomorphism",
         )
         return 1
-    candidates = extend_partial_iso(d, pairs, args.add)
+    candidates = D.extend_partial_iso(d, pairs, args.add)
     payload = {
         "partial_iso": True,
         "element": args.add,
@@ -237,8 +222,8 @@ def cmd_probe(args) -> int:
 
 def cmd_homreport(args) -> int:
     d = _load_dset(args)
-    conditions = homogeneity_conditions(d, min_sector_size=args.min_sector_size)
-    found = nonextendable_witness(d)
+    conditions = D.homogeneity_conditions(d, min_sector_size=args.min_sector_size)
+    found = D.nonextendable_witness(d)
     payload = {
         "conditions": conditions,
         "nonextendable": {
@@ -261,7 +246,7 @@ def cmd_homreport(args) -> int:
     return 0 if all_good else 1
 
 
-def _parse_spec(text: str) -> TreeSpec:
+def _parse_spec(text: str) -> D.TreeSpec:
     fields: dict[str, object] = {}
     for part in text.split(","):
         part = part.strip()
@@ -283,22 +268,22 @@ def _parse_spec(text: str) -> TreeSpec:
             raise InputError(f"unknown spec key {key!r}")
     if "kind" not in fields or "leaves" not in fields:
         raise InputError("spec needs at least kind=... and leaves=...")
-    return TreeSpec(**fields)  # type: ignore[arg-type]
+    return D.TreeSpec(**fields)  # type: ignore[arg-type]
 
 
 def _apply_coloring(d: DSet, scheme: Optional[str]) -> DSet:
     if scheme is None:
         return d
     if scheme == "uniform":
-        return color_uniform(d)
+        return D.color_uniform(d)
     if scheme.startswith("round_robin:"):
         try:
             n_colors = int(scheme.split(":", 1)[1])
         except ValueError as exc:
             raise InputError(f"bad coloring {scheme!r}") from exc
-        return color_round_robin(d, n_colors)
+        return D.color_round_robin(d, n_colors)
     if scheme == "sector_avoiding":
-        return color_sector_avoiding(d)
+        return D.color_sector_avoiding(d)
     raise InputError(
         f"unknown coloring {scheme!r}; try uniform, round_robin:N, sector_avoiding"
     )
@@ -306,12 +291,12 @@ def _apply_coloring(d: DSet, scheme: Optional[str]) -> DSet:
 
 def cmd_gen(args) -> int:
     if args.list:
-        _emit(args, _dump({"fixtures": fixture_names()}), "fixture catalogue")
+        _emit(args, _dump({"fixtures": D.fixture_names()}), "fixture catalogue")
         return 0
     if (args.fixture is None) == (args.spec is None):
         raise InputError("gen needs exactly one of --fixture or --spec")
     if args.fixture is not None:
-        fixture = gen_fixture(args.fixture)
+        fixture = D.gen_fixture(args.fixture)
         tree, d, label = fixture.tree, fixture.dset, args.fixture
     else:
         spec = _parse_spec(args.spec)
@@ -319,8 +304,8 @@ def cmd_gen(args) -> int:
             raise InputError(
                 f"{spec.leaves} leaves exceeds the --max-n bound of {args.max_n}"
             )
-        tree = gen_random(spec)
-        d, label = d_from_tree(tree), spec.kind
+        tree = D.gen_random(spec)
+        d, label = D.d_from_tree(tree), spec.kind
     if args.as_what == "tree":
         if args.coloring is not None:
             raise InputError("colorings apply to the D-set output, not the tree")
@@ -337,12 +322,12 @@ def cmd_export_dot(args) -> int:
         report = check_axioms(d)
         if not report.core_pass:
             raise InputError("cannot draw: input fails D1..D4")
-        tree = tree_from_dset(d)
+        tree = D.tree_from_dset(d)
         colors: Optional[Sequence[int]] = d.colors
     else:
         tree = _load_tree(args)
         colors = None
-    text = export_dot(tree, colors=colors)
+    text = D.export_dot(tree, colors=colors)
     if args.output:
         path = _resolve_output(args.output)
         with open(path, "w", encoding="utf-8") as fh:
@@ -353,6 +338,13 @@ def cmd_export_dot(args) -> int:
         if not args.quiet:
             print("DOT on stdout", file=sys.stderr)
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: kind `input`, exit 2, like any other."""
+
+    def error(self, message: str):
+        raise InputError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -367,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="refuse inputs with more elements than this (default 16)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dsets",
         description="Inspect finite D-sets, their trees, splittings and windows.",
     )
@@ -426,8 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except InputError as exc:
         print(_dump({"error": {"kind": "input", "message": str(exc)}}))

@@ -75,6 +75,13 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed on data that claimed to be valid."""
 
 
+def _require_ids(ids: Iterable) -> None:
+    """Raise InputError at the first id that is a bool or not an integer, as holds does."""
+    for v in ids:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise InputError(f"element ids must be non-negative integers, got {v!r}")
+
+
 def normalize_quad(w: int, x: int, y: int, z: int) -> Quad:
     """Canonical representative of the D1 orbit of (w,x,y,z).
 

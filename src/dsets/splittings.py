@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import DSet, InputError, InvariantViolation, relation_table
-from .core import _canonical_rows, _first_true, _kept, _require_core, _sort_rows
+from .core import _canonical_rows, _first_true, _kept, _require_core, _require_ids, _sort_rows
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,26 @@ class Splitting:
     sectors: tuple[frozenset[int], ...]
 
     def __init__(self, sectors: Iterable[Iterable[int]]) -> None:
-        normalized = []
-        for sec in sectors:
-            fs = frozenset(map(int, sec))
-            if not fs:
-                raise InputError("empty sector")
-            normalized.append(fs)
-        if len(frozenset().union(*normalized)) != sum(map(len, normalized)):
-            raise InputError("sectors overlap")
+        try:
+            sectors = list(sectors)
+            try:
+                size = sum(map(len, sectors))
+            except TypeError:  # a sector with no length, such as a generator: read it once
+                sectors = [tuple(s) for s in sectors]
+                size = sum(map(len, sectors))
+            normalized = list(map(frozenset, sectors))
+        except TypeError as exc:
+            raise InputError(f"sectors must be lists of element ids: {exc}") from exc
+        if not all(normalized):
+            raise InputError("empty sector")
+        ground = frozenset().union(*normalized)
+        if len(ground) != size or not set(map(type, ground)) <= {int}:
+            # An id given twice may hide a bool or a float behind an equal int,
+            # so each id is checked as given; numpy integers pass and become ints.
+            _require_ids(itertools.chain.from_iterable(sectors))
+            normalized = [frozenset(map(int, s)) for s in sectors]
+            if len(frozenset().union(*normalized)) != sum(map(len, normalized)):
+                raise InputError("sectors overlap")
         # Disjoint sectors have distinct minima, which settle the order.
         normalized.sort(key=min)
         object.__setattr__(self, "sectors", tuple(normalized))

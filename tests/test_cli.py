@@ -81,6 +81,36 @@ def test_unexpected_failure_is_an_internal_error(run, monkeypatch):
     assert _payload(out)["error"] == {"kind": "internal", "message": "RuntimeError: boom"}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        ([], "the following arguments are required: command"),
+        (["check", "--bogus"], "unrecognized arguments: --bogus"),
+        (["check", "--max-n", "abc"], "argument --max-n: invalid int value: 'abc'"),
+        (["classify"], "the following arguments are required: --seq"),
+        (["probe", "--add", "x"], "argument --add: invalid int value: 'x'"),
+    ),
+    ids=["no_command", "unknown_option", "bad_int", "missing_option", "bad_int_sub"],
+)
+def test_usage_errors_are_input_errors(run, argv, message):
+    code, out, _ = run(argv)
+    assert code == 2
+    assert out == json.dumps({"error": {"kind": "input", "message": message}}, separators=(",", ":")) + "\n"
+
+
+def test_usage_error_exit_code_from_a_process():
+    proc = subprocess.run([sys.executable, "-m", "dsets", "check", "--max-n", "abc"],
+                          capture_output=True, text=True, stdin=subprocess.DEVNULL)
+    assert proc.returncode == 2
+    assert _payload(proc.stdout)["error"]["kind"] == "input"
+
+
+def test_help_still_exits_zero(run):
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "-h"])
+    assert exc.value.code == 0
+
+
 def test_max_n_guard(run, catalogue):
     code, out, _ = run(["check", "-", "--max-n", "10"], catalogue["FLW12"].dset.to_json())
     assert code == 2
@@ -192,6 +222,25 @@ def test_extend_attaches_element(run, catalogue, tmp_path):
     assert D.DSet.from_json(out).positives == catalogue["CAT4M"].dset.positives
 
 
+@pytest.mark.parametrize(
+    "splitting, message",
+    (
+        ({"sectors": 5}, "sectors must be lists of element ids: 'int' object is not iterable"),
+        ({"sectors": [[0, "a"], [2, 3, 4]]}, "element ids must be non-negative integers, got 'a'"),
+        ([[0, 1.5], [2, 3, 4]], "element ids must be non-negative integers, got 1.5"),
+        ([[0, True], [2, 3, 4]], "element ids must be non-negative integers, got True"),
+        ([[0, 1.0], [2, 3, 4]], "element ids must be non-negative integers, got 1.0"),
+    ),
+    ids=["sectors_int", "str_id", "fraction", "bool", "float"],
+)
+def test_extend_rejects_ids_that_are_not_integers(run, catalogue, tmp_path, splitting, message):
+    sfile = tmp_path / "cut.json"
+    sfile.write_text(json.dumps(splitting))
+    code, out, _ = run(["extend", "-", "--splitting", str(sfile)], catalogue["CAT5"].dset.to_json())
+    assert code == 2
+    assert _payload(out) == {"error": {"kind": "input", "message": message}}
+
+
 # ---------------------------------------------------------------------------
 # classify / hull / indisc
 
@@ -282,6 +331,28 @@ def test_probe_rejects_non_iso_map(run, catalogue, tmp_path):
     )
     assert code == 1
     assert _payload(out)["partial_iso"] is False
+
+
+@pytest.mark.parametrize(
+    "pairs, bad",
+    (({"0": True}, "True"), ({"0": 1.0}, "1.0"), ([[0, 1.0]], "1.0"), ([[True, 0]], "True"),
+     ({"map": [[0, 0], ["1", 1]]}, "'1'")),
+    ids=["bool_value", "float_value", "float_value_list", "bool_key_list", "str_key_list"],
+)
+def test_probe_rejects_ids_that_are_not_integers(run, catalogue, tmp_path, pairs, bad):
+    mfile = tmp_path / "map.json"
+    mfile.write_text(json.dumps(pairs))
+    code, out, _ = run(["probe", "-", "--map", str(mfile), "--add", "3"], catalogue["CAT5"].dset.to_json())
+    assert code == 2
+    assert _payload(out) == {"error": {"kind": "input", "message": f"element ids must be non-negative integers, got {bad}"}}
+
+
+def test_probe_reads_the_list_form_of_a_map(run, catalogue, tmp_path):
+    mfile = tmp_path / "map.json"
+    mfile.write_text(json.dumps({"map": [[0, 0], [1, 1], [2, 2]]}))
+    code, out, _ = run(["probe", "-", "--map", str(mfile), "--add", "3"], catalogue["CAT4"].dset.to_json())
+    assert code == 0
+    assert _payload(out)["map"] == [[0, 0], [1, 1], [2, 2]]
 
 
 def test_homreport_flower_all_good(run, catalogue):

@@ -1,0 +1,129 @@
+"""The lazy package namespace: what `import dsets` and each command load.
+
+Module sets are read in fresh interpreters, so that the imports of this test
+session do not count.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import dsets as D
+
+SRC = os.path.dirname(os.path.dirname(D.__file__))
+
+# `__all__` before the namespace became lazy, spelled out so that a name
+# dropped from the export table fails here.
+ALL = [
+    "AxiomReport", "AxiomVerdict", "ColumnHull", "DSet", "Fixture", "HullResult",
+    "InputError", "InvariantViolation", "LeafTree", "NotRepresentable", "QftpBase",
+    "SequenceWindow", "Splitting", "TreeCorrespondence", "TreeSpec", "WindowClass",
+    "are_isomorphic", "are_isomorphic_trees", "branch", "canonical_form", "check_axioms",
+    "check_partial_iso", "classify_window", "color_round_robin", "color_sector_avoiding",
+    "color_uniform", "complementary", "d_from_tree", "density_witnesses", "detect_petaled",
+    "enum_trees", "enumerate_splittings", "export_dot", "extend_by_point",
+    "extend_partial_iso", "extend_splitting", "fixture_names", "frontiers", "gen_fixture",
+    "gen_random", "homogeneity_conditions", "hull_window", "induced_splitting",
+    "is_regular", "is_splitting", "is_true_edge_splitting", "mutually_indiscernible",
+    "nonextendable_witness", "normalize_quad", "one_sector", "qftp_base", "relabel",
+    "relation_table", "same_qftp", "splittings_from_tree", "substructure",
+    "tree_from_dset", "weakly_indiscernible_over",
+]
+
+BASE = {"dsets", "dsets.cli", "dsets.core"}
+TREES = BASE | {"dsets.splittings", "dsets.trees"}
+
+
+def _python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, text=True, env=env)
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The dsets modules, and numpy if loaded, after running `code` in a fresh interpreter."""
+    proc = _python("-c", code + "\nimport json, sys; print(json.dumps("
+                   "[m for m in sys.modules if m.split('.')[0] == 'dsets' or m == 'numpy']))")
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_dsets_loads_no_submodule_and_not_numpy():
+    assert _loaded_after("import dsets") == {"dsets"}
+
+
+def test_check_process_loads_only_core(catalogue):
+    proc = _python("-X", "importtime", "-m", "dsets", "check", "--quiet", stdin=catalogue["CAT5"].dset.to_json())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["core_pass"] is True
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {m for m in imported if m.split(".")[0] == "dsets"} == BASE
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, catalogue):
+    """Files for every command, on 12 elements: above 6, splittings take the tree route."""
+    where = tmp_path_factory.mktemp("inputs")
+    files = {
+        "flw": catalogue["FLW12"].dset.to_json(),
+        "tree": catalogue["FLW12"].tree.to_json(),
+        "cut": json.dumps({"sectors": [[0], list(range(1, 12))]}),
+        "map": json.dumps({"0": 0, "1": 1, "2": 2}),
+    }
+    for name, text in files.items():
+        (where / f"{name}.json").write_text(text)
+    return {name: str(where / f"{name}.json") for name in files}
+
+
+# argv, and the one module beyond core, splittings and trees that the
+# command may load; whether a command reaches trees depends on its input.
+COMMANDS = {
+    "check": (["check", "{flw}"], None),
+    "from-tree": (["from-tree", "{tree}"], None),
+    "to-tree": (["to-tree", "{flw}"], None),
+    "export-dot": (["export-dot", "{tree}"], None),
+    "splittings": (["splittings", "{flw}"], None),
+    "extend": (["extend", "{flw}", "--splitting", "{cut}"], None),
+    "probe": (["probe", "{flw}", "--map", "{map}", "--add", "3"], "dsets.homtypes"),
+    "homreport": (["homreport", "{flw}"], "dsets.homtypes"),
+    "classify": (["classify", "{flw}", "--seq", "0,1,2,3,4"], "dsets.indiscernibles"),
+    "hull": (["hull", "{flw}", "--seq", "0,1,2,3,4"], "dsets.indiscernibles"),
+    "indisc": (["indisc", "{flw}", "--seq", "0,1,2,3,4", "--over", "5"], "dsets.indiscernibles"),
+    "gen": (["gen", "--fixture", "CAT5"], "dsets.generators"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_only_its_modules(inputs, command):
+    argv, extra = COMMANDS[command]
+    argv = [arg.format(**inputs) for arg in argv + ["--quiet"]]
+    loaded = _loaded_after(f"from dsets.cli import main\nassert main({argv!r}) in (0, 1)") - {"numpy"}
+    assert BASE <= loaded
+    assert loaded - BASE - {"dsets.splittings", "dsets.trees"} == ({extra} if extra else set())
+    if command in ("to-tree", "from-tree", "export-dot", "splittings", "gen"):
+        assert "dsets.trees" in loaded
+
+
+def test_every_name_is_its_home_modules_object():
+    assert D.__all__ == ALL
+    homes = {name: home for home, names in D._EXPORTS.items() for name in names}
+    assert sorted(homes) == ALL
+    for name, home in homes.items():
+        assert getattr(D, name) is getattr(importlib.import_module("dsets." + home), name), name
+    for home in D._EXPORTS:
+        assert getattr(D, home) is importlib.import_module("dsets." + home)
+    namespace: dict = {}
+    exec("from dsets import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ALL)
+
+
+def test_dir_covers_all_and_unknown_names_raise():
+    assert set(ALL) <= set(dir(D))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        D.no_such_name  # noqa: B018
+    assert not hasattr(D, "_no_such_private")

@@ -37,8 +37,8 @@ def test_splitting_rejects_overlap_and_empty():
         Splitting.build([{0}, set()])
 
 
-def test_splitting_converts_ids_and_orders_sectors_by_least_element():
-    s = Splitting([(np.int64(2), "0"), [1.0, 3], {9, 5}, (4,)])
+def test_splitting_converts_numpy_ids_and_orders_sectors_by_least_element():
+    s = Splitting([(np.int64(2), 0), [np.int32(1), 3], {9, 5}, iter((4,))])
     assert s.sectors == (frozenset({0, 2}), frozenset({1, 3}), frozenset({4}), frozenset({5, 9}))
     assert {type(v) for sec in s.sectors for v in sec} == {int}
     assert s.to_json() == '{"sectors":[[0,2],[1,3],[4],[5,9]]}'
@@ -46,6 +46,22 @@ def test_splitting_converts_ids_and_orders_sectors_by_least_element():
         Splitting([{0, 1}, {1, 2}, set()])  # every sector is read before overlaps are sought
     with pytest.raises(InputError, match="^sectors overlap$"):
         Splitting([{0, 1}, {3}, {1, 2}])
+
+
+@pytest.mark.parametrize(
+    "sectors",
+    ([[0, "1"], [2]], [[0, 1.0], [2]], [[0, 1.5], [2]], [[0, True], [2]], [[1, True], [2]],
+     [[0, None], [2]], [[0, np.float64(1)], [2]], [[1, 1.0], [2]], [[0], [2, True, 1]]),
+)
+def test_splitting_rejects_ids_that_are_not_integers(sectors):
+    with pytest.raises(InputError, match="^element ids must be non-negative integers, got "):
+        Splitting(sectors)
+
+
+@pytest.mark.parametrize("sectors", (5, [[0, 1], 5], [[0, 1], None], [[0, [1]], [2]]))
+def test_splitting_rejects_sectors_that_are_not_lists_of_ids(sectors):
+    with pytest.raises(InputError, match="^sectors must be lists of element ids: "):
+        Splitting(sectors)
 
 
 def test_splitting_json_round_trip():
