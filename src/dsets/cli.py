@@ -51,22 +51,21 @@ def _read_source(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _check_max_n(args, count: int, noun: str) -> None:
+    if count > args.max_n:
+        raise InputError(f"{count} {noun} exceeds the --max-n bound of {args.max_n}")
+
+
 def _load_dset(args) -> DSet:
     # Refuse an oversized n before anything n-long is built.
     payload = DSet._decode_json(_read_source(args.source))
-    if payload["n"] > args.max_n:
-        raise InputError(
-            f"{payload['n']} elements exceeds the --max-n bound of {args.max_n}"
-        )
+    _check_max_n(args, payload["n"], "elements")
     return DSet._from_payload(payload)
 
 
 def _load_tree(args) -> D.LeafTree:
     t = D.LeafTree.from_json(_read_source(args.source))
-    if t.n_elements > args.max_n:
-        raise InputError(
-            f"{t.n_elements} leaves exceeds the --max-n bound of {args.max_n}"
-        )
+    _check_max_n(args, t.n_elements, "leaves")
     return t
 
 
@@ -300,10 +299,7 @@ def cmd_gen(args) -> int:
         tree, d, label = fixture.tree, fixture.dset, args.fixture
     else:
         spec = _parse_spec(args.spec)
-        if spec.leaves > args.max_n:
-            raise InputError(
-                f"{spec.leaves} leaves exceeds the --max-n bound of {args.max_n}"
-            )
+        _check_max_n(args, spec.leaves, "leaves")
         tree = D.gen_random(spec)
         d, label = D.d_from_tree(tree), spec.kind
     if args.as_what == "tree":
@@ -381,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("from-tree", cmd_from_tree, "leaf relation of a tree")
     add("to-tree", cmd_to_tree, "reconstruct the tree of a D-set")
     p = add("splittings", cmd_splittings, "enumerate all splittings")
-    p.add_argument("--method", choices=("auto", "brute", "tree"), default="auto")
+    auto = "auto (default): brute force for a table of at most 6 elements failing D1..D4, else tree"
+    p.add_argument("--method", choices=("auto", "brute", "tree"), default="auto", help=auto)
     p = add("extend", cmd_extend, "attach a new element along a splitting")
     p.add_argument("--splitting", required=True, help="splitting JSON file")
     p = add("classify", cmd_classify, "classify a window of elements")

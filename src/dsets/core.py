@@ -75,11 +75,13 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed on data that claimed to be valid."""
 
 
-def _require_ids(ids: Iterable) -> None:
-    """Raise InputError at the first id that is a bool or not an integer, as holds does."""
+def _require_ids(ids: Iterable) -> list:
+    """The ids as a list; raises InputError at the first bool or non-integer, as holds does."""
+    ids = list(ids)
     for v in ids:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
             raise InputError(f"element ids must be non-negative integers, got {v!r}")
+    return ids
 
 
 def normalize_quad(w: int, x: int, y: int, z: int) -> Quad:
@@ -137,10 +139,11 @@ class DSet:
         colors = tuple(colors) or (0,) * n
         if len(colors) != n:
             raise InputError("colors must assign one color to every element")
-        if any(c < 0 for c in colors):
-            raise InputError("color ids must be non-negative")
+        for e, c in enumerate(colors):
+            if not isinstance(c, (int, np.integer)) or c < 0:
+                raise InputError(f"bad color {c!r} for element {e}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "colors", tuple(map(int, colors)))
         object.__setattr__(self, "_analyses", {})
 
     def _store(self, rows: np.ndarray) -> None:
@@ -232,9 +235,9 @@ class DSet:
             missing = self.elements - set(colors)
             if missing:
                 raise InputError(f"coloring misses elements {sorted(missing)}")
-            seq = tuple(int(colors[e]) for e in range(self.n))
+            seq = tuple(colors[e] for e in range(self.n))
         else:
-            seq = tuple(int(c) for c in colors)
+            seq = tuple(colors)
         return DSet._from_rows(self.n, self.rows, seq)
 
     def color_classes(self) -> dict[int, frozenset[int]]:
@@ -462,6 +465,8 @@ def _scan_input_quads(quads: list) -> set[Quad]:
     """Canonical forms of build's input quads, raising at the first bad one."""
     seen: set[Quad] = set()
     for q in quads:
+        if not isinstance(q, (tuple, list)):
+            raise InputError(f"positive entry {q!r} must be a 4-element list")
         if len(set(q)) != 4:
             raise InputError(f"quad {tuple(q)} must have four distinct elements")
         canon = normalize_quad(*q)
@@ -475,6 +480,9 @@ def _scan_stored_quads(quads: list, n: int) -> None:
     """Raise at the first stored quad that is not canonical, repeats an
     element or leaves 0..n-1."""
     for q in quads:
+        if not isinstance(q, (tuple, list)) or len(q) != 4:
+            raise InputError(f"positive entry {q!r} must be a 4-element list")
+        q = tuple(q)
         if q != normalize_quad(*q):
             raise InputError(f"stored quad {q} is not canonical")
         if len(set(q)) != 4:
@@ -749,7 +757,7 @@ def substructure(d: DSet, subset: Iterable[int]) -> tuple[DSet, dict[int, int]]:
     Returns the restricted D-set together with the order-preserving map
     from old ids to new ids.
     """
-    chosen = sorted(set(subset))
+    chosen = sorted(set(_require_ids(subset)))
     for e in chosen:
         if not 0 <= e < d.n:
             raise InputError(f"element {e} out of range 0..{d.n - 1}")

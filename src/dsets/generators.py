@@ -63,69 +63,24 @@ def _spine_tree(loads: list[list[int]]) -> LeafTree:
     return LeafTree(nodes, edges, {e: e for e in range(n)})
 
 
-def _build_cat4() -> LeafTree:
-    return _spine_tree([[0, 1], [2, 3]])
-
-
-def _build_cat4e() -> LeafTree:
-    # CAT4 with one more leaf e=4 on the first spine node.
-    return _spine_tree([[0, 1, 4], [2, 3]])
-
-
-def _build_cat4m() -> LeafTree:
-    # CAT4 with the spine edge subdivided by a node carrying e=4.
-    return _spine_tree([[0, 1], [4], [2, 3]])
-
-
-def _build_cat5() -> LeafTree:
-    return _spine_tree([[0, 1], [2], [3, 4]])
-
-
-def _build_cat5x() -> LeafTree:
-    # CAT5 with the first spine edge subdivided by a node carrying x=5.
-    return _spine_tree([[0, 1], [5], [2], [3, 4]])
-
-
-def _build_cat5y() -> LeafTree:
-    # CAT5 with one more leaf y=5 beside a0, a1.
-    return _spine_tree([[0, 1, 5], [2], [3, 4]])
-
-
-def _build_cat5l() -> LeafTree:
+# Name -> (the loads of a spine tree, or None for the 4-leaf star; description).
+_CATALOGUE: dict[str, tuple[Optional[list[list[int]]], str]] = {
+    "STAR4": (None, "star with 4 leaves"),
+    "CAT4": ([[0, 1], [2, 3]], "two spine nodes, two leaves each"),
+    "CAT4E": ([[0, 1, 4], [2, 3]], "CAT4 plus a fifth leaf on the first spine node"),
+    "CAT4M": ([[0, 1], [4], [2, 3]], "CAT4 with the spine edge subdivided, new node carrying a leaf"),
+    "CAT5": ([[0, 1], [2], [3, 4]], "three spine nodes carrying 2+1+2 leaves"),
+    "CAT5X": ([[0, 1], [5], [2], [3, 4]], "CAT5 with a subdividing node carrying leaf x=5"),
+    "CAT5Y": ([[0, 1, 5], [2], [3, 4]], "CAT5 with an extra leaf y=5 on the first spine node"),
     # A node before the spine carries y1=5, y2=6; each a_i sits one step
     # further right, so every sector reaching {y1, y2} meets the window in
     # an initial segment.
-    return _spine_tree([[5, 6], [0], [1], [2], [3, 4]])
-
-
-def _build_cat5r() -> LeafTree:
-    # Mirror image of CAT5L: y1=5, y2=6 hang past the right end.
-    return _spine_tree([[0, 1], [2], [3], [4], [5, 6]])
-
-
-def _build_cat6() -> LeafTree:
-    # Letter-named spine fixture a..e = 0..4; same shape as CAT5.
-    return _spine_tree([[0, 1], [2], [3, 4]])
-
-
-def _build_mix() -> LeafTree:
+    "CAT5L": ([[5, 6], [0], [1], [2], [3, 4]], "caterpillar with a two-leaf node past the left end"),
+    "CAT5R": ([[0, 1], [2], [3], [4], [5, 6]], "caterpillar with a two-leaf node past the right end"),
+    "CAT6": ([[0, 1], [2], [3, 4]], "letter-named 2+1+2 caterpillar"),
     # One degree-3 and one degree-4 internal node, so node splittings of
     # different sizes coexist and regularity fails.
-    return _spine_tree([[0, 1], [2, 3, 4]])
-
-
-_CATALOGUE: dict[str, tuple] = {
-    "STAR4": (lambda: _flower(4), "star with 4 leaves"),
-    "CAT4": (_build_cat4, "two spine nodes, two leaves each"),
-    "CAT4E": (_build_cat4e, "CAT4 plus a fifth leaf on the first spine node"),
-    "CAT4M": (_build_cat4m, "CAT4 with the spine edge subdivided, new node carrying a leaf"),
-    "CAT5": (_build_cat5, "three spine nodes carrying 2+1+2 leaves"),
-    "CAT5X": (_build_cat5x, "CAT5 with a subdividing node carrying leaf x=5"),
-    "CAT5Y": (_build_cat5y, "CAT5 with an extra leaf y=5 on the first spine node"),
-    "CAT5L": (_build_cat5l, "caterpillar with a two-leaf node past the left end"),
-    "CAT5R": (_build_cat5r, "caterpillar with a two-leaf node past the right end"),
-    "CAT6": (_build_cat6, "letter-named 2+1+2 caterpillar"),
-    "MIX": (_build_mix, "degree-3 and degree-4 spine nodes side by side"),
+    "MIX": ([[0, 1], [2, 3, 4]], "degree-3 and degree-4 spine nodes side by side"),
 }
 
 _FLW_RE = re.compile(r"^FLW(\d+)$")
@@ -149,8 +104,8 @@ def gen_fixture(name: str) -> Fixture:
     if name not in _CATALOGUE:
         known = ", ".join(fixture_names())
         raise InputError(f"unknown fixture {name!r}; known: {known}")
-    builder, description = _CATALOGUE[name]
-    tree = builder()
+    loads, description = _CATALOGUE[name]
+    tree = _flower(4) if loads is None else _spine_tree(loads)
     return Fixture(name, tree, d_from_tree(tree), description)
 
 

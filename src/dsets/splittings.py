@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, InvariantViolation, relation_table
+from .core import DSet, InputError, InvariantViolation, check_axioms, relation_table
 from .core import _canonical_rows, _first_true, _kept, _require_core, _require_ids, _sort_rows
 
 
@@ -189,14 +189,14 @@ def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
     method "brute" filters every partition, Bell(n) of them, so it is
     capped at 10 elements (InputError above that, as for backtracking
     isomorphism); "tree" reads them off the reconstructed tree (requires
-    D1..D4) and keeps the result on d; "auto" picks brute force for n <= 6
-    and the tree route otherwise.  Each call returns a fresh list.  The two
-    routes agreeing on small inputs is itself a test target.
+    D1..D4) and keeps the result on d; "auto" picks brute force for a
+    table of n <= 6 that fails D1..D4 and the tree route otherwise.  Each
+    call returns a fresh list.  The two routes agree on every D-set.
     """
     if method not in ("auto", "brute", "tree"):
         raise InputError(f"unknown method {method!r}")
     if method == "auto":
-        method = "brute" if d.n <= 6 else "tree"
+        method = "brute" if d.n <= 6 and not check_axioms(d).core_pass else "tree"
     if method == "brute":
         if d.n > 10:
             raise InputError(f"brute-force splittings capped at 10 elements, got {d.n}")
@@ -236,7 +236,8 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
     failures mean d is not a D-set on the subset plus e and are reported
     as input errors.
     """
-    sub = sorted(set(int(v) for v in subset))
+    _require_ids([e])
+    sub = sorted(set(int(v) for v in _require_ids(subset)))
     if e in sub:
         raise InputError(f"element {e} must lie outside the subset")
     if len(sub) < 2:
@@ -353,14 +354,14 @@ def extend_splitting(
     """
     if policy not in ("least", "other", "new"):
         raise InputError(f"unknown policy {policy!r}")
-    sub = frozenset(int(v) for v in subset)
+    sub = frozenset(int(v) for v in _require_ids(subset))
     if s.ground != sub:
         raise InputError("splitting does not cover the given subset")
     if not sub <= d.elements:
         raise InputError("subset reaches outside the D-set")
     missing = sorted(d.elements - sub)
     if order is not None:
-        order_list = [int(v) for v in order]
+        order_list = [int(v) for v in _require_ids(order)]
         if sorted(order_list) != missing:
             raise InputError("order must enumerate exactly the uncovered elements")
     else:

@@ -372,16 +372,11 @@ def are_isomorphic_trees(t1: LeafTree, t2: LeafTree, respect_labels: bool = True
     return canonical_form(t1, [0] * t1.n_elements) == canonical_form(t2, [0] * t2.n_elements)
 
 
-def export_dot(
-    t: LeafTree,
-    colors: Optional[Iterable[int]] = None,
-    out=None,
-) -> str:
+def export_dot(t: LeafTree, colors: Optional[Iterable[int]] = None) -> str:
     """Deterministic DOT rendering; byte-identical across runs.
 
     Leaves are boxes labeled with their element id, and carry a color
     attribute when a color sequence (indexed by element id) is given.
-    Writes to `out` when provided and always returns the text.
     """
     color_list = list(colors) if colors is not None else None
     leaf_of = t.leaf_map()
@@ -398,7 +393,4 @@ def export_dot(
     for u, v in t.edges:
         lines.append(f"  n{u} -- n{v};")
     lines.append("}")
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write(text)
-    return text
+    return "\n".join(lines) + "\n"

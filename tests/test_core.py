@@ -278,6 +278,12 @@ def test_substructure_requires_subset(catalogue):
         D.substructure(catalogue["FLW4"].dset, {0, 9})
 
 
+@pytest.mark.parametrize("bad", (1.5, 1.0, "1", True))
+def test_substructure_rejects_ids_that_are_not_integers(catalogue, bad):
+    with pytest.raises(InputError, match=f"^element ids must be non-negative integers, got {re.escape(repr(bad))}$"):
+        D.substructure(catalogue["CAT5"].dset, [0, bad, 2])
+
+
 def test_substructure_preserves_core(catalogue):
     rng = random.Random(7)
     for name in ("CAT5", "CAT5X", "MIX", "FLW6"):
@@ -736,6 +742,61 @@ def test_quad_errors_name_first_bad_quad(kind):
                 make()
             assert str(caught.value) == expected
     assert failures > 40
+
+
+@pytest.mark.parametrize("kind", QUAD_FAILURES)
+def test_list_spelled_stored_quads_name_the_same_first_bad_quad(kind):
+    rng = random.Random(f"lists-{kind}")
+    failures = 0
+    for _ in range(80):
+        n = rng.randint(5, 9)
+        quads = [O.canon_oracle(*rng.sample(range(n), 4)) for _ in range(rng.randint(2, 10))]
+        quads = [_corrupted(q, kind, n, quads, rng) if rng.random() < 0.3 else q for q in quads]
+        errors = []
+        for spelled in (quads, [list(q) for q in quads]):
+            try:
+                DSet(n, spelled)
+            except InputError as exc:
+                errors.append(str(exc))
+        assert len(errors) in (0, 2) and len(set(errors)) <= 1
+        failures += len(errors) // 2
+    assert failures > 20
+    with pytest.raises(InputError, match=re.escape("quad (0, 1, 2, 5) exceeds element range 0..3")):
+        DSet(4, [[0, 1, 2, 3], [0, 1, 2, 5]])
+
+
+@pytest.mark.parametrize(
+    "make, shown",
+    (
+        (lambda: DSet(5, [5]), "5"),
+        (lambda: DSet(5, [(0, 1, 2)]), "(0, 1, 2)"),
+        (lambda: DSet(6, [(0, 1, 2, 3, 4)]), "(0, 1, 2, 3, 4)"),
+        (lambda: DSet(5, [(0, 1, 2, 3), None]), "None"),
+        (lambda: DSet.build(5, [5]), "5"),
+        (lambda: DSet.build(5, [(0, 1, 2, 3), 7]), "7"),
+    ),
+    ids=("int", "three-ids", "five-ids", "none", "build-int", "build-second-int"),
+)
+def test_constructors_reject_quads_that_are_not_four_ids(make, shown):
+    with pytest.raises(InputError, match=f"^positive entry {re.escape(shown)} must be a 4-element list$"):
+        make()
+
+
+def test_constructors_reject_colors_that_are_not_non_negative_integers(catalogue):
+    d = catalogue["CAT4"].dset
+    for make, bad in (
+        (lambda: DSet(4, [], ["a"] * 4), "'a'"),
+        (lambda: DSet(4, [], [0, 0, 1.5, 0]), "1.5"),
+        (lambda: DSet(4, [], [0, -1, 0, 0]), "-1"),
+        (lambda: d.recolor(["a"] * 4), "'a'"),
+        (lambda: d.recolor([1.7] * 4), "1.7"),
+        (lambda: d.recolor({0: 0, 1: None, 2: 0, 3: 0}), "None"),
+    ):
+        with pytest.raises(InputError, match=f"^bad color {re.escape(bad)} for element "):
+            make()
+    # Integers of any kind are kept, as Python ints.
+    tinted = d.recolor([np.int64(1), True, 0, 2])
+    assert tinted.colors == (1, 1, 0, 2) and {type(c) for c in tinted.colors} == {int}
 
 
 # ---------------------------------------------------------------------------

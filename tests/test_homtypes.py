@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ def test_qftp_base_refuses_tables_failing_core_axioms():
     for d, _, subset, e in F.failing_tables(5, 300):
         with pytest.raises(InputError, match=r"^input fails D1\.\.D4$"):
             D.qftp_base(d, subset, e)
+
+
+@pytest.mark.parametrize("bad", (1.7, 1.0, "1", True))
+def test_type_entry_points_reject_ids_that_are_not_integers(catalogue, bad):
+    d = catalogue["CAT5"].dset
+    message = f"^element ids must be non-negative integers, got {re.escape(repr(bad))}$"
+    for call in (
+        lambda: D.qftp_base(d, [0, bad, 2], 3),
+        lambda: D.qftp_base(d, [0, 1, 2], bad),
+        lambda: D.same_qftp(d, [0, bad, 2], 3, 4),
+        lambda: D.same_qftp(d, [0, 1, 2], 3, bad),
+    ):
+        with pytest.raises(InputError, match=message):
+            call()
 
 
 def test_shares_sector_rejects_elements_outside_the_subset(catalogue):

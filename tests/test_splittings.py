@@ -220,6 +220,47 @@ def test_enumerate_routes_agree(catalogue):
         assert brute == tree
 
 
+def test_auto_route_equals_brute_force_on_every_small_dset():
+    rng = random.Random("auto-route")
+    checked = 0
+    for leaves in range(1, 7):
+        for t in D.enum_trees(leaves):
+            d = D.d_from_tree(t)
+            for _ in range(3):
+                perm = list(range(leaves))
+                rng.shuffle(perm)
+                e = D.relabel(d, dict(enumerate(perm))).recolor([rng.randrange(2) for _ in range(leaves)])
+                assert D.enumerate_splittings(e) == D.enumerate_splittings(e, method="brute")
+                checked += 1
+    assert checked == 3 * sum(len(list(D.enum_trees(k))) for k in range(1, 7))
+
+
+def test_auto_route_brute_forces_small_tables_failing_core_axioms(monkeypatch):
+    visited = []
+    brute = D.splittings._brute_force_splittings
+    monkeypatch.setattr(D.splittings, "_brute_force_splittings", lambda d: visited.append(d) or brute(d))
+    rng = random.Random("auto-failing")
+    tables = [F.random_table(rng, rng.randint(4, 6)) for _ in range(60)]
+    tables = [d for d in tables if not D.check_axioms(d).core_pass]
+    assert len(tables) > 20
+    for d in tables:
+        assert D.enumerate_splittings(d) == D.enumerate_splittings(d, method="brute")
+    assert visited == [d for d in tables for _ in range(2)]
+    # A D-set of as few elements takes the tree route.
+    visited.clear()
+    assert len(D.enumerate_splittings(D.gen_fixture("CAT5").dset)) == 10
+    assert visited == []
+
+
+def test_auto_route_refuses_larger_tables_failing_core_axioms():
+    rng = random.Random("auto-seven")
+    tables = [d for d in (F.random_table(rng, 7) for _ in range(10)) if not D.check_axioms(d).core_pass]
+    assert tables
+    for d in tables:
+        with pytest.raises(D.NotRepresentable):
+            D.enumerate_splittings(d)
+
+
 def test_enumerate_keeps_tree_route_per_structure(catalogue, monkeypatch):
     d = DSet.from_json(catalogue["MIX"].dset.to_json())
     reads = []
@@ -320,6 +361,20 @@ def test_induced_flw4(catalogue):
 def test_induced_requires_outside_element(catalogue):
     with pytest.raises(InputError):
         D.induced_splitting(catalogue["CAT4"].dset, [0, 1, 2], 2)
+
+
+@pytest.mark.parametrize("bad", (1.7, 1.0, "1", True))
+def test_subset_entry_points_reject_ids_that_are_not_integers(catalogue, bad):
+    d = catalogue["CAT5"].dset
+    s = Splitting.build([{0}, {1}, {2}])
+    for call in (
+        lambda: D.induced_splitting(d, [0, bad, 2], 3),
+        lambda: D.induced_splitting(d, [0, 1, 2], bad),
+        lambda: D.extend_splitting(d, [0, bad, 2], s),
+        lambda: D.extend_splitting(d, [0, 1, 2], s, order=[bad, 4]),
+    ):
+        with pytest.raises(InputError, match="^element ids must be non-negative integers, got "):
+            call()
 
 
 # ---------------------------------------------------------------------------
