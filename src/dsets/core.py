@@ -23,8 +23,11 @@ canonical representative per D1-symmetry orbit.
 What is stored: each DSet holds its relation once, as a read-only (k, 4)
 int array of those canonical quadruples in lexicographic order (`rows`).
 What is derived from it, on first request and then kept on the structure:
-the `positives` frozenset, the dense relation table that `holds` and the
-exhaustive checks read, the axiom report and the reconstructed tree.
+the `positives` frozenset, the dense relation table, the axiom report and
+the reconstructed tree.  `_atoms` is the one reader of atoms D(wx;yz),
+over broadcastable id arrays, from the kept table: every read of the
+relation goes through it, `holds` included, except the D2, D3, D5 and D6
+sweep of check_axioms, which reads the table itself.
 
 Certification: D1..D4 are proved by rebuilding the tree.  Rooted at
 element 0, the cluster {c >= 1 : not D(ab;c0)} of elements a, b >= 1 is
@@ -75,12 +78,15 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed on data that claimed to be valid."""
 
 
-def _require_ids(ids: Iterable) -> list:
-    """The ids as a list; raises InputError at the first bool or non-integer, as holds does."""
+def _require_ids(ids: Iterable, d: Optional["DSet"] = None) -> list:
+    """The ids as a list; raises InputError at the first bool or non-integer
+    and, given d, at the first id outside its elements, checking in order."""
     ids = list(ids)
     for v in ids:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
             raise InputError(f"element ids must be non-negative integers, got {v!r}")
+        if d is not None and not 0 <= v < d.n:
+            raise InputError(f"element {v} out of range 0..{d.n - 1}")
     return ids
 
 
@@ -218,16 +224,7 @@ class DSet:
 
     def holds(self, w: int, x: int, y: int, z: int) -> bool:
         """Truth of D(wx;yz), including the forced degenerate values."""
-        for v in (w, x, y, z):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise InputError(f"element ids must be non-negative integers, got {v!r}")
-            if not 0 <= v < self.n:
-                raise InputError(f"element {v} out of range 0..{self.n - 1}")
-        # The kept table, read without a call: this is the scalar hot path.
-        table = self._analyses.get("relation_table")
-        if table is None:
-            table = relation_table(self)
-        return bool(table[w, x, y, z])
+        return bool(_atoms(self, *_require_ids((w, x, y, z), self)))
 
     def recolor(self, colors: Iterable[int] | Mapping[int, int]) -> "DSet":
         """Same relation, new colors: a per-element sequence or a total map."""
@@ -467,7 +464,7 @@ def _scan_input_quads(quads: list) -> set[Quad]:
     for q in quads:
         if not isinstance(q, (tuple, list)):
             raise InputError(f"positive entry {q!r} must be a 4-element list")
-        if len(set(q)) != 4:
+        if len(q) != 4 or any(q.count(v) > 1 for v in q):  # ids need not be hashable
             raise InputError(f"quad {tuple(q)} must have four distinct elements")
         canon = normalize_quad(*q)
         if canon in seen:
@@ -509,6 +506,18 @@ def _kept(analysis):
     functools.update_wrapper(kept, analysis)
     del kept.__wrapped__
     return kept
+
+
+def _atoms(d: DSet, w, x, y, z) -> np.ndarray:
+    """D(wx;yz) over element ids, broadcastable arrays of them or slices,
+    degenerate values included: the one reader of the relation outside
+    check_axioms' sweep.  A read that uses only ids and slices is a view of
+    the table, with no copy.  Ids are not checked.  Reads the table kept on
+    d, calling relation_table only to build it."""
+    table = d._analyses.get("relation_table")
+    if table is None:
+        table = relation_table(d)
+    return table[w, x, y, z]
 
 
 @_kept
@@ -843,8 +852,6 @@ def are_isomorphic(
 
 def _backtrack_bijection(d1: DSet, d2: DSet, respect_colors: bool) -> Optional[dict[int, int]]:
     n = d1.n
-    t1 = relation_table(d1)
-    t2 = relation_table(d2)
     image = [-1] * n
 
     def compatible(e: int, f: int) -> bool:
@@ -853,7 +860,7 @@ def _backtrack_bijection(d1: DSet, d2: DSet, respect_colors: bool) -> Optional[d
         # The placed elements already agree, and a tuple repeating e is
         # forced by its equality pattern, so this compares the tuples with e.
         placed, images = list(range(e + 1)), image[:e] + [f]
-        return np.array_equal(t1[np.ix_(*[placed] * 4)], t2[np.ix_(*[images] * 4)])
+        return np.array_equal(_atoms(d1, *np.ix_(*[placed] * 4)), _atoms(d2, *np.ix_(*[images] * 4)))
 
     def place(e: int) -> bool:
         if e == n:

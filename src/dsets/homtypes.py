@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import DSet, InputError, _require_core, _require_ids, relation_table
+from .core import DSet, InputError, _atoms, _require_core, _require_ids
 from .splittings import (
     Splitting,
     complementary,
@@ -37,7 +37,7 @@ PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
 def _as_map(m: PairsLike) -> dict[int, int]:
-    items = [(int(a), int(b)) for a, b in (m.items() if isinstance(m, Mapping) else m)]
+    items = [tuple(map(int, _require_ids(p))) for p in (m.items() if isinstance(m, Mapping) else m)]
     out: dict[int, int] = {}
     for a, b in items:
         if a in out and out[a] != b:
@@ -71,7 +71,7 @@ class QftpBase:
     atoms: Optional[frozenset] = None
 
     def _check_members(self, *vs: int) -> None:
-        for v in vs:
+        for v in _require_ids(vs):
             if v not in self.subset:
                 raise InputError(f"element {v} outside the subset")
 
@@ -89,7 +89,7 @@ class QftpBase:
         if not s.same_sector(x, y):
             return True
         stand_in = min(b for b in self.base if b not in s.sector_of(x))
-        return self.dset.holds(stand_in, x, y, z)
+        return bool(_atoms(self.dset, stand_in, x, y, z))
 
     def shares_sector(self, x: int, y: int) -> bool:
         """Base-only share-a-sector test (node case) or side test (edge) on x, y."""
@@ -98,13 +98,10 @@ class QftpBase:
         self._check_members(x, y)
         if self.case == "node":
             a, b, c = self.base
-            return (
-                self.dset.holds(x, y, a, b)
-                or self.dset.holds(x, y, a, c)
-                or self.dset.holds(x, y, b, c)
-            )
+            return bool(_atoms(self.dset, x, y, [a, a, b], [b, c, c]).any())
         p, q, r = self.base
-        return self.dset.holds(p, q, r, x) == self.dset.holds(p, q, r, y)
+        same = _atoms(self.dset, p, q, r, [x, y])
+        return bool(same[0] == same[1])
 
 
 def _subset_outside(d: DSet, subset: Iterable[int], *outside: int) -> tuple[int, ...]:
@@ -137,7 +134,7 @@ def qftp_base(d: DSet, subset: Iterable[int], e: int) -> QftpBase:
     _require_core(d)
     sub = _subset_outside(d, subset, e)
     if len(sub) < 3:
-        found = np.argwhere(relation_table(d)[e][np.ix_(sub, sub, sub)]).tolist()
+        found = np.argwhere(_atoms(d, e, *np.ix_(sub, sub, sub))).tolist()
         atoms = frozenset((sub[i], sub[j], sub[k]) for i, j, k in found)
         return QftpBase(d, sub, e, "small", (), None, atoms)
     s = induced_splitting(d, sub, e)
@@ -159,9 +156,8 @@ def same_qftp(d: DSet, subset: Iterable[int], e1: int, e2: int) -> bool:
     from these by pair symmetry or is forced by the degenerate rules.
     """
     sub = _subset_outside(d, subset, e1, e2)
-    t = relation_table(d)
-    grid = np.ix_(sub, sub, sub)
-    return bool(np.array_equal(t[e1][grid], t[e2][grid]))
+    first, second = _atoms(d, np.array([e1, e2])[:, None, None, None], *np.ix_(sub, sub, sub))
+    return bool(np.array_equal(first, second))
 
 
 def check_partial_iso(
@@ -185,11 +181,10 @@ def check_partial_iso(
     dom = np.array(sorted(pairs), dtype=int)
     if dom.size >= 4:
         img = np.array([pairs[int(a)] for a in dom], dtype=int)
-        t1 = relation_table(d1)[np.ix_(dom, dom, dom, dom)]
-        t2 = relation_table(d2)[np.ix_(img, img, img, img)]
+        t1 = _atoms(d1, *np.ix_(dom, dom, dom, dom))
+        t2 = _atoms(d2, *np.ix_(img, img, img, img))
         if not np.array_equal(t1, t2):
-            i, j, k, l = np.argwhere(t1 != t2)[0]
-            quad = [int(dom[i]), int(dom[j]), int(dom[k]), int(dom[l])]
+            quad = dom[np.argwhere(t1 != t2)[0]].tolist()
             return False, {
                 "kind": "quad",
                 "quad": quad,
@@ -209,20 +204,17 @@ def extend_partial_iso(d: DSet, m: PairsLike, x: int) -> list[int]:
     ok, witness = check_partial_iso(d, d, pairs)
     if not ok:
         raise InputError(f"not a partial isomorphism: {witness}")
+    _require_ids([x])
     if x in pairs:
         raise InputError(f"element {x} already mapped")
     if x not in d.elements:
         raise InputError(f"unknown element {x}")
     dom = sorted(pairs)
     img = [pairs[a] for a in dom]
-    t = relation_table(d)
-    x_slice = t[x][np.ix_(dom, dom, dom)]
-    img_grid = np.ix_(img, img, img)
-    return [
-        y
-        for y in sorted(d.elements - set(img))
-        if d.colors[y] == d.colors[x] and np.array_equal(x_slice, t[y][img_grid])
-    ]
+    ys = np.array([y for y in sorted(d.elements - set(img)) if d.colors[y] == d.colors[x]], dtype=int)
+    # [candidate, a, b, c]: D(y m(a); m(b) m(c)) against x's slice D(x a; b c).
+    fits = _atoms(d, ys[:, None, None, None], *np.ix_(img, img, img)) == _atoms(d, x, *np.ix_(dom, dom, dom))
+    return ys[fits.all(axis=(1, 2, 3))].tolist()
 
 
 def _starved_sectors(d: DSet, splits: Iterable[Splitting], min_size: int) -> Iterator[tuple]:
@@ -300,10 +292,8 @@ def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
             if d.colors[a1] != d.colors[a2]:
                 continue
             for b0 in starved:
-                for a3 in all_elems:
+                for a3 in np.flatnonzero(_atoms(d, b0, a1, a2, slice(None))).tolist():
                     if a3 in (b0, a1, a2):
-                        continue
-                    if not d.holds(b0, a1, a2, a3):
                         continue
                     m = {a1: a2, a2: a1, a3: a3}
                     if not extend_partial_iso(d, m, b0):
@@ -325,8 +315,6 @@ def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
                 continue
             m = dict(zip(big_reps[:n], small_reps))
             stuck = big_reps[n]
-            if stuck in m:
-                continue
             ok, _ = check_partial_iso(d, d, m)
             if not ok:
                 continue

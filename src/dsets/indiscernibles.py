@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, _require_core, relation_table
+from .core import DSet, InputError, _atoms, _require_core
 from .splittings import Splitting, enumerate_splittings, extend_splitting
 
 __all__ = [
@@ -146,7 +146,7 @@ def classify_window(d: DSet, s: SequenceWindow) -> WindowClass:
 
     quads = np.array(list(itertools.combinations(range(len(col)), 4)), dtype=np.intp)
     args = np.array(col)[quads][:, _PAIRINGS]  # [quad, pairing, slot]
-    patterns = relation_table(d)[tuple(np.moveaxis(args, -1, 0))].tolist()
+    patterns = _atoms(d, *np.moveaxis(args, -1, 0)).tolist()
     first_pattern = patterns[0]
     for q, pattern in enumerate(patterns):
         if pattern != first_pattern:
@@ -221,12 +221,11 @@ def _monotonic_parts(
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     others = np.array(sorted(d.elements.difference(col)), dtype=np.int64)
     x = others[:, None]  # [outside element, index triple or quad of col]
-    t = relation_table(d)
     a, b, c = np.array(list(itertools.combinations(col, 3)), dtype=np.int64).reshape(-1, 3).T
-    h1 = t[a, c, b, x].any(axis=1)
-    h2 = ~(t[a, b, c, x] | t[a, c, b, x] | t[a, x, b, c]).all(axis=1)
+    h1 = _atoms(d, a, c, b, x).any(axis=1)
+    h2 = ~(_atoms(d, a, b, c, x) | _atoms(d, a, c, b, x) | _atoms(d, a, x, b, c)).all(axis=1)
     a, b, c, e = np.array(list(itertools.combinations(col, 4)), dtype=np.int64).reshape(-1, 4).T
-    h3 = (t[a, x, c, e] & t[a, b, x, e]).any(axis=1)
+    h3 = (_atoms(d, a, x, c, e) & _atoms(d, a, b, x, e)).any(axis=1)
     return tuple(frozenset(others[h].tolist()) for h in (h1, h2, h3))
 
 
@@ -392,7 +391,6 @@ def weakly_indiscernible_over(
     if not b_list:
         return True, None
 
-    table = relation_table(d)
     m, k, nb = len(s), s.arity, len(b_list)
     fillings = (k * m + nb) ** 4 - (k * m) ** 4 - nb**4
     blocks = [_layout(m, k, nb)] if fillings <= _KEEP_FILLINGS else _slot_layouts(m, k, nb)
@@ -400,7 +398,7 @@ def weakly_indiscernible_over(
     ids = np.array([s.rows[r][c] for c in range(k) for r in range(m)] + b_list, dtype=np.intp)
     for slots, first_of in blocks:
         args = ids[slots]
-        values = table[args[:, 0], args[:, 1], args[:, 2], args[:, 3]]
+        values = _atoms(d, *args.T)
         differs = values != values[first_of]
         j = int(differs.argmax())
         if not differs[j]:

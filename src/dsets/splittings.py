@@ -17,8 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, InvariantViolation, check_axioms, relation_table
-from .core import _canonical_rows, _first_true, _kept, _require_core, _require_ids, _sort_rows
+from .core import DSet, InputError, InvariantViolation, _atoms, _canonical_rows, _first_true
+from .core import _kept, _require_core, _require_ids, _sort_rows, check_axioms
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,11 @@ def is_splitting(
         }
     if len(candidate.sectors) < 2:
         return False, {"kind": "too_few_sectors", "count": len(candidate.sectors)}
-    t = relation_table(d)
     sectors = [sorted(sec) for sec in candidate.sectors]
     for inside in sectors:
         outside = sorted(d.elements.difference(inside))
         # [a, b, c, dd] over a <= b inside and c <= dd outside, in loop order.
-        fails = ~t[np.ix_(inside, inside, outside, outside)]
+        fails = ~_atoms(d, *np.ix_(inside, inside, outside, outside))
         fails &= np.tri(len(inside), dtype=bool).T[:, :, None, None] & np.tri(len(outside), dtype=bool).T
         found = _first_true(fails)
         if found is not None:
@@ -149,6 +148,7 @@ def is_splitting(
     lab = np.empty(d.n, dtype=np.int64)
     for i, sec in enumerate(sectors):
         lab[sec] = i
+    t = _atoms(d, *[slice(None)] * 4)
     a, b, c, dd = np.ix_(*[lab] * 4)
     bad = (t | t.transpose(0, 2, 1, 3) | t.transpose(0, 2, 3, 1)) & (a < b) & (b < c) & (c < dd)
     if bad.any():
@@ -220,10 +220,10 @@ def branch(d: DSet, a: int, b: int, c: int) -> list[int]:
     """The branch of a over {b, c}: all x other than a with D(bc;ax)."""
     if len({a, b, c}) != 3:
         raise InputError("branch needs three distinct elements")
-    for v in (a, b, c):
-        if isinstance(v, bool) or v not in d.elements:
+    for v in _require_ids((a, b, c)):
+        if v not in d.elements:
             raise InputError(f"unknown element {v}")
-    return [int(x) for x in np.flatnonzero(relation_table(d)[b, c, a]) if x != a]
+    return [int(x) for x in np.flatnonzero(_atoms(d, b, c, a, slice(None))) if x != a]
 
 
 def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
@@ -248,7 +248,7 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
             raise InputError(f"unknown element {a}")
 
     # related[i][j]: some x in the subset has D(sub[i] sub[j]; e x).
-    related = relation_table(d)[:, :, e, :][np.ix_(sub, sub, sub)].any(axis=-1).tolist()
+    related = _atoms(d, *np.ix_(sub, sub, [e], sub))[:, :, 0].any(axis=-1).tolist()
     index = {a: i for i, a in enumerate(sub)}
     classes: list[set[int]] = []
     for a in sub:
@@ -283,17 +283,18 @@ def complementary(d: DSet, s: Splitting, sector: Iterable[int], a: int) -> int:
     (within the splitting's ground set) satisfy D(ab;cx).  At least one b
     always exists for valid input; for a singleton sector it is a itself.
     """
-    sec = frozenset(int(v) for v in sector)
+    sec = frozenset(int(v) for v in _require_ids(sector))
     if sec not in s.sectors:
         raise InputError("sector does not belong to the splitting")
-    if isinstance(a, bool) or a not in sec:
+    _require_ids([a])
+    if a not in sec:
         raise InputError(f"element {a} not in the given sector")
     for v in sorted(s.ground):
         if not 0 <= v < d.n:
             raise InputError(f"element {v} out of range 0..{d.n - 1}")
     inside, outside = sorted(sec), sorted(s.ground - sec)
     # [b, c, x]: D(ab;cx) for b, c inside and x outside.
-    separated = relation_table(d)[a][np.ix_(inside, inside, outside)].any(axis=(1, 2))
+    separated = _atoms(d, a, *np.ix_(inside, inside, outside)).any(axis=(1, 2))
     if not separated.all():
         return inside[int(np.argmin(separated))]
     raise InvariantViolation(f"no complementary element for {a} in sector {inside}")
@@ -316,12 +317,11 @@ def extend_by_point(d: DSet, s: Splitting) -> DSet:
         raise InputError("need at least two elements to extend")
     _require_core(d)
     e = d.n
-    t = relation_table(d)
     grown = [d.rows]
     for sec in s.sectors:
         a, b = np.array(list(itertools.combinations(sorted(sec), 2)), dtype=np.int64).reshape(-1, 2).T
         # [pair, c] -> D(ab; c x0), false for c in {a, b}
-        p, c = np.nonzero(t[a, b, :, min(d.elements - sec)])
+        p, c = np.nonzero(_atoms(d, a, b, slice(None), min(d.elements - sec)))
         grown.append(_canonical_rows(np.stack([a[p], b[p], c, np.full(len(c), e)], axis=1)))
     rows = _sort_rows(np.concatenate(grown), e + 1)[0]
     return DSet._from_rows(e + 1, rows, d.colors + (0,))
@@ -331,7 +331,7 @@ def _suitable(d: DSet, sector: frozenset[int], x: int, ground: frozenset[int]) -
     """x fits `sector` inside `ground`: every a in the sector separates ax
     from every pair outside the sector."""
     rest = sorted(ground - sector)
-    return bool(relation_table(d)[np.ix_(sorted(sector), [x], rest, rest)].all())
+    return bool(_atoms(d, *np.ix_(sorted(sector), [x], rest, rest)).all())
 
 
 def extend_splitting(
@@ -461,7 +461,7 @@ def density_witnesses(d: DSet, w: int, x: int, y: int, z: int) -> list[int]:
     Requires D(wx;yz) to hold; a witness v satisfies D(vx;yz), D(wv;yz)
     and D(wx;vz) simultaneously.
     """
-    if not d.holds(w, x, y, z):
+    if not _atoms(d, *_require_ids((w, x, y, z), d)):
         raise InputError(f"D({w}{x};{y}{z}) does not hold")
-    t = relation_table(d)
-    return np.flatnonzero(t[:, x, y, z] & t[w, :, y, z] & t[w, x, :, z]).tolist()
+    v = slice(None)
+    return np.flatnonzero(_atoms(d, v, x, y, z) & _atoms(d, w, v, y, z) & _atoms(d, w, x, v, z)).tolist()

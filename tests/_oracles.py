@@ -492,6 +492,63 @@ def type_base_mismatch(qb, table):
 
 
 # ---------------------------------------------------------------------------
+# partial isomorphisms, extended and stuck, one atom at a time
+
+
+def partial_iso_oracle(t, colors, m):
+    """Whether m keeps colors and every atom over its domain, for a table t
+    of D(wx;yz) and the elements' colors."""
+    return all(colors[a] == colors[b] for a, b in m.items()) and all(
+        t[q] == t[tuple(m[v] for v in q)] for q in itertools.product(m, repeat=4)
+    )
+
+
+def extend_oracle(t, colors, m, x):
+    """The y, in id order, outside m's range with x's color and D(y m(a);
+    m(b) m(c)) equal to D(x a; b c) for all a, b, c in m's domain."""
+    dom = sorted(m)
+    return [
+        y for y in range(len(colors))
+        if y not in m.values() and colors[y] == colors[x]
+        and all(t[y, m[a], m[b], m[c]] == t[x, a, b, c] for a, b, c in itertools.product(dom, repeat=3))
+    ]
+
+
+def nonextendable_oracle(t, colors, splittings):
+    """The first stuck partial isomorphism (map, element) of two scans, or
+    None; splittings are sector lists in the order to try them.
+
+    First, for each sector of two or more elements and each color it misses
+    (colors in id order): the swap {a1: a2, a2: a1, a3: a3} of same-colored
+    a1, a2 in the sector (pairs in order), for each b0 of the missing color
+    and each a3 with D(b0 a1; a2 a3), stuck when b0 has no image.  Then,
+    for node splittings big and small with more sectors in big, and each
+    color: the least element of that color in each sector of big, mapped
+    onto small's, stuck on big's next one."""
+    n = len(colors)
+    for sectors in splittings:
+        for sec in (sec for sec in sectors if len(sec) >= 2):
+            for color in sorted(set(colors) - {colors[a] for a in sec}):
+                for a1, a2 in itertools.permutations(sorted(sec), 2):
+                    for b0 in (b for b in range(n) if colors[b] == color and colors[a1] == colors[a2]):
+                        for a3 in range(n):
+                            m = {a1: a2, a2: a1, a3: a3}
+                            if a3 not in (b0, a1, a2) and t[b0, a1, a2, a3] and not extend_oracle(t, colors, m, b0):
+                                return m, b0
+    nodes = [sectors for sectors in splittings if len(sectors) > 2]
+    for big, small in itertools.permutations(nodes, 2):
+        for color in sorted(set(colors)) if len(big) > len(small) else ():
+            least = [[min((v for v in sec if colors[v] == color), default=None) for sec in s] for s in (big, small)]
+            reps = [v for v in least[0] if v is not None]
+            if len(reps) <= len(small) or None in least[1]:
+                continue
+            m = dict(zip(reps, least[1]))
+            if partial_iso_oracle(t, colors, m) and not extend_oracle(t, colors, m, reps[len(small)]):
+                return m, reps[len(small)]
+    return None
+
+
+# ---------------------------------------------------------------------------
 # least isomorphism by permutation search
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import dsets as D
 from dsets import DSet, InputError, check_axioms, normalize_quad
-from dsets.core import _backtrack_bijection
+from dsets.core import _atoms, _backtrack_bijection
 
 import _families as F
 import _oracles as O
@@ -90,6 +90,20 @@ def test_holds_d1_symmetry_exhaustive(catalogue):
                 for c, e in ((y, z), (z, y)):
                     assert d.holds(a, b, c, e) == value
                     assert d.holds(c, e, a, b) == value
+
+
+def test_atoms_reads_ids_arrays_and_slices_alike(catalogue):
+    d = catalogue["MIX"].dset
+    n, every = d.n, slice(None)
+    table = np.array([[[[d.holds(w, x, y, z) for z in range(n)] for y in range(n)] for x in range(n)] for w in range(n)])
+    full = _atoms(d, every, every, every, every)
+    # A read of ids and slices is a view of the kept table, not a copy.
+    assert np.shares_memory(full, D.relation_table(d)) and np.array_equal(full, table)
+    assert np.shares_memory(_atoms(d, 2, 0, 1, every), full)
+    assert np.array_equal(_atoms(d, 2, 0, 1, every), table[2, 0, 1])
+    assert np.array_equal(_atoms(d, *np.ix_([3, 1], [0], [4, 2], [1, 2, 3])), table[np.ix_([3, 1], [0], [4, 2], [1, 2, 3])])
+    assert np.array_equal(_atoms(d, [0, 1], [1, 2], every, 4), table[[0, 1], [1, 2], :, 4])
+    assert _atoms(d, 0, 1, 2, 3) == table[0, 1, 2, 3]
 
 
 def test_build_rejects_degenerate_and_duplicate():
@@ -780,6 +794,19 @@ def test_list_spelled_stored_quads_name_the_same_first_bad_quad(kind):
 def test_constructors_reject_quads_that_are_not_four_ids(make, shown):
     with pytest.raises(InputError, match=f"^positive entry {re.escape(shown)} must be a 4-element list$"):
         make()
+
+
+@pytest.mark.parametrize("quad", ((0, 1, 2, [3]), ([0], 1, 2, 3), (0, 1, "2", [3])))
+def test_build_and_constructor_name_an_unhashable_id_alike(quad):
+    shown = next(v for v in quad if not isinstance(v, int))
+    for make in (DSet, DSet.build):
+        with pytest.raises(InputError, match=f"^element ids must be non-negative integers, got {re.escape(repr(shown))}$"):
+            make(5, [quad])
+    # A repeated id still comes first when every id is hashable, and five
+    # ids with a repeat are not four distinct ones.
+    for quad in ((0, 1, 1, "2"), (0, 1, 2, 3, 3)):
+        with pytest.raises(InputError, match=f"^quad {re.escape(str(quad))} must have four distinct elements$"):
+            DSet.build(5, [quad])
 
 
 def test_constructors_reject_colors_that_are_not_non_negative_integers(catalogue):

@@ -53,15 +53,22 @@ def test_qftp_base_refuses_tables_failing_core_axioms():
             D.qftp_base(d, subset, e)
 
 
-@pytest.mark.parametrize("bad", (1.7, 1.0, "1", True))
+@pytest.mark.parametrize("bad", (1.7, 1.0, 2.0, "1", True))
 def test_type_entry_points_reject_ids_that_are_not_integers(catalogue, bad):
     d = catalogue["CAT5"].dset
     message = f"^element ids must be non-negative integers, got {re.escape(repr(bad))}$"
+    node = D.qftp_base(d, [0, 1, 2, 3], 4)
     for call in (
         lambda: D.qftp_base(d, [0, bad, 2], 3),
         lambda: D.qftp_base(d, [0, 1, 2], bad),
         lambda: D.same_qftp(d, [0, bad, 2], 3, 4),
         lambda: D.same_qftp(d, [0, 1, 2], 3, bad),
+        lambda: D.check_partial_iso(d, d, {0: bad, 1: 0}),
+        lambda: D.check_partial_iso(d, d, [(bad, 0)]),
+        lambda: D.extend_partial_iso(d, {0: bad}, 2),
+        lambda: D.extend_partial_iso(d, {0: 0, 1: 1}, bad),
+        lambda: node.predict(0, bad, 2),
+        lambda: node.shares_sector(bad, 2),
     ):
         with pytest.raises(InputError, match=message):
             call()
@@ -332,3 +339,59 @@ def test_nonextendable_unequal_nodes(catalogue):
 
 def test_nonextendable_none_on_uniform_regular(catalogue):
     assert D.nonextendable_witness(catalogue["CAT4"].dset) is None
+
+
+def _colored_trees(leaves):
+    """Seeded caterpillars, stars, 3- and 4-regular trees and a spine with
+    one to three leaves a node, of the given size, relabelled, each colored
+    sector_avoiding and round_robin, with its splittings from the tree
+    oracle in the library's order."""
+    rng = random.Random(leaves)
+    trees = [
+        D.gen_random(D.TreeSpec(kind, leaves, degree, seed=rng.randrange(1000)))
+        for kind, degree in (("caterpillar", None), ("star", None), ("d_regular_random", 3), ("d_regular_random", 4))
+    ]
+    loads = [[0, 1]]  # end nodes need two leaves, inner ones one to three
+    while loads[-1][-1] < leaves - 3:
+        loads.append(list(range(loads[-1][-1] + 1, min(loads[-1][-1] + rng.randint(2, 4), leaves - 2))))
+    for tree in trees + [spine_tree(loads + [[leaves - 2, leaves - 1]])]:
+        perm = rng.sample(range(leaves), leaves)
+        d = D.relabel(D.d_from_tree(tree), dict(enumerate(perm)))
+        nodes, edges = O.tree_splittings_oracle(tree)
+        families = {frozenset(frozenset(perm[e] for e in sec) for sec in secs) for _, secs in nodes + edges}
+        splittings = [sorted(f, key=min) for f in sorted(families, key=lambda f: sorted(map(sorted, f)))]
+        for colored in (D.color_sector_avoiding(d), D.color_round_robin(d, rng.choice((2, 3)))):
+            yield colored, splittings
+
+
+def _grown_colored_iso(t, colors, rng, size):
+    """A partial isomorphism of a colored structure onto itself, grown by
+    random extensions that the oracle allows."""
+    a = rng.randrange(len(colors))
+    m = {a: rng.choice([b for b in range(len(colors)) if colors[b] == colors[a]])}
+    while len(m) < size:
+        x = rng.choice(sorted(set(range(len(colors))) - set(m)))
+        fits = O.extend_oracle(t, colors, m, x)
+        if not fits:
+            break
+        m[x] = rng.choice(fits)
+    return m
+
+
+@pytest.mark.parametrize("leaves", (16, 24, 32))
+def test_witnesses_and_candidates_match_scalar_loops_on_colored_trees(leaves):
+    # Which map, stuck element and candidate comes first is the contract:
+    # the scalar loops of the oracle fix it.
+    rng = random.Random(leaves)
+    found = 0
+    for d, splittings in _colored_trees(leaves):
+        t, colors = O.dense_table(d), d.colors
+        witness = D.nonextendable_witness(d)
+        assert witness == O.nonextendable_oracle(t, colors, splittings), (leaves, colors)
+        found += witness is not None
+        maps = [_grown_colored_iso(t, colors, rng, size) for size in (1, 3, 5, 8)]
+        maps += [{a: a for a in rng.sample(range(leaves), 4)}, {}, witness[0] if witness else {0: 0}]
+        for m in maps:
+            for x in rng.sample(sorted(set(range(leaves)) - set(m)), 4):
+                assert D.extend_partial_iso(d, m, x) == O.extend_oracle(t, colors, m, x), (m, x)
+    assert found >= 4

@@ -6,6 +6,7 @@ session do not count.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -127,3 +128,33 @@ def test_dir_covers_all_and_unknown_names_raise():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         D.no_such_name  # noqa: B018
     assert not hasattr(D, "_no_such_private")
+
+
+def _calls(tree: ast.AST):
+    """(enclosing top-level function or class, or None; call node) for every call in a module."""
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield name, node
+
+
+def test_only_core_reads_the_relation_table():
+    # Every atom D(wx;yz) is read through core._atoms, so that a structure
+    # can answer atoms another way by changing that one function.
+    trees = {}
+    for name in sorted(os.listdir(os.path.join(SRC, "dsets"))):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, "dsets", name), encoding="utf-8") as fh:
+                trees[name[:-3]] = ast.parse(fh.read())
+    named = {
+        module for module, tree in trees.items() for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "relation_table")
+        or (isinstance(node, ast.Attribute) and node.attr == "relation_table")
+        or (isinstance(node, ast.alias) and "relation_table" in (node.name, node.asname))
+    }
+    assert named == {"core"}
+    callers = {top for top, call in _calls(trees["core"]) if getattr(call.func, "id", None) == "relation_table"}
+    assert callers == {"_atoms", "check_axioms"}
+    holds = [module for module, tree in trees.items() for _, call in _calls(tree) if getattr(call.func, "attr", None) == "holds"]
+    assert holds == []

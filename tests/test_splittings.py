@@ -323,16 +323,20 @@ def test_branch_and_complementary_match_holds_oracles():
                         assert D.complementary(d, s, sector, a) == expected
 
 
-@pytest.mark.parametrize("bad", (-1, 4, True))
+@pytest.mark.parametrize("bad", (-1, 4, True, 1.0, 2.0))
 def test_branch_and_complementary_reject_unknown_ids(catalogue, bad):
-    # Table indexing would wrap -1 and read True as a mask.
+    # Table indexing would wrap -1, read True as a mask and fail on a float.
     d = catalogue["CAT4"].dset
     s = Splitting.build([{0, 1}, {2, 3}])
-    with pytest.raises(InputError):
-        D.branch(d, bad, 2, 3)
-    with pytest.raises(InputError):
+    message = "^element ids must be non-negative integers" if isinstance(bad, (bool, float)) else None
+    with pytest.raises(InputError, match=message):
+        D.branch(d, *((0, 1, bad) if bad == 2 else (bad, 2, 3)))
+    with pytest.raises(InputError, match=message):
         D.complementary(d, s, {0, 1}, bad)
-    if bad is not True:  # a sector holds ints; True would become 1
+    if bad == 1:  # True and 1.0 would be read as the sector {0, 1}
+        with pytest.raises(InputError, match=message):
+            D.complementary(d, s, [0, bad], 0)
+    if type(bad) is int:  # a sector holds ints; True would become 1 and 2.0 equal 2
         wide = Splitting.build([{0, 1}, {2, 3, bad}])
         with pytest.raises(InputError):
             D.complementary(d, wide, {0, 1}, 0)
