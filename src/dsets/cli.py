@@ -413,26 +413,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The error kind of each expected exception type; any other is "internal".
+_ERROR_KINDS = {
+    InputError: "input",
+    NotRepresentable: "not_representable",
+    InvariantViolation: "invariant",
+    OSError: "io",
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except InputError as exc:
-        print(_dump({"error": {"kind": "input", "message": str(exc)}}))
-        return 2
-    except NotRepresentable as exc:
-        print(_dump({"error": {"kind": "not_representable", "message": str(exc)}}))
-        return 2
-    except InvariantViolation as exc:
-        print(_dump({"error": {"kind": "invariant", "message": str(exc)}}))
-        return 2
-    except OSError as exc:
-        print(_dump({"error": {"kind": "io", "message": str(exc)}}))
-        return 2
-    except Exception as exc:  # last resort: no input may end in a traceback
-        message = f"{type(exc).__name__}: {exc}"
-        print(_dump({"error": {"kind": "internal", "message": message}}))
+    except Exception as exc:  # no input may end in a traceback
+        kind = next((_ERROR_KINDS[t] for t in type(exc).__mro__ if t in _ERROR_KINDS), "internal")
+        message = f"{type(exc).__name__}: {exc}" if kind == "internal" else str(exc)
+        print(_dump({"error": {"kind": kind, "message": message}}))
         return 2
 
 

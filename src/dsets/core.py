@@ -78,16 +78,17 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed on data that claimed to be valid."""
 
 
-def _require_ids(ids: Iterable, d: Optional["DSet"] = None) -> list:
-    """The ids as a list; raises InputError at the first bool or non-integer
-    and, given d, at the first id outside its elements, checking in order."""
+def _require_ids(ids: Iterable, d: Optional["DSet"] = None) -> list[int]:
+    """The ids as a list of Python ints: the one check of element ids.
+    Raises InputError at the first bool or non-integer and, given d, at the
+    first id outside 0..d.n-1, checking in order."""
     ids = list(ids)
     for v in ids:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
             raise InputError(f"element ids must be non-negative integers, got {v!r}")
         if d is not None and not 0 <= v < d.n:
             raise InputError(f"element {v} out of range 0..{d.n - 1}")
-    return ids
+    return list(map(int, ids))
 
 
 def normalize_quad(w: int, x: int, y: int, z: int) -> Quad:
@@ -766,10 +767,7 @@ def substructure(d: DSet, subset: Iterable[int]) -> tuple[DSet, dict[int, int]]:
     Returns the restricted D-set together with the order-preserving map
     from old ids to new ids.
     """
-    chosen = sorted(set(_require_ids(subset)))
-    for e in chosen:
-        if not 0 <= e < d.n:
-            raise InputError(f"element {e} out of range 0..{d.n - 1}")
+    chosen = sorted(set(_require_ids(subset, d)))
     remap = {old: new for new, old in enumerate(chosen)}
     index = np.full(d.n, -1, dtype=np.int64)
     index[chosen] = np.arange(len(chosen))
@@ -780,12 +778,13 @@ def substructure(d: DSet, subset: Iterable[int]) -> tuple[DSet, dict[int, int]]:
 
 def relabel(d: DSet, mapping: Mapping[int, int]) -> DSet:
     """Apply a bijection of 0..n-1 to every element, keeping colors attached."""
-    if sorted(mapping) != list(range(d.n)) or sorted(mapping.values()) != list(range(d.n)):
+    olds, news = _require_ids(mapping, d), _require_ids(mapping.values(), d)
+    if sorted(olds) != list(range(d.n)) or sorted(news) != list(range(d.n)):
         raise InputError("relabeling must be a bijection of the element range")
     image = np.empty(d.n, dtype=np.int64)
-    image[list(mapping)] = list(mapping.values())
+    image[olds] = news
     colors = [0] * d.n
-    for old, new in mapping.items():
+    for old, new in zip(olds, news):
         colors[new] = d.colors[old]
     return DSet._from_rows(d.n, _sort_rows(_canonical_rows(image[d.rows]), d.n)[0], colors)
 

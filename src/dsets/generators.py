@@ -248,9 +248,9 @@ def _d_regular(leaves: int, degree: int, rng: random.Random) -> LeafTree:
     return LeafTree(nodes, edges, {e: e for e in range(leaves)})
 
 
-def gen_random(spec: TreeSpec, seed: Optional[int] = None) -> LeafTree:
+def gen_random(spec: TreeSpec) -> LeafTree:
     """Build the tree a spec describes, deterministically under its seed."""
-    rng = random.Random(spec.seed if seed is None else seed)
+    rng = random.Random(spec.seed)
     if spec.kind == "star":
         if spec.leaves < 3:
             raise InputError("a star needs at least 3 leaves")

@@ -37,7 +37,7 @@ PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
 def _as_map(m: PairsLike) -> dict[int, int]:
-    items = [tuple(map(int, _require_ids(p))) for p in (m.items() if isinstance(m, Mapping) else m)]
+    items = [_require_ids(p) for p in (m.items() if isinstance(m, Mapping) else m)]
     out: dict[int, int] = {}
     for a, b in items:
         if a in out and out[a] != b:
@@ -104,17 +104,15 @@ class QftpBase:
         return bool(same[0] == same[1])
 
 
-def _subset_outside(d: DSet, subset: Iterable[int], *outside: int) -> tuple[int, ...]:
-    """The subset, sorted, once it and `outside` are elements of d and disjoint."""
-    _require_ids(outside)
-    sub = tuple(sorted(set(int(v) for v in _require_ids(subset))))
+def _subset_outside(d: DSet, subset: Iterable[int], *outside: int) -> tuple[tuple[int, ...], list[int]]:
+    """The subset, sorted, and the `outside` ids, once all are elements of d
+    and the two are disjoint."""
+    outside = _require_ids(outside, d)
+    sub = tuple(sorted(set(_require_ids(subset, d))))
     for e in outside:
         if e in sub:
             raise InputError(f"element {e} must lie outside the subset")
-    for a in sub + outside:
-        if a not in d.elements:
-            raise InputError(f"unknown element {a}")
-    return sub
+    return sub, outside
 
 
 def qftp_base(d: DSet, subset: Iterable[int], e: int) -> QftpBase:
@@ -132,7 +130,7 @@ def qftp_base(d: DSet, subset: Iterable[int], e: int) -> QftpBase:
     reproduces every atom D(e x; y z) exactly.
     """
     _require_core(d)
-    sub = _subset_outside(d, subset, e)
+    sub, (e,) = _subset_outside(d, subset, e)
     if len(sub) < 3:
         found = np.argwhere(_atoms(d, e, *np.ix_(sub, sub, sub))).tolist()
         atoms = frozenset((sub[i], sub[j], sub[k]) for i, j, k in found)
@@ -155,8 +153,8 @@ def same_qftp(d: DSet, subset: Iterable[int], e1: int, e2: int) -> bool:
     for x, y, z in A.  On a D-set every other atom over A plus e follows
     from these by pair symmetry or is forced by the degenerate rules.
     """
-    sub = _subset_outside(d, subset, e1, e2)
-    first, second = _atoms(d, np.array([e1, e2])[:, None, None, None], *np.ix_(sub, sub, sub))
+    sub, pair = _subset_outside(d, subset, e1, e2)
+    first, second = _atoms(d, np.array(pair)[:, None, None, None], *np.ix_(sub, sub, sub))
     return bool(np.array_equal(first, second))
 
 
@@ -170,11 +168,8 @@ def check_partial_iso(
     quadruples are preserved by any injective map and are skipped.
     """
     pairs = _as_map(m)
-    for a, b in sorted(pairs.items()):
-        if a not in d1.elements:
-            raise InputError(f"unknown domain element {a}")
-        if b not in d2.elements:
-            raise InputError(f"unknown image element {b}")
+    _require_ids(sorted(pairs), d1)
+    _require_ids(sorted(pairs.values()), d2)
     for a, b in sorted(pairs.items()):
         if d1.colors[a] != d2.colors[b]:
             return False, {"kind": "color", "element": a, "image": b}
@@ -204,11 +199,9 @@ def extend_partial_iso(d: DSet, m: PairsLike, x: int) -> list[int]:
     ok, witness = check_partial_iso(d, d, pairs)
     if not ok:
         raise InputError(f"not a partial isomorphism: {witness}")
-    _require_ids([x])
+    (x,) = _require_ids([x], d)
     if x in pairs:
         raise InputError(f"element {x} already mapped")
-    if x not in d.elements:
-        raise InputError(f"unknown element {x}")
     dom = sorted(pairs)
     img = [pairs[a] for a in dom]
     ys = np.array([y for y in sorted(d.elements - set(img)) if d.colors[y] == d.colors[x]], dtype=int)

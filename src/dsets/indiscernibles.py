@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, _atoms, _require_core
+from .core import DSet, InputError, _atoms, _require_core, _require_ids
 from .splittings import Splitting, enumerate_splittings, extend_splitting
 
 __all__ = [
@@ -35,12 +35,6 @@ __all__ = [
 ]
 
 
-def _element_id(v: object) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise InputError(f"element ids must be integers, got {v!r}")
-    return int(v)
-
-
 @dataclass(frozen=True)
 class SequenceWindow:
     """Ordered rows of element tuples; row order is the index order."""
@@ -49,7 +43,7 @@ class SequenceWindow:
 
     def __init__(self, rows: Iterable[Sequence[int]]) -> None:
         try:
-            packed = tuple(tuple(_element_id(v) for v in row) for row in rows)
+            packed = tuple(tuple(_require_ids(row)) for row in rows)
         except TypeError as exc:  # rows, or one of them, is not iterable
             raise InputError(f"window rows must be a sequence of sequences: {exc}") from exc
         if not packed:
@@ -108,12 +102,6 @@ class WindowClass:
         return out
 
 
-def _check_ids(d: DSet, ids: Iterable[int]) -> None:
-    for v in ids:
-        if not 0 <= v < d.n:
-            raise InputError(f"element {v} outside the D-set")
-
-
 # Slots of an index quad (a, b, c, e) in its three pairings ab|ce, ac|be, ae|bc.
 _PAIRINGS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
 
@@ -130,8 +118,7 @@ def classify_window(d: DSet, s: SequenceWindow) -> WindowClass:
         raise InputError("classification works on singleton windows")
     if len(s) < 4:
         raise InputError("window too short to classify (need at least 4 rows)")
-    col = s.column(0)
-    _check_ids(d, col)
+    col = _require_ids(s.column(0), d)
     if len(set(col)) == 1:
         return WindowClass("constant")
     if len(set(col)) < len(col):
@@ -385,9 +372,8 @@ def weakly_indiscernible_over(
         raise InputError("weak indiscernibility needs a window of at least 5 rows")
     if not isinstance(params, Iterable):
         raise InputError(f"params must be an iterable of element ids, got {params!r}")
-    b_list = sorted({_element_id(v) for v in params})
-    _check_ids(d, b_list)
-    _check_ids(d, s.elements())
+    b_list = sorted(set(_require_ids(params, d)))
+    _require_ids(sorted(s.elements()), d)
     if not b_list:
         return True, None
 

@@ -51,8 +51,7 @@ class Splitting:
         if len(ground) != size or not set(map(type, ground)) <= {int}:
             # An id given twice may hide a bool or a float behind an equal int,
             # so each id is checked as given; numpy integers pass and become ints.
-            _require_ids(itertools.chain.from_iterable(sectors))
-            normalized = [frozenset(map(int, s)) for s in sectors]
+            normalized = [frozenset(_require_ids(s)) for s in sectors]
             if len(frozenset().union(*normalized)) != sum(map(len, normalized)):
                 raise InputError("sectors overlap")
         # Disjoint sectors have distinct minima, which settle the order.
@@ -218,12 +217,10 @@ def _tree_splittings(d: DSet) -> tuple[Splitting, ...]:
 
 def branch(d: DSet, a: int, b: int, c: int) -> list[int]:
     """The branch of a over {b, c}: all x other than a with D(bc;ax)."""
+    a, b, c = _require_ids((a, b, c), d)
     if len({a, b, c}) != 3:
         raise InputError("branch needs three distinct elements")
-    for v in _require_ids((a, b, c)):
-        if v not in d.elements:
-            raise InputError(f"unknown element {v}")
-    return [int(x) for x in np.flatnonzero(_atoms(d, b, c, a, slice(None))) if x != a]
+    return [x for x in np.flatnonzero(_atoms(d, b, c, a, slice(None))).tolist() if x != a]
 
 
 def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
@@ -236,16 +233,12 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
     failures mean d is not a D-set on the subset plus e and are reported
     as input errors.
     """
-    _require_ids([e])
-    sub = sorted(set(int(v) for v in _require_ids(subset)))
+    (e,) = _require_ids([e], d)
+    sub = sorted(set(_require_ids(subset, d)))
     if e in sub:
         raise InputError(f"element {e} must lie outside the subset")
     if len(sub) < 2:
         raise InputError("need at least two elements to induce a splitting")
-    known = d.elements
-    for a in sub + [e]:
-        if a not in known:
-            raise InputError(f"unknown element {a}")
 
     # related[i][j]: some x in the subset has D(sub[i] sub[j]; e x).
     related = _atoms(d, *np.ix_(sub, sub, [e], sub))[:, :, 0].any(axis=-1).tolist()
@@ -283,16 +276,13 @@ def complementary(d: DSet, s: Splitting, sector: Iterable[int], a: int) -> int:
     (within the splitting's ground set) satisfy D(ab;cx).  At least one b
     always exists for valid input; for a singleton sector it is a itself.
     """
-    sec = frozenset(int(v) for v in _require_ids(sector))
+    sec = frozenset(_require_ids(sector, d))
     if sec not in s.sectors:
         raise InputError("sector does not belong to the splitting")
-    _require_ids([a])
+    (a,) = _require_ids([a], d)
     if a not in sec:
         raise InputError(f"element {a} not in the given sector")
-    for v in sorted(s.ground):
-        if not 0 <= v < d.n:
-            raise InputError(f"element {v} out of range 0..{d.n - 1}")
-    inside, outside = sorted(sec), sorted(s.ground - sec)
+    inside, outside = sorted(sec), _require_ids(sorted(s.ground - sec), d)
     # [b, c, x]: D(ab;cx) for b, c inside and x outside.
     separated = _atoms(d, a, *np.ix_(inside, inside, outside)).any(axis=(1, 2))
     if not separated.all():
@@ -338,7 +328,6 @@ def extend_splitting(
     d: DSet,
     subset: Iterable[int],
     s: Splitting,
-    policy: str = "least",
     order: Optional[Sequence[int]] = None,
 ) -> Splitting:
     """Grow a splitting of a subset to one of the whole D-set.
@@ -347,21 +336,16 @@ def extend_splitting(
     overrides; it exists so order independence can be exercised).  Each
     new x joins the unique sector it is suitable for, or opens a singleton
     sector when it suits none.  Two suitable sectors can only happen while
-    the splitting has exactly two sectors; the tie is resolved by policy:
-    "least" joins the suitable sector holding the least id, "other" the
-    other suitable sector, "new" opens a singleton between them.  Two
-    suitable sectors among three or more signal corrupt input.
+    the splitting has exactly two sectors; x then joins the one holding
+    the least id.  Two suitable sectors among three or more signal corrupt
+    input.
     """
-    if policy not in ("least", "other", "new"):
-        raise InputError(f"unknown policy {policy!r}")
-    sub = frozenset(int(v) for v in _require_ids(subset))
+    sub = frozenset(_require_ids(subset, d))
     if s.ground != sub:
         raise InputError("splitting does not cover the given subset")
-    if not sub <= d.elements:
-        raise InputError("subset reaches outside the D-set")
     missing = sorted(d.elements - sub)
     if order is not None:
-        order_list = [int(v) for v in _require_ids(order)]
+        order_list = _require_ids(order, d)
         if sorted(order_list) != missing:
             raise InputError("order must enumerate exactly the uncovered elements")
     else:
@@ -375,20 +359,14 @@ def extend_splitting(
             (i for i, sec in enumerate(frozen) if _suitable(d, sec, x, frozenset(ground))),
             key=lambda i: min(frozen[i]),
         )
-        if len(fits) == 1:
-            sectors[fits[0]].add(x)
-        elif not fits:
+        if not fits:
             sectors.append({x})
-        elif len(frozen) > 2:
+        elif len(fits) == 1 or len(frozen) <= 2:
+            sectors[fits[0]].add(x)
+        else:
             raise InputError(
                 f"element {x} fits two sectors of a many-sector splitting"
             )
-        elif policy == "least":
-            sectors[fits[0]].add(x)
-        elif policy == "other":
-            sectors[fits[1]].add(x)
-        else:
-            sectors.append({x})
         ground.add(x)
     return Splitting.build(sectors)
 

@@ -46,7 +46,8 @@ class LeafTree:
     nodes and edges are stored sorted, edges as (min, max) pairs.  leaves
     maps node id to element id; labeled nodes must have degree <= 1,
     unlabeled nodes degree >= 3, and the labels must be exactly 0..k-1 for
-    k leaves.  Everything is validated at construction.
+    k leaves.  Ids are integers, bools excluded; node ids may be negative.
+    Everything is validated at construction.
     """
 
     nodes: tuple[int, ...]
@@ -59,14 +60,18 @@ class LeafTree:
         edges: Iterable[tuple[int, int]],
         leaves: Mapping[int, int] | Iterable[tuple[int, int]],
     ) -> None:
-        node_tuple = tuple(sorted(set(int(v) for v in nodes)))
+        nodes, edges = list(nodes), [tuple(e) for e in edges]
+        leaf_items = list(leaves.items() if isinstance(leaves, Mapping) else leaves)
+        for v in itertools.chain(nodes, *edges, *leaf_items):
+            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+                raise InputError(f"tree ids must be integers, got {v!r}")
+        node_tuple = tuple(sorted(set(map(int, nodes))))
         edge_set = set()
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise InputError(f"self-loop at node {u}")
             edge_set.add((min(u, v), max(u, v)))
-        leaf_items = leaves.items() if isinstance(leaves, Mapping) else leaves
         leaf_tuple = tuple(sorted((int(a), int(b)) for a, b in leaf_items))
         object.__setattr__(self, "nodes", node_tuple)
         object.__setattr__(self, "edges", tuple(sorted(edge_set)))
@@ -160,10 +165,6 @@ class LeafTree:
             raise InputError("every tree edge must be a 2-element list")
         if not isinstance(leaves, dict) or not all(_DECIMAL.fullmatch(k) for k in leaves):
             raise InputError("tree 'leaves' must map decimal node ids to element ids")
-        ids = itertools.chain(nodes, itertools.chain.from_iterable(edges), leaves.values())
-        for v in ids:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InputError(f"tree ids must be integers, got {v!r}")
         return cls(nodes, edges, {int(k): v for k, v in leaves.items()})
 
 

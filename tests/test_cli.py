@@ -261,6 +261,14 @@ def test_classify_scrambled_exits_one(run, catalogue):
     assert _payload(out)["witness"]["kind"] == "forbidden_pattern"
 
 
+def test_classify_names_an_unknown_element(run, catalogue):
+    code, out, _ = run(
+        ["classify", "-", "--seq", "0,1,2,9"], catalogue["CAT5"].dset.to_json()
+    )
+    assert code == 2
+    assert out == '{"error":{"kind":"input","message":"element 9 out of range 0..4"}}\n'
+
+
 def test_hull_reports_interior(run, catalogue):
     code, out, _ = run(
         ["hull", "-", "--seq", "0,1,2,3,4"], catalogue["CAT5X"].dset.to_json()

@@ -112,26 +112,26 @@ def test_enum_large_needs_flag():
 
 
 def test_gen_random_regular():
-    t = D.gen_random(TreeSpec("d_regular_random", leaves=6, degree=3), seed=1)
+    t = D.gen_random(TreeSpec("d_regular_random", leaves=6, degree=3, seed=1))
     assert D.is_regular(D.d_from_tree(t)) == (True, 3)
 
 
 def test_gen_random_caterpillar_window():
-    t = D.gen_random(TreeSpec("caterpillar", leaves=7), seed=0)
+    t = D.gen_random(TreeSpec("caterpillar", leaves=7))
     d = D.d_from_tree(t)
     got = D.classify_window(d, SequenceWindow([(i,) for i in range(5)]))
     assert got.label == "monotonic"
 
 
 def test_gen_random_star_is_petaled():
-    t = D.gen_random(TreeSpec("star", leaves=5), seed=0)
+    t = D.gen_random(TreeSpec("star", leaves=5))
     found = D.detect_petaled(D.d_from_tree(t), 5)
     assert found == SequenceWindow([(i,) for i in range(5)])
 
 
 def test_gen_random_infeasible_degree():
     with pytest.raises(InputError):
-        D.gen_random(TreeSpec("d_regular_random", leaves=5, degree=4), seed=0)
+        D.gen_random(TreeSpec("d_regular_random", leaves=5, degree=4))
 
 
 def test_gen_random_unknown_kind():

@@ -132,7 +132,8 @@ def test_same_qftp_reflexive(catalogue):
 
 @pytest.mark.parametrize("subset", ([-1, 0, 1], [0, 1, 99]))
 def test_same_qftp_rejects_unknown_subset_elements(catalogue, subset):
-    with pytest.raises(InputError, match="unknown element"):
+    bad = subset[0] if subset[0] < 0 else subset[-1]
+    with pytest.raises(InputError, match=f"^{re.escape(f'element {bad} out of range 0..4')}$"):
         D.same_qftp(catalogue["CAT4E"].dset, subset, 2, 3)
 
 

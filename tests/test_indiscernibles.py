@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def test_classify_errors(catalogue):
 
 @pytest.mark.parametrize("bad", [1.7, True, "3", None])
 def test_window_rejects_non_integer_ids(bad):
-    with pytest.raises(InputError, match="must be integers"):
+    with pytest.raises(InputError, match=f"^element ids must be non-negative integers, got {re.escape(repr(bad))}$"):
         SequenceWindow([(bad,), (2,), (3,), (4,), (5,)])
 
 
