@@ -147,7 +147,7 @@ class DSet:
         if len(colors) != n:
             raise InputError("colors must assign one color to every element")
         for e, c in enumerate(colors):
-            if not isinstance(c, (int, np.integer)) or c < 0:
+            if not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 0:
                 raise InputError(f"bad color {c!r} for element {e}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "colors", tuple(map(int, colors)))
@@ -230,20 +230,13 @@ class DSet:
     def recolor(self, colors: Iterable[int] | Mapping[int, int]) -> "DSet":
         """Same relation, new colors: a per-element sequence or a total map."""
         if isinstance(colors, Mapping):
-            missing = self.elements - set(colors)
+            missing = self.elements - set(_require_ids(colors, self))
             if missing:
                 raise InputError(f"coloring misses elements {sorted(missing)}")
             seq = tuple(colors[e] for e in range(self.n))
         else:
             seq = tuple(colors)
         return DSet._from_rows(self.n, self.rows, seq)
-
-    def color_classes(self) -> dict[int, frozenset[int]]:
-        """Nonempty color classes, keyed by color id."""
-        out: dict[int, set[int]] = {}
-        for e, c in enumerate(self.colors):
-            out.setdefault(c, set()).add(e)
-        return {c: frozenset(s) for c, s in sorted(out.items())}
 
     def to_json(self) -> str:
         head = {"colors": {str(e): c for e, c in enumerate(self.colors)}, "n": self.n}
@@ -549,10 +542,6 @@ class AxiomVerdict:
     status: str  # "pass", "fail", or "not_applicable"
     witness: Optional[tuple[int, ...]] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -567,14 +556,6 @@ class AxiomReport:
     def core_pass(self) -> bool:
         """True when D1 through D4 all pass."""
         return all(v.status == "pass" for v in (self.d1, self.d2, self.d3, self.d4))
-
-    @property
-    def proper(self) -> bool:
-        return self.d5.status == "pass"
-
-    @property
-    def dense(self) -> bool:
-        return self.d6.status == "pass"
 
     def as_dict(self) -> dict:
         out = {}
@@ -778,6 +759,8 @@ def substructure(d: DSet, subset: Iterable[int]) -> tuple[DSet, dict[int, int]]:
 
 def relabel(d: DSet, mapping: Mapping[int, int]) -> DSet:
     """Apply a bijection of 0..n-1 to every element, keeping colors attached."""
+    if not isinstance(mapping, Mapping):
+        raise InputError("relabeling must be a mapping from old to new ids")
     olds, news = _require_ids(mapping, d), _require_ids(mapping.values(), d)
     if sorted(olds) != list(range(d.n)) or sorted(news) != list(range(d.n)):
         raise InputError("relabeling must be a bijection of the element range")

@@ -18,18 +18,6 @@ from .core import DSet, InputError
 from .splittings import enumerate_splittings
 from .trees import LeafTree, _centers, _subtree_codes, canonical_form, d_from_tree
 
-__all__ = [
-    "Fixture",
-    "TreeSpec",
-    "gen_fixture",
-    "fixture_names",
-    "enum_trees",
-    "gen_random",
-    "color_uniform",
-    "color_round_robin",
-    "color_sector_avoiding",
-]
-
 ENUM_LEAF_CAP = 8
 
 
@@ -43,29 +31,24 @@ class Fixture:
     description: str
 
 
-def _flower(k: int) -> LeafTree:
-    center = k
-    return LeafTree(
-        range(k + 1),
-        [(i, center) for i in range(k)],
-        {i: i for i in range(k)},
-    )
+def _loaded_tree(links: list[tuple[int, int]], loads: list[list[int]]) -> LeafTree:
+    """The tree whose internal nodes i, j are joined for each (i, j) in links
+    and where internal node i carries the elements loads[i].  Element e is
+    node e, and internal node i is node n + i for n elements in all."""
+    n = sum(map(len, loads))
+    edges = [(n + u, n + v) for u, v in links]
+    edges += [(e, n + i) for i, group in enumerate(loads) for e in group]
+    return LeafTree(range(n + len(loads)), edges, {e: e for e in range(n)})
 
 
-def _spine_tree(loads: list[list[int]]) -> LeafTree:
-    """Caterpillar-style builder: loads[i] = elements at spine node i."""
-    n = sum(len(g) for g in loads)
-    spine = [n + i for i in range(len(loads))]
-    nodes = list(range(n)) + spine
-    edges = [(spine[i], spine[i + 1]) for i in range(len(spine) - 1)]
-    for i, group in enumerate(loads):
-        edges.extend((e, spine[i]) for e in group)
-    return LeafTree(nodes, edges, {e: e for e in range(n)})
+def _spine(loads: list[list[int]]) -> LeafTree:
+    """Caterpillar-style tree: internal nodes on a path, a star for one load."""
+    return _loaded_tree([(i, i + 1) for i in range(len(loads) - 1)], loads)
 
 
-# Name -> (the loads of a spine tree, or None for the 4-leaf star; description).
-_CATALOGUE: dict[str, tuple[Optional[list[list[int]]], str]] = {
-    "STAR4": (None, "star with 4 leaves"),
+# Name -> (the loads of a spine tree; description).
+_CATALOGUE: dict[str, tuple[list[list[int]], str]] = {
+    "STAR4": ([[0, 1, 2, 3]], "star with 4 leaves"),
     "CAT4": ([[0, 1], [2, 3]], "two spine nodes, two leaves each"),
     "CAT4E": ([[0, 1, 4], [2, 3]], "CAT4 plus a fifth leaf on the first spine node"),
     "CAT4M": ([[0, 1], [4], [2, 3]], "CAT4 with the spine edge subdivided, new node carrying a leaf"),
@@ -99,13 +82,13 @@ def gen_fixture(name: str) -> Fixture:
             raise InputError("a flower needs at least 3 leaves")
         if k > 64:
             raise InputError("flower size capped at 64")
-        tree = _flower(k)
+        tree = _spine([list(range(k))])
         return Fixture(name, tree, d_from_tree(tree), f"star with {k} leaves")
     if name not in _CATALOGUE:
         known = ", ".join(fixture_names())
         raise InputError(f"unknown fixture {name!r}; known: {known}")
     loads, description = _CATALOGUE[name]
-    tree = _flower(4) if loads is None else _spine_tree(loads)
+    tree = _spine(loads)
     return Fixture(name, tree, d_from_tree(tree), description)
 
 
@@ -210,9 +193,8 @@ class TreeSpec:
 
 def _caterpillar(leaves: int) -> LeafTree:
     if leaves == 3:
-        return _flower(3)
-    loads = [[0, 1]] + [[i + 1] for i in range(1, leaves - 3)] + [[leaves - 2, leaves - 1]]
-    return _spine_tree(loads)
+        return _spine([[0, 1, 2]])
+    return _spine([[0, 1]] + [[i + 1] for i in range(1, leaves - 3)] + [[leaves - 2, leaves - 1]])
 
 
 def _d_regular(leaves: int, degree: int, rng: random.Random) -> LeafTree:
@@ -223,10 +205,8 @@ def _d_regular(leaves: int, degree: int, rng: random.Random) -> LeafTree:
             f"no {degree}-regular tree exists with {leaves} leaves"
         )
     j = (leaves - 2) // (degree - 2)
-    if j == 1:
-        return _flower(leaves)
-    # Random internal skeleton, capped at the target degree; the leaf count
-    # at each node is then forced.
+    # Random internal skeleton, capped at the target degree; node u then
+    # carries the next degree - deg[u] elements.
     deg = [0] * j
     skeleton: list[tuple[int, int]] = []
     for i in range(1, j):
@@ -234,18 +214,8 @@ def _d_regular(leaves: int, degree: int, rng: random.Random) -> LeafTree:
         skeleton.append((parent, i))
         deg[parent] += 1
         deg[i] += 1
-    loads: list[list[int]] = []
-    next_elem = 0
-    for u in range(j):
-        count = degree - deg[u]
-        loads.append(list(range(next_elem, next_elem + count)))
-        next_elem += count
-    internal = [leaves + u for u in range(j)]
-    nodes = list(range(leaves)) + internal
-    edges = [(internal[u], internal[v]) for u, v in skeleton]
-    for u, group in enumerate(loads):
-        edges.extend((e, internal[u]) for e in group)
-    return LeafTree(nodes, edges, {e: e for e in range(leaves)})
+    ends = itertools.accumulate(degree - k for k in deg)
+    return _loaded_tree(skeleton, [list(range(end - degree + k, end)) for k, end in zip(deg, ends)])
 
 
 def gen_random(spec: TreeSpec) -> LeafTree:
@@ -254,7 +224,7 @@ def gen_random(spec: TreeSpec) -> LeafTree:
     if spec.kind == "star":
         if spec.leaves < 3:
             raise InputError("a star needs at least 3 leaves")
-        return _flower(spec.leaves)
+        return _spine([list(range(spec.leaves))])
     if spec.kind == "caterpillar":
         if spec.leaves < 3:
             raise InputError("a caterpillar needs at least 3 leaves")

@@ -18,7 +18,7 @@ raise InputError("input fails D1..D4") up front on any other table:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -37,9 +37,15 @@ PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
 def _as_map(m: PairsLike) -> dict[int, int]:
-    items = [_require_ids(p) for p in (m.items() if isinstance(m, Mapping) else m)]
+    try:
+        items = [_require_ids(p) for p in (m.items() if isinstance(m, Mapping) else m)]
+    except TypeError as exc:  # m, or one of its entries, is not iterable
+        raise InputError(f"a map must be a mapping or a sequence of pairs: {exc}") from exc
     out: dict[int, int] = {}
-    for a, b in items:
+    for pair in items:
+        if len(pair) != 2:
+            raise InputError(f"map entries must be pairs, got {pair}")
+        a, b = pair
         if a in out and out[a] != b:
             raise InputError(f"element {a} mapped twice")
         out[a] = b
@@ -64,7 +70,7 @@ class QftpBase:
 
     dset: DSet
     subset: tuple[int, ...]
-    element: int
+    element: int = field(compare=False)
     case: str
     base: tuple[int, ...]
     splitting: Optional[Splitting]
@@ -277,7 +283,8 @@ def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
     splits = enumerate_splittings(d)
     all_elems = sorted(d.elements)
 
-    # Each map below has three elements and respects colors, so it is a
+    # Each map below respects colors and has every atom false on both sides
+    # (three elements, or one per sector of a node splitting), so it is a
     # partial isomorphism without a check of its own.
     for s, sec, color in _starved_sectors(d, splits, 2):
         starved = [b for b in all_elems if d.colors[b] == color]
@@ -308,9 +315,6 @@ def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
                 continue
             m = dict(zip(big_reps[:n], small_reps))
             stuck = big_reps[n]
-            ok, _ = check_partial_iso(d, d, m)
-            if not ok:
-                continue
             if not extend_partial_iso(d, m, stuck):
                 return m, stuck
     return None

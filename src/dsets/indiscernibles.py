@@ -21,19 +21,6 @@ import numpy as np
 from .core import DSet, InputError, _atoms, _require_core, _require_ids
 from .splittings import Splitting, enumerate_splittings, extend_splitting
 
-__all__ = [
-    "SequenceWindow",
-    "WindowClass",
-    "ColumnHull",
-    "HullResult",
-    "classify_window",
-    "hull_window",
-    "frontiers",
-    "weakly_indiscernible_over",
-    "mutually_indiscernible",
-    "detect_petaled",
-]
-
 
 @dataclass(frozen=True)
 class SequenceWindow:

@@ -228,10 +228,10 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
 
     a and b land in one sector exactly when some x in the subset separates
     the pair ab from ex.  For a tree this is the splitting at the node or
-    edge where the path from e enters the subset's hull.  The grouping is
-    defensively checked to be an equivalence with at least two classes;
-    failures mean d is not a D-set on the subset plus e and are reported
-    as input errors.
+    edge where the path from e enters the subset's hull.  One test over the
+    whole grouping checks that it is an equivalence with at least two
+    classes; failures mean d is not a D-set on the subset plus e and are
+    reported as input errors.
     """
     (e,) = _require_ids([e], d)
     sub = sorted(set(_require_ids(subset, d)))
@@ -240,33 +240,19 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
     if len(sub) < 2:
         raise InputError("need at least two elements to induce a splitting")
 
-    # related[i][j]: some x in the subset has D(sub[i] sub[j]; e x).
-    related = _atoms(d, *np.ix_(sub, sub, [e], sub))[:, :, 0].any(axis=-1).tolist()
-    index = {a: i for i, a in enumerate(sub)}
-    classes: list[set[int]] = []
-    for a in sub:
-        placed = None
-        for cls in classes:
-            rep = next(iter(cls))
-            if related[index[a]][index[rep]]:
-                if placed is not None:
-                    raise InputError(
-                        f"grouping induced by {e} is not an equivalence on {sub}"
-                    )
-                cls.add(a)
-                placed = cls
-        if placed is None:
-            classes.append({a})
-    for cls in classes:
-        members = sorted(cls)
-        for a, b in itertools.combinations(members, 2):
-            if not related[index[a]][index[b]]:
-                raise InputError(
-                    f"grouping induced by {e} is not transitive at {a},{b}"
-                )
+    # related[i, j]: some x in the subset has D(sub[i] sub[j]; e x).  It is an
+    # equivalence exactly when two elements are related just when their least
+    # related elements agree; those least elements then name the classes.
+    related = _atoms(d, *np.ix_(sub, sub, [e], sub))[:, :, 0].any(axis=-1)
+    least = related.argmax(axis=1)
+    if not (related == (least[:, None] == least)).all():
+        raise InputError(f"grouping induced by {e} is not an equivalence on {sub}")
+    classes: dict[int, list[int]] = {}
+    for a, k in zip(sub, least.tolist()):
+        classes.setdefault(k, []).append(a)
     if len(classes) < 2:
         raise InputError(f"grouping induced by {e} on {sub} has a single class")
-    return Splitting.build(classes)
+    return Splitting.build(classes.values())
 
 
 def complementary(d: DSet, s: Splitting, sector: Iterable[int], a: int) -> int:

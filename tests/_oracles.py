@@ -231,6 +231,22 @@ def complementary_oracle(d, sectors, sector, a):
     return None
 
 
+def induced_classes_oracle(table, subset, e):
+    """The classes of "some x in the subset has D(ab;ex)" on the subset, as
+    a set of frozensets, when that relation is reflexive, symmetric and
+    transitive there, checked pair by pair and triple by triple; None when
+    it is not.  table is a nested list T[w][x][y][z]."""
+    sub = sorted(subset)
+    rel = {(a, b): any(table[a][b][e][x] for x in sub) for a in sub for b in sub}
+    if not all(rel[a, a] for a in sub):
+        return None
+    if any(rel[a, b] != rel[b, a] for a in sub for b in sub):
+        return None
+    if any(rel[a, b] and rel[b, c] and not rel[a, c] for a in sub for b in sub for c in sub):
+        return None
+    return {frozenset(b for b in sub if rel[a, b]) for a in sub}
+
+
 # ---------------------------------------------------------------------------
 # splittings by brute force
 

@@ -386,9 +386,9 @@ def test_iso_none_for_non_isomorphic_pairs(trees_by_k):
     nones = 0
     for k in range(4, 8):
         for d in map(D.d_from_tree, trees_by_k[k]):
-            a = d.recolor([e == 0 for e in range(k)])
+            a = d.recolor([int(e == 0) for e in range(k)])
             for f in range(k):
-                b = _relabelled(d.recolor([e == f for e in range(k)]), f)
+                b = _relabelled(d.recolor([int(e == f) for e in range(k)]), f)
                 got = D.are_isomorphic(a, b)
                 assert got == _backtrack_bijection(a, b, True), (d, f)
                 nones += got is None
@@ -809,6 +809,11 @@ def test_build_and_constructor_name_an_unhashable_id_alike(quad):
             DSet.build(5, [quad])
 
 
+def test_relabel_refuses_a_sequence(catalogue):
+    with pytest.raises(InputError, match="^relabeling must be a mapping from old to new ids$"):
+        D.relabel(catalogue["CAT4"].dset, [1, 0, 2, 3])
+
+
 def test_constructors_reject_colors_that_are_not_non_negative_integers(catalogue):
     d = catalogue["CAT4"].dset
     for make, bad in (
@@ -818,11 +823,17 @@ def test_constructors_reject_colors_that_are_not_non_negative_integers(catalogue
         (lambda: d.recolor(["a"] * 4), "'a'"),
         (lambda: d.recolor([1.7] * 4), "1.7"),
         (lambda: d.recolor({0: 0, 1: None, 2: 0, 3: 0}), "None"),
+        # Bools are refused on every route, as the JSON reader refuses them.
+        (lambda: DSet(4, [], [True] * 4), "True"),
+        (lambda: DSet.build(4, [], [True, 0, 0, 0]), "True"),
+        (lambda: d.recolor([True, 0, 0, 0]), "True"),
+        (lambda: d.recolor({0: True, 1: 0, 2: 0, 3: 0}), "True"),
+        (lambda: DSet.from_json('{"n":2,"colors":{"0":true}}'), "True"),
     ):
         with pytest.raises(InputError, match=f"^bad color {re.escape(bad)} for element "):
             make()
-    # Integers of any kind are kept, as Python ints.
-    tinted = d.recolor([np.int64(1), True, 0, 2])
+    # Integers of any kind but bool are kept, as Python ints.
+    tinted = d.recolor([np.int64(1), np.uint8(1), 0, 2])
     assert tinted.colors == (1, 1, 0, 2) and {type(c) for c in tinted.colors} == {int}
 
 

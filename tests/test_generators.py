@@ -111,6 +111,33 @@ def test_enum_large_needs_flag():
 # gen_random
 
 
+def _generated_lines():
+    names = [n for n in D.fixture_names() if not n.startswith("FLW")]
+    names += [f"FLW{k}" for k in range(3, 13)]
+    for name in names:
+        yield D.gen_fixture(name).tree.to_json()
+    kinds = [("star", None), ("caterpillar", None)]
+    kinds += [("d_regular_random", degree) for degree in (3, 4, 5)]
+    for kind, degree in kinds:
+        for leaves in range(3, 41):
+            for seed in range(5):
+                try:
+                    yield D.gen_random(TreeSpec(kind, leaves, degree, seed)).to_json()
+                except InputError as exc:
+                    yield f"InputError: {exc}"
+
+
+def test_generated_trees_are_pinned():
+    # sha256 of the newline-joined lines: every catalogue fixture, FLW3-12,
+    # then star, caterpillar and d_regular_random (degrees 3-5) at 3-40
+    # leaves and seeds 0-4, an infeasible spec as its error message.
+    lines = list(_generated_lines())
+    assert len(lines) == 971
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "37d578944f35115a5196a95887c7d15b0e72374e44ecae1c91d880bf7f26a081"
+    )
+
+
 def test_gen_random_regular():
     t = D.gen_random(TreeSpec("d_regular_random", leaves=6, degree=3, seed=1))
     assert D.is_regular(D.d_from_tree(t)) == (True, 3)

@@ -137,6 +137,20 @@ def test_same_qftp_rejects_unknown_subset_elements(catalogue, subset):
         D.same_qftp(catalogue["CAT4E"].dset, subset, 2, 3)
 
 
+def test_bases_compare_equal_exactly_when_types_agree(catalogue):
+    pairs = same = 0
+    for name in ("CAT5X", "CAT5L", "CAT5R", "MIX", "FLW6"):
+        d = catalogue[name].dset
+        for size in range(1, 5):
+            for subset in itertools.combinations(range(d.n), size):
+                outside = sorted(d.elements - set(subset))
+                for e1, e2 in itertools.combinations(outside, 2):
+                    agree = D.same_qftp(d, subset, e1, e2)
+                    assert (D.qftp_base(d, subset, e1) == D.qftp_base(d, subset, e2)) == agree
+                    pairs, same = pairs + 1, same + agree
+    assert pairs == 1780 and 0 < same < pairs
+
+
 # ---------------------------------------------------------------------------
 # check_partial_iso
 
@@ -174,6 +188,19 @@ def test_check_partial_iso_rejects_non_injective(catalogue):
     cat4 = catalogue["CAT4"].dset
     with pytest.raises(InputError):
         D.check_partial_iso(cat4, cat4, {0: 1, 2: 1})
+
+
+def test_malformed_maps_are_input_errors(catalogue):
+    d = catalogue["CAT4"].dset
+    not_iterable = "a map must be a mapping or a sequence of pairs: 'int' object is not iterable"
+    for call, message in (
+        (lambda: D.check_partial_iso(d, d, [(0, 1, 2)]), "map entries must be pairs, got [0, 1, 2]"),
+        (lambda: D.extend_partial_iso(d, [(0,)], 1), "map entries must be pairs, got [0]"),
+        (lambda: D.check_partial_iso(d, d, 5), not_iterable),
+        (lambda: D.extend_partial_iso(d, [0, 1], 2), not_iterable),
+    ):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

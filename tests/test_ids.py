@@ -15,6 +15,9 @@ from dsets import InputError, LeafTree, SequenceWindow, Splitting
 # call that is otherwise valid.
 _ENTRY_POINTS = {
     "holds": lambda d, v: d.holds(0, 1, 2, v),
+    # v first: a dict keeps the first of equal keys, so a bool or float
+    # equal to an element would otherwise vanish behind that element's key.
+    "recolor": lambda d, v: d.recolor({v: 1, 0: 0, 1: 0, 2: 0, 3: 0, 4: 0}),
     "substructure": lambda d, v: D.substructure(d, [0, 1, v]),
     "relabel": lambda d, v: D.relabel(d, {0: 0, v: 1, 2: 2, 3: 3, 4: 4}),
     "branch": lambda d, v: D.branch(d, 0, 1, v),

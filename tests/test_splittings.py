@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -360,6 +361,36 @@ def test_induced_cat5(catalogue):
 def test_induced_flw4(catalogue):
     got = D.induced_splitting(catalogue["FLW4"].dset, [0, 1, 2], 3)
     assert got == Splitting.build([{0}, {1}, {2}])
+
+
+def test_induced_refuses_a_grouping_that_is_not_transitive():
+    # 1 is grouped with 0 and with 2, but 0 and 2 are not grouped together.
+    d = DSet.build(5, [(0, 1, 2, 4), (0, 4, 1, 2)])
+    message = re.escape("grouping induced by 4 is not an equivalence on [0, 1, 2]")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        D.induced_splitting(d, [0, 1, 2], 4)
+
+
+def test_induced_matches_scalar_oracle_on_random_tables():
+    rng = random.Random(23)
+    splits = refusals = 0
+    for _ in range(12):
+        d = F.random_table(rng, rng.randint(4, 7))
+        table = O.dense_table(d).tolist()
+        for e in range(d.n):
+            rest = [a for a in range(d.n) if a != e]
+            for size in range(2, len(rest) + 1):
+                for subset in itertools.combinations(rest, size):
+                    classes = O.induced_classes_oracle(table, subset, e)
+                    if classes is not None and len(classes) > 1:
+                        got = D.induced_splitting(d, subset, e)
+                        assert set(got.sectors) == classes, (d, subset, e)
+                        splits += 1
+                    else:
+                        with pytest.raises(InputError, match=f"^grouping induced by {e} "):
+                            D.induced_splitting(d, subset, e)
+                        refusals += 1
+    assert splits > 100 and refusals > 100
 
 
 def test_induced_requires_outside_element(catalogue):
