@@ -29,13 +29,13 @@ _EXPORTS = {
         "weakly_indiscernible_over",
     ),
     "splittings": (
-        "Splitting", "branch", "complementary", "density_witnesses",
+        "branch", "complementary", "density_witnesses",
         "enumerate_splittings", "extend_by_point", "extend_splitting",
         "induced_splitting", "is_regular", "is_splitting", "is_true_edge_splitting",
         "one_sector",
     ),
     "trees": (
-        "LeafTree", "TreeCorrespondence", "are_isomorphic_trees", "canonical_form",
+        "LeafTree", "Splitting", "TreeCorrespondence", "are_isomorphic_trees", "canonical_form",
         "d_from_tree", "export_dot", "splittings_from_tree", "tree_from_dset",
     ),
 }

@@ -43,6 +43,12 @@ y's neighbour, and D6 at (0, 0, 1, z), z the least element >= 2 outside
 D2, D3, D5 and D6 are swept over the table, D3 and D6 one w at a time with
 their fifth element packed into uint64 words; D1 and D4 hold by storage.
 
+Trees, as adjacency lists: `_walk` is the one breadth-first walk, and
+`_rooted` roots a tree at the center whose flat AHU code is least, equal
+for two trees exactly when they are isomorphic.  are_isomorphic compares
+such codes of two certified trees, built from `_rebuild`'s parents; the
+trees module and the generators' relabelling root every tree the same way.
+
 Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
 ...]} with sorted keys, no whitespace and the rows in order, _BLOCK = 8,192
 quads at a time.  from_json reads it back in blocks of about as many quads,
@@ -59,11 +65,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
 Quad = tuple[int, int, int, int]
+Colors = Union[Iterable[int], Mapping[int, int]]  # per element, or element -> color
 
 
 class InputError(ValueError):
@@ -80,9 +87,13 @@ class InvariantViolation(RuntimeError):
 
 def _require_ids(ids: Iterable, d: Optional["DSet"] = None) -> list[int]:
     """The ids as a list of Python ints: the one check of element ids.
-    Raises InputError at the first bool or non-integer and, given d, at the
-    first id outside 0..d.n-1, checking in order."""
-    ids = list(ids)
+    Raises InputError when ids is not iterable, at the first bool or
+    non-integer and, given d, at the first id outside 0..d.n-1, checking in
+    order."""
+    try:
+        ids = list(ids)
+    except TypeError as exc:
+        raise InputError(f"element ids must come as a collection, got {ids!r}") from exc
     for v in ids:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
             raise InputError(f"element ids must be non-negative integers, got {v!r}")
@@ -127,7 +138,7 @@ class DSet:
     colors: tuple[int, ...]
 
     def __init__(
-        self, n: int, positives: Iterable[Quad] = frozenset(), colors: Iterable[int] = ()
+        self, n: int, positives: Iterable[Quad] = frozenset(), colors: Colors = ()
     ) -> None:
         self._start(n, colors)
         quads = list(positives)
@@ -138,18 +149,24 @@ class DSet:
         rows, repeats = _sort_rows(rows, n)
         self._store(rows[np.concatenate([[True], ~repeats])] if repeats.any() else rows)
 
-    def _start(self, n: int, colors: Iterable[int]) -> None:
-        """Check n and colors and start the analyses kept on this instance."""
+    def _start(self, n: int, colors: Colors) -> None:
+        """Check n and colors (per element, all 0 if empty, or a map that
+        covers every element) and start the analyses kept on this instance."""
         if n < 0:
             raise InputError("element count must be >= 0")
         _check_count(n)
+        object.__setattr__(self, "n", n)
+        if isinstance(colors, Mapping):
+            missing = self.elements - set(_require_ids(colors, self))
+            if missing:
+                raise InputError(f"coloring misses elements {sorted(missing)}")
+            colors = [colors[e] for e in range(n)]
         colors = tuple(colors) or (0,) * n
         if len(colors) != n:
             raise InputError("colors must assign one color to every element")
         for e, c in enumerate(colors):
             if not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 0:
                 raise InputError(f"bad color {c!r} for element {e}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "colors", tuple(map(int, colors)))
         object.__setattr__(self, "_analyses", {})
 
@@ -180,7 +197,7 @@ class DSet:
         return kept["positives"]
 
     @classmethod
-    def _from_rows(cls, n: int, rows: np.ndarray, colors: Iterable[int] = ()) -> "DSet":
+    def _from_rows(cls, n: int, rows: np.ndarray, colors: Colors = ()) -> "DSet":
         """Construct from a C-contiguous (k, 4) int64 array of canonical quads
         of four distinct ids in 0..n-1, strictly increasing in lexicographic
         order, without checking or sorting them again."""
@@ -194,7 +211,7 @@ class DSet:
         cls,
         n: int,
         quads: Iterable[tuple[int, int, int, int]] = (),
-        colors: Optional[Iterable[int]] = None,
+        colors: Optional[Colors] = None,
     ) -> "DSet":
         """Canonicalize quads and construct.  Rejects repeated-element quads
         and duplicates that collapse to the same canonical representative."""
@@ -204,20 +221,20 @@ class DSet:
 
     @classmethod
     def _build(
-        cls, n: int, quads: Optional[list], rows: Optional[np.ndarray], colors: Optional[Iterable[int]]
+        cls, n: int, quads: Optional[list], rows: Optional[np.ndarray], colors: Optional[Colors]
     ) -> "DSet":
         """build, given n in range and rows = _int_rows(quads, n).  quads
         may be None, standing for rows.tolist(), when rows is not None."""
-        color_tuple = tuple(colors) if colors is not None else (0,) * n
+        colors = () if colors is None else colors
         if rows is None:
             # Raises at the first bad input quad, else at the first stored
             # quad out of range.
-            return cls(n, frozenset(_scan_input_quads(quads)), color_tuple)
+            return cls(n, frozenset(_scan_input_quads(quads)), colors)
         canon, repeats = _sort_rows(_canonical_rows(rows), n)
         if repeats.any() or not _distinct_canonical(canon.T).all():
             # Raises at the first bad quad.
             _scan_input_quads(rows.tolist() if quads is None else quads)
-        return cls._from_rows(n, canon, color_tuple)
+        return cls._from_rows(n, canon, colors)
 
     @property
     def elements(self) -> frozenset[int]:
@@ -227,16 +244,9 @@ class DSet:
         """Truth of D(wx;yz), including the forced degenerate values."""
         return bool(_atoms(self, *_require_ids((w, x, y, z), self)))
 
-    def recolor(self, colors: Iterable[int] | Mapping[int, int]) -> "DSet":
+    def recolor(self, colors: Colors) -> "DSet":
         """Same relation, new colors: a per-element sequence or a total map."""
-        if isinstance(colors, Mapping):
-            missing = self.elements - set(_require_ids(colors, self))
-            if missing:
-                raise InputError(f"coloring misses elements {sorted(missing)}")
-            seq = tuple(colors[e] for e in range(self.n))
-        else:
-            seq = tuple(colors)
-        return DSet._from_rows(self.n, self.rows, seq)
+        return DSet._from_rows(self.n, self.rows, colors)
 
     def to_json(self) -> str:
         head = {"colors": {str(e): c for e, c in enumerate(self.colors)}, "n": self.n}
@@ -717,6 +727,69 @@ def _distances(below: np.ndarray) -> np.ndarray:
     return (depth[:, None] + depth - 2 * shared).astype(np.int64)
 
 
+def _tree_parents(d: DSet) -> list[int]:
+    """The parent of every node of d's certified tree, nodes as in _rebuild
+    (-1 for the root, element 0); d must pass D1..D4."""
+    if d.n < 2:
+        return [-1] * d.n
+    rebuilt = _rebuild(d)
+    if rebuilt is None:
+        raise InvariantViolation("D1..D4 hold but the rooted clusters form no tree")
+    return rebuilt[0].tolist()
+
+
+def _walk(adj, root: int) -> tuple[list[int], dict]:
+    """Breadth-first walk of a tree from root: visit order and parents,
+    None for the root.  Every traversal of a tree goes through here."""
+    order = [root]
+    parent = {root: None}
+    for u in order:
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    return order, parent
+
+
+def _centers(adj) -> list[int]:
+    """The middle one or two nodes of a longest path; unique in a tree."""
+    far = _walk(adj, next(iter(adj)))[0][-1]
+    order, parent = _walk(adj, far)
+    path = [order[-1]]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    length = len(path) - 1
+    return sorted(path[length // 2 : (length + 1) // 2 + 1])
+
+
+def _subtree_codes(adj, root: int, token) -> tuple[dict, dict[int, tuple]]:
+    """Parents and flat AHU codes of every subtree, the tree rooted at root.
+
+    A node's code is (token(u),) followed by its children's codes in sorted
+    order and a closing (); tokens are non-empty tuples, so () sorts below
+    all of them.  Flat codes therefore compare and order exactly as nested
+    (token, sorted children) codes would, and comparing two of them never
+    recurses past a token.
+    """
+    order, parent = _walk(adj, root)
+    kids: dict[int, list[tuple]] = {u: [] for u in order}
+    code: dict[int, tuple] = {}
+    for u in reversed(order):
+        code[u] = (token(u), *itertools.chain.from_iterable(sorted(kids.pop(u))), ())
+        if parent[u] is not None:
+            kids[parent[u]].append(code[u])
+    return parent, code
+
+
+def _rooted(adj, centers: list[int], token) -> tuple[int, dict, dict[int, tuple]]:
+    """The center whose rooted code is least (the least such center on a
+    tie), with _subtree_codes' parents and codes from it.  Its code is equal
+    for two trees exactly when an isomorphism matching the tokens exists."""
+    rooted = {c: _subtree_codes(adj, c, token) for c in centers}
+    root = min(rooted, key=lambda c: (rooted[c][1][c], c))
+    return root, *rooted[root]
+
+
 def _pack(bits: np.ndarray) -> np.ndarray:
     """Boolean array packed along its last axis into little-endian uint64
     words: bit i of the last axis is bit i % 64 of word i // 64."""
@@ -781,15 +854,18 @@ def are_isomorphic(
     """The lexicographically least relation-preserving bijection (element 0
     gets the least feasible image, and so on), or None.
 
-    Tables that satisfy D1..D4 are compared through canonical forms of
-    their trees, which are equal exactly when a leaf-matching tree
-    isomorphism exists.  The bijection is then built greedily by
+    Tables that satisfy D1..D4 are compared through canonical codes
+    (_rooted) of their certified trees, equal exactly when a leaf-matching
+    tree isomorphism exists.  The bijection is then built greedily by
     individualisation: element e and its candidate image f get the fresh
-    leaf token (color, e + 1), and e keeps the least unused f for which
-    the two forms still agree.  This takes O(n^2) canonical forms.
+    leaf token (color, e + 1), and e keeps the least unused f for which the
+    two codes still agree, O(n^2) codes over one adjacency per tree.
     Tables that fail D1..D4 fall back to backtracking, capped at max_n
     elements; raise the cap explicitly for bigger instances.
     """
+    for d in (d1, d2):
+        if not isinstance(d, DSet):
+            raise InputError(f"are_isomorphic compares two DSets, got {d!r}")
     if d1.n != d2.n:
         return None
     if respect_colors and sorted(d1.colors) != sorted(d2.colors):
@@ -809,21 +885,32 @@ def are_isomorphic(
             )
         return _backtrack_bijection(d1, d2, respect_colors)
 
-    from .trees import canonical_form, tree_from_dset
+    n = d1.n
+    trees = []
+    for d in (d1, d2):
+        parents = _tree_parents(d)
+        adj: dict[int, list[int]] = {u: [] for u in range(len(parents))}
+        for u, p in enumerate(parents[1:], 1):
+            adj[u].append(p)
+            adj[p].append(u)
+        trees.append((adj, _centers(adj)))
 
-    t1, t2 = tree_from_dset(d1), tree_from_dset(d2)
-    colors1, colors2 = (d1.colors, d2.colors) if respect_colors else ((0,) * d1.n,) * 2
+    def code(tree, tokens) -> tuple:
+        root, _, codes = _rooted(*tree, lambda u: tokens[u] if u < n else (-1,))
+        return codes[root]
+
+    colors1, colors2 = (d1.colors, d2.colors) if respect_colors else ((0,) * n,) * 2
     tokens1, tokens2 = [(c, 0) for c in colors1], [(c, 0) for c in colors2]
-    if canonical_form(t1, tokens1) != canonical_form(t2, tokens2):
+    if code(trees[0], tokens1) != code(trees[1], tokens2):
         return None
     image = {}
     for e, color in enumerate(colors1):
         tokens1[e] = (color, e + 1)
-        target = canonical_form(t1, tokens1)
-        for f in range(d2.n):
+        target = code(trees[0], tokens1)
+        for f in range(n):
             if tokens2[f] == (color, 0):  # not yet an image, and e's color
                 tokens2[f] = (color, e + 1)
-                if canonical_form(t2, tokens2) == target:
+                if code(trees[1], tokens2) == target:
                     image[e] = f
                     break
                 tokens2[f] = (color, 0)

@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DSet, InputError
+from .core import DSet, InputError, _centers, _rooted
 from .splittings import enumerate_splittings
-from .trees import LeafTree, _centers, _subtree_codes, canonical_form, d_from_tree
+from .trees import LeafTree, canonical_form, d_from_tree
 
 ENUM_LEAF_CAP = 8
 
@@ -152,12 +152,7 @@ def _canonical_relabel(t: LeafTree) -> LeafTree:
     """
     adj = t.adjacency()
     labeled = set(t.leaf_map())
-    rooted = {
-        c: _subtree_codes(adj, c, lambda u: ("leaf",) if u in labeled else ("node",))
-        for c in _centers(adj)
-    }
-    root = min(rooted, key=lambda c: (rooted[c][1][c], c))
-    parent, code = rooted[root]
+    root, parent, code = _rooted(adj, _centers(adj), lambda u: ("leaf",) if u in labeled else ("node",))
 
     next_leaf = itertools.count(0)
     next_internal = itertools.count(t.n_elements)

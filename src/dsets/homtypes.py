@@ -24,21 +24,16 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 import numpy as np
 
 from .core import DSet, InputError, _atoms, _require_core, _require_ids
-from .splittings import (
-    Splitting,
-    complementary,
-    density_witnesses,
-    enumerate_splittings,
-    induced_splitting,
-    is_regular,
-)
+from .splittings import complementary, density_witnesses, enumerate_splittings, induced_splitting
+from .splittings import is_regular
+from .trees import Splitting
 
 PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
 def _as_map(m: PairsLike) -> dict[int, int]:
     try:
-        items = [_require_ids(p) for p in (m.items() if isinstance(m, Mapping) else m)]
+        items = [_require_ids(tuple(p)) for p in (m.items() if isinstance(m, Mapping) else m)]
     except TypeError as exc:  # m, or one of its entries, is not iterable
         raise InputError(f"a map must be a mapping or a sequence of pairs: {exc}") from exc
     out: dict[int, int] = {}

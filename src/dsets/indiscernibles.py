@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import DSet, InputError, _atoms, _require_core, _require_ids
-from .splittings import Splitting, enumerate_splittings, extend_splitting
+from .splittings import enumerate_splittings, extend_splitting
+from .trees import Splitting
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class SequenceWindow:
 
     def __init__(self, rows: Iterable[Sequence[int]]) -> None:
         try:
-            packed = tuple(tuple(_require_ids(row)) for row in rows)
+            packed = tuple(tuple(_require_ids(tuple(row))) for row in rows)
         except TypeError as exc:  # rows, or one of them, is not iterable
             raise InputError(f"window rows must be a sequence of sequences: {exc}") from exc
         if not packed:
@@ -357,8 +358,6 @@ def weakly_indiscernible_over(
     """
     if len(s) < 5:
         raise InputError("weak indiscernibility needs a window of at least 5 rows")
-    if not isinstance(params, Iterable):
-        raise InputError(f"params must be an iterable of element ids, got {params!r}")
     b_list = sorted(set(_require_ids(params, d)))
     _require_ids(sorted(s.elements()), d)
     if not b_list:

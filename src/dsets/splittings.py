@@ -5,108 +5,31 @@ edge) separates the leaves: pairs inside one sector are separated from
 everything outside, and elements of four different sectors are never in
 relation.  Everything downstream of the tree correspondence (extension
 moves, homogeneity probes, hulls) speaks in splittings rather than raw
-quadruples.
+quadruples.  The Splitting type lives in trees, which reads splittings off
+a tree; every D-set takes that route unless brute force is asked for.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import trees
 from .core import DSet, InputError, InvariantViolation, _atoms, _canonical_rows, _first_true
 from .core import _kept, _require_core, _require_ids, _sort_rows, check_axioms
+from .trees import Splitting
+
+SplittingLike = Union[Splitting, Iterable[Iterable[int]]]
 
 
-@dataclass(frozen=True)
-class Splitting:
-    """Partition of element ids into at least two sectors.
-
-    Sectors are stored as frozensets, sorted by (min element, size, sorted
-    content) so equal partitions compare equal structurally.  A splitting
-    with exactly two sectors is an edge splitting, any other a node
-    splitting; the ground set need not be a whole D-set (induced
-    splittings live on subsets).
-    """
-
-    sectors: tuple[frozenset[int], ...]
-
-    def __init__(self, sectors: Iterable[Iterable[int]]) -> None:
-        try:
-            sectors = list(sectors)
-            try:
-                size = sum(map(len, sectors))
-            except TypeError:  # a sector with no length, such as a generator: read it once
-                sectors = [tuple(s) for s in sectors]
-                size = sum(map(len, sectors))
-            normalized = list(map(frozenset, sectors))
-        except TypeError as exc:
-            raise InputError(f"sectors must be lists of element ids: {exc}") from exc
-        if not all(normalized):
-            raise InputError("empty sector")
-        ground = frozenset().union(*normalized)
-        if len(ground) != size or not set(map(type, ground)) <= {int}:
-            # An id given twice may hide a bool or a float behind an equal int,
-            # so each id is checked as given; numpy integers pass and become ints.
-            normalized = [frozenset(_require_ids(s)) for s in sectors]
-            if len(frozenset().union(*normalized)) != sum(map(len, normalized)):
-                raise InputError("sectors overlap")
-        # Disjoint sectors have distinct minima, which settle the order.
-        normalized.sort(key=min)
-        object.__setattr__(self, "sectors", tuple(normalized))
-
-    @classmethod
-    def build(cls, sectors: Iterable[Iterable[int]]) -> "Splitting":
-        return cls(sectors)
-
-    @property
-    def kind(self) -> str:
-        return "edge" if len(self.sectors) == 2 else "node"
-
-    @property
-    def ground(self) -> frozenset[int]:
-        return frozenset().union(*self.sectors) if self.sectors else frozenset()
-
-    def sector_of(self, a: int) -> frozenset[int]:
-        for sec in self.sectors:
-            if a in sec:
-                return sec
-        raise InputError(f"element {a} not covered by this splitting")
-
-    def same_sector(self, a: int, b: int) -> bool:
-        return self.sector_of(a) is self.sector_of(b)
-
-    def as_sorted_lists(self) -> list[list[int]]:
-        return [sorted(sec) for sec in self.sectors]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"sectors": self.as_sorted_lists()}, sort_keys=True, separators=(",", ":")
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Splitting":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
-        if isinstance(payload, dict) and "sectors" in payload:
-            return cls(payload["sectors"])
-        # bare list form, as emitted by the splittings CLI payload
-        if isinstance(payload, list):
-            return cls(payload)
-        raise InputError(
-            "splitting JSON must be an object with a 'sectors' key "
-            "or a bare list of sectors"
-        )
+def _as_splitting(s: SplittingLike) -> Splitting:
+    """s itself if it is a Splitting, else the Splitting of its sectors."""
+    return s if isinstance(s, Splitting) else Splitting(s)
 
 
-def is_splitting(
-    d: DSet, candidate: Splitting | Iterable[Iterable[int]]
-) -> tuple[bool, Optional[dict]]:
+def is_splitting(d: DSet, candidate: SplittingLike) -> tuple[bool, Optional[dict]]:
     """Check the two defining conditions over d, returning a witness on failure.
 
     Accepts a Splitting or raw cells; overlapping or empty cells raise.
@@ -115,8 +38,7 @@ def is_splitting(
     D(ab;cd) holds.  Four sectors: elements of four pairwise different
     sectors are never in relation, in any pairing.
     """
-    if not isinstance(candidate, Splitting):
-        candidate = Splitting.build(candidate)
+    candidate = _as_splitting(candidate)
     if candidate.ground != d.elements:
         return False, {
             "kind": "ground_mismatch",
@@ -175,7 +97,7 @@ def _brute_force_splittings(d: DSet) -> list[Splitting]:
     for part in _set_partitions(elems):
         if len(part) < 2:
             continue
-        cand = Splitting.build(part)
+        cand = Splitting(part)
         ok, _ = is_splitting(d, cand)
         if ok:
             found.append(cand)
@@ -210,9 +132,7 @@ def _sorted_splittings(found: Iterable[Splitting]) -> list[Splitting]:
 @_kept
 def _tree_splittings(d: DSet) -> tuple[Splitting, ...]:
     """The splittings read off d's reconstructed tree, kept on d."""
-    from .trees import splittings_from_tree, tree_from_dset
-
-    return tuple(_sorted_splittings(splittings_from_tree(tree_from_dset(d)).all_splittings()))
+    return tuple(_sorted_splittings(trees.splittings_from_tree(trees.tree_from_dset(d)).all_splittings()))
 
 
 def branch(d: DSet, a: int, b: int, c: int) -> list[int]:
@@ -252,7 +172,7 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
         classes.setdefault(k, []).append(a)
     if len(classes) < 2:
         raise InputError(f"grouping induced by {e} on {sub} has a single class")
-    return Splitting.build(classes.values())
+    return Splitting(classes.values())
 
 
 def complementary(d: DSet, s: Splitting, sector: Iterable[int], a: int) -> int:
@@ -313,7 +233,7 @@ def _suitable(d: DSet, sector: frozenset[int], x: int, ground: frozenset[int]) -
 def extend_splitting(
     d: DSet,
     subset: Iterable[int],
-    s: Splitting,
+    s: SplittingLike,
     order: Optional[Sequence[int]] = None,
 ) -> Splitting:
     """Grow a splitting of a subset to one of the whole D-set.
@@ -326,7 +246,7 @@ def extend_splitting(
     the least id.  Two suitable sectors among three or more signal corrupt
     input.
     """
-    sub = frozenset(_require_ids(subset, d))
+    sub, s = frozenset(_require_ids(subset, d)), _as_splitting(s)
     if s.ground != sub:
         raise InputError("splitting does not cover the given subset")
     missing = sorted(d.elements - sub)
@@ -354,7 +274,7 @@ def extend_splitting(
                 f"element {x} fits two sectors of a many-sector splitting"
             )
         ground.add(x)
-    return Splitting.build(sectors)
+    return Splitting(sectors)
 
 
 def one_sector(d: DSet, c1: Splitting, c2: Splitting) -> frozenset[int]:
@@ -394,7 +314,7 @@ def is_regular(d: DSet) -> tuple[bool, Optional[int]]:
     return False, None
 
 
-def is_true_edge_splitting(d: DSet, p: Splitting | Iterable[Iterable[int]]) -> bool:
+def is_true_edge_splitting(d: DSet, p: SplittingLike) -> bool:
     """Two non-singleton sectors and no node splitting refining p.
 
     A node splitting refines p when each of its sectors lies inside one of
@@ -402,8 +322,7 @@ def is_true_edge_splitting(d: DSet, p: Splitting | Iterable[Iterable[int]]) -> b
     whose splitting refines the edge's, so this is False throughout; the
     notion only bites in infinite settings.
     """
-    if not isinstance(p, Splitting):
-        p = Splitting.build(p)
+    p = _as_splitting(p)
     ok, _ = is_splitting(d, p)
     if not ok:
         return False

@@ -3,17 +3,15 @@
 Finite D-sets satisfying D1..D4 are exactly the leaf systems of finite
 trees in which every internal node has degree at least three.  This module
 holds the tree type, the two directions of that correspondence, and the
-splitting dictionaries read off from internal nodes and edges.
+Splitting type with the splittings read off from internal nodes and edges.
 
-Every traversal is one breadth-first walk, `_walk`: connectivity, the
-center, the canonical codes, and the elements below each node, from
+Every traversal is core's breadth-first walk, `_walk`: connectivity, the
+canonical codes (`core._rooted`), and the elements below each node, from
 which both the splittings and the leaf distances are read (one walk from
 element 0's leaf, then the one matmul that `core._rebuild` also uses).
 The relation is read off a grid of leaf pairs in lexicographic order, so
 its rows come out canonical and sorted.  The tree of a D-set is the
-rooted-cluster rebuild that `core` certifies D1..D4 with.  Canonical
-codes are flat preorder token tuples (AHU codes), so neither building nor
-comparing them recurses.
+rooted-cluster rebuild that `core` certifies D1..D4 with.
 """
 
 from __future__ import annotations
@@ -26,17 +24,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import (
-    DSet,
-    InputError,
-    InvariantViolation,
-    NotRepresentable,
-    _distances,
-    _kept,
-    _rebuild,
-    check_axioms,
-)
-from .splittings import Splitting
+from .core import DSet, InputError, NotRepresentable, _centers, _distances, _kept, _require_ids, _rooted
+from .core import _tree_parents, _walk, check_axioms
 
 
 @dataclass(frozen=True)
@@ -85,7 +74,7 @@ class LeafTree:
                 raise InputError(f"edge ({u},{v}) mentions an unknown node")
         if len(self.edges) != max(0, len(self.nodes) - 1):
             raise InputError("a tree on k nodes needs exactly k-1 edges")
-        if self.nodes and not self._connected():
+        if self.nodes and len(_walk(self.adjacency(), self.nodes[0])[0]) != len(self.nodes):
             raise InputError("tree is not connected")
         labeled = [u for u, _ in self.leaves]
         if len(set(labeled)) != len(labeled):
@@ -104,9 +93,6 @@ class LeafTree:
                     raise InputError(f"labeled node {u} has degree {degree[u]}")
             elif degree[u] < 3:
                 raise InputError(f"internal node {u} has degree {degree[u]} < 3")
-
-    def _connected(self) -> bool:
-        return len(_walk(self.adjacency(), self.nodes[0])[0]) == len(self.nodes)
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {u: [] for u in self.nodes}
@@ -169,21 +155,6 @@ class LeafTree:
 
 
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def _walk(adj, root: int) -> tuple[list[int], dict]:
-    """Breadth-first walk of a tree from root: visit order and parents.
-
-    The root's parent is None.  Every traversal of a tree goes through here.
-    """
-    order = [root]
-    parent = {root: None}
-    for u in order:
-        for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-    return order, parent
 
 
 def _below(t: LeafTree, adj) -> tuple[list[int], dict, dict[int, set[int]]]:
@@ -255,14 +226,82 @@ def tree_from_dset(d: DSet) -> LeafTree:
     report = check_axioms(d)
     if not report.core_pass:
         raise NotRepresentable(f"relation table fails D1..D4: {report.as_dict()}")
-    n = d.n
-    if n < 2:
-        return LeafTree(range(n), (), {e: e for e in range(n)})
-    rebuilt = _rebuild(d)
-    if rebuilt is None:
-        raise InvariantViolation("D1..D4 hold but the rooted clusters form no tree")
-    parent = rebuilt[0].tolist()
-    return LeafTree(range(len(parent)), enumerate(parent[1:], 1), {e: e for e in range(n)})
+    parent = _tree_parents(d)
+    return LeafTree(range(len(parent)), enumerate(parent[1:], 1), {e: e for e in range(d.n)})
+
+
+@dataclass(frozen=True)
+class Splitting:
+    """Partition of element ids into at least two sectors.
+
+    Sectors are stored as frozensets in the order of their least elements,
+    so equal partitions compare equal structurally.  A splitting with
+    exactly two sectors is an edge splitting, any other a node splitting;
+    the ground set need not be a whole D-set (induced splittings live on
+    subsets).
+    """
+
+    sectors: tuple[frozenset[int], ...]
+
+    def __init__(self, sectors: Iterable[Iterable[int]]) -> None:
+        try:
+            sectors = list(sectors)
+            try:
+                size = sum(map(len, sectors))
+            except TypeError:  # a sector with no length, such as a generator: read it once
+                sectors = [tuple(s) for s in sectors]
+                size = sum(map(len, sectors))
+            normalized = list(map(frozenset, sectors))
+        except TypeError as exc:
+            raise InputError(f"sectors must be lists of element ids: {exc}") from exc
+        if not all(normalized):
+            raise InputError("empty sector")
+        ground = frozenset().union(*normalized)
+        if len(ground) != size or not set(map(type, ground)) <= {int}:
+            # An id given twice may hide a bool or a float behind an equal int,
+            # so each id is checked as given; numpy integers pass and become ints.
+            normalized = [frozenset(_require_ids(s)) for s in sectors]
+            if len(frozenset().union(*normalized)) != sum(map(len, normalized)):
+                raise InputError("sectors overlap")
+        # Disjoint sectors have distinct minima, which settle the order.
+        normalized.sort(key=min)
+        object.__setattr__(self, "sectors", tuple(normalized))
+
+    @property
+    def kind(self) -> str:
+        return "edge" if len(self.sectors) == 2 else "node"
+
+    @property
+    def ground(self) -> frozenset[int]:
+        return frozenset().union(*self.sectors) if self.sectors else frozenset()
+
+    def sector_of(self, a: int) -> frozenset[int]:
+        for sec in self.sectors:
+            if a in sec:
+                return sec
+        raise InputError(f"element {a} not covered by this splitting")
+
+    def same_sector(self, a: int, b: int) -> bool:
+        return self.sector_of(a) is self.sector_of(b)
+
+    def as_sorted_lists(self) -> list[list[int]]:
+        return [sorted(sec) for sec in self.sectors]
+
+    def to_json(self) -> str:
+        return json.dumps({"sectors": self.as_sorted_lists()}, sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "Splitting":
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"invalid JSON: {exc}") from exc
+        if isinstance(payload, dict) and "sectors" in payload:
+            return cls(payload["sectors"])
+        # bare list form, as emitted by the splittings CLI payload
+        if isinstance(payload, list):
+            return cls(payload)
+        raise InputError("splitting JSON must be an object with a 'sectors' key or a bare list of sectors")
 
 
 @dataclass(frozen=True)
@@ -274,13 +313,11 @@ class TreeCorrespondence:
     does the same for edges, always a two-sector partition.
     """
 
-    node_splittings: tuple[tuple[int, "object"], ...]
-    edge_splittings: tuple[tuple[tuple[int, int], "object"], ...]
+    node_splittings: tuple[tuple[int, Splitting], ...]
+    edge_splittings: tuple[tuple[tuple[int, int], Splitting], ...]
 
-    def all_splittings(self) -> list:
-        out = [s for _, s in self.node_splittings]
-        out.extend(s for _, s in self.edge_splittings)
-        return out
+    def all_splittings(self) -> list[Splitting]:
+        return [s for _, s in self.node_splittings + self.edge_splittings]
 
 
 def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
@@ -301,43 +338,9 @@ def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
         """Elements on v's side of the edge uv."""
         return below[v] if parent[v] == u else everything - below[u]
 
-    node_entries = tuple(
-        (mu, Splitting.build([side(mu, v) for v in adj[mu]])) for mu in t.internal_nodes()
-    )
-    edge_entries = tuple(
-        ((u, v), Splitting.build([side(v, u), side(u, v)])) for u, v in t.edges
-    )
+    node_entries = tuple((mu, Splitting([side(mu, v) for v in adj[mu]])) for mu in t.internal_nodes())
+    edge_entries = tuple(((u, v), Splitting([side(v, u), side(u, v)])) for u, v in t.edges)
     return TreeCorrespondence(node_entries, edge_entries)
-
-
-def _centers(adj) -> list[int]:
-    """The middle one or two nodes of a longest path; unique in a tree."""
-    far = _walk(adj, next(iter(adj)))[0][-1]
-    order, parent = _walk(adj, far)
-    path = [order[-1]]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    length = len(path) - 1
-    return sorted(path[length // 2 : (length + 1) // 2 + 1])
-
-
-def _subtree_codes(adj, root: int, token) -> tuple[dict, dict[int, tuple]]:
-    """Parents and flat AHU codes of every subtree, the tree rooted at root.
-
-    A node's code is (token(u),) followed by its children's codes in sorted
-    order and a closing (); tokens are non-empty tuples, so () sorts below
-    all of them.  Flat codes therefore compare and order exactly as nested
-    (token, sorted children) codes would, and comparing two of them never
-    recurses past a token.
-    """
-    order, parent = _walk(adj, root)
-    kids: dict[int, list[tuple]] = {u: [] for u in order}
-    code: dict[int, tuple] = {}
-    for u in reversed(order):
-        code[u] = (token(u), *itertools.chain.from_iterable(sorted(kids.pop(u))), ())
-        if parent[u] is not None:
-            kids[parent[u]].append(code[u])
-    return parent, code
 
 
 def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple:
@@ -354,17 +357,14 @@ def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple
     """
     if not t.nodes:
         return ("empty",)
-    tokens = list(leaf_tokens) if leaf_tokens is not None else None
-    leaf_of = t.leaf_map()
+    tokens = range(t.n_elements) if leaf_tokens is None else list(leaf_tokens)
+    leaf_of, adj = t.leaf_map(), t.adjacency()
 
-    def token(u: int):
-        if u not in leaf_of:
-            return ("i",)
-        e = leaf_of[u]
-        return ("leaf", tokens[e] if tokens is not None else e)
+    def token(u: int) -> tuple:
+        return ("leaf", tokens[leaf_of[u]]) if u in leaf_of else ("i",)
 
-    adj = t.adjacency()
-    return min(_subtree_codes(adj, c, token)[1][c] for c in _centers(adj))
+    root, _, code = _rooted(adj, _centers(adj), token)
+    return code[root]
 
 
 def are_isomorphic_trees(t1: LeafTree, t2: LeafTree, respect_labels: bool = True) -> bool:

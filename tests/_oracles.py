@@ -750,17 +750,27 @@ def shape_key(edges, leaf_nodes, nodes):
 
 
 @lru_cache(maxsize=None)
+def _skeletons(j):
+    """One Pruefer skeleton on j internal nodes per shape, by shape_key."""
+    found = {}
+    for edges in _prufer_trees(j):
+        found.setdefault(shape_key(edges, frozenset(), tuple(range(j))), edges)
+    return list(found.values())
+
+
+@lru_cache(maxsize=None)
 def count_shapes(k):
     """Isomorphism classes of k-leaf trees with no binary internal nodes,
-    counted by attaching leaves to every Pruefer skeleton of internal
-    nodes and deduplicating on a canonical code."""
+    counted by attaching leaves to one Pruefer skeleton of internal nodes
+    per skeleton shape (isomorphic skeletons give the same trees) and
+    deduplicating on a canonical code."""
     if k <= 0:
         return 0
     if k in (1, 2):
         return 1
     codes = set()
     for j in range(1, k - 1):
-        for skel_edges in _prufer_trees(j):
+        for skel_edges in _skeletons(j):
             degree = [0] * j
             for u, v in skel_edges:
                 degree[u] += 1

@@ -254,7 +254,7 @@ def _battery_extend_order(d, splittings, rng, out):
             met = sum(1 for sec in s.sectors if sec & set(a))
             if met < 3 or len(a) == d.n:
                 continue
-            restricted = Splitting.build(
+            restricted = Splitting(
                 [sec & set(a) for sec in s.sectors if sec & set(a)]
             )
             missing = [e for e in elems if e not in a]

@@ -214,7 +214,7 @@ def test_splittings_brute_refuses_more_than_ten_elements(run, catalogue):
 
 def test_extend_attaches_element(run, catalogue, tmp_path):
     sfile = tmp_path / "cut.json"
-    sfile.write_text(Splitting.build([{0, 1}, {2, 3}]).to_json())
+    sfile.write_text(Splitting([{0, 1}, {2, 3}]).to_json())
     code, out, _ = run(
         ["extend", "-", "--splitting", str(sfile)], catalogue["CAT4"].dset.to_json()
     )

@@ -837,6 +837,18 @@ def test_constructors_reject_colors_that_are_not_non_negative_integers(catalogue
     assert tinted.colors == (1, 1, 0, 2) and {type(c) for c in tinted.colors} == {int}
 
 
+def test_every_route_reads_a_color_map_by_element(catalogue):
+    assert DSet(4, [], {0: 1, 1: 0, 2: 0, 3: 0}).colors == (1, 0, 0, 0)
+    assert DSet.build(4, [], {3: 1, 2: 0, 1: 0, 0: 0}).colors == (0, 0, 0, 1)
+    d = catalogue["CAT4"].dset
+    assert d.recolor({3: 1, 2: 0, 1: 0, 0: 0}) == DSet.build(4, d.rows.tolist(), [0, 0, 0, 1])
+    for make in (lambda c: DSet(4, [], c), lambda c: DSet.build(4, [], c), d.recolor):
+        with pytest.raises(InputError, match=r"^coloring misses elements \[3\]$"):
+            make({0: 0, 1: 0, 2: 0})
+        with pytest.raises(InputError, match=r"^element 4 out of range 0\.\.3$"):
+            make({0: 0, 1: 0, 2: 0, 3: 0, 4: 0})
+
+
 # ---------------------------------------------------------------------------
 # one stored relation: every route to the same relation gives the same structure
 

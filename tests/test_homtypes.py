@@ -25,21 +25,21 @@ def test_qftp_base_node_case(catalogue):
     got = D.qftp_base(catalogue["CAT4E"].dset, [0, 1, 2, 3], 4)
     assert got.case == "node"
     assert set(got.base) == {0, 1, 2}
-    assert got.splitting == Splitting.build([{0}, {1}, {2, 3}])
+    assert got.splitting == Splitting([{0}, {1}, {2, 3}])
 
 
 def test_qftp_base_edge_case(catalogue):
     got = D.qftp_base(catalogue["CAT4M"].dset, [0, 1, 2, 3], 4)
     assert got.case == "edge"
     assert got.base == (0, 1, 2)
-    assert got.splitting == Splitting.build([{0, 1}, {2, 3}])
+    assert got.splitting == Splitting([{0, 1}, {2, 3}])
 
 
 def test_qftp_base_flower(catalogue):
     got = D.qftp_base(catalogue["FLW4"].dset, [0, 1, 2], 3)
     assert got.case == "node"
     assert got.base == (0, 1, 2)
-    assert got.splitting == Splitting.build([{0}, {1}, {2}])
+    assert got.splitting == Splitting([{0}, {1}, {2}])
 
 
 def test_qftp_base_requires_outside_element(catalogue):

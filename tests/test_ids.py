@@ -60,6 +60,29 @@ def test_entry_points_take_numpy_integers(catalogue, entry):
     assert repr(_ENTRY_POINTS[entry](d, np.int64(v))) == repr(_ENTRY_POINTS[entry](d, v))
 
 
+# A call on the CAT5 fixture that passes an int where a collection of ids,
+# a DSet or a splitting belongs, and the message it ends in.
+_NOT_A_COLLECTION = "element ids must come as a collection, got 5"
+_WRONG_TYPES = {
+    "substructure": (lambda d: D.substructure(d, 5), _NOT_A_COLLECTION),
+    "qftp_base": (lambda d: D.qftp_base(d, 5, 4), _NOT_A_COLLECTION),
+    "same_qftp": (lambda d: D.same_qftp(d, 5, 3, 4), _NOT_A_COLLECTION),
+    "induced_splitting": (lambda d: D.induced_splitting(d, 5, 4), _NOT_A_COLLECTION),
+    "are_isomorphic": (lambda d: D.are_isomorphic(d, 5), "are_isomorphic compares two DSets, got 5"),
+    "extend_splitting": (
+        lambda d: D.extend_splitting(d, [0, 1, 2], 5),
+        "sectors must be lists of element ids: 'int' object is not iterable",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_WRONG_TYPES))
+def test_arguments_of_the_wrong_type_are_input_errors(catalogue, entry):
+    call, message = _WRONG_TYPES[entry]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(catalogue["CAT5"].dset)
+
+
 @pytest.mark.parametrize(
     "mapping, message",
     (

@@ -38,7 +38,19 @@ ALL = [
 ]
 
 BASE = {"dsets", "dsets.cli", "dsets.core"}
-TREES = BASE | {"dsets.splittings", "dsets.trees"}
+
+# The import order of the library: each module imports only modules before it.
+ORDER = ("core", "trees", "splittings", "homtypes", "indiscernibles", "generators", "cli")
+# The dsets modules that importing each one alone loads, besides the package.
+LOADS = {
+    "core": {"core"},
+    "trees": {"core", "trees"},
+    "splittings": {"core", "trees", "splittings"},
+    "homtypes": {"core", "trees", "splittings", "homtypes"},
+    "indiscernibles": {"core", "trees", "splittings", "indiscernibles"},
+    "generators": {"core", "trees", "splittings", "generators"},
+    "cli": {"core", "cli"},
+}
 
 
 def _python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
@@ -56,6 +68,13 @@ def _loaded_after(code: str) -> set[str]:
 
 def test_import_dsets_loads_no_submodule_and_not_numpy():
     assert _loaded_after("import dsets") == {"dsets"}
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_each_module_loads_only_modules_before_it(module):
+    assert LOADS[module] <= set(ORDER[: ORDER.index(module) + 1])
+    loaded = _loaded_after(f"import dsets.{module}") - {"numpy"}
+    assert loaded == {"dsets"} | {f"dsets.{m}" for m in LOADS[module]}
 
 
 def test_check_process_loads_only_core(catalogue):
@@ -81,21 +100,21 @@ def inputs(tmp_path_factory, catalogue):
     return {name: str(where / f"{name}.json") for name in files}
 
 
-# argv, and the one module beyond core, splittings and trees that the
-# command may load; whether a command reaches trees depends on its input.
+# argv, and the library modules beyond core that the command loads on these
+# inputs: its own module and the modules that one imports.
 COMMANDS = {
-    "check": (["check", "{flw}"], None),
-    "from-tree": (["from-tree", "{tree}"], None),
-    "to-tree": (["to-tree", "{flw}"], None),
-    "export-dot": (["export-dot", "{tree}"], None),
-    "splittings": (["splittings", "{flw}"], None),
-    "extend": (["extend", "{flw}", "--splitting", "{cut}"], None),
-    "probe": (["probe", "{flw}", "--map", "{map}", "--add", "3"], "dsets.homtypes"),
-    "homreport": (["homreport", "{flw}"], "dsets.homtypes"),
-    "classify": (["classify", "{flw}", "--seq", "0,1,2,3,4"], "dsets.indiscernibles"),
-    "hull": (["hull", "{flw}", "--seq", "0,1,2,3,4"], "dsets.indiscernibles"),
-    "indisc": (["indisc", "{flw}", "--seq", "0,1,2,3,4", "--over", "5"], "dsets.indiscernibles"),
-    "gen": (["gen", "--fixture", "CAT5"], "dsets.generators"),
+    "check": (["check", "{flw}"], set()),
+    "from-tree": (["from-tree", "{tree}"], {"trees"}),
+    "to-tree": (["to-tree", "{flw}"], {"trees"}),
+    "export-dot": (["export-dot", "{tree}"], {"trees"}),
+    "splittings": (["splittings", "{flw}"], LOADS["splittings"] - {"core"}),
+    "extend": (["extend", "{flw}", "--splitting", "{cut}"], LOADS["splittings"] - {"core"}),
+    "probe": (["probe", "{flw}", "--map", "{map}", "--add", "3"], LOADS["homtypes"] - {"core"}),
+    "homreport": (["homreport", "{flw}"], LOADS["homtypes"] - {"core"}),
+    "classify": (["classify", "{flw}", "--seq", "0,1,2,3,4"], LOADS["indiscernibles"] - {"core"}),
+    "hull": (["hull", "{flw}", "--seq", "0,1,2,3,4"], LOADS["indiscernibles"] - {"core"}),
+    "indisc": (["indisc", "{flw}", "--seq", "0,1,2,3,4", "--over", "5"], LOADS["indiscernibles"] - {"core"}),
+    "gen": (["gen", "--fixture", "CAT5"], LOADS["generators"] - {"core"}),
 }
 
 
@@ -104,10 +123,7 @@ def test_each_command_loads_only_its_modules(inputs, command):
     argv, extra = COMMANDS[command]
     argv = [arg.format(**inputs) for arg in argv + ["--quiet"]]
     loaded = _loaded_after(f"from dsets.cli import main\nassert main({argv!r}) in (0, 1)") - {"numpy"}
-    assert BASE <= loaded
-    assert loaded - BASE - {"dsets.splittings", "dsets.trees"} == ({extra} if extra else set())
-    if command in ("to-tree", "from-tree", "export-dot", "splittings", "gen"):
-        assert "dsets.trees" in loaded
+    assert loaded == BASE | {f"dsets.{m}" for m in extra}
 
 
 def test_every_name_is_its_home_modules_object():
@@ -139,14 +155,31 @@ def _calls(tree: ast.AST):
                 yield name, node
 
 
-def test_only_core_reads_the_relation_table():
-    # Every atom D(wx;yz) is read through core._atoms, so that a structure
-    # can answer atoms another way by changing that one function.
+def _sources() -> dict[str, ast.Module]:
+    """The parsed source of every module of the package, by module name."""
     trees = {}
     for name in sorted(os.listdir(os.path.join(SRC, "dsets"))):
         if name.endswith(".py"):
             with open(os.path.join(SRC, "dsets", name), encoding="utf-8") as fh:
                 trees[name[:-3]] = ast.parse(fh.read())
+    return trees
+
+
+def test_no_function_imports_a_module():
+    # Every import is at module top, so the order above is the whole story.
+    inner = [
+        (module, func.name, node.lineno)
+        for module, tree in _sources().items()
+        for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert inner == []
+
+
+def test_only_core_reads_the_relation_table():
+    # Every atom D(wx;yz) is read through core._atoms, so that a structure
+    # can answer atoms another way by changing that one function.
+    trees = _sources()
     named = {
         module for module, tree in trees.items() for node in ast.walk(tree)
         if (isinstance(node, ast.Name) and node.id == "relation_table")

@@ -26,16 +26,16 @@ def _as_cellsets(splittings):
 
 
 def test_splitting_structural_equality():
-    assert Splitting.build([{0, 1}, {2, 3}]) == Splitting.build([[3, 2], [1, 0]])
-    assert Splitting.build([{0, 1}, {2, 3}]).kind == "edge"
-    assert Splitting.build([{0}, {1}, {2}]).kind == "node"
+    assert Splitting([{0, 1}, {2, 3}]) == Splitting([[3, 2], [1, 0]])
+    assert Splitting([{0, 1}, {2, 3}]).kind == "edge"
+    assert Splitting([{0}, {1}, {2}]).kind == "node"
 
 
 def test_splitting_rejects_overlap_and_empty():
     with pytest.raises(InputError):
-        Splitting.build([{0, 1}, {1, 2}])
+        Splitting([{0, 1}, {1, 2}])
     with pytest.raises(InputError):
-        Splitting.build([{0}, set()])
+        Splitting([{0}, set()])
 
 
 def test_splitting_converts_numpy_ids_and_orders_sectors_by_least_element():
@@ -66,14 +66,14 @@ def test_splitting_rejects_sectors_that_are_not_lists_of_ids(sectors):
 
 
 def test_splitting_json_round_trip():
-    s = Splitting.build([{2, 0}, {1}, {3, 4}])
+    s = Splitting([{2, 0}, {1}, {3, 4}])
     assert Splitting.from_json(s.to_json()) == s
 
 
 def test_splitting_json_bare_list():
     # the splittings CLI payload lists partitions without the wrapper object
     s = Splitting.from_json("[[0, 2], [1], [3, 4]]")
-    assert s == Splitting.build([{0, 2}, {1}, {3, 4}])
+    assert s == Splitting([{0, 2}, {1}, {3, 4}])
     with pytest.raises(InputError):
         Splitting.from_json('"not a partition"')
 
@@ -311,7 +311,7 @@ def test_branch_and_complementary_match_holds_oracles():
         splittings = D.enumerate_splittings(d) if D.check_axioms(d).core_pass else []
         for _ in range(6):
             cut = sorted(rng.sample(range(1, d.n), rng.randint(1, 3)))
-            splittings.append(Splitting.build(
+            splittings.append(Splitting(
                 [range(lo, hi) for lo, hi in zip([0] + cut, cut + [d.n])]))
         for s in splittings:
             for sector in s.sectors:
@@ -328,7 +328,7 @@ def test_branch_and_complementary_match_holds_oracles():
 def test_branch_and_complementary_reject_unknown_ids(catalogue, bad):
     # Table indexing would wrap -1, read True as a mask and fail on a float.
     d = catalogue["CAT4"].dset
-    s = Splitting.build([{0, 1}, {2, 3}])
+    s = Splitting([{0, 1}, {2, 3}])
     message = "^element ids must be non-negative integers" if isinstance(bad, (bool, float)) else None
     with pytest.raises(InputError, match=message):
         D.branch(d, *((0, 1, bad) if bad == 2 else (bad, 2, 3)))
@@ -338,7 +338,7 @@ def test_branch_and_complementary_reject_unknown_ids(catalogue, bad):
         with pytest.raises(InputError, match=message):
             D.complementary(d, s, [0, bad], 0)
     if type(bad) is int:  # a sector holds ints; True would become 1 and 2.0 equal 2
-        wide = Splitting.build([{0, 1}, {2, 3, bad}])
+        wide = Splitting([{0, 1}, {2, 3, bad}])
         with pytest.raises(InputError):
             D.complementary(d, wide, {0, 1}, 0)
 
@@ -350,17 +350,17 @@ def test_branch_and_complementary_reject_unknown_ids(catalogue, bad):
 def test_induced_cat4e(catalogue):
     d = catalogue["CAT4E"].dset
     got = D.induced_splitting(d, [0, 1, 2, 3], 4)
-    assert got == Splitting.build([{0}, {1}, {2, 3}])
+    assert got == Splitting([{0}, {1}, {2, 3}])
 
 
 def test_induced_cat5(catalogue):
     got = D.induced_splitting(catalogue["CAT5"].dset, [0, 1, 2, 3], 4)
-    assert got == Splitting.build([{0, 1, 2}, {3}])
+    assert got == Splitting([{0, 1, 2}, {3}])
 
 
 def test_induced_flw4(catalogue):
     got = D.induced_splitting(catalogue["FLW4"].dset, [0, 1, 2], 3)
-    assert got == Splitting.build([{0}, {1}, {2}])
+    assert got == Splitting([{0}, {1}, {2}])
 
 
 def test_induced_refuses_a_grouping_that_is_not_transitive():
@@ -401,7 +401,7 @@ def test_induced_requires_outside_element(catalogue):
 @pytest.mark.parametrize("bad", (1.7, 1.0, "1", True))
 def test_subset_entry_points_reject_ids_that_are_not_integers(catalogue, bad):
     d = catalogue["CAT5"].dset
-    s = Splitting.build([{0}, {1}, {2}])
+    s = Splitting([{0}, {1}, {2}])
     for call in (
         lambda: D.induced_splitting(d, [0, bad, 2], 3),
         lambda: D.induced_splitting(d, [0, 1, 2], bad),
@@ -418,7 +418,7 @@ def test_subset_entry_points_reject_ids_that_are_not_integers(catalogue, bad):
 
 def test_complementary_cat6(catalogue):
     d = catalogue["CAT6"].dset
-    s = Splitting.build([{0, 1, 2}, {3, 4}])
+    s = Splitting([{0, 1, 2}, {3, 4}])
     assert D.complementary(d, s, {0, 1, 2}, 0) == 2
     # 1 genuinely fails: D(01;23) separates the pair 0,1 across the cut
     assert d.holds(0, 1, 2, 3)
@@ -426,19 +426,19 @@ def test_complementary_cat6(catalogue):
 
 def test_complementary_cat4(catalogue):
     d = catalogue["CAT4"].dset
-    s = Splitting.build([{0, 1}, {2, 3}])
+    s = Splitting([{0, 1}, {2, 3}])
     assert D.complementary(d, s, {0, 1}, 0) == 1
 
 
 def test_complementary_singleton_sector(catalogue):
     d = catalogue["FLW4"].dset
-    s = Splitting.build([{0}, {1}, {2}, {3}])
+    s = Splitting([{0}, {1}, {2}, {3}])
     assert D.complementary(d, s, {0}, 0) == 0
 
 
 def test_complementary_checks_membership(catalogue):
     d = catalogue["CAT4"].dset
-    s = Splitting.build([{0, 1}, {2, 3}])
+    s = Splitting([{0, 1}, {2, 3}])
     with pytest.raises(InputError):
         D.complementary(d, s, {0, 1}, 2)
 
@@ -449,19 +449,19 @@ def test_complementary_checks_membership(catalogue):
 
 def test_extend_star3_all_singletons(catalogue):
     star3 = catalogue["FLW3"].dset
-    out = D.extend_by_point(star3, Splitting.build([{0}, {1}, {2}]))
+    out = D.extend_by_point(star3, Splitting([{0}, {1}, {2}]))
     assert out.n == 4
     assert out.positives == frozenset()
 
 
 def test_extend_cat4_edge_matches_subdivided_tree(catalogue):
-    out = D.extend_by_point(catalogue["CAT4"].dset, Splitting.build([{0, 1}, {2, 3}]))
+    out = D.extend_by_point(catalogue["CAT4"].dset, Splitting([{0, 1}, {2, 3}]))
     assert out.positives == catalogue["CAT4M"].dset.positives
 
 
 def test_extend_cat4_node_matches_extra_leaf(catalogue):
     out = D.extend_by_point(
-        catalogue["CAT4"].dset, Splitting.build([{0}, {1}, {2, 3}])
+        catalogue["CAT4"].dset, Splitting([{0}, {1}, {2, 3}])
     )
     assert out.positives == catalogue["CAT4E"].dset.positives
 
@@ -486,7 +486,7 @@ def test_extend_induces_input_back_on_large_trees(leaves):
 
 def test_extend_rejects_input_failing_core_axioms():
     d = DSet.build(4, [(0, 1, 2, 3), (0, 2, 1, 3)])  # fails D2
-    s = Splitting.build([{0}, {1, 2, 3}])
+    s = Splitting([{0}, {1, 2, 3}])
     assert D.is_splitting(d, s)[0]
     with pytest.raises(InputError, match="input fails D1..D4"):
         D.extend_by_point(d, s)
@@ -498,19 +498,19 @@ def test_extend_rejects_input_failing_core_axioms():
 
 def test_extend_splitting_new_singleton(catalogue):
     d = catalogue["CAT4E"].dset
-    got = D.extend_splitting(d, {0, 1, 2, 3}, Splitting.build([{0}, {1}, {2, 3}]))
-    assert got == Splitting.build([{0}, {1}, {2, 3}, {4}])
+    got = D.extend_splitting(d, {0, 1, 2, 3}, Splitting([{0}, {1}, {2, 3}]))
+    assert got == Splitting([{0}, {1}, {2, 3}, {4}])
 
 
 def test_extend_splitting_edge_default_policy(catalogue):
     d = catalogue["CAT4E"].dset
-    got = D.extend_splitting(d, {0, 1, 2, 3}, Splitting.build([{0, 1}, {2, 3}]))
-    assert got == Splitting.build([{0, 1, 4}, {2, 3}])
+    got = D.extend_splitting(d, {0, 1, 2, 3}, Splitting([{0, 1}, {2, 3}]))
+    assert got == Splitting([{0, 1, 4}, {2, 3}])
 
 
 def test_extend_splitting_full_subset_identity(catalogue):
     d = catalogue["CAT4"].dset
-    s = Splitting.build([{0, 1}, {2, 3}])
+    s = Splitting([{0, 1}, {2, 3}])
     assert D.extend_splitting(d, {0, 1, 2, 3}, s) == s
 
 
@@ -518,8 +518,8 @@ def test_extend_splitting_recovers_restricted_node(catalogue):
     # restricting the left node splitting of CAT5 to {0,1,2} loses the tail;
     # extension must rebuild it whichever way the tail is fed back in
     d = catalogue["CAT5"].dset
-    full = Splitting.build([{0}, {1}, {2, 3, 4}])
-    restricted = Splitting.build([{0}, {1}, {2}])
+    full = Splitting([{0}, {1}, {2, 3, 4}])
+    restricted = Splitting([{0}, {1}, {2}])
     for order in itertools.permutations([3, 4]):
         assert D.extend_splitting(d, {0, 1, 2}, restricted, order=order) == full
 
@@ -530,21 +530,21 @@ def test_extend_splitting_recovers_restricted_node(catalogue):
 
 def test_one_sector_cat4(catalogue):
     d = catalogue["CAT4"].dset
-    at_n1 = Splitting.build([{0}, {1}, {2, 3}])
-    at_n2 = Splitting.build([{0, 1}, {2}, {3}])
+    at_n1 = Splitting([{0}, {1}, {2, 3}])
+    at_n2 = Splitting([{0, 1}, {2}, {3}])
     assert D.one_sector(d, at_n1, at_n2) == frozenset({0, 1})
     assert D.one_sector(d, at_n2, at_n1) == frozenset({2, 3})
 
 
 def test_one_sector_refinement_case(catalogue):
     d = catalogue["FLW4"].dset
-    node = Splitting.build([{0}, {1}, {2}, {3}])
-    edge = Splitting.build([{0}, {1, 2, 3}])
+    node = Splitting([{0}, {1}, {2}, {3}])
+    edge = Splitting([{0}, {1, 2, 3}])
     assert D.one_sector(d, node, edge) == frozenset({1, 2, 3})
 
 
 def test_one_sector_requires_distinct(catalogue):
-    s = Splitting.build([{0, 1}, {2, 3}])
+    s = Splitting([{0, 1}, {2, 3}])
     with pytest.raises(InputError):
         D.one_sector(catalogue["CAT4"].dset, s, s)
 
@@ -564,8 +564,8 @@ def test_true_edge_splitting(catalogue):
     assert not D.is_true_edge_splitting(cat4, [{0, 1}, {2, 3}])
     assert not D.is_true_edge_splitting(cat4, [{0}, {1, 2, 3}])
     # the node splitting at n1 refines the spine cut, so the cut is not true
-    node = Splitting.build([{0}, {1}, {2, 3}])
-    cut = Splitting.build([{0, 1}, {2, 3}])
+    node = Splitting([{0}, {1}, {2, 3}])
+    cut = Splitting([{0, 1}, {2, 3}])
     assert all(any(sec <= big for big in cut.sectors) for sec in node.sectors)
 
 
