@@ -24,7 +24,6 @@ from .core import (
     InputError,
     InvariantViolation,
     NotRepresentable,
-    _require_ids,
     check_axioms,
 )
 
@@ -174,7 +173,8 @@ def cmd_indisc(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_map(text: str) -> dict[int, int]:
+def _parse_map(text: str) -> list[tuple]:
+    """The pairs of a JSON map, as given; check_partial_iso reads them."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -183,13 +183,10 @@ def _parse_map(text: str) -> dict[int, int]:
         payload = payload["map"]
     try:
         if isinstance(payload, dict):
-            pairs = [(int(k), v) for k, v in payload.items()]
-        else:
-            pairs = [(k, v) for k, v in payload]
+            return [(int(k), v) for k, v in payload.items()]
+        return [(k, v) for k, v in payload]
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed map payload: {exc}") from exc
-    _require_ids(v for pair in pairs for v in pair)
-    return dict(pairs)
 
 
 def cmd_probe(args) -> int:
@@ -208,7 +205,7 @@ def cmd_probe(args) -> int:
         "partial_iso": True,
         "element": args.add,
         "candidates": candidates,
-        "map": sorted(pairs.items()),
+        "map": sorted(dict(pairs).items()),
     }
     summary = (
         f"{len(candidates)} candidate images for {args.add}"

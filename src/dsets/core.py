@@ -102,6 +102,15 @@ def _require_ids(ids: Iterable, d: Optional["DSet"] = None) -> list[int]:
     return list(map(int, ids))
 
 
+def _natural(v, message: str = "'n' must be a non-negative integer", *args) -> int:
+    """v as a Python int, if it is a non-negative integer other than a bool,
+    else InputError(message.format(v, *args)): the one check of an element
+    count (the default message), of a color and of a quad's ids."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+        raise InputError(message.format(v, *args))
+    return int(v)
+
+
 def normalize_quad(w: int, x: int, y: int, z: int) -> Quad:
     """Canonical representative of the D1 orbit of (w,x,y,z).
 
@@ -109,14 +118,31 @@ def normalize_quad(w: int, x: int, y: int, z: int) -> Quad:
     so the result r satisfies r[0] <= r[1], r[2] <= r[3], (r[0], r[1]) <=
     (r[2], r[3]).  Ids must be non-negative integers.
     """
-    for v in (w, x, y, z):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
-            raise InputError(f"element ids must be non-negative integers, got {v!r}")
+    w, x, y, z = (_natural(v, "element ids must be non-negative integers, got {!r}") for v in (w, x, y, z))
     a, b = (w, x) if w <= x else (x, w)
     c, d = (y, z) if y <= z else (z, y)
-    if (a, b) <= (c, d):
-        return (int(a), int(b), int(c), int(d))
-    return (int(c), int(d), int(a), int(b))
+    return (a, b, c, d) if (a, b) <= (c, d) else (c, d, a, b)
+
+
+def _kept(analysis):
+    """Run analysis(d) once per DSet instance and keep it there by name.
+    Every kept analysis reads the relation alone, so recolor hands them on.
+
+    The returned function takes the analysis's name and docstring but no
+    __wrapped__, so unwrapping it cannot bypass the kept result.
+    """
+
+    name = analysis.__name__
+
+    def kept(d: DSet):
+        analyses = d._analyses
+        if name not in analyses:
+            analyses[name] = analysis(d)
+        return analyses[name]
+
+    functools.update_wrapper(kept, analysis)
+    del kept.__wrapped__
+    return kept
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -141,7 +167,7 @@ class DSet:
         self, n: int, positives: Iterable[Quad] = frozenset(), colors: Colors = ()
     ) -> None:
         self._start(n, colors)
-        quads = list(positives)
+        n, quads = self.n, list(positives)
         rows = _int_rows(quads, n)
         if rows is None or not _distinct_canonical(rows.T).all():
             _scan_stored_quads(quads, n)  # raises at the first bad quad
@@ -152,8 +178,7 @@ class DSet:
     def _start(self, n: int, colors: Colors) -> None:
         """Check n and colors (per element, all 0 if empty, or a map that
         covers every element) and start the analyses kept on this instance."""
-        if n < 0:
-            raise InputError("element count must be >= 0")
+        n = _natural(n)
         _check_count(n)
         object.__setattr__(self, "n", n)
         if isinstance(colors, Mapping):
@@ -164,10 +189,8 @@ class DSet:
         colors = tuple(colors) or (0,) * n
         if len(colors) != n:
             raise InputError("colors must assign one color to every element")
-        for e, c in enumerate(colors):
-            if not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 0:
-                raise InputError(f"bad color {c!r} for element {e}")
-        object.__setattr__(self, "colors", tuple(map(int, colors)))
+        colors = tuple(_natural(c, "bad color {!r} for element {}", e) for e, c in enumerate(colors))
+        object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "_analyses", {})
 
     def _store(self, rows: np.ndarray) -> None:
@@ -189,12 +212,10 @@ class DSet:
         return f"DSet(n={self.n}, positives=frozenset([{quads}]), colors={self.colors!r})"
 
     @property
+    @_kept
     def positives(self) -> frozenset[Quad]:
         """The stored quads as a frozenset of tuples, built on first read."""
-        kept = self._analyses
-        if "positives" not in kept:
-            kept["positives"] = frozenset(zip(*self.rows.T.tolist()))
-        return kept["positives"]
+        return frozenset(zip(*self.rows.T.tolist()))
 
     @classmethod
     def _from_rows(cls, n: int, rows: np.ndarray, colors: Colors = ()) -> "DSet":
@@ -215,7 +236,7 @@ class DSet:
     ) -> "DSet":
         """Canonicalize quads and construct.  Rejects repeated-element quads
         and duplicates that collapse to the same canonical representative."""
-        quads = list(quads)
+        n, quads = _natural(n), list(quads)
         _check_count(n)
         return cls._build(n, quads, _int_rows(quads, n), colors)
 
@@ -245,8 +266,11 @@ class DSet:
         return bool(_atoms(self, *_require_ids((w, x, y, z), self)))
 
     def recolor(self, colors: Colors) -> "DSet":
-        """Same relation, new colors: a per-element sequence or a total map."""
-        return DSet._from_rows(self.n, self.rows, colors)
+        """Same relation, new colors: a per-element sequence or a total map.
+        The result shares the analyses kept on this structure."""
+        d = DSet._from_rows(self.n, self.rows, colors)
+        object.__setattr__(d, "_analyses", self._analyses)
+        return d
 
     def to_json(self) -> str:
         head = {"colors": {str(e): c for e, c in enumerate(self.colors)}, "n": self.n}
@@ -271,9 +295,7 @@ class DSet:
                 raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "n" not in payload:
             raise InputError("D-set JSON must be an object with an 'n' field")
-        n = payload["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise InputError("'n' must be a non-negative integer")
+        _natural(payload["n"])
         return payload
 
     @classmethod
@@ -293,9 +315,7 @@ class DSet:
                 raise InputError(f"bad element id {key!r} in colors") from exc
             if not 0 <= e < n:
                 raise InputError(f"color for unknown element {e}")
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise InputError(f"bad color {value!r} for element {e}")
-            colors[e] = value
+            colors[e] = _natural(value, "bad color {!r} for element {}", e)
         quads = payload.get("positives", [])
         if isinstance(quads, np.ndarray):  # stored rows, checked as they were read
             return cls._from_rows(n, quads, colors)
@@ -490,26 +510,6 @@ def _scan_stored_quads(quads: list, n: int) -> None:
             raise InputError(f"stored quad {q} repeats an element")
         if max(q) >= n:
             raise InputError(f"quad {q} exceeds element range 0..{n - 1}")
-
-
-def _kept(analysis):
-    """Run analysis(d) once per DSet instance and keep it there by name.
-
-    The returned function takes the analysis's name and docstring but no
-    __wrapped__, so unwrapping it cannot bypass the kept result.
-    """
-
-    name = analysis.__name__
-
-    def kept(d: DSet):
-        analyses = d._analyses
-        if name not in analyses:
-            analyses[name] = analysis(d)
-        return analyses[name]
-
-    functools.update_wrapper(kept, analysis)
-    del kept.__wrapped__
-    return kept
 
 
 def _atoms(d: DSet, w, x, y, z) -> np.ndarray:

@@ -256,10 +256,7 @@ def color_sector_avoiding(d: DSet) -> DSet:
         for sec in splitting.sectors:
             if len(sec) < 2:
                 continue
-            outside = sorted(d.elements - sec)
-            if not outside:
-                continue
             colors = [0] * d.n
-            colors[outside[0]] = 1
+            colors[min(d.elements - sec)] = 1
             return d.recolor(colors)
     raise InputError("no splitting offers a sector worth starving")

@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 import numpy as np
 
 from .core import DSet, InputError, _atoms, _require_core, _require_ids
-from .splittings import complementary, density_witnesses, enumerate_splittings, induced_splitting
-from .splittings import is_regular
+from .splittings import _subset_outside, complementary, density_witnesses, enumerate_splittings
+from .splittings import induced_splitting, is_regular
 from .trees import Splitting
 
 PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
@@ -105,17 +105,6 @@ class QftpBase:
         return bool(same[0] == same[1])
 
 
-def _subset_outside(d: DSet, subset: Iterable[int], *outside: int) -> tuple[tuple[int, ...], list[int]]:
-    """The subset, sorted, and the `outside` ids, once all are elements of d
-    and the two are disjoint."""
-    outside = _require_ids(outside, d)
-    sub = tuple(sorted(set(_require_ids(subset, d))))
-    for e in outside:
-        if e in sub:
-            raise InputError(f"element {e} must lie outside the subset")
-    return sub, outside
-
-
 def qftp_base(d: DSet, subset: Iterable[int], e: int) -> QftpBase:
     """Type base of e over the subset.
 
@@ -132,6 +121,7 @@ def qftp_base(d: DSet, subset: Iterable[int], e: int) -> QftpBase:
     """
     _require_core(d)
     sub, (e,) = _subset_outside(d, subset, e)
+    sub = tuple(sub)
     if len(sub) < 3:
         found = np.argwhere(_atoms(d, e, *np.ix_(sub, sub, sub))).tolist()
         atoms = frozenset((sub[i], sub[j], sub[k]) for i, j, k in found)

@@ -240,7 +240,7 @@ def hull_window(d: DSet, s: SequenceWindow) -> HullResult:
         if len(col) < 5:
             raise InputError("monotonic hull needs a window of at least 5 rows")
         h1, h2, h3 = _monotonic_parts(d, col)
-        left, right = frontiers(d, window)
+        left, right = _frontiers(d, col)
         hull = frozenset(col) | h1 | h2 | h3
         hulls.append(ColumnHull(j, klass, hull, h1, h2, h3, frozenset(), left, right))
     total = frozenset().union(*(c.hull for c in hulls)) if hulls else frozenset()
@@ -262,6 +262,11 @@ def frontiers(d: DSet, s: SequenceWindow) -> tuple[frozenset[int], frozenset[int
     col = s.column(0)
     if len(col) < 5:
         raise InputError("frontiers need a window of at least 5 rows")
+    return _frontiers(d, col)
+
+
+def _frontiers(d: DSet, col: Sequence[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """frontiers of a monotonic column of at least 5 rows, unchecked."""
     m = len(col)
     initials = [frozenset(col[: t + 1]) for t in range(1, m - 2)]
     finals = [frozenset(col[t:]) for t in range(2, m - 1)]
@@ -278,12 +283,7 @@ def frontiers(d: DSet, s: SequenceWindow) -> tuple[frozenset[int], frozenset[int
                 right_family.append(sec)
 
     def core(family: list[frozenset[int]]) -> frozenset[int]:
-        if not family:
-            return frozenset()
-        acc = family[0]
-        for sec in family[1:]:
-            acc &= sec
-        return acc - col_set
+        return frozenset.intersection(*family) - col_set if family else frozenset()
 
     return core(left_family), core(right_family)
 

@@ -29,6 +29,17 @@ def _as_splitting(s: SplittingLike) -> Splitting:
     return s if isinstance(s, Splitting) else Splitting(s)
 
 
+def _subset_outside(d: DSet, subset: Iterable[int], *outside: int) -> tuple[list[int], list[int]]:
+    """The subset, sorted, and the `outside` ids, once all are elements of d
+    and the two are disjoint."""
+    outside = _require_ids(outside, d)
+    sub = sorted(set(_require_ids(subset, d)))
+    for e in outside:
+        if e in sub:
+            raise InputError(f"element {e} must lie outside the subset")
+    return sub, outside
+
+
 def is_splitting(d: DSet, candidate: SplittingLike) -> tuple[bool, Optional[dict]]:
     """Check the two defining conditions over d, returning a witness on failure.
 
@@ -153,10 +164,7 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
     classes; failures mean d is not a D-set on the subset plus e and are
     reported as input errors.
     """
-    (e,) = _require_ids([e], d)
-    sub = sorted(set(_require_ids(subset, d)))
-    if e in sub:
-        raise InputError(f"element {e} must lie outside the subset")
+    sub, (e,) = _subset_outside(d, subset, e)
     if len(sub) < 2:
         raise InputError("need at least two elements to induce a splitting")
 
@@ -175,13 +183,14 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
     return Splitting(classes.values())
 
 
-def complementary(d: DSet, s: Splitting, sector: Iterable[int], a: int) -> int:
+def complementary(d: DSet, s: SplittingLike, sector: Iterable[int], a: int) -> int:
     """The least b in the sector such that ab is never across-separated.
 
     b is complementary to a when no c in the sector and no x outside it
     (within the splitting's ground set) satisfy D(ab;cx).  At least one b
     always exists for valid input; for a singleton sector it is a itself.
     """
+    s = _as_splitting(s)
     sec = frozenset(_require_ids(sector, d))
     if sec not in s.sectors:
         raise InputError("sector does not belong to the splitting")
@@ -196,7 +205,7 @@ def complementary(d: DSet, s: Splitting, sector: Iterable[int], a: int) -> int:
     raise InvariantViolation(f"no complementary element for {a} in sector {inside}")
 
 
-def extend_by_point(d: DSet, s: Splitting) -> DSet:
+def extend_by_point(d: DSet, s: SplittingLike) -> DSet:
     """Grow d by one fresh element e positioned exactly at the splitting.
 
     The fresh element gets id d.n and color 0.  New relation values follow
@@ -206,6 +215,7 @@ def extend_by_point(d: DSet, s: Splitting) -> DSet:
     The input must pass D1..D4 (InputError otherwise); the result then
     passes D1..D4 and induces s back on the old elements.
     """
+    s = _as_splitting(s)
     ok, witness = is_splitting(d, s)
     if not ok:
         raise InputError(f"not a splitting of the input: {witness}")
@@ -277,12 +287,13 @@ def extend_splitting(
     return Splitting(sectors)
 
 
-def one_sector(d: DSet, c1: Splitting, c2: Splitting) -> frozenset[int]:
+def one_sector(d: DSet, c1: SplittingLike, c2: SplittingLike) -> frozenset[int]:
     """The sector of c2 containing all but one sector of c1.
 
     For two different splittings of one D-set exactly one such sector
     exists; anything else signals corrupt input.
     """
+    c1, c2 = _as_splitting(c1), _as_splitting(c2)
     if c1 == c2:
         raise InputError("the two splittings must differ")
     wanted = len(c1.sectors) - 1

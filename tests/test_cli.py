@@ -355,6 +355,18 @@ def test_probe_rejects_ids_that_are_not_integers(run, catalogue, tmp_path, pairs
     assert _payload(out) == {"error": {"kind": "input", "message": f"element ids must be non-negative integers, got {bad}"}}
 
 
+def test_probe_refuses_an_element_mapped_twice_as_the_library_does(run, catalogue, tmp_path):
+    d, pairs = catalogue["MIX"].dset, [[0, 1], [0, 0], [2, 2]]
+    with pytest.raises(D.InputError) as refused:
+        D.check_partial_iso(d, d, pairs)
+    mfile = tmp_path / "map.json"
+    mfile.write_text(json.dumps(pairs))
+    code, out, _ = run(["probe", "-", "--map", str(mfile), "--add", "3"], d.to_json())
+    assert code == 2
+    assert _payload(out) == {"error": {"kind": "input", "message": str(refused.value)}}
+    assert str(refused.value) == "element 0 mapped twice"
+
+
 def test_probe_reads_the_list_form_of_a_map(run, catalogue, tmp_path):
     mfile = tmp_path / "map.json"
     mfile.write_text(json.dumps({"map": [[0, 0], [1, 1], [2, 2]]}))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import itertools
 import json
+import pathlib
 import random
 import re
 import weakref
@@ -483,6 +485,20 @@ def test_unindexable_n_is_an_input_error(make):
         make()
 
 
+@pytest.mark.parametrize("n", (2.5, "4", 4.0, True, -1, np.float64(4), None), ids=repr)
+@pytest.mark.parametrize("make", (DSet, DSet.build, lambda n: DSet.from_json(json.dumps({"n": n}))),
+                         ids=("constructor", "build", "from_json"))
+def test_every_route_checks_the_element_count_alike(make, n):
+    with pytest.raises(InputError, match="^'n' must be a non-negative integer$"):
+        make(n)
+
+
+def test_a_numpy_element_count_becomes_an_int():
+    for d in (DSet(np.int64(4), [(0, 1, 2, 3)]), DSet.build(np.uint8(4), [(0, 1, 2, 3)])):
+        assert type(d.n) is int and d == DSet(4, [(0, 1, 2, 3)])
+        assert DSet.from_json(d.to_json()) == d
+
+
 
 # ---------------------------------------------------------------------------
 # relation JSON: to_json's own spelling is read on its bytes, any other
@@ -931,6 +947,31 @@ def test_analyses_computed_once(catalogue):
     assert check_axioms(d) is check_axioms(d)
     assert D.relation_table(d) is D.relation_table(d)
     assert D.tree_from_dset(d) is D.tree_from_dset(d)
+    # recolor hands its result every kept analysis.
+    tinted = d.recolor([e % 2 for e in range(d.n)])
+    assert check_axioms(tinted) is check_axioms(d) and D.tree_from_dset(tinted) is D.tree_from_dset(d)
+    assert tinted.positives is d.positives and tinted.colors != d.colors
+
+
+# Every analysis that _kept keeps on a structure.  recolor hands them all to
+# its result, so each must read the relation alone: a new one joins this list
+# only once it is shown to ignore the colors.
+_KEPT_ANALYSES = {
+    "core": ["_rebuild", "check_axioms", "positives", "relation_table"],
+    "splittings": ["_tree_splittings"],
+    "trees": ["tree_from_dset"],
+}
+
+
+def test_kept_analyses_are_the_color_free_ones():
+    found = {}
+    for path in sorted(pathlib.Path(D.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(dec, ast.Name) and dec.id == "_kept" for dec in node.decorator_list
+            ):
+                found.setdefault(path.stem, []).append(node.name)
+    assert {module: sorted(names) for module, names in found.items()} == _KEPT_ANALYSES
 
 
 def test_kept_analyses_stay_out_of_identity(catalogue):

@@ -63,16 +63,17 @@ def test_entry_points_take_numpy_integers(catalogue, entry):
 # A call on the CAT5 fixture that passes an int where a collection of ids,
 # a DSet or a splitting belongs, and the message it ends in.
 _NOT_A_COLLECTION = "element ids must come as a collection, got 5"
+_NOT_SECTORS = "sectors must be lists of element ids: 'int' object is not iterable"
 _WRONG_TYPES = {
     "substructure": (lambda d: D.substructure(d, 5), _NOT_A_COLLECTION),
     "qftp_base": (lambda d: D.qftp_base(d, 5, 4), _NOT_A_COLLECTION),
     "same_qftp": (lambda d: D.same_qftp(d, 5, 3, 4), _NOT_A_COLLECTION),
     "induced_splitting": (lambda d: D.induced_splitting(d, 5, 4), _NOT_A_COLLECTION),
     "are_isomorphic": (lambda d: D.are_isomorphic(d, 5), "are_isomorphic compares two DSets, got 5"),
-    "extend_splitting": (
-        lambda d: D.extend_splitting(d, [0, 1, 2], 5),
-        "sectors must be lists of element ids: 'int' object is not iterable",
-    ),
+    "extend_splitting": (lambda d: D.extend_splitting(d, [0, 1, 2], 5), _NOT_SECTORS),
+    "complementary": (lambda d: D.complementary(d, 5, [0, 1], 0), _NOT_SECTORS),
+    "one_sector": (lambda d: D.one_sector(d, 5, Splitting([[0, 1], [2, 3, 4]])), _NOT_SECTORS),
+    "extend_by_point": (lambda d: D.extend_by_point(d, 5), _NOT_SECTORS),
 }
 
 

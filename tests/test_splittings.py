@@ -549,6 +549,14 @@ def test_one_sector_requires_distinct(catalogue):
         D.one_sector(catalogue["CAT4"].dset, s, s)
 
 
+def test_raw_sectors_stand_for_their_splitting(catalogue):
+    d = catalogue["CAT5"].dset
+    cut, node = [[0, 1], [2, 3, 4]], [[0], [1], [2, 3, 4]]
+    assert D.complementary(d, cut, [2, 3, 4], 2) == D.complementary(d, Splitting(cut), [2, 3, 4], 2) == 3
+    assert D.one_sector(d, node, cut) == D.one_sector(d, Splitting(node), Splitting(cut)) == {0, 1}
+    assert D.extend_by_point(d, cut) == D.extend_by_point(d, Splitting(cut))
+
+
 # ---------------------------------------------------------------------------
 # regularity, true edges, density
 
