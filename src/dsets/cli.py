@@ -19,13 +19,7 @@ from typing import Optional, Sequence
 
 import dsets as D
 
-from .core import (
-    DSet,
-    InputError,
-    InvariantViolation,
-    NotRepresentable,
-    check_axioms,
-)
+from .core import DSet, InputError, InvariantViolation, NotRepresentable, _DECIMAL, check_axioms
 
 OUTDIR_ENV = "DSETS_OUTDIR"
 
@@ -90,11 +84,7 @@ def cmd_check(args) -> int:
     d = _load_dset(args)
     report = check_axioms(d)
     payload = report.as_dict()
-    verdicts = [
-        f"{name} {entry['status']}"
-        for name, entry in payload.items()
-        if isinstance(entry, dict)
-    ]
+    verdicts = [f"{name} {entry['status']}" for name, entry in payload.items() if isinstance(entry, dict)]
     _emit(args, _dump(payload), "; ".join(verdicts))
     return 0 if report.core_pass else 1
 
@@ -117,21 +107,14 @@ def cmd_to_tree(args) -> int:
         )
         return 1
     t = D.tree_from_dset(d)
-    _emit(
-        args,
-        t.to_json(),
-        f"{len(t.nodes)} nodes, {len(t.internal_nodes())} internal",
-    )
+    _emit(args, t.to_json(), f"{len(t.nodes)} nodes, {len(t.internal_nodes())} internal")
     return 0
 
 
 def cmd_splittings(args) -> int:
     d = _load_dset(args)
     ss = D.enumerate_splittings(d, method=args.method)
-    payload = {
-        "count": len(ss),
-        "splittings": [s.as_sorted_lists() for s in ss],
-    }
+    payload = {"count": len(ss), "splittings": [s.as_sorted_lists() for s in ss]}
     _emit(args, _dump(payload), f"{len(ss)} splittings")
     return 0
 
@@ -182,8 +165,8 @@ def _parse_map(text: str) -> list[tuple]:
     if isinstance(payload, dict) and "map" in payload:
         payload = payload["map"]
     try:
-        if isinstance(payload, dict):
-            return [(int(k), v) for k, v in payload.items()]
+        if isinstance(payload, dict):  # a key not spelt as a decimal stays a string, for the id gate
+            return [(int(k) if _DECIMAL.fullmatch(k) else k, v) for k, v in payload.items()]
         return [(k, v) for k, v in payload]
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed map payload: {exc}") from exc
@@ -234,11 +217,7 @@ def cmd_homreport(args) -> int:
         and conditions["color_hitting"]["verdict"]
         and found is None
     )
-    _emit(
-        args,
-        _dump(payload),
-        "all homogeneity conditions hold" if all_good else "conditions violated",
-    )
+    _emit(args, _dump(payload), "all homogeneity conditions hold" if all_good else "conditions violated")
     return 0 if all_good else 1
 
 

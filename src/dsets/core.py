@@ -63,6 +63,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
@@ -100,6 +101,10 @@ def _require_ids(ids: Iterable, d: Optional["DSet"] = None) -> list[int]:
         if d is not None and not 0 <= v < d.n:
             raise InputError(f"element {v} out of range 0..{d.n - 1}")
     return list(map(int, ids))
+
+
+# The one spelling of an id as a JSON object key: ASCII decimal, no leading zero.
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _natural(v, message: str = "'n' must be a non-negative integer", *args) -> int:
@@ -309,10 +314,9 @@ class DSet:
             raise InputError("'colors' must map element ids to color ids")
         colors = [0] * n
         for key, value in raw_colors.items():
-            try:
-                e = int(key)
-            except ValueError as exc:
-                raise InputError(f"bad element id {key!r} in colors") from exc
+            if not _DECIMAL.fullmatch(key):
+                raise InputError(f"bad element id {key!r} in colors")
+            e = int(key)
             if not 0 <= e < n:
                 raise InputError(f"color for unknown element {e}")
             colors[e] = _natural(value, "bad color {!r} for element {}", e)

@@ -108,7 +108,7 @@ def _brute_force_splittings(d: DSet) -> list[Splitting]:
     for part in _set_partitions(elems):
         if len(part) < 2:
             continue
-        cand = Splitting(part)
+        cand = Splitting._trusted(tuple(sorted(map(frozenset, part), key=min)))
         ok, _ = is_splitting(d, cand)
         if ok:
             found.append(cand)
@@ -132,18 +132,14 @@ def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
     if method == "brute":
         if d.n > 10:
             raise InputError(f"brute-force splittings capped at 10 elements, got {d.n}")
-        return _sorted_splittings(_brute_force_splittings(d))
+        return sorted(set(_brute_force_splittings(d)), key=Splitting.as_sorted_lists)
     return list(_tree_splittings(d))
-
-
-def _sorted_splittings(found: Iterable[Splitting]) -> list[Splitting]:
-    return sorted(set(found), key=lambda s: s.as_sorted_lists())
 
 
 @_kept
 def _tree_splittings(d: DSet) -> tuple[Splitting, ...]:
     """The splittings read off d's reconstructed tree, kept on d."""
-    return tuple(_sorted_splittings(trees.splittings_from_tree(trees.tree_from_dset(d)).all_splittings()))
+    return trees.splittings_from_tree(trees.tree_from_dset(d)).ordered
 
 
 def branch(d: DSet, a: int, b: int, c: int) -> list[int]:
@@ -180,7 +176,8 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
         classes.setdefault(k, []).append(a)
     if len(classes) < 2:
         raise InputError(f"grouping induced by {e} on {sub} has a single class")
-    return Splitting(classes.values())
+    # sub is sorted, so each class first appears at its least element.
+    return Splitting._trusted(tuple(map(frozenset, classes.values())))
 
 
 def complementary(d: DSet, s: SplittingLike, sector: Iterable[int], a: int) -> int:
@@ -284,7 +281,7 @@ def extend_splitting(
                 f"element {x} fits two sectors of a many-sector splitting"
             )
         ground.add(x)
-    return Splitting(sectors)
+    return Splitting._trusted(tuple(sorted(map(frozenset, sectors), key=min)))
 
 
 def one_sector(d: DSet, c1: SplittingLike, c2: SplittingLike) -> frozenset[int]:

@@ -12,20 +12,25 @@ element 0's leaf, then the one matmul that `core._rebuild` also uses).
 The relation is read off a grid of leaf pairs in lexicographic order, so
 its rows come out canonical and sorted.  The tree of a D-set is the
 rooted-cluster rebuild that `core` certifies D1..D4 with.
+
+Outside input always takes the checking constructors, `LeafTree(...)`,
+`Splitting(...)` and their `from_json`.  `_trusted` on each class stores
+parts already normalised (sorted tuples; frozensets of ints ordered by least
+element) and checks nothing: only parts built from a certified rebuild, a
+tree or ids `_require_ids` has checked may take it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import DSet, InputError, NotRepresentable, _centers, _distances, _kept, _require_ids, _rooted
-from .core import _tree_parents, _walk, check_axioms
+from .core import DSet, InputError, NotRepresentable, _DECIMAL, _centers, _distances, _kept, _require_ids
+from .core import _rooted, _tree_parents, _walk, check_axioms
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,7 @@ class LeafTree:
     maps node id to element id; labeled nodes must have degree <= 1,
     unlabeled nodes degree >= 3, and the labels must be exactly 0..k-1 for
     k leaves.  Ids are integers, bools excluded; node ids may be negative.
-    Everything is validated at construction.
+    Everything is validated at construction, except through _trusted.
     """
 
     nodes: tuple[int, ...]
@@ -66,6 +71,13 @@ class LeafTree:
         object.__setattr__(self, "edges", tuple(sorted(edge_set)))
         object.__setattr__(self, "leaves", leaf_tuple)
         self._validate()
+
+    @classmethod
+    def _trusted(cls, nodes: tuple, edges: tuple, leaves: tuple) -> "LeafTree":
+        """The tree of these parts as given, unchecked (see the module docstring)."""
+        t = object.__new__(cls)
+        vars(t).update(nodes=nodes, edges=edges, leaves=leaves)
+        return t
 
     def _validate(self) -> None:
         node_set = set(self.nodes)
@@ -154,9 +166,6 @@ class LeafTree:
         return cls(nodes, edges, {int(k): v for k, v in leaves.items()})
 
 
-_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
-
-
 def _below(t: LeafTree, adj) -> tuple[list[int], dict, dict[int, set[int]]]:
     """One walk from element 0's leaf: visit order, parents, and the elements
     below each node (below its edge to its parent; all of them at the root)."""
@@ -227,7 +236,9 @@ def tree_from_dset(d: DSet) -> LeafTree:
     if not report.core_pass:
         raise NotRepresentable(f"relation table fails D1..D4: {report.as_dict()}")
     parent = _tree_parents(d)
-    return LeafTree(range(len(parent)), enumerate(parent[1:], 1), {e: e for e in range(d.n)})
+    kids, parents = range(1, len(parent)), parent[1:]
+    edges = tuple(sorted(zip(map(min, kids, parents), map(max, kids, parents))))
+    return LeafTree._trusted(tuple(range(len(parent))), edges, tuple((e, e) for e in range(d.n)))
 
 
 @dataclass(frozen=True)
@@ -245,27 +256,27 @@ class Splitting:
 
     def __init__(self, sectors: Iterable[Iterable[int]]) -> None:
         try:
-            sectors = list(sectors)
-            try:
-                size = sum(map(len, sectors))
-            except TypeError:  # a sector with no length, such as a generator: read it once
-                sectors = [tuple(s) for s in sectors]
-                size = sum(map(len, sectors))
+            sectors = [tuple(s) for s in sectors]  # each sector read once
             normalized = list(map(frozenset, sectors))
         except TypeError as exc:
             raise InputError(f"sectors must be lists of element ids: {exc}") from exc
         if not all(normalized):
             raise InputError("empty sector")
-        ground = frozenset().union(*normalized)
-        if len(ground) != size or not set(map(type, ground)) <= {int}:
-            # An id given twice may hide a bool or a float behind an equal int,
-            # so each id is checked as given; numpy integers pass and become ints.
-            normalized = [frozenset(_require_ids(s)) for s in sectors]
-            if len(frozenset().union(*normalized)) != sum(map(len, normalized)):
-                raise InputError("sectors overlap")
+        # Each id is checked as given: an id given twice may hide a bool or a
+        # float behind an equal int.  Numpy integers pass and become ints.
+        normalized = [frozenset(_require_ids(s)) for s in sectors]
+        if len(frozenset().union(*normalized)) != sum(map(len, normalized)):
+            raise InputError("sectors overlap")
         # Disjoint sectors have distinct minima, which settle the order.
         normalized.sort(key=min)
         object.__setattr__(self, "sectors", tuple(normalized))
+
+    @classmethod
+    def _trusted(cls, sectors: tuple[frozenset[int], ...]) -> "Splitting":
+        """The splitting of these sectors as given, unchecked (see the module docstring)."""
+        s = object.__new__(cls)
+        vars(s).update(sectors=sectors)
+        return s
 
     @property
     def kind(self) -> str:
@@ -273,7 +284,7 @@ class Splitting:
 
     @property
     def ground(self) -> frozenset[int]:
-        return frozenset().union(*self.sectors) if self.sectors else frozenset()
+        return frozenset().union(*self.sectors)
 
     def sector_of(self, a: int) -> frozenset[int]:
         for sec in self.sectors:
@@ -310,14 +321,16 @@ class TreeCorrespondence:
 
     node_splittings maps each internal node to the partition of elements
     given by the components of the tree minus that node; edge_splittings
-    does the same for edges, always a two-sector partition.
+    does the same for edges, always a two-sector partition.  ordered holds
+    all of them in canonical order, by their sorted sector lists.
     """
 
     node_splittings: tuple[tuple[int, Splitting], ...]
     edge_splittings: tuple[tuple[tuple[int, int], Splitting], ...]
+    ordered: tuple[Splitting, ...]
 
     def all_splittings(self) -> list[Splitting]:
-        return [s for _, s in self.node_splittings + self.edge_splittings]
+        return list(self.ordered)
 
 
 def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
@@ -326,21 +339,26 @@ def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
     Removing an internal node of degree k leaves k components and hence a
     k-sector splitting; removing an edge leaves two.  One walk gives the
     elements below each node; the component across an edge is then the
-    part below the far end, or everything outside the near end's part.
+    part below the far end, or everything outside it.  Each side is sorted
+    once, and its sorted list is both the splitting's sort key and, frozen,
+    its sector.  Distinct features of a tree without degree-2 nodes give
+    distinct splittings, so ordered needs no dedup.
     """
     if not t.nodes:
-        return TreeCorrespondence((), ())
+        return TreeCorrespondence((), (), ())
     adj = t.adjacency()
     order, parent, below = _below(t, adj)
     everything = below[order[0]]
-
-    def side(u: int, v: int) -> set[int]:
-        """Elements on v's side of the edge uv."""
-        return below[v] if parent[v] == u else everything - below[u]
-
-    node_entries = tuple((mu, Splitting([side(mu, v) for v in adj[mu]])) for mu in t.internal_nodes())
-    edge_entries = tuple(((u, v), Splitting([side(v, u), side(u, v)])) for u, v in t.edges)
-    return TreeCorrespondence(node_entries, edge_entries)
+    side = {}  # (u, v) -> the elements on v's side of the edge uv, sorted
+    for v in order[1:]:
+        side[parent[v], v], side[v, parent[v]] = sorted(below[v]), sorted(everything - below[v])
+    # (sorted sectors, feature): disjoint sorted lists sort by least element.
+    keyed = [(sorted(side[mu, v] for v in adj[mu]), mu) for mu in t.internal_nodes()]
+    keyed += [(sorted((side[u, v], side[v, u])), (u, v)) for u, v in t.edges]
+    keyed.sort(key=lambda pair: pair[0])
+    split = {f: Splitting._trusted(tuple(map(frozenset, lists))) for lists, f in keyed}
+    nodes = tuple((mu, split[mu]) for mu in t.internal_nodes())
+    return TreeCorrespondence(nodes, tuple((e, split[e]) for e in t.edges), tuple(split.values()))
 
 
 def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple:

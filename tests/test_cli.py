@@ -355,6 +355,16 @@ def test_probe_rejects_ids_that_are_not_integers(run, catalogue, tmp_path, pairs
     assert _payload(out) == {"error": {"kind": "input", "message": f"element ids must be non-negative integers, got {bad}"}}
 
 
+@pytest.mark.parametrize("key", ("1_0", "+2", " 3 ", "\u0663"))
+def test_probe_refuses_map_keys_that_are_not_plain_decimals(run, catalogue, tmp_path, key):
+    # int() reads these keys as 10, 2, 3 and 3; the id gate refuses them as given.
+    mfile = tmp_path / "map.json"
+    mfile.write_text(json.dumps({"0": 0, key: 2}))
+    code, out, _ = run(["probe", "-", "--map", str(mfile), "--add", "3"], catalogue["FLW12"].dset.to_json())
+    assert code == 2
+    assert _payload(out) == {"error": {"kind": "input", "message": f"element ids must be non-negative integers, got {key!r}"}}
+
+
 def test_probe_refuses_an_element_mapped_twice_as_the_library_does(run, catalogue, tmp_path):
     d, pairs = catalogue["MIX"].dset, [[0, 1], [0, 0], [2, 2]]
     with pytest.raises(D.InputError) as refused:

@@ -853,6 +853,14 @@ def test_constructors_reject_colors_that_are_not_non_negative_integers(catalogue
     assert tinted.colors == (1, 1, 0, 2) and {type(c) for c in tinted.colors} == {int}
 
 
+@pytest.mark.parametrize("key", ("1_0", "+2", " 3 ", "\u0663", " +2 ", "01"))
+def test_from_json_refuses_color_keys_that_are_not_plain_decimals(key):
+    # int() reads each of these as an element id.
+    text = json.dumps({"n": 12, "colors": {"0": 1, key: 3}, "positives": []})
+    with pytest.raises(InputError, match=f"^{re.escape(f'bad element id {key!r} in colors')}$"):
+        DSet.from_json(text)
+
+
 def test_every_route_reads_a_color_map_by_element(catalogue):
     assert DSet(4, [], {0: 1, 1: 0, 2: 0, 3: 0}).colors == (1, 0, 0, 0)
     assert DSet.build(4, [], {3: 1, 2: 0, 1: 0, 0: 0}).colors == (0, 0, 0, 1)

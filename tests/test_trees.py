@@ -11,7 +11,7 @@ import pytest
 import dsets as D
 import dsets.core
 import dsets.trees
-from dsets import InputError, LeafTree
+from dsets import InputError, LeafTree, Splitting
 
 import _families as F
 import _oracles as O
@@ -388,6 +388,79 @@ def test_splittings_match_component_oracle_on_large_trees(kind, leaves):
     degree = 3 if kind == "d_regular_random" else None
     t = _renumbered(D.gen_random(D.TreeSpec(kind, leaves, degree, seed=leaves)), rng)
     assert _entries(t) == O.tree_splittings_oracle(t)
+
+
+# ---------------------------------------------------------------------------
+# the trusted route: what tree_from_dset and the splitting readers build
+# without checks equals what the checking constructors build
+
+
+def _sweep_trees(trees_by_k):
+    """Every tree with 1..8 leaves, then seeded caterpillars, stars and 3-
+    and 4-regular trees of 16, 32 and 64 leaves."""
+    for k in range(1, 9):
+        yield from trees_by_k[k]
+    for leaves in (16, 32, 64):
+        for kind, degree in (("caterpillar", None), ("star", None), ("d_regular_random", 3), ("d_regular_random", 4)):
+            yield D.gen_random(D.TreeSpec(kind, leaves, degree, seed=leaves))
+
+
+def _checked(s):
+    """s rebuilt through the checking constructor."""
+    return Splitting(s.as_sorted_lists())
+
+
+def _int_ids(s):
+    return {type(v) for sec in s.sectors for v in sec} == {int}
+
+
+def test_trusted_route_equals_checked_rebuilds(trees_by_k):
+    swept = 0
+    for tree in _sweep_trees(trees_by_k):
+        d = D.DSet.from_json(D.d_from_tree(tree).to_json())
+        t = D.tree_from_dset(d)
+        checked = LeafTree(t.nodes, t.edges, dict(t.leaves))
+        assert t == checked and t.to_json() == checked.to_json()
+        got = D.enumerate_splittings(d)
+        rebuilt = [_checked(s) for s in got]
+        assert got == rebuilt == sorted(set(rebuilt), key=Splitting.as_sorted_lists)
+        assert all(map(_int_ids, got))
+        # The order does not depend on the tree's node ids.
+        assert D.splittings_from_tree(tree).all_splittings() == got
+        if d.n <= 7:
+            assert got == D.enumerate_splittings(d, method="brute")
+        swept += 1
+    assert swept == 60 + 12
+
+
+def test_trusted_trees_of_up_to_three_elements():
+    expected = {
+        0: ((), ()),
+        1: ((0,), ()),
+        2: ((0, 1), ((0, 1),)),
+        3: ((0, 1, 2, 3), ((0, 3), (1, 3), (2, 3))),
+    }
+    for n, (nodes, edges) in expected.items():
+        d = D.d_from_tree(next(D.enum_trees(n))) if n else D.DSet(0)
+        t = D.tree_from_dset(d)
+        assert (t.nodes, t.edges, t.leaves) == (nodes, edges, tuple((e, e) for e in range(n)))
+        assert t == LeafTree(nodes, edges, {e: e for e in range(n)})
+        assert D.enumerate_splittings(d) == D.enumerate_splittings(d, method="brute")
+
+
+def test_induced_and_extended_splittings_equal_checked_rebuilds(catalogue):
+    rng = random.Random(41)
+    for fix in catalogue.values():
+        d = fix.dset
+        for e in range(d.n):
+            rest = [a for a in range(d.n) if a != e]
+            for sub in (rest, sorted(rng.sample(rest, rng.randint(2, len(rest))))):
+                s = D.induced_splitting(d, sub, e)
+                assert s == _checked(s) and _int_ids(s)
+                grown = D.extend_splitting(d, sub, s)
+                assert grown == _checked(grown) and _int_ids(grown)
+                backwards = D.extend_splitting(d, sub, s, sorted(set(range(d.n)) - set(sub), reverse=True))
+                assert backwards == _checked(backwards)
 
 
 # ---------------------------------------------------------------------------
