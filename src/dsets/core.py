@@ -42,12 +42,13 @@ y's neighbour, and D6 at (0, 0, 1, z), z the least element >= 2 outside
 1's branch at 0's neighbour.  Below four elements, or when a test fails,
 D2, D3, D5 and D6 are swept over the table, D3 and D6 one w at a time with
 their fifth element packed into uint64 words; D1 and D4 hold by storage.
+d_from_tree, relabel and extend_by_point know their result's tree and store
+its rebuild (`_record`); a structure read from JSON certifies from its rows.
 
-Trees, as adjacency lists: `_walk` is the one breadth-first walk, and
-`_rooted` roots a tree at the center whose flat AHU code is least, equal
-for two trees exactly when they are isomorphic.  are_isomorphic compares
-such codes of two certified trees, built from `_rebuild`'s parents; the
-trees module and the generators' relabelling root every tree the same way.
+Trees, as adjacency lists (`_adjacency`): `_walk` is the one breadth-first
+walk, and `_rooted` roots a tree at the center whose flat AHU code is least,
+equal for two trees exactly when they are isomorphic.  are_isomorphic
+compares such codes of two certified trees, built from `_rebuild`'s parents.
 
 Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
 ...]} with sorted keys, no whitespace and the rows in order, _BLOCK = 8,192
@@ -130,10 +131,10 @@ def normalize_quad(w: int, x: int, y: int, z: int) -> Quad:
 
 
 def _kept(analysis):
-    """Run analysis(d) once per DSet instance and keep it there by name.
-    Every kept analysis reads the relation alone, so recolor hands them on.
-
-    The returned function takes the analysis's name and docstring but no
+    """Run analysis(d) once per DSet instance and keep it there by name; a
+    constructor that knows the result may store it there instead.  Every
+    kept analysis reads the relation alone, so recolor hands them on.  The
+    returned function takes the analysis's name and docstring but no
     __wrapped__, so unwrapping it cannot bypass the kept result.
     """
 
@@ -731,6 +732,21 @@ def _distances(below: np.ndarray) -> np.ndarray:
     return (depth[:, None] + depth - 2 * shared).astype(np.int64)
 
 
+def _record(adj, leaf_of: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_rebuild's parent and below for a tree in hand, given as adjacency
+    lists and its node -> element map (n >= 1 elements): the same rooting
+    and node numbering, read off one _below walk instead of the rows."""
+    order, parent, below = _below(adj, leaf_of)
+    inner = [u for u in order[1:] if u not in leaf_of]
+    second = {u: sorted(min(below[v]) for v in adj[u] if v != parent[u])[1] for u in inner}
+    ids = dict(leaf_of) | {u: n + i for i, u in enumerate(sorted(inner, key=second.get))}
+    kids = order[1:]
+    parents, marks = np.full(len(order), -1), np.zeros((len(order), n), dtype=bool)
+    parents[[ids[u] for u in kids]] = [ids[parent[u]] for u in kids]
+    marks.reshape(-1)[[ids[u] * n + e for u in kids for e in below[u]]] = True
+    return parents, marks
+
+
 def _tree_parents(d: DSet) -> list[int]:
     """The parent of every node of d's certified tree, nodes as in _rebuild
     (-1 for the root, element 0); d must pass D1..D4."""
@@ -753,6 +769,28 @@ def _walk(adj, root: int) -> tuple[list[int], dict]:
                 parent[v] = u
                 order.append(v)
     return order, parent
+
+
+def _adjacency(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """Each node's neighbours, in the order of the edges."""
+    adj: dict[int, list[int]] = {u: [] for u in nodes}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _below(adj, leaf_of: dict) -> tuple[list[int], dict, dict[int, set[int]]]:
+    """One walk from element 0's leaf: visit order, parents, and the elements
+    below each node (below its edge to its parent; all of them at the root)."""
+    order, parent = _walk(adj, next(u for u, e in leaf_of.items() if e == 0))
+    below: dict[int, set[int]] = {u: set() for u in order}
+    for u in reversed(order):
+        if u in leaf_of:
+            below[u].add(leaf_of[u])
+        if parent[u] is not None:
+            below[parent[u]] |= below[u]
+    return order, parent, below
 
 
 def _centers(adj) -> list[int]:
@@ -846,7 +884,12 @@ def relabel(d: DSet, mapping: Mapping[int, int]) -> DSet:
     colors = [0] * d.n
     for old, new in zip(olds, news):
         colors[new] = d.colors[old]
-    return DSet._from_rows(d.n, _sort_rows(_canonical_rows(image[d.rows]), d.n)[0], colors)
+    out = DSet._from_rows(d.n, _sort_rows(_canonical_rows(image[d.rows]), d.n)[0], colors)
+    record = d._analyses.get("_rebuild")
+    if record is not None:  # the same tree, leaf u now carrying element image[u]
+        adj = _adjacency(range(len(record[0])), enumerate(record[0][1:].tolist(), 1))
+        out._analyses["_rebuild"] = _record(adj, dict(enumerate(image.tolist())), d.n)
+    return out
 
 
 def are_isomorphic(
@@ -893,10 +936,7 @@ def are_isomorphic(
     trees = []
     for d in (d1, d2):
         parents = _tree_parents(d)
-        adj: dict[int, list[int]] = {u: [] for u in range(len(parents))}
-        for u, p in enumerate(parents[1:], 1):
-            adj[u].append(p)
-            adj[p].append(u)
+        adj = _adjacency(range(len(parents)), enumerate(parents[1:], 1))
         trees.append((adj, _centers(adj)))
 
     def code(tree, tokens) -> tuple:

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from .core import DSet, InputError, _centers, _rooted
 from .splittings import enumerate_splittings
-from .trees import LeafTree, canonical_form, d_from_tree
+from .trees import LeafTree, _graft, canonical_form, d_from_tree
 
 ENUM_LEAF_CAP = 8
 
@@ -92,22 +92,6 @@ def gen_fixture(name: str) -> Fixture:
     return Fixture(name, tree, d_from_tree(tree), description)
 
 
-def _grown(t: LeafTree) -> Iterator[LeafTree]:
-    """All ways to add one leaf: widen an internal node or split an edge."""
-    k = t.n_elements
-    top = max(t.nodes)
-    leaf_map = dict(t.leaves)
-    for u in t.internal_nodes():
-        nodes = list(t.nodes) + [top + 1]
-        edges = list(t.edges) + [(u, top + 1)]
-        yield LeafTree(nodes, edges, {**leaf_map, top + 1: k})
-    for u, v in t.edges:
-        mid, tip = top + 1, top + 2
-        edges = [e for e in t.edges if e != (u, v)]
-        edges += [(u, mid), (mid, v), (mid, tip)]
-        yield LeafTree(list(t.nodes) + [mid, tip], edges, {**leaf_map, tip: k})
-
-
 # _SHAPES[k]: one canonically relabelled tree per shape with k leaves, in
 # shape-code order; grown one leaf count at a time and kept.
 _SHAPES: list[tuple[LeafTree, ...]] = [
@@ -121,7 +105,9 @@ def _shapes(leaves: int) -> tuple[LeafTree, ...]:
     while len(_SHAPES) <= leaves:
         found: dict[tuple, LeafTree] = {}
         for smaller in _SHAPES[-1]:
-            for candidate in _grown(smaller):
+            # Every way to add one leaf: widen an internal node or split an edge.
+            for feature in smaller.internal_nodes() + list(smaller.edges):
+                candidate = _graft(smaller, feature)
                 key = canonical_form(candidate, [0] * candidate.n_elements)
                 if key not in found:
                     found[key] = candidate

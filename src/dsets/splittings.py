@@ -11,14 +11,13 @@ a tree; every D-set takes that route unless brute force is asked for.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import trees
-from .core import DSet, InputError, InvariantViolation, _atoms, _canonical_rows, _first_true
-from .core import _kept, _require_core, _require_ids, _sort_rows, check_axioms
+from .core import DSet, InputError, InvariantViolation, _atoms, _first_true, _kept, _rebuild
+from .core import _require_core, _require_ids, check_axioms
 from .trees import Splitting
 
 SplittingLike = Union[Splitting, Iterable[Iterable[int]]]
@@ -209,25 +208,22 @@ def extend_by_point(d: DSet, s: SplittingLike) -> DSet:
     two regimes: a pair a, b from different sectors is never separated
     from a pair containing e; a pair a, b inside one sector S gets
     D(ab;ce) the value of D(ab;c x0) for x0 the least element outside S.
-    The input must pass D1..D4 (InputError otherwise); the result then
-    passes D1..D4 and induces s back on the old elements.
+    The input must pass D1..D4 (InputError otherwise).  The result is read
+    off d's tree with e grafted at the splitting's node or edge, keeps that
+    tree, and so passes D1..D4 and induces s back on the old elements.
     """
     s = _as_splitting(s)
     ok, witness = is_splitting(d, s)
     if not ok:
         raise InputError(f"not a splitting of the input: {witness}")
-    if d.n < 2:
-        raise InputError("need at least two elements to extend")
     _require_core(d)
-    e = d.n
-    grown = [d.rows]
-    for sec in s.sectors:
-        a, b = np.array(list(itertools.combinations(sorted(sec), 2)), dtype=np.int64).reshape(-1, 2).T
-        # [pair, c] -> D(ab; c x0), false for c in {a, b}
-        p, c = np.nonzero(_atoms(d, a, b, slice(None), min(d.elements - sec)))
-        grown.append(_canonical_rows(np.stack([a[p], b[p], c, np.full(len(c), e)], axis=1)))
-    rows = _sort_rows(np.concatenate(grown), e + 1)[0]
-    return DSet._from_rows(e + 1, rows, d.colors + (0,))
+    t = trees.tree_from_dset(d)
+    parent, below = _rebuild(d)  # t's nodes, rooted at element 0
+    # The node below which lie the elements outside 0's sector, or its edge up.
+    outside = ~np.isin(np.arange(d.n), list(s.sector_of(0)))
+    u = int(np.flatnonzero((below == outside).all(axis=1))[0])
+    feature = u if len(s.sectors) > 2 else tuple(sorted((u, int(parent[u]))))
+    return trees.d_from_tree(trees._graft(t, feature)).recolor(d.colors + (0,))
 
 
 def _suitable(d: DSet, sector: frozenset[int], x: int, ground: frozenset[int]) -> bool:

@@ -6,12 +6,12 @@ holds the tree type, the two directions of that correspondence, and the
 Splitting type with the splittings read off from internal nodes and edges.
 
 Every traversal is core's breadth-first walk, `_walk`: connectivity, the
-canonical codes (`core._rooted`), and the elements below each node, from
-which both the splittings and the leaf distances are read (one walk from
-element 0's leaf, then the one matmul that `core._rebuild` also uses).
-The relation is read off a grid of leaf pairs in lexicographic order, so
-its rows come out canonical and sorted.  The tree of a D-set is the
-rooted-cluster rebuild that `core` certifies D1..D4 with.
+canonical codes (`core._rooted`), and `core._below`, the elements below
+each node from element 0's leaf, which give the splittings and the tree's
+`core._record`.  d_from_tree keeps that record on its result and reads the
+leaf distances off it; the relation is read off a grid of leaf pairs in
+lexicographic order, so its rows come out canonical and sorted.  The tree
+of a D-set is the rooted-cluster rebuild that `core` certifies D1..D4 with.
 
 Outside input always takes the checking constructors, `LeafTree(...)`,
 `Splitting(...)` and their `from_json`.  `_trusted` on each class stores
@@ -29,8 +29,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import DSet, InputError, NotRepresentable, _DECIMAL, _centers, _distances, _kept, _require_ids
-from .core import _rooted, _tree_parents, _walk, check_axioms
+from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _centers, _distances, _kept
+from .core import _record, _require_ids, _rooted, _tree_parents, _walk, check_axioms
 
 
 @dataclass(frozen=True)
@@ -107,28 +107,15 @@ class LeafTree:
                 raise InputError(f"internal node {u} has degree {degree[u]} < 3")
 
     def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {u: [] for u in self.nodes}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for u in adj:
-            adj[u].sort()
-        return adj
+        """Each node's neighbours, sorted, since the edges are."""
+        return _adjacency(self.nodes, self.edges)
 
     def degrees(self) -> dict[int, int]:
-        deg = {u: 0 for u in self.nodes}
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return {u: len(vs) for u, vs in self.adjacency().items()}
 
     def leaf_map(self) -> dict[int, int]:
         """Node id -> element id."""
         return dict(self.leaves)
-
-    def element_node(self) -> dict[int, int]:
-        """Element id -> node id."""
-        return {e: u for u, e in self.leaves}
 
     @property
     def n_elements(self) -> int:
@@ -166,38 +153,11 @@ class LeafTree:
         return cls(nodes, edges, {int(k): v for k, v in leaves.items()})
 
 
-def _below(t: LeafTree, adj) -> tuple[list[int], dict, dict[int, set[int]]]:
-    """One walk from element 0's leaf: visit order, parents, and the elements
-    below each node (below its edge to its parent; all of them at the root)."""
-    order, parent = _walk(adj, t.element_node()[0])
-    leaf_of = t.leaf_map()
-    below: dict[int, set[int]] = {u: set() for u in order}
-    for u in reversed(order):
-        if u in leaf_of:
-            below[u].add(leaf_of[u])
-        if parent[u] is not None:
-            below[parent[u]] |= below[u]
-    return order, parent, below
-
-
-def _leaf_distances(t: LeafTree) -> np.ndarray:
-    """Edge count between every two leaves, indexed by element id: the
-    elements below each node's edge to its parent, through core._distances."""
-    n = t.n_elements
-    if n < 2:
-        return np.zeros((n, n), dtype=np.int64)
-    order, _, below = _below(t, t.adjacency())
-    marks = np.zeros((len(order), n), dtype=bool)
-    for i, u in enumerate(order[1:], 1):  # the root has no edge to a parent
-        marks[i, list(below[u])] = True
-    return _distances(marks)
-
-
 def d_from_tree(t: LeafTree) -> DSet:
     """Leaf relation of a tree: D(wx;yz) iff the two leaf paths are disjoint.
 
-    Read off the leaf distances (one walk and one matmul, shared with the
-    certifying rebuild in core) by Buneman's four-point condition: for
+    Read off the leaf distances of the tree's `_record`, kept on the result
+    so that it starts certified, by Buneman's four-point condition: for
     pairs a < b and c < e with a < c, the row (a, b, c, e) holds exactly
     when d(a,b) + d(c,e) < d(a,c) + d(b,e), which pairs sharing an element
     fail.  Evaluated on the grid of pairs in lexicographic order, a block
@@ -206,9 +166,12 @@ def d_from_tree(t: LeafTree) -> DSet:
     is monochromatic.
     """
     n = t.n_elements
+    if n < 2:
+        return DSet._from_rows(n, np.empty((0, 4), dtype=np.int64))
+    record = _record(t.adjacency(), t.leaf_map(), n)
     # int16 holds every element id and every sum of two leaf distances (at
     # most 2n - 2) at any n whose pair grid fits in memory.
-    dist = _leaf_distances(t).astype(np.int16)
+    dist = _distances(record[1]).astype(np.int16)
     a, b = (v.astype(np.int16) for v in np.triu_indices(n, 1))
     pair = dist[a, b]
     rows = [np.empty((0, 4), dtype=np.int16)]
@@ -220,7 +183,9 @@ def d_from_tree(t: LeafTree) -> DSet:
         grid &= ai[:, None] < aj
         r, c = np.nonzero(grid)
         rows.append(np.stack([ai[r], bi[r], aj[c], bj[c]], axis=1))
-    return DSet._from_rows(n, np.concatenate(rows, dtype=np.int64))
+    d = DSet._from_rows(n, np.concatenate(rows, dtype=np.int64))
+    d._analyses["_rebuild"] = record
+    return d
 
 
 @_kept
@@ -347,7 +312,7 @@ def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
     if not t.nodes:
         return TreeCorrespondence((), (), ())
     adj = t.adjacency()
-    order, parent, below = _below(t, adj)
+    order, parent, below = _below(adj, t.leaf_map())
     everything = below[order[0]]
     side = {}  # (u, v) -> the elements on v's side of the edge uv, sorted
     for v in order[1:]:
@@ -359,6 +324,18 @@ def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
     split = {f: Splitting._trusted(tuple(map(frozenset, lists))) for lists, f in keyed}
     nodes = tuple((mu, split[mu]) for mu in t.internal_nodes())
     return TreeCorrespondence(nodes, tuple((e, split[e]) for e in t.edges), tuple(split.values()))
+
+
+def _graft(t: LeafTree, feature) -> LeafTree:
+    """t with one more leaf, element t.n_elements, on new nodes numbered past
+    the largest: hung from an internal node, or from a node splitting an
+    edge (a sorted pair)."""
+    top, leaves = max(t.nodes), dict(t.leaves)
+    if isinstance(feature, tuple):
+        u, v = feature
+        edges = [e for e in t.edges if e != feature] + [(u, top + 1), (top + 1, v), (top + 1, top + 2)]
+        return LeafTree([*t.nodes, top + 1, top + 2], edges, {**leaves, top + 2: t.n_elements})
+    return LeafTree([*t.nodes, top + 1], [*t.edges, (feature, top + 1)], {**leaves, top + 1: t.n_elements})
 
 
 def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple:

@@ -165,11 +165,31 @@ def test_d_from_tree_rows_match_path_oracle(trees_by_k):
 def test_leaf_distances_match_path_oracle(trees_by_k):
     for tree in _oracle_trees(trees_by_k):
         expected = O.leaf_distance_oracle(tree)
-        assert np.array_equal(dsets.trees._leaf_distances(tree), expected), tree
+        _, below = dsets.core._record(tree.adjacency(), tree.leaf_map(), tree.n_elements)
+        assert np.array_equal(dsets.core._distances(below), expected), tree
         d = D.d_from_tree(tree)
-        if d.n >= 2:  # the rebuilt tree's own distances, leaves by element id
-            _, below = dsets.core._rebuild(d)
+        if d.n >= 2:  # a rows-only copy's own rebuild, leaves by element id
+            _, below = dsets.core._rebuild(D.DSet._from_rows(d.n, d.rows))
             assert np.array_equal(dsets.core._distances(below), expected), tree
+
+
+def test_built_structures_skip_certification(monkeypatch):
+    # d_from_tree, relabel and extend_by_point hand on the tree they know, so
+    # the gated calls on their results never certify from the rows.
+    a = D.d_from_tree(D.gen_random(D.TreeSpec("d_regular_random", 16, 3, seed=16)))
+    b = D.relabel(a, dict(enumerate(random.Random(16).sample(range(16), 16))))
+    grown = [D.extend_by_point(a, s) for s in D.enumerate_splittings(a)[::7]]
+
+    def refuse(below):
+        raise AssertionError("certified from the rows")
+
+    monkeypatch.setattr(dsets.core, "_distances", refuse)
+    with pytest.raises(AssertionError, match="from the rows"):
+        D.check_axioms(D.DSet._from_rows(a.n, a.rows))
+    for d in (a, b, *grown):
+        assert D.check_axioms(d).core_pass
+        assert D.tree_from_dset(d).n_elements == d.n
+    assert D.relabel(a, D.are_isomorphic(a, b)) == b
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +423,42 @@ def _sweep_trees(trees_by_k):
     for leaves in (16, 32, 64):
         for kind, degree in (("caterpillar", None), ("star", None), ("d_regular_random", 3), ("d_regular_random", 4)):
             yield D.gen_random(D.TreeSpec(kind, leaves, degree, seed=leaves))
+
+
+def _same_as_rows_rebuild(d):
+    """The tree record kept on d and d's axiom report equal those of an
+    independent rebuild from a rows-only copy of d."""
+    fresh = D.DSet._from_rows(d.n, d.rows, d.colors)
+    kept, rebuilt = d._analyses["_rebuild"], dsets.core._rebuild(fresh)
+    assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(kept, rebuilt)), d
+    assert D.check_axioms(d) == D.check_axioms(fresh), d
+
+
+def test_handed_on_records_equal_rows_rebuilds(trees_by_k, catalogue):
+    rng = random.Random(53)
+    for tree in _sweep_trees(trees_by_k):
+        if tree.n_elements >= 2:
+            d = D.d_from_tree(tree)
+            _same_as_rows_rebuild(d)
+            for _ in range(3):
+                _same_as_rows_rebuild(D.relabel(d, dict(enumerate(rng.sample(range(d.n), d.n)))))
+    grown = [fix.dset.recolor([e % 2 for e in range(fix.dset.n)]) for fix in catalogue.values()]
+    for leaves in (16, 24, 32):
+        for kind, degree in (("caterpillar", None), ("star", None), ("d_regular_random", 3), ("d_regular_random", 4)):
+            grown.append(D.d_from_tree(D.gen_random(D.TreeSpec(kind, leaves, degree, seed=leaves))))
+    for d in grown:
+        t = D.tree_from_dset(d)
+        correspondence = D.splittings_from_tree(t)
+        features = correspondence.node_splittings + correspondence.edge_splittings
+        # The path oracle costs about 0.1 s a call at 33 leaves: there, a seeded sample.
+        oracle = features if d.n <= 16 else rng.sample(features, 3)
+        for feature, s in features:
+            g = D.extend_by_point(d, s)
+            _same_as_rows_rebuild(g)
+            assert g.colors == d.colors + (0,)
+            if (feature, s) in oracle:
+                expected = O.positives_oracle(dsets.trees._graft(t, feature))
+                assert g == D.DSet.build(d.n + 1, expected, d.colors + (0,)), (d, s)
 
 
 def _checked(s):
