@@ -44,11 +44,14 @@ D2, D3, D5 and D6 are swept over the table, D3 and D6 one w at a time with
 their fifth element packed into uint64 words; D1 and D4 hold by storage.
 d_from_tree, relabel and extend_by_point know their result's tree and store
 its rebuild (`_record`); a structure read from JSON certifies from its rows.
+Either way the nodes are numbered by `_numbered`, the one home of that rule.
 
 Trees, as adjacency lists (`_adjacency`): `_walk` is the one breadth-first
 walk, and `_rooted` roots a tree at the center whose flat AHU code is least,
 equal for two trees exactly when they are isomorphic.  are_isomorphic
 compares such codes of two certified trees, built from `_rebuild`'s parents.
+`_numbered` numbers `_rebuild`'s clusters and the sets of `_record`'s walk.
+A structure argument that is no DSet is refused by one check, `_require_dset`.
 
 Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
 ...]} with sorted keys, no whitespace and the rows in order, _BLOCK = 8,192
@@ -87,11 +90,24 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed on data that claimed to be valid."""
 
 
-def _require_ids(ids: Iterable, d: Optional["DSet"] = None) -> list[int]:
+_UNBOUND = object()  # _require_ids without a structure: ids of no range
+
+
+def _require_dset(d) -> None:
+    """Refuse anything but a DSet where a structure belongs: the one check,
+    run by _require_ids given a structure, by every kept analysis and by
+    the entry points that read a structure before either."""
+    if not isinstance(d, DSet):
+        raise InputError(f"expected a DSet, got {d!r}")
+
+
+def _require_ids(ids: Iterable, d=_UNBOUND) -> list[int]:
     """The ids as a list of Python ints: the one check of element ids.
-    Raises InputError when ids is not iterable, at the first bool or
-    non-integer and, given d, at the first id outside 0..d.n-1, checking in
-    order."""
+    Given a structure d, first refuses it unless it is a DSet.  Raises
+    InputError when ids is not iterable, at the first bool or non-integer
+    and, given d, at the first id outside 0..d.n-1, checking in order."""
+    if d is not _UNBOUND:
+        _require_dset(d)
     try:
         ids = list(ids)
     except TypeError as exc:
@@ -99,7 +115,7 @@ def _require_ids(ids: Iterable, d: Optional["DSet"] = None) -> list[int]:
     for v in ids:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
             raise InputError(f"element ids must be non-negative integers, got {v!r}")
-        if d is not None and not 0 <= v < d.n:
+        if d is not _UNBOUND and not 0 <= v < d.n:
             raise InputError(f"element {v} out of range 0..{d.n - 1}")
     return list(map(int, ids))
 
@@ -133,14 +149,16 @@ def normalize_quad(w: int, x: int, y: int, z: int) -> Quad:
 def _kept(analysis):
     """Run analysis(d) once per DSet instance and keep it there by name; a
     constructor that knows the result may store it there instead.  Every
-    kept analysis reads the relation alone, so recolor hands them on.  The
-    returned function takes the analysis's name and docstring but no
-    __wrapped__, so unwrapping it cannot bypass the kept result.
+    kept analysis reads the relation alone, so recolor hands them on, and
+    refuses a d that is no DSet.  The returned function takes the
+    analysis's name and docstring but no __wrapped__, so unwrapping it
+    cannot bypass the kept result.
     """
 
     name = analysis.__name__
 
     def kept(d: DSet):
+        _require_dset(d)
         analyses = d._analyses
         if name not in analyses:
             analyses[name] = analysis(d)
@@ -671,9 +689,8 @@ def _require_core(d: DSet) -> None:
 @_kept
 def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """d's tree rooted at element 0, certified as in the module docstring,
-    or None.  Returns parent (-1 for node 0) and below (each node's subtree
-    elements) by node id: leaves are element ids, internal nodes n, n+1, ...
-    by the second least of their children's least elements.  n >= 2."""
+    or None: the distinct clusters and their parents, numbered by
+    _numbered once they pass.  n >= 2."""
     n, rows = d.n, d.rows
     head = rows[: np.searchsorted(rows[:, 0], 1)]  # rows (0, c, a, b): D(ab;c0)
     inside = np.broadcast_to(np.arange(n) > 0, (n, n, n)).copy()
@@ -694,17 +711,7 @@ def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     if (kid_size != size[inner]).any():
         return None
 
-    least = sets.argmax(axis=1)
-    by_up = child[np.lexsort((least[child], up[child]))]
-    second = least[by_up[np.searchsorted(up[by_up], inner) + 1]]
-    ids = least.copy()
-    ids[inner[np.argsort(second)]] = n + np.arange(len(inner))
-    parent = np.full(n + len(inner), -1)
-    parent[ids] = np.where(top, 0, ids[up])
-    below = np.zeros((len(parent), n), dtype=bool)
-    below[ids] = sets
-
-    dist = _distances(below)
+    dist = _distances(sets)  # the rows of below but element 0's, which is empty
     w, x, y, z = rows.T
     if not (dist[w, x] + dist[y, z] < dist[w, y] + dist[x, z]).all():
         return None
@@ -719,6 +726,25 @@ def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     e4 = (e3 * p1 - e2 * p2 + p1 * p3 - p4) // 4
     if len(rows) != math.comb(n, 4) - int(e4.sum()):
         return None
+    return _numbered(sets, up, top)
+
+
+def _numbered(sets: np.ndarray, up: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """parent (-1 for node 0) and below by node id of the tree rooted at
+    element 0 whose other nodes hold sets[i], under row up[i] or node 0 if
+    top[i]: leaves are element ids, internal nodes n, n+1, ... by the second
+    least of their children's least elements, the one numbering rule."""
+    n, size = sets.shape[1], sets.sum(axis=1)
+    child, inner = np.flatnonzero(~top), np.flatnonzero(size > 1)
+    least = sets.argmax(axis=1)
+    by_up = child[np.lexsort((least[child], up[child]))]
+    second = least[by_up[np.searchsorted(up[by_up], inner) + 1]]
+    ids = least.copy()
+    ids[inner[np.argsort(second)]] = n + np.arange(len(inner))
+    parent = np.full(n + len(inner), -1)
+    parent[ids] = np.where(top, 0, ids[up])
+    below = np.zeros((len(parent), n), dtype=bool)
+    below[ids] = sets
     return parent, below
 
 
@@ -734,17 +760,14 @@ def _distances(below: np.ndarray) -> np.ndarray:
 
 def _record(adj, leaf_of: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     """_rebuild's parent and below for a tree in hand, given as adjacency
-    lists and its node -> element map (n >= 1 elements): the same rooting
-    and node numbering, read off one _below walk instead of the rows."""
+    lists and its node -> element map (n >= 1 elements): the sets of one
+    _below walk from element 0's leaf, numbered by _numbered."""
     order, parent, below = _below(adj, leaf_of)
-    inner = [u for u in order[1:] if u not in leaf_of]
-    second = {u: sorted(min(below[v]) for v in adj[u] if v != parent[u])[1] for u in inner}
-    ids = dict(leaf_of) | {u: n + i for i, u in enumerate(sorted(inner, key=second.get))}
-    kids = order[1:]
-    parents, marks = np.full(len(order), -1), np.zeros((len(order), n), dtype=bool)
-    parents[[ids[u] for u in kids]] = [ids[parent[u]] for u in kids]
-    marks.reshape(-1)[[ids[u] * n + e for u in kids for e in below[u]]] = True
-    return parents, marks
+    row = {u: i - 1 for i, u in enumerate(order)}  # the root, element 0's leaf, is -1
+    sets = np.zeros((len(order) - 1, n), dtype=bool)
+    sets.reshape(-1)[[row[u] * n + e for u in order[1:] for e in below[u]]] = True
+    up = np.array([row[parent[u]] for u in order[1:]], dtype=np.int64)
+    return _numbered(sets, up, up < 0)
 
 
 def _tree_parents(d: DSet) -> list[int]:
@@ -910,9 +933,8 @@ def are_isomorphic(
     Tables that fail D1..D4 fall back to backtracking, capped at max_n
     elements; raise the cap explicitly for bigger instances.
     """
-    for d in (d1, d2):
-        if not isinstance(d, DSet):
-            raise InputError(f"are_isomorphic compares two DSets, got {d!r}")
+    _require_dset(d1)
+    _require_dset(d2)
     if d1.n != d2.n:
         return None
     if respect_colors and sorted(d1.colors) != sorted(d2.colors):

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DSet, InputError, _centers, _rooted
+from .core import DSet, InputError, _centers, _require_dset, _rooted
 from .splittings import enumerate_splittings
 from .trees import LeafTree, _graft, canonical_form, d_from_tree
 
@@ -108,9 +108,7 @@ def _shapes(leaves: int) -> tuple[LeafTree, ...]:
             # Every way to add one leaf: widen an internal node or split an edge.
             for feature in smaller.internal_nodes() + list(smaller.edges):
                 candidate = _graft(smaller, feature)
-                key = canonical_form(candidate, [0] * candidate.n_elements)
-                if key not in found:
-                    found[key] = candidate
+                found.setdefault(canonical_form(candidate, [0] * candidate.n_elements), candidate)
         _SHAPES.append(tuple(_canonical_relabel(found[key]) for key in sorted(found)))
     return _SHAPES[leaves]
 
@@ -219,10 +217,12 @@ def gen_random(spec: TreeSpec) -> LeafTree:
 
 
 def color_uniform(d: DSet) -> DSet:
+    _require_dset(d)
     return d.recolor([0] * d.n)
 
 
 def color_round_robin(d: DSet, n_colors: int) -> DSet:
+    _require_dset(d)
     if n_colors < 1:
         raise InputError("need at least one color")
     return d.recolor([i % n_colors for i in range(d.n)])
@@ -236,6 +236,7 @@ def color_sector_avoiding(d: DSet) -> DSet:
     color-1 element; a homogeneity color-hitting check then fails at that
     sector.
     """
+    _require_dset(d)
     if d.n < 2:
         raise InputError("nothing to starve in a one-element D-set")
     for splitting in enumerate_splittings(d):

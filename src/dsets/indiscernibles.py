@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, _atoms, _require_core, _require_ids
+from .core import DSet, InputError, _atoms, _require_core, _require_dset, _require_ids
 from .splittings import enumerate_splittings, extend_splitting
 from .trees import Splitting
 
@@ -288,17 +288,13 @@ def _frontiers(d: DSet, col: Sequence[int]) -> tuple[frozenset[int], frozenset[i
     return core(left_family), core(right_family)
 
 
-def _pattern_iter() -> list[tuple[int, ...]]:
-    # 1 marks a window slot; pure-parameter and pure-window atoms are out.
-    return [p for p in itertools.product((0, 1), repeat=4) if 0 < sum(p) < 4]
-
-
 def _slot_layouts(m: int, k: int, nb: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per slot layout in scan order, the fillings of m rows of arity k over
     nb params: slots, (F, 4) indices into [window cells column-major...,
     sorted params...], and first_of, each filling's first with its key."""
     km = k * m
-    for pattern in _pattern_iter():
+    # 1 marks a window slot; pure-parameter and pure-window atoms are out.
+    for pattern in (p for p in itertools.product((0, 1), repeat=4) if 0 < sum(p) < 4):
         shape = tuple(km if flag else nb for flag in pattern)
         index = np.indices(shape).reshape(4, -1)
         # Key of a filling: each slot's parameter or column, then the
@@ -409,6 +405,7 @@ def mutually_indiscernible(
 
 def detect_petaled(d: DSet, k: int) -> Optional[SequenceWindow]:
     """Least k-tuple of elements pairwise separated by one node splitting."""
+    _require_dset(d)
     if k < 3:
         raise InputError("petaled detection needs k of at least 3")
     if d.n < k:

@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import trees
-from .core import DSet, InputError, InvariantViolation, _atoms, _first_true, _kept, _rebuild
-from .core import _require_core, _require_ids, check_axioms
+from .core import DSet, InputError, InvariantViolation, _atoms, _first_true, _kept, _require_core
+from .core import _require_dset, _require_ids, check_axioms
 from .trees import Splitting
 
 SplittingLike = Union[Splitting, Iterable[Iterable[int]]]
@@ -48,6 +48,7 @@ def is_splitting(d: DSet, candidate: SplittingLike) -> tuple[bool, Optional[dict
     D(ab;cd) holds.  Four sectors: elements of four pairwise different
     sectors are never in relation, in any pairing.
     """
+    _require_dset(d)
     candidate = _as_splitting(candidate)
     if candidate.ground != d.elements:
         return False, {
@@ -124,6 +125,7 @@ def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
     table of n <= 6 that fails D1..D4 and the tree route otherwise.  Each
     call returns a fresh list.  The two routes agree on every D-set.
     """
+    _require_dset(d)
     if method not in ("auto", "brute", "tree"):
         raise InputError(f"unknown method {method!r}")
     if method == "auto":
@@ -132,13 +134,14 @@ def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
         if d.n > 10:
             raise InputError(f"brute-force splittings capped at 10 elements, got {d.n}")
         return sorted(set(_brute_force_splittings(d)), key=Splitting.as_sorted_lists)
-    return list(_tree_splittings(d))
+    return list(_tree_splittings(d).ordered)
 
 
 @_kept
-def _tree_splittings(d: DSet) -> tuple[Splitting, ...]:
-    """The splittings read off d's reconstructed tree, kept on d."""
-    return trees.splittings_from_tree(trees.tree_from_dset(d)).ordered
+def _tree_splittings(d: DSet) -> trees.TreeCorrespondence:
+    """The splittings read off d's reconstructed tree with their nodes and
+    edges, kept on d for enumerate_splittings and extend_by_point."""
+    return trees.splittings_from_tree(trees.tree_from_dset(d))
 
 
 def branch(d: DSet, a: int, b: int, c: int) -> list[int]:
@@ -208,22 +211,23 @@ def extend_by_point(d: DSet, s: SplittingLike) -> DSet:
     two regimes: a pair a, b from different sectors is never separated
     from a pair containing e; a pair a, b inside one sector S gets
     D(ab;ce) the value of D(ab;c x0) for x0 the least element outside S.
-    The input must pass D1..D4 (InputError otherwise).  The result is read
-    off d's tree with e grafted at the splitting's node or edge, keeps that
-    tree, and so passes D1..D4 and induces s back on the old elements.
+    The input must pass D1..D4 (InputError otherwise).  s is looked up in
+    d's kept tree correspondence; a miss runs is_splitting, then the D1..D4
+    gate, to name the fault.  The result is read off d's tree with e grafted
+    at s's node or edge, keeps that tree, and so passes D1..D4 and induces
+    s back on the old elements.
     """
     s = _as_splitting(s)
-    ok, witness = is_splitting(d, s)
-    if not ok:
-        raise InputError(f"not a splitting of the input: {witness}")
-    _require_core(d)
-    t = trees.tree_from_dset(d)
-    parent, below = _rebuild(d)  # t's nodes, rooted at element 0
-    # The node below which lie the elements outside 0's sector, or its edge up.
-    outside = ~np.isin(np.arange(d.n), list(s.sector_of(0)))
-    u = int(np.flatnonzero((below == outside).all(axis=1))[0])
-    feature = u if len(s.sectors) > 2 else tuple(sorted((u, int(parent[u]))))
-    return trees.d_from_tree(trees._graft(t, feature)).recolor(d.colors + (0,))
+    found = _tree_splittings(d) if check_axioms(d).core_pass else None
+    features = found.node_splittings + found.edge_splittings if found else ()
+    feature = next((f for f, split in features if split == s), None)
+    if feature is None:
+        ok, witness = is_splitting(d, s)
+        if not ok:
+            raise InputError(f"not a splitting of the input: {witness}")
+        _require_core(d)
+        raise InvariantViolation(f"splitting {s.as_sorted_lists()} is no feature of the tree")
+    return trees.d_from_tree(trees._graft(trees.tree_from_dset(d), feature)).recolor(d.colors + (0,))
 
 
 def _suitable(d: DSet, sector: frozenset[int], x: int, ground: frozenset[int]) -> bool:
@@ -286,15 +290,11 @@ def one_sector(d: DSet, c1: SplittingLike, c2: SplittingLike) -> frozenset[int]:
     For two different splittings of one D-set exactly one such sector
     exists; anything else signals corrupt input.
     """
+    _require_dset(d)
     c1, c2 = _as_splitting(c1), _as_splitting(c2)
     if c1 == c2:
         raise InputError("the two splittings must differ")
-    wanted = len(c1.sectors) - 1
-    hits = []
-    for sec in c2.sectors:
-        inside = sum(1 for t in c1.sectors if t <= sec)
-        if inside >= wanted:
-            hits.append(sec)
+    hits = [sec for sec in c2.sectors if sum(t <= sec for t in c1.sectors) >= len(c1.sectors) - 1]
     if len(hits) != 1:
         raise InvariantViolation(
             f"expected exactly one swallowing sector, found {len(hits)}"
@@ -308,14 +308,10 @@ def is_regular(d: DSet) -> tuple[bool, Optional[int]]:
     Returns (True, count) with the common count, (True, None) when there
     is no node splitting at all, (False, None) otherwise.
     """
-    counts = {
-        len(s.sectors) for s in enumerate_splittings(d) if len(s.sectors) > 2
-    }
-    if not counts:
-        return True, None
-    if len(counts) == 1:
-        return True, counts.pop()
-    return False, None
+    counts = {len(s.sectors) for s in enumerate_splittings(d) if len(s.sectors) > 2}
+    if len(counts) > 1:
+        return False, None
+    return True, next(iter(counts), None)
 
 
 def is_true_edge_splitting(d: DSet, p: SplittingLike) -> bool:

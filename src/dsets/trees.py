@@ -86,10 +86,12 @@ class LeafTree:
                 raise InputError(f"edge ({u},{v}) mentions an unknown node")
         if len(self.edges) != max(0, len(self.nodes) - 1):
             raise InputError("a tree on k nodes needs exactly k-1 edges")
-        if self.nodes and len(_walk(self.adjacency(), self.nodes[0])[0]) != len(self.nodes):
+        adj = self.adjacency()
+        if self.nodes and len(_walk(adj, self.nodes[0])[0]) != len(self.nodes):
             raise InputError("tree is not connected")
         labeled = [u for u, _ in self.leaves]
-        if len(set(labeled)) != len(labeled):
+        label_set = set(labeled)
+        if len(label_set) != len(labeled):
             raise InputError("a node may carry at most one element label")
         for u in labeled:
             if u not in node_set:
@@ -97,14 +99,12 @@ class LeafTree:
         elems = sorted(e for _, e in self.leaves)
         if elems != list(range(len(elems))):
             raise InputError("leaf labels must be exactly 0..k-1")
-        degree = self.degrees()
-        label_set = set(labeled)
         for u in self.nodes:
             if u in label_set:
-                if degree[u] > 1:
-                    raise InputError(f"labeled node {u} has degree {degree[u]}")
-            elif degree[u] < 3:
-                raise InputError(f"internal node {u} has degree {degree[u]} < 3")
+                if len(adj[u]) > 1:
+                    raise InputError(f"labeled node {u} has degree {len(adj[u])}")
+            elif len(adj[u]) < 3:
+                raise InputError(f"internal node {u} has degree {len(adj[u])} < 3")
 
     def adjacency(self) -> dict[int, list[int]]:
         """Each node's neighbours, sorted, since the edges are."""
@@ -329,13 +329,15 @@ def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
 def _graft(t: LeafTree, feature) -> LeafTree:
     """t with one more leaf, element t.n_elements, on new nodes numbered past
     the largest: hung from an internal node, or from a node splitting an
-    edge (a sorted pair)."""
-    top, leaves = max(t.nodes), dict(t.leaves)
+    edge (a sorted pair).  Trusted, since only the edges need sorting."""
+    top = max(t.nodes)
     if isinstance(feature, tuple):
         u, v = feature
-        edges = [e for e in t.edges if e != feature] + [(u, top + 1), (top + 1, v), (top + 1, top + 2)]
-        return LeafTree([*t.nodes, top + 1, top + 2], edges, {**leaves, top + 2: t.n_elements})
-    return LeafTree([*t.nodes, top + 1], [*t.edges, (feature, top + 1)], {**leaves, top + 1: t.n_elements})
+        new = (top + 1, top + 2)
+        edges = [e for e in t.edges if e != feature] + [(u, top + 1), (v, top + 1), new]
+    else:
+        new, edges = (top + 1,), [*t.edges, (feature, top + 1)]
+    return LeafTree._trusted((*t.nodes, *new), tuple(sorted(edges)), (*t.leaves, (new[-1], t.n_elements)))
 
 
 def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple:

@@ -1,8 +1,10 @@
 """Element ids: every public entry point that takes them checks them through
-one gate, with one message for a bad type and one for a bad range."""
+one gate, with one message for a bad type and one for a bad range.  A
+structure argument has one gate too, with one message."""
 
 from __future__ import annotations
 
+import inspect
 import re
 
 import numpy as np
@@ -69,7 +71,7 @@ _WRONG_TYPES = {
     "qftp_base": (lambda d: D.qftp_base(d, 5, 4), _NOT_A_COLLECTION),
     "same_qftp": (lambda d: D.same_qftp(d, 5, 3, 4), _NOT_A_COLLECTION),
     "induced_splitting": (lambda d: D.induced_splitting(d, 5, 4), _NOT_A_COLLECTION),
-    "are_isomorphic": (lambda d: D.are_isomorphic(d, 5), "are_isomorphic compares two DSets, got 5"),
+    "are_isomorphic": (lambda d: D.are_isomorphic(d, 5), "expected a DSet, got 5"),
     "extend_splitting": (lambda d: D.extend_splitting(d, [0, 1, 2], 5), _NOT_SECTORS),
     "complementary": (lambda d: D.complementary(d, 5, [0, 1], 0), _NOT_SECTORS),
     "one_sector": (lambda d: D.one_sector(d, 5, Splitting([[0, 1], [2, 3, 4]])), _NOT_SECTORS),
@@ -82,6 +84,67 @@ def test_arguments_of_the_wrong_type_are_input_errors(catalogue, entry):
     call, message = _WRONG_TYPES[entry]
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call(catalogue["CAT5"].dset)
+
+
+# Each public entry point that takes a structure, called on CAT5 (d) with
+# the structure under test (x) in one place and otherwise valid arguments.
+_CUT, _NODE = Splitting([[0, 1], [2, 3, 4]]), Splitting([[0], [1], [2, 3, 4]])
+_W4, _W5 = (SequenceWindow([(v,) for v in range(k)]) for k in (4, 5))
+_TAKE_A_STRUCTURE = {
+    "check_axioms": lambda d, x: D.check_axioms(x),
+    "relation_table": lambda d, x: D.relation_table(x),
+    "substructure": lambda d, x: D.substructure(x, [0, 1]),
+    "relabel": lambda d, x: D.relabel(x, {e: e for e in range(5)}),
+    "are_isomorphic/first": lambda d, x: D.are_isomorphic(x, d),
+    "are_isomorphic/second": lambda d, x: D.are_isomorphic(d, x),
+    "tree_from_dset": lambda d, x: D.tree_from_dset(x),
+    "is_splitting": lambda d, x: D.is_splitting(x, _CUT),
+    "enumerate_splittings": lambda d, x: D.enumerate_splittings(x),
+    "enumerate_splittings/tree": lambda d, x: D.enumerate_splittings(x, method="tree"),
+    "branch": lambda d, x: D.branch(x, 4, 0, 1),
+    "induced_splitting": lambda d, x: D.induced_splitting(x, [0, 1, 2], 3),
+    "complementary": lambda d, x: D.complementary(x, _CUT, [2, 3, 4], 2),
+    "extend_by_point": lambda d, x: D.extend_by_point(x, _CUT),
+    "extend_splitting": lambda d, x: D.extend_splitting(x, [0, 1, 2], Splitting([[0], [1], [2]])),
+    "one_sector": lambda d, x: D.one_sector(x, _NODE, _CUT),
+    "is_regular": lambda d, x: D.is_regular(x),
+    "is_true_edge_splitting": lambda d, x: D.is_true_edge_splitting(x, _CUT),
+    "density_witnesses": lambda d, x: D.density_witnesses(x, 0, 1, 2, 3),
+    "qftp_base": lambda d, x: D.qftp_base(x, [0, 1, 2], 3),
+    "same_qftp": lambda d, x: D.same_qftp(x, [0, 1, 2], 3, 4),
+    "check_partial_iso/first": lambda d, x: D.check_partial_iso(x, d, {}),
+    "check_partial_iso/second": lambda d, x: D.check_partial_iso(d, x, {}),
+    "extend_partial_iso": lambda d, x: D.extend_partial_iso(x, {0: 0}, 1),
+    "homogeneity_conditions": lambda d, x: D.homogeneity_conditions(x),
+    "nonextendable_witness": lambda d, x: D.nonextendable_witness(x),
+    "classify_window": lambda d, x: D.classify_window(x, _W4),
+    "hull_window": lambda d, x: D.hull_window(x, _W5),
+    "frontiers": lambda d, x: D.frontiers(x, _W5),
+    "weakly_indiscernible_over": lambda d, x: D.weakly_indiscernible_over(x, _W5, [0]),
+    "mutually_indiscernible": lambda d, x: D.mutually_indiscernible(x, _W5, _W5),
+    "detect_petaled": lambda d, x: D.detect_petaled(x, 3),
+    "color_uniform": lambda d, x: D.color_uniform(x),
+    "color_round_robin": lambda d, x: D.color_round_robin(x, 2),
+    "color_sector_avoiding": lambda d, x: D.color_sector_avoiding(x),
+}
+
+
+@pytest.mark.parametrize("bad", (5, None, LeafTree([0, 1], [(0, 1)], {0: 0, 1: 1})), ids=("int", "None", "LeafTree"))
+@pytest.mark.parametrize("entry", sorted(_TAKE_A_STRUCTURE))
+def test_entry_points_refuse_what_is_no_dset(catalogue, entry, bad):
+    d = catalogue["CAT5"].dset
+    _TAKE_A_STRUCTURE[entry](d, d)  # valid with a DSet in that place
+    with pytest.raises(InputError, match=f"^{re.escape(f'expected a DSet, got {bad!r}')}$"):
+        _TAKE_A_STRUCTURE[entry](d, bad)
+
+
+def test_structure_sweep_covers_every_public_dset_parameter():
+    takes = {
+        name for name in D.__all__
+        if inspect.isfunction(f := getattr(D, name))
+        and any(p.annotation == "DSet" for p in inspect.signature(f).parameters.values())
+    }
+    assert takes == {entry.split("/")[0] for entry in _TAKE_A_STRUCTURE}
 
 
 @pytest.mark.parametrize(

@@ -492,6 +492,30 @@ def test_extend_rejects_input_failing_core_axioms():
         D.extend_by_point(d, s)
 
 
+def test_extend_reads_the_tree_and_names_faults_as_before(catalogue):
+    # A splitting of a D-set is a feature of its tree, so growing a structure
+    # looks the feature up and builds no relation table: not on a tree-built
+    # structure, on its relabelling or on a copy read from JSON.
+    a = D.d_from_tree(D.gen_random(D.TreeSpec("d_regular_random", 16, 3, seed=16)))
+    b = D.relabel(a, dict(enumerate(random.Random(62).sample(range(16), 16))))
+    for d in (a, b, DSet.from_json(a.to_json())):
+        for s in D.enumerate_splittings(d)[::4]:
+            D.extend_by_point(d, s)
+        assert "relation_table" not in d._analyses
+    # A miss still names the fault with the splitting checks' messages.
+    faults = (
+        ([[0, 2], [1, 3, 4]], "{'kind': 'separation_fails', 'pair': [0, 2], 'other': [1, 3]}"),
+        ([[0, 1], [2, 3, 4, 5]], "{'kind': 'ground_mismatch', 'expected': [0, 1, 2, 3, 4], 'got': [0, 1, 2, 3, 4, 5]}"),
+        ([[0, 1, 2, 3, 4]], "{'kind': 'too_few_sectors', 'count': 1}"),
+    )
+    for sectors, witness in faults:
+        with pytest.raises(InputError, match=f"^{re.escape(f'not a splitting of the input: {witness}')}$"):
+            D.extend_by_point(catalogue["CAT5"].dset, sectors)
+    # On a table failing D1..D4 the splitting is checked first, as before.
+    with pytest.raises(InputError, match=re.escape("not a splitting of the input: {'kind': 'too_few_sectors'")):
+        D.extend_by_point(DSet.build(4, [(0, 1, 2, 3), (0, 2, 1, 3)]), [[0, 1, 2, 3]])
+
+
 # ---------------------------------------------------------------------------
 # extend_splitting
 

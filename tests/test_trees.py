@@ -470,6 +470,16 @@ def _int_ids(s):
     return {type(v) for sec in s.sectors for v in sec} == {int}
 
 
+def _checked_graft(t, feature):
+    """dsets.trees._graft through the checking constructor, from unsorted parts."""
+    top, leaves = max(t.nodes), dict(t.leaves)
+    if isinstance(feature, tuple):
+        u, v = feature
+        edges = [e for e in t.edges if e != feature] + [(u, top + 1), (top + 1, v), (top + 2, top + 1)]
+        return LeafTree([top + 2, top + 1, *t.nodes], edges, {top + 2: t.n_elements, **leaves})
+    return LeafTree([top + 1, *t.nodes], [(top + 1, feature), *t.edges], {top + 1: t.n_elements, **leaves})
+
+
 def test_trusted_route_equals_checked_rebuilds(trees_by_k):
     swept = 0
     for tree in _sweep_trees(trees_by_k):
@@ -477,6 +487,11 @@ def test_trusted_route_equals_checked_rebuilds(trees_by_k):
         t = D.tree_from_dset(d)
         checked = LeafTree(t.nodes, t.edges, dict(t.leaves))
         assert t == checked and t.to_json() == checked.to_json()
+        # One leaf grafted at every feature of the tree and of its rebuild.
+        for u in (tree, t) if d.n <= 7 else ():
+            for feature in u.internal_nodes() + list(u.edges):
+                grafted, checked = dsets.trees._graft(u, feature), _checked_graft(u, feature)
+                assert grafted == checked and grafted.to_json() == checked.to_json()
         got = D.enumerate_splittings(d)
         rebuilt = [_checked(s) for s in got]
         assert got == rebuilt == sorted(set(rebuilt), key=Splitting.as_sorted_lists)
