@@ -253,37 +253,36 @@ def homogeneity_conditions(d: DSet, min_sector_size: int = 2) -> dict:
 
 
 def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
-    """A verified non-extendable partial isomorphism, if one is forced.
+    """A non-extendable partial isomorphism, if one is forced.
 
     Two constructions are tried in order.  A color-starved sector (some
     sector with at least two elements missing a color present elsewhere)
     yields a swap of two same-colored sector elements plus a fixed third
-    element, stuck on the starved color.  Node splittings of two different
-    sizes yield a map from representatives of the larger splitting's
-    sectors onto the smaller's, stuck on the representative of the extra
-    sector.  Every candidate is verified by brute force before being
-    returned; None means neither construction produced a verified witness.
+    element, stuck on the least element of the starved color.  Node
+    splittings of two different sizes yield a map from representatives of
+    the larger splitting's sectors onto the smaller's, stuck on the
+    representative of the extra sector.  None means neither applies.
     """
     _require_core(d)
     splits = enumerate_splittings(d)
-    all_elems = sorted(d.elements)
 
     # Each map below respects colors and has every atom false on both sides
     # (three elements, or one per sector of a node splitting), so it is a
     # partial isomorphism without a check of its own.
     for s, sec, color in _starved_sectors(d, splits, 2):
-        starved = [b for b in all_elems if d.colors[b] == color]
+        # All of S's outside enters S at one place, so D(b a1; a2 a3) is one
+        # value for every b outside S and, by D2, puts a3 in S.  An image y of
+        # b0 lies outside S: D(y a2; a1 a3) = D(b0 a2; a1 a3) is false by D2.
+        b0 = d.colors.index(color)
         for a1, a2 in itertools.permutations(sorted(sec), 2):
             if d.colors[a1] != d.colors[a2]:
                 continue
-            for b0 in starved:
-                for a3 in np.flatnonzero(_atoms(d, b0, a1, a2, slice(None))).tolist():
-                    if a3 in (b0, a1, a2):
-                        continue
-                    m = {a1: a2, a2: a1, a3: a3}
-                    if not extend_partial_iso(d, m, b0):
-                        return m, b0
+            a3 = [a for a in np.flatnonzero(_atoms(d, b0, a1, a2, slice(None))).tolist() if a != a2]
+            if a3:
+                return {a1: a2, a2: a1, a3[0]: a3[0]}, b0
 
+    # An image y of the stuck rep shares small's sector with some rep r, so
+    # D(y r; r' r'') holds; the stuck rep's atom meets four sectors of big.
     node_splits = [s for s in splits if len(s.sectors) > 2]
     for big, small in itertools.permutations(node_splits, 2):
         if len(big.sectors) <= len(small.sectors):
@@ -298,8 +297,5 @@ def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
             big_reps = [v for v in big_reps if v is not None]
             if len(big_reps) < n + 1 or None in small_reps:
                 continue
-            m = dict(zip(big_reps[:n], small_reps))
-            stuck = big_reps[n]
-            if not extend_partial_iso(d, m, stuck):
-                return m, stuck
+            return dict(zip(big_reps[:n], small_reps)), big_reps[n]
     return None

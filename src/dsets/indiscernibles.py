@@ -19,8 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import DSet, InputError, _atoms, _require_core, _require_dset, _require_ids
-from .splittings import enumerate_splittings, extend_splitting
-from .trees import Splitting
+from .splittings import enumerate_splittings
 
 
 @dataclass(frozen=True)
@@ -205,9 +204,10 @@ def _monotonic_parts(
 
 
 def _petaled_sectors(d: DSet, col: Sequence[int]) -> frozenset[int]:
-    partial = Splitting([{v} for v in col])
-    full = extend_splitting(d, partial.ground, partial)
-    return frozenset().union(*(sec for sec in full.sectors if sec & partial.ground))
+    # Four or more elements with every pairing false meet at one node, whose
+    # splitting alone gives each its own sector: take the sectors they meet.
+    met = ([sec for sec in s.sectors if not sec.isdisjoint(col)] for s in enumerate_splittings(d))
+    return frozenset().union(*next(m for m in met if len(m) == len(col)))
 
 
 def hull_window(d: DSet, s: SequenceWindow) -> HullResult:
@@ -216,10 +216,9 @@ def hull_window(d: DSet, s: SequenceWindow) -> HullResult:
     Requires d to pass D1..D4 and raises InputError("input fails D1..D4")
     otherwise, as do homtypes.qftp_base, homtypes.homogeneity_conditions,
     homtypes.nonextendable_witness and splittings.extend_by_point.
-    Constant columns contribute nothing.  A petaled column grows its
-    singletons into a full node splitting and takes every sector the column
-    meets.  A monotonic column takes its own elements plus the three
-    witnessed side sets, and also reports the frontier pair.
+    Constant columns contribute nothing.  A petaled column takes the sectors
+    it meets of its one separating splitting.  A monotonic column takes its
+    elements and the three witnessed side sets, and reports its frontiers.
     """
     _require_core(d)
     hulls: list[ColumnHull] = []
@@ -404,19 +403,13 @@ def mutually_indiscernible(
 
 
 def detect_petaled(d: DSet, k: int) -> Optional[SequenceWindow]:
-    """Least k-tuple of elements pairwise separated by one node splitting."""
+    """Least k-tuple of elements pairwise separated by one splitting."""
     _require_dset(d)
     if k < 3:
         raise InputError("petaled detection needs k of at least 3")
     if d.n < k:
         return None
-    # Fewer than k sectors cannot separate k elements.
-    wide = [sp for sp in enumerate_splittings(d) if len(sp.sectors) >= k]
-    if not wide:
-        return None
-    for combo in itertools.combinations(range(d.n), k):
-        for sp in wide:
-            sectors = {sp.sector_of(v) for v in combo}
-            if len(sectors) == len(combo):
-                return SequenceWindow([(v,) for v in combo])
-    return None
+    # Sectors are ordered by least element, so the least k elements one
+    # splitting separates are the least elements of its first k sectors.
+    least = [[min(sec) for sec in sp.sectors[:k]] for sp in enumerate_splittings(d) if len(sp.sectors) >= k]
+    return SequenceWindow([(v,) for v in min(least)]) if least else None

@@ -207,15 +207,13 @@ def complementary(d: DSet, s: SplittingLike, sector: Iterable[int], a: int) -> i
 def extend_by_point(d: DSet, s: SplittingLike) -> DSet:
     """Grow d by one fresh element e positioned exactly at the splitting.
 
-    The fresh element gets id d.n and color 0.  New relation values follow
-    two regimes: a pair a, b from different sectors is never separated
-    from a pair containing e; a pair a, b inside one sector S gets
-    D(ab;ce) the value of D(ab;c x0) for x0 the least element outside S.
-    The input must pass D1..D4 (InputError otherwise).  s is looked up in
-    d's kept tree correspondence; a miss runs is_splitting, then the D1..D4
-    gate, to name the fault.  The result is read off d's tree with e grafted
-    at s's node or edge, keeps that tree, and so passes D1..D4 and induces
-    s back on the old elements.
+    The fresh element gets id d.n and color 0.  The input must pass D1..D4
+    (InputError otherwise).  s is looked up in d's kept tree
+    correspondence; a miss runs is_splitting, then the D1..D4 gate, to name
+    the fault.  The result is read off d's tree with e grafted at s's
+    feature: a new leaf on s's node, or on a new node subdividing s's edge.
+    It keeps that tree, and so passes D1..D4 and induces s back on the old
+    elements.
     """
     s = _as_splitting(s)
     found = _tree_splittings(d) if check_axioms(d).core_pass else None
@@ -318,13 +316,12 @@ def is_true_edge_splitting(d: DSet, p: SplittingLike) -> bool:
     """Two non-singleton sectors and no node splitting refining p.
 
     A node splitting refines p when each of its sectors lies inside one of
-    p's two.  On D-sets of finite trees every edge has an incident node
-    whose splitting refines the edge's, so this is False throughout; the
-    notion only bites in infinite settings.
+    p's two.  Each edge of a D-set's finite tree has an incident node whose
+    splitting refines the edge's, so a D-set answers False unsearched; the
+    notion only bites in infinite settings.  Other tables are searched.
     """
     p = _as_splitting(p)
-    ok, _ = is_splitting(d, p)
-    if not ok:
+    if check_axioms(d).core_pass or not is_splitting(d, p)[0]:
         return False
     if len(p.sectors) != 2:
         return False

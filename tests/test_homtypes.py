@@ -369,6 +369,14 @@ def test_nonextendable_none_on_uniform_regular(catalogue):
     assert D.nonextendable_witness(catalogue["CAT4"].dset) is None
 
 
+def _library_order(tree, perm):
+    """The tree oracle's splittings of tree's D-set with element e renamed
+    perm[e], as sector lists in the library's order."""
+    nodes, edges = O.tree_splittings_oracle(tree)
+    families = {frozenset(frozenset(perm[e] for e in sec) for sec in secs) for _, secs in nodes + edges}
+    return [sorted(f, key=min) for f in sorted(families, key=lambda f: sorted(map(sorted, f)))]
+
+
 def _colored_trees(leaves):
     """Seeded caterpillars, stars, 3- and 4-regular trees and a spine with
     one to three leaves a node, of the given size, relabelled, each colored
@@ -385,9 +393,7 @@ def _colored_trees(leaves):
     for tree in trees + [spine_tree(loads + [[leaves - 2, leaves - 1]])]:
         perm = rng.sample(range(leaves), leaves)
         d = D.relabel(D.d_from_tree(tree), dict(enumerate(perm)))
-        nodes, edges = O.tree_splittings_oracle(tree)
-        families = {frozenset(frozenset(perm[e] for e in sec) for sec in secs) for _, secs in nodes + edges}
-        splittings = [sorted(f, key=min) for f in sorted(families, key=lambda f: sorted(map(sorted, f)))]
+        splittings = _library_order(tree, perm)
         for colored in (D.color_sector_avoiding(d), D.color_round_robin(d, rng.choice((2, 3)))):
             yield colored, splittings
 
@@ -423,3 +429,25 @@ def test_witnesses_and_candidates_match_scalar_loops_on_colored_trees(leaves):
             for x in rng.sample(sorted(set(range(leaves)) - set(m)), 4):
                 assert D.extend_partial_iso(d, m, x) == O.extend_oracle(t, colors, m, x), (m, x)
     assert found >= 4
+
+
+def test_witness_constructions_match_verified_scan_on_every_small_tree(trees_by_k):
+    # nonextendable_witness returns its constructions unchecked; the oracle
+    # keeps the search that verifies each candidate with extend_oracle.  A
+    # witness of the first kind is stuck on a color its map's domain lacks,
+    # one of the second kind on the color of its whole domain.  Colorings
+    # nearly always starve a sector of these trees, so the second kind comes
+    # from the uncolored irregular ones.
+    kinds = {"starved": 0, "unequal": 0}
+    for k in range(4, 9):
+        for tree in trees_by_k[k]:
+            d = D.d_from_tree(tree)
+            splittings = _library_order(tree, range(k))
+            for colored in (d, D.color_round_robin(d, 2), D.color_round_robin(d, 3), D.color_sector_avoiding(d)):
+                t, colors = O.dense_table(colored), colored.colors
+                witness = D.nonextendable_witness(colored)
+                assert witness == O.nonextendable_oracle(t, colors, splittings), (tree, colors)
+                if witness:
+                    m, stuck = witness
+                    kinds["starved" if colors[stuck] not in {colors[a] for a in m} else "unequal"] += 1
+    assert kinds == {"starved": 55, "unequal": 39}

@@ -184,7 +184,7 @@ def _assert_petaled_hull_from_splitting(d, mkwin, col):
 
 def test_petaled_hulls_extend_to_splittings_on_small_trees(trees_by_k, mkwin):
     checked = 0
-    for k in range(4, 7):
+    for k in range(4, 9):
         for tree in trees_by_k[k]:
             d = D.d_from_tree(tree)
             for size in range(4, k + 1):
@@ -192,7 +192,7 @@ def test_petaled_hulls_extend_to_splittings_on_small_trees(trees_by_k, mkwin):
                     if D.classify_window(d, mkwin(col)).label == "petaled":
                         _assert_petaled_hull_from_splitting(d, mkwin, col)
                         checked += 1
-    assert checked == 55
+    assert checked == 1105
 
 
 def test_petaled_hulls_extend_to_splittings_on_renumbered_trees(mkwin):
@@ -206,7 +206,18 @@ def test_petaled_hulls_extend_to_splittings_on_renumbered_trees(mkwin):
             sectors = rng.sample(s.sectors, rng.randint(4, min(6, len(s.sectors))))
             _assert_petaled_hull_from_splitting(d, mkwin, [rng.choice(sorted(sec)) for sec in sectors])
             checked += 1
-    assert checked == 8
+    # Seeded 4-, 5- and 6-regular trees: at two nodes each, a column of
+    # every length from 4 up to the degree.
+    rng = random.Random(20)
+    for degree, leaves in ((4, 16), (4, 32), (5, 17), (5, 32), (6, 18), (6, 30)):
+        d = F.seeded_tree_dset(rng, leaves, "d_regular_random", degree)
+        nodes = [s for s in D.enumerate_splittings(d) if len(s.sectors) == degree]
+        for s in rng.sample(nodes, 2):
+            for size in range(4, degree + 1):
+                col = [rng.choice(sorted(sec)) for sec in rng.sample(s.sectors, size)]
+                _assert_petaled_hull_from_splitting(d, mkwin, col)
+                checked += 1
+    assert checked == 8 + 24
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +497,30 @@ def test_detect_none_without_a_wide_enough_node():
     d = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 24)))
     assert D.detect_petaled(d, 3) == SequenceWindow([(0,), (1,), (2,)])
     assert D.detect_petaled(d, 5) is None
+
+
+def _detect_scan(tree, k):
+    """Least k elements of tree's D-set with one splitting giving each its
+    own sector, from a scan of the k-subsets in lexicographic order against
+    the tree oracle's splittings."""
+    nodes, edges = O.tree_splittings_oracle(tree)
+    wide = [secs for _, secs in nodes + edges if len(secs) >= k]
+    elements = sorted(e for _, e in tree.leaves)
+    for combo in itertools.combinations(elements, k):
+        if any(sum(not sec.isdisjoint(combo) for sec in secs) == k for secs in wide):
+            return combo
+    return None
+
+
+def test_detect_reads_the_least_tuple_late_in_the_scan():
+    # A caterpillar on 0..m-1 whose end node joins a degree-5 node holding
+    # m..m+3: the least separated k-tuple is (0, m, ..., m+k-2), which a
+    # scan of the k-subsets in order reaches after about C(m + 3, k - 1) of them.
+    for m in (16, 20, 36):
+        tree = spine_tree([[0, 1]] + [[v] for v in range(2, m)] + [list(range(m, m + 4))])
+        d = D.d_from_tree(tree)
+        for k in (4, 5):
+            got = D.detect_petaled(d, k)
+            assert got == SequenceWindow([(v,) for v in (0, *range(m, m + k - 1))]), (m, k)
+            if m < 36:
+                assert got == SequenceWindow([(v,) for v in _detect_scan(tree, k)]), (m, k)

@@ -126,18 +126,12 @@ def _random_partition(rng, n, cells):
     return [[e for e in range(n) if labels[e] == i] for i in set(labels)]
 
 
-def test_is_splitting_matches_scalar_loop():
-    # Sector combinations come first: {0,5 | 2,3} is found before
-    # {0,1 | 3,4}, although (0, 1, 3, 4) is the smaller id tuple.
-    edges = [(0, 6), (2, 6), (3, 6), (4, 6), (7, 6), (1, 7), (5, 7)]
-    star = D.LeafTree(range(8), edges, {e: e for e in range(6)})
-    d = DSet.build(6, sorted(D.d_from_tree(star).positives | {(0, 5, 2, 3), (0, 1, 3, 4)}))
-    expected = (False, {"kind": "four_sector_relation", "elements": [0, 5, 2, 3]})
-    cells = [[0], [1, 5], [2], [3], [4]]
-    assert D.is_splitting(d, cells) == expected
-    assert O.splitting_witness_oracle(d, Splitting(cells).sectors) == expected
+def _mutation_sweep():
+    """(table, cells) pairs of at least two cells: random tables with random
+    partitions, and seeded tree D-sets with random partitions, some of
+    their splittings, those splittings with one element moved, and tables
+    relating elements of four of their sectors."""
     rng = random.Random(23)
-    kinds = {}
     for trial in range(300):
         if trial % 3 == 0:
             d = F.random_table(rng, rng.randint(5, 9))
@@ -159,13 +153,25 @@ def test_is_splitting_matches_scalar_loop():
                     src, dst = rng.sample(range(len(cells)), 2)
                     cells[dst].append(cells[src].pop())
                     cases.append((d, [c for c in cells if c]))
-        for d, cells in cases:
-            if len(cells) < 2:
-                continue
-            expected = O.splitting_witness_oracle(d, Splitting(cells).sectors)
-            assert D.is_splitting(d, cells) == expected, (d, cells)
-            kind = expected[1]["kind"] if expected[1] else "pass"
-            kinds[kind] = kinds.get(kind, 0) + 1
+        yield from ((d, cells) for d, cells in cases if len(cells) >= 2)
+
+
+def test_is_splitting_matches_scalar_loop():
+    # Sector combinations come first: {0,5 | 2,3} is found before
+    # {0,1 | 3,4}, although (0, 1, 3, 4) is the smaller id tuple.
+    edges = [(0, 6), (2, 6), (3, 6), (4, 6), (7, 6), (1, 7), (5, 7)]
+    star = D.LeafTree(range(8), edges, {e: e for e in range(6)})
+    d = DSet.build(6, sorted(D.d_from_tree(star).positives | {(0, 5, 2, 3), (0, 1, 3, 4)}))
+    expected = (False, {"kind": "four_sector_relation", "elements": [0, 5, 2, 3]})
+    cells = [[0], [1, 5], [2], [3], [4]]
+    assert D.is_splitting(d, cells) == expected
+    assert O.splitting_witness_oracle(d, Splitting(cells).sectors) == expected
+    kinds = {}
+    for d, cells in _mutation_sweep():
+        expected = O.splitting_witness_oracle(d, Splitting(cells).sectors)
+        assert D.is_splitting(d, cells) == expected, (d, cells)
+        kind = expected[1]["kind"] if expected[1] else "pass"
+        kinds[kind] = kinds.get(kind, 0) + 1
     assert min(kinds.values()) > 20, kinds
 
 
@@ -599,6 +605,43 @@ def test_true_edge_splitting(catalogue):
     node = Splitting([{0}, {1}, {2, 3}])
     cut = Splitting([{0, 1}, {2, 3}])
     assert all(any(sec <= big for big in cut.sectors) for sec in node.sectors)
+
+
+def test_true_edge_answers_a_tree_built_dset_without_a_table():
+    # Every edge of a finite tree has a node splitting refining it, so a
+    # D-set answers False without reading a quad.
+    d = D.d_from_tree(D.gen_random(D.TreeSpec("d_regular_random", 64, 3, seed=1)))
+    assert not any(D.is_true_edge_splitting(d, s) for s in D.enumerate_splittings(d))
+    assert "relation_table" not in d._analyses
+
+
+def _true_edge_oracle(brute, cells):
+    """Whether cells are two sectors of at least two elements each, among the
+    brute-force splittings, with no brute-force node splitting refining them."""
+    p = Splitting(cells).sectors
+    if p not in brute or len(p) != 2 or min(map(len, p)) < 2:
+        return False
+    return not any(len(o) > 2 and all(any(t <= sec for sec in p) for t in o) for o in brute)
+
+
+def test_true_edge_searches_small_tables_failing_core_axioms():
+    # {0,1,2 | 3,4,5} is a splitting of this table, and D(01;23) and
+    # D(34;50) stop every partition refining it from being one.
+    left, right = itertools.combinations(range(3), 2), list(itertools.combinations(range(3, 6), 2))
+    halves = [a + b for a in left for b in right]
+    true_edge = DSet.build(6, halves + [(0, 1, 2, 3), (3, 4, 5, 0)])
+    cases = [(true_edge, [[0, 1, 2], [3, 4, 5]])] + list(_mutation_sweep())
+    verdicts = {True: 0, False: 0}
+    for d, cells in cases:
+        if d.n > 6 or D.check_axioms(d).core_pass:
+            continue
+        brute = [s.sectors for s in D.enumerate_splittings(d, method="brute")]
+        for cand in [cells] + [[sorted(sec) for sec in p] for p in brute]:
+            expected = _true_edge_oracle(brute, cand)
+            assert D.is_true_edge_splitting(d, cand) == expected, (d, cand)
+            verdicts[expected] += 1
+    assert D.is_true_edge_splitting(true_edge, [[0, 1, 2], [3, 4, 5]])
+    assert min(verdicts.values()) > 0, verdicts
 
 
 def test_true_edge_two_element_has_singletons():
