@@ -40,16 +40,18 @@ with their four leaves in four branches at one node.  D5 then fails at
 the least (0, x, y), y >= 1, with x the least element other than y below
 y's neighbour, and D6 at (0, 0, 1, z), z the least element >= 2 outside
 1's branch at 0's neighbour.  Below four elements, or when a test fails,
-D2, D3, D5 and D6 are swept over the table, D3 and D6 one w at a time with
-their fifth element packed into uint64 words; D1 and D4 hold by storage.
+D2, D3, D5 and D6 are swept over the table one w at a time by `_sweep`, D3
+and D6 with their fifth element packed into uint64 words; D1 and D4 hold
+by storage.
 d_from_tree, relabel and extend_by_point know their result's tree and store
 its rebuild (`_record`); a structure read from JSON certifies from its rows.
 Either way the nodes are numbered by `_numbered`, the one home of that rule.
 
 Trees, as adjacency lists (`_adjacency`): `_walk` is the one breadth-first
-walk, and `_rooted` roots a tree at the center whose flat AHU code is least,
-equal for two trees exactly when they are isomorphic.  are_isomorphic
-compares such codes of two certified trees, built from `_rebuild`'s parents.
+walk.  `_rootings` walks a tree once from each center, and `_rooted` roots
+it at the center whose flat AHU code over that walk is least, equal for two
+trees exactly when they are isomorphic.  are_isomorphic compares such codes
+of two certified trees from `_rebuild`'s parents, with one `_rootings` each.
 `_numbered` numbers `_rebuild`'s clusters and the sets of `_record`'s walk.
 A structure argument that is no DSet is refused by one check, `_require_dset`.
 
@@ -643,7 +645,7 @@ def check_axioms(d: DSet) -> AxiomReport:
         return AxiomReport(passed, passed, passed, passed, na, na)
     t = relation_table(d)
 
-    d2 = _verdict_from_mask(t & t.transpose(0, 2, 1, 3))
+    d2 = _sweep(n, lambda w: t[w] & t[w].transpose(1, 0, 2))
 
     # D3 and D6 quantify a fifth element v.  Its axis is packed into uint64
     # words, and both are swept one w at a time, so memory stays O(n^3).
@@ -666,7 +668,7 @@ def check_axioms(d: DSet) -> AxiomReport:
     w3, x3, y3 = np.indices((n, n, n), sparse=True)
     lone = np.count_nonzero(t, axis=3) <= t[:, :, ar, ar]
     bad5 = (w3 != x3) & (w3 != y3) & (x3 != y3) & lone
-    d5 = AxiomVerdict("not_applicable") if n < 3 else _verdict_from_mask(bad5)
+    d5 = AxiomVerdict("not_applicable") if n < 3 else _sweep(n, bad5.__getitem__)
 
     b = _pack(t.transpose(0, 2, 3, 1))
     c = _pack(t.transpose(0, 1, 3, 2))
@@ -816,19 +818,20 @@ def _below(adj, leaf_of: dict) -> tuple[list[int], dict, dict[int, set[int]]]:
     return order, parent, below
 
 
-def _centers(adj) -> list[int]:
-    """The middle one or two nodes of a longest path; unique in a tree."""
+def _rootings(adj) -> list[tuple[list[int], dict]]:
+    """_walk from each center, the middle one or two nodes of a longest path
+    (unique in a tree), in id order: every code of the tree reads these."""
     far = _walk(adj, next(iter(adj)))[0][-1]
     order, parent = _walk(adj, far)
     path = [order[-1]]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     length = len(path) - 1
-    return sorted(path[length // 2 : (length + 1) // 2 + 1])
+    return [_walk(adj, c) for c in sorted(path[length // 2 : (length + 1) // 2 + 1])]
 
 
-def _subtree_codes(adj, root: int, token) -> tuple[dict, dict[int, tuple]]:
-    """Parents and flat AHU codes of every subtree, the tree rooted at root.
+def _subtree_codes(order: list[int], parent: dict, token) -> dict[int, tuple]:
+    """Flat AHU codes of every subtree over a walk (order, parent).
 
     A node's code is (token(u),) followed by its children's codes in sorted
     order and a closing (); tokens are non-empty tuples, so () sorts below
@@ -836,23 +839,21 @@ def _subtree_codes(adj, root: int, token) -> tuple[dict, dict[int, tuple]]:
     (token, sorted children) codes would, and comparing two of them never
     recurses past a token.
     """
-    order, parent = _walk(adj, root)
     kids: dict[int, list[tuple]] = {u: [] for u in order}
     code: dict[int, tuple] = {}
     for u in reversed(order):
         code[u] = (token(u), *itertools.chain.from_iterable(sorted(kids.pop(u))), ())
         if parent[u] is not None:
             kids[parent[u]].append(code[u])
-    return parent, code
+    return code
 
 
-def _rooted(adj, centers: list[int], token) -> tuple[int, dict, dict[int, tuple]]:
-    """The center whose rooted code is least (the least such center on a
-    tie), with _subtree_codes' parents and codes from it.  Its code is equal
-    for two trees exactly when an isomorphism matching the tokens exists."""
-    rooted = {c: _subtree_codes(adj, c, token) for c in centers}
-    root = min(rooted, key=lambda c: (rooted[c][1][c], c))
-    return root, *rooted[root]
+def _rooted(rootings, token) -> tuple[int, dict, dict[int, tuple]]:
+    """The center of _rootings whose code is least (the least such center on
+    a tie), with its walk's parents and its _subtree_codes.  Its code is
+    equal for two trees exactly when an isomorphism matching the tokens exists."""
+    coded = [(order[0], parent, _subtree_codes(order, parent, token)) for order, parent in rootings]
+    return min(coded, key=lambda r: (r[2][r[0]], r[0]))
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -873,11 +874,6 @@ def _sweep(n: int, bad_at) -> AxiomVerdict:
         if witness is not None:
             return AxiomVerdict("fail", (w,) + witness)
     return AxiomVerdict("pass")
-
-
-def _verdict_from_mask(bad: np.ndarray) -> AxiomVerdict:
-    witness = _first_true(bad)
-    return AxiomVerdict("pass") if witness is None else AxiomVerdict("fail", witness)
 
 
 def substructure(d: DSet, subset: Iterable[int]) -> tuple[DSet, dict[int, int]]:
@@ -929,7 +925,7 @@ def are_isomorphic(
     tree isomorphism exists.  The bijection is then built greedily by
     individualisation: element e and its candidate image f get the fresh
     leaf token (color, e + 1), and e keeps the least unused f for which the
-    two codes still agree, O(n^2) codes over one adjacency per tree.
+    two codes still agree: O(n^2) codes, all over each tree's one _rootings.
     Tables that fail D1..D4 fall back to backtracking, capped at max_n
     elements; raise the cap explicitly for bigger instances.
     """
@@ -958,11 +954,10 @@ def are_isomorphic(
     trees = []
     for d in (d1, d2):
         parents = _tree_parents(d)
-        adj = _adjacency(range(len(parents)), enumerate(parents[1:], 1))
-        trees.append((adj, _centers(adj)))
+        trees.append(_rootings(_adjacency(range(len(parents)), enumerate(parents[1:], 1))))
 
-    def code(tree, tokens) -> tuple:
-        root, _, codes = _rooted(*tree, lambda u: tokens[u] if u < n else (-1,))
+    def code(rootings, tokens) -> tuple:
+        root, _, codes = _rooted(rootings, lambda u: tokens[u] if u < n else (-1,))
         return codes[root]
 
     colors1, colors2 = (d1.colors, d2.colors) if respect_colors else ((0,) * n,) * 2

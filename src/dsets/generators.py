@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DSet, InputError, _centers, _require_dset, _rooted
+from .core import DSet, InputError, _require_dset, _rooted, _rootings
 from .splittings import enumerate_splittings
 from .trees import LeafTree, _graft, canonical_form, d_from_tree
 
@@ -136,7 +136,7 @@ def _canonical_relabel(t: LeafTree) -> LeafTree:
     """
     adj = t.adjacency()
     labeled = set(t.leaf_map())
-    root, parent, code = _rooted(adj, _centers(adj), lambda u: ("leaf",) if u in labeled else ("node",))
+    root, parent, code = _rooted(_rootings(adj), lambda u: ("leaf",) if u in labeled else ("node",))
 
     next_leaf = itertools.count(0)
     next_internal = itertools.count(t.n_elements)

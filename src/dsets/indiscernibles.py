@@ -403,7 +403,8 @@ def mutually_indiscernible(
 
 
 def detect_petaled(d: DSet, k: int) -> Optional[SequenceWindow]:
-    """Least k-tuple of elements pairwise separated by one splitting."""
+    """Least k-tuple of elements pairwise separated by one splitting; a table
+    of more than 6 elements failing D1..D4 raises NotRepresentable."""
     _require_dset(d)
     if k < 3:
         raise InputError("petaled detection needs k of at least 3")

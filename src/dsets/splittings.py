@@ -102,17 +102,13 @@ def _set_partitions(elems: Sequence[int]):
         yield [[first]] + part
 
 
-def _brute_force_splittings(d: DSet) -> list[Splitting]:
-    elems = sorted(d.elements)
-    found = []
-    for part in _set_partitions(elems):
-        if len(part) < 2:
-            continue
-        cand = Splitting._trusted(tuple(sorted(map(frozenset, part), key=min)))
-        ok, _ = is_splitting(d, cand)
-        if ok:
-            found.append(cand)
-    return found
+@_kept
+def _brute_force_splittings(d: DSet) -> tuple[Splitting, ...]:
+    """The partitions of d's elements into two or more sectors that pass
+    is_splitting, sorted canonically and kept on d."""
+    parts = (part for part in _set_partitions(list(range(d.n))) if len(part) > 1)
+    cands = (Splitting._trusted(tuple(sorted(map(frozenset, part), key=min))) for part in parts)
+    return tuple(sorted((s for s in cands if is_splitting(d, s)[0]), key=Splitting.as_sorted_lists))
 
 
 def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
@@ -121,9 +117,9 @@ def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
     method "brute" filters every partition, Bell(n) of them, so it is
     capped at 10 elements (InputError above that, as for backtracking
     isomorphism); "tree" reads them off the reconstructed tree (requires
-    D1..D4) and keeps the result on d; "auto" picks brute force for a
-    table of n <= 6 that fails D1..D4 and the tree route otherwise.  Each
-    call returns a fresh list.  The two routes agree on every D-set.
+    D1..D4, else NotRepresentable); "auto" picks brute force for a table of
+    n <= 6 that fails D1..D4 and the tree route otherwise.  Each route keeps
+    its result on d; each call returns a fresh list.  The routes agree on D-sets.
     """
     _require_dset(d)
     if method not in ("auto", "brute", "tree"):
@@ -133,7 +129,7 @@ def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
     if method == "brute":
         if d.n > 10:
             raise InputError(f"brute-force splittings capped at 10 elements, got {d.n}")
-        return sorted(set(_brute_force_splittings(d)), key=Splitting.as_sorted_lists)
+        return list(_brute_force_splittings(d))
     return list(_tree_splittings(d).ordered)
 
 
@@ -318,7 +314,8 @@ def is_true_edge_splitting(d: DSet, p: SplittingLike) -> bool:
     A node splitting refines p when each of its sectors lies inside one of
     p's two.  Each edge of a D-set's finite tree has an incident node whose
     splitting refines the edge's, so a D-set answers False unsearched; the
-    notion only bites in infinite settings.  Other tables are searched.
+    notion only bites in infinite settings.  Other tables are searched
+    through enumerate_splittings, which raises NotRepresentable above 6 elements.
     """
     p = _as_splitting(p)
     if check_axioms(d).core_pass or not is_splitting(d, p)[0]:

@@ -29,8 +29,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _centers, _distances, _kept
-from .core import _record, _require_ids, _rooted, _tree_parents, _walk, check_axioms
+from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _distances, _kept
+from .core import _record, _require_ids, _rooted, _rootings, _tree_parents, _walk, check_axioms
 
 
 @dataclass(frozen=True)
@@ -360,7 +360,7 @@ def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple
     def token(u: int) -> tuple:
         return ("leaf", tokens[leaf_of[u]]) if u in leaf_of else ("i",)
 
-    root, _, code = _rooted(adj, _centers(adj), token)
+    root, _, code = _rooted(_rootings(adj), token)
     return code[root]
 
 

@@ -438,6 +438,34 @@ def test_iso_backtracks_on_tables_failing_core():
             D.are_isomorphic(d, b, max_n=4)
 
 
+def test_iso_answers_early_without_comparing_trees():
+    cat6 = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 6)))
+    assert D.are_isomorphic(cat6, D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 7)))) is None
+    assert D.are_isomorphic(DSet(0), DSet(0)) == {}
+    failing = DSet.build(6, [(0, 1, 2, 3)])
+    assert not check_axioms(failing).core_pass
+    assert D.are_isomorphic(cat6, failing) is None and D.are_isomorphic(failing, cat6) is None
+
+
+@pytest.mark.parametrize("leaves", (16, 32))
+def test_iso_walks_each_tree_once_per_center(monkeypatch, leaves):
+    # Two walks find a tree's one or two centers and one walk from each
+    # serves every candidate code, so a call walks at most 2 * (2 + 2) times.
+    rng = random.Random(leaves)
+    pairs = []
+    for kind in ("caterpillar", "star", "d_regular_random"):
+        a = F.seeded_tree_dset(rng, leaves, kind).recolor([rng.randrange(2) for _ in range(leaves)])
+        pairs.append((a, _relabelled(a, leaves)))
+    walk, walks = D.core._walk, []
+    monkeypatch.setattr(D.core, "_walk", lambda adj, root: walks.append(root) or walk(adj, root))
+    for a, b in pairs:
+        for respect_colors in (True, False):
+            walks.clear()
+            image = D.are_isomorphic(a, b, respect_colors)
+            assert 0 < len(walks) <= 8, len(walks)
+            assert D.relabel(a, image).rows.tolist() == b.rows.tolist()
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -497,6 +525,12 @@ def test_a_numpy_element_count_becomes_an_int():
     for d in (DSet(np.int64(4), [(0, 1, 2, 3)]), DSet.build(np.uint8(4), [(0, 1, 2, 3)])):
         assert type(d.n) is int and d == DSet(4, [(0, 1, 2, 3)])
         assert DSet.from_json(d.to_json()) == d
+
+
+def test_unsigned_numpy_ids_in_stored_quads_equal_ints():
+    quads = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 3, 1, 4)]
+    d = DSet(5, [tuple(map(np.uint8, q)) for q in quads])
+    assert d == DSet(5, quads) and d.rows.dtype == np.int64
 
 
 
@@ -966,7 +1000,7 @@ def test_analyses_computed_once(catalogue):
 # only once it is shown to ignore the colors.
 _KEPT_ANALYSES = {
     "core": ["_rebuild", "check_axioms", "positives", "relation_table"],
-    "splittings": ["_tree_splittings"],
+    "splittings": ["_brute_force_splittings", "_tree_splittings"],
     "trees": ["tree_from_dset"],
 }
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -136,6 +137,14 @@ def test_generated_trees_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "37d578944f35115a5196a95887c7d15b0e72374e44ecae1c91d880bf7f26a081"
     )
+
+
+def test_gen_random_enumerated_picks_a_seeded_index():
+    for k in (1, 4, 6, 8):
+        shapes = list(D.enum_trees(k))
+        for seed in range(4):
+            expected = shapes[random.Random(seed).randrange(len(shapes))]
+            assert D.gen_random(TreeSpec("enumerated", k, seed=seed)) == expected
 
 
 def test_gen_random_regular():

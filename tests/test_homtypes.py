@@ -80,6 +80,22 @@ def test_shares_sector_rejects_elements_outside_the_subset(catalogue):
         qb.shares_sector(0, 4)
 
 
+def test_small_case_tabulates_every_atom(catalogue):
+    checked = 0
+    for fixture in catalogue.values():
+        d = fixture.dset
+        for sub in itertools.chain(*(itertools.combinations(range(d.n), k) for k in (1, 2))):
+            for e in sorted(d.elements - set(sub)):
+                qb = D.qftp_base(d, sub, e)
+                assert qb.case == "small"
+                for x, y, z in itertools.product(sub, repeat=3):
+                    assert qb.predict(x, y, z) == d.holds(e, x, y, z)
+                with pytest.raises(InputError, match=r"^no splitting in the small case$"):
+                    qb.shares_sector(sub[0], sub[-1])
+                checked += 1
+    assert checked > 1000
+
+
 def _assert_base_exact(d, subset, e, triples):
     """The base of e over the subset reproduces the relation (checked by the
     reference), and predict agrees with the table on the given triples."""
@@ -230,6 +246,13 @@ def test_extend_candidates_verified_pointwise(catalogue):
         for y in d.elements - set(m.values()):
             ok, _ = D.check_partial_iso(d, d, {**m, x: y})
             assert (y in got) == ok, (name, y)
+
+
+def test_extend_refuses_a_map_that_is_no_partial_iso(catalogue):
+    # D(01;23) holds in CAT5 and its image D(02;13) does not.
+    message = "not a partial isomorphism: {'kind': 'quad', 'quad': [0, 1, 2, 3], 'image': [0, 2, 1, 3]}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        D.extend_partial_iso(catalogue["CAT5"].dset, {0: 0, 1: 2, 2: 1, 3: 3}, 4)
 
 
 def test_extend_requires_unmapped_source(catalogue):

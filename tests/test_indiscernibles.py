@@ -252,6 +252,15 @@ def test_frontiers_require_monotonic(catalogue, mkwin):
         D.frontiers(catalogue["FLW5"].dset, mkwin(range(5)))
 
 
+def test_monotonic_columns_under_five_rows_are_refused(mkwin):
+    d, column = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 8))), mkwin(range(4))
+    assert D.classify_window(d, column).label == "monotonic"
+    with pytest.raises(InputError, match=r"^monotonic hull needs a window of at least 5 rows$"):
+        D.hull_window(d, column)
+    with pytest.raises(InputError, match=r"^frontiers need a window of at least 5 rows$"):
+        D.frontiers(d, column)
+
+
 # ---------------------------------------------------------------------------
 # weakly_indiscernible_over
 
@@ -327,6 +336,17 @@ def test_mutual_window_against_widened_frontier(mkwin):
     assert D.weakly_indiscernible_over(d, s2, range(5))[0]
     # and the hulls stay apart
     assert not D.hull_window(d, s1).hull & D.hull_window(d, s2).hull
+
+
+def test_mutual_names_the_second_direction(mkwin):
+    # The petals 0..4 see the spine as one branch, so they are weakly
+    # indiscernible over it; the spine taken as 6, 5, 7, 8, 9 is not over them.
+    d = D.d_from_tree(spine_tree([[0, 1, 2, 3, 4], [5], [6], [7], [8], [9, 10]]))
+    s1, s2 = mkwin(range(5)), mkwin([6, 5, 7, 8, 9])
+    assert D.weakly_indiscernible_over(d, s1, s2.elements()) == (True, None)
+    ok, witness = D.weakly_indiscernible_over(d, s2, s1.elements())
+    assert not ok
+    assert D.mutually_indiscernible(d, s1, s2) == (False, {"direction": "second_over_first", **witness})
 
 
 def test_mutual_window_too_short(catalogue, mkwin):
@@ -479,6 +499,12 @@ def test_detect_matches_oracle_on_catalogue(catalogue):
 
 def test_detect_too_few_elements(catalogue):
     assert D.detect_petaled(catalogue["CAT5"].dset, 9) is None
+
+
+def test_detect_needs_k_of_at_least_three(catalogue):
+    for k in (2, 1, 0, -1):
+        with pytest.raises(InputError, match=r"^petaled detection needs k of at least 3$"):
+            D.detect_petaled(catalogue["CAT5"].dset, k)
 
 
 def test_detect_matches_oracle_on_small_trees(trees_by_k):

@@ -624,12 +624,17 @@ def _true_edge_oracle(brute, cells):
     return not any(len(o) > 2 and all(any(t <= sec for sec in p) for t in o) for o in brute)
 
 
-def test_true_edge_searches_small_tables_failing_core_axioms():
-    # {0,1,2 | 3,4,5} is a splitting of this table, and D(01;23) and
-    # D(34;50) stop every partition refining it from being one.
+def _true_edge_table():
+    """A 6-element table failing D1..D4 whose splitting {0,1,2 | 3,4,5} is a
+    true edge: D(01;23) and D(34;50) stop every partition refining it from
+    being a splitting."""
     left, right = itertools.combinations(range(3), 2), list(itertools.combinations(range(3, 6), 2))
     halves = [a + b for a in left for b in right]
-    true_edge = DSet.build(6, halves + [(0, 1, 2, 3), (3, 4, 5, 0)])
+    return DSet.build(6, halves + [(0, 1, 2, 3), (3, 4, 5, 0)])
+
+
+def test_true_edge_searches_small_tables_failing_core_axioms():
+    true_edge = _true_edge_table()
     cases = [(true_edge, [[0, 1, 2], [3, 4, 5]])] + list(_mutation_sweep())
     verdicts = {True: 0, False: 0}
     for d, cells in cases:
@@ -642,6 +647,38 @@ def test_true_edge_searches_small_tables_failing_core_axioms():
             verdicts[expected] += 1
     assert D.is_true_edge_splitting(true_edge, [[0, 1, 2], [3, 4, 5]])
     assert min(verdicts.values()) > 0, verdicts
+
+
+def test_brute_route_filters_the_partitions_once_per_structure(monkeypatch):
+    d, cut = _true_edge_table(), [[0, 1, 2], [3, 4, 5]]
+    check, calls = D.splittings.is_splitting, []
+    monkeypatch.setattr(D.splittings, "is_splitting", lambda e, cand: calls.append(cand) or check(e, cand))
+    petaled = D.detect_petaled(d, 3)
+    assert len(calls) == 202  # Bell(6) - 1 partitions into two or more sectors
+    calls.clear()
+    assert D.detect_petaled(d, 3) == petaled and calls == []
+    assert D.is_true_edge_splitting(d, cut)
+    calls.clear()
+    assert D.is_true_edge_splitting(d, cut) and len(calls) == 1  # its own candidate check
+    calls.clear()
+    # recolor hands the kept list on; each call still returns a fresh list.
+    tinted = d.recolor([e % 2 for e in range(d.n)])
+    assert D.detect_petaled(tinted, 3) == petaled and calls == []
+    brute = D.enumerate_splittings(tinted, method="brute")
+    assert brute == D.enumerate_splittings(d) and brute is not D.enumerate_splittings(d) and calls == []
+
+
+def test_true_edge_and_detect_refuse_larger_tables_failing_core_axioms():
+    # A 7-leaf caterpillar's rows less D(01;23): {0,1,2,3,4 | 5,6} is still a
+    # splitting, but only the tree route serves 7 elements, and it refuses.
+    d = DSet.build(7, D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 7))).rows.tolist()[1:])
+    cut = [[0, 1, 2, 3, 4], [5, 6]]
+    assert not D.check_axioms(d).core_pass and D.is_splitting(d, cut) == (True, None)
+    refusal = re.escape(f"relation table fails D1..D4: {D.check_axioms(d).as_dict()}")
+    with pytest.raises(D.NotRepresentable, match=f"^{refusal}$"):
+        D.is_true_edge_splitting(d, cut)
+    with pytest.raises(D.NotRepresentable, match=f"^{refusal}$"):
+        D.detect_petaled(d, 3)
 
 
 def test_true_edge_two_element_has_singletons():

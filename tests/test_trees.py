@@ -49,6 +49,22 @@ def test_leaftree_rejects_labeled_high_degree(catalogue):
         LeafTree(star.nodes, star.edges, dict(star.leaves) | {center: 4})
 
 
+def test_leaftree_names_what_is_no_tree():
+    bad_json = "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    for make, message in (
+        (lambda: LeafTree([0, 1], [(1, 1)], {0: 0}), "self-loop at node 1"),
+        (lambda: LeafTree([0, 1], [(0, 5)], {0: 0, 1: 1}), "edge (0,5) mentions an unknown node"),
+        (lambda: LeafTree([0, 1, 2, 3], [(0, 1), (1, 2), (0, 2)], {3: 0}), "tree is not connected"),
+        (lambda: LeafTree([0, 1], [(0, 1)], {0: 0, 5: 1}), "label on unknown node 5"),
+        (lambda: LeafTree.from_json("{"), bad_json),
+        (lambda: LeafTree.from_json("[]"), "tree JSON must be an object"),
+        (lambda: Splitting.from_json("{"), bad_json),
+    ):
+        with pytest.raises(InputError) as caught:
+            make()
+        assert str(caught.value) == message
+
+
 def test_leaftree_json_round_trip(catalogue):
     for name in ("FLW4", "CAT5X", "MIX"):
         t = catalogue[name].tree
