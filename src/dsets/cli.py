@@ -62,11 +62,25 @@ def _load_tree(args) -> D.LeafTree:
     return t
 
 
-def _parse_ids(text: str) -> list[int]:
+def _decimal(text: str):
+    """text as an int if spelt as a plain decimal, else as given, for the
+    library's id gate or count check to refuse: how ids, map keys and color
+    counts are read."""
+    return int(text) if _DECIMAL.fullmatch(text) else text
+
+
+def _parse_ids(text: str) -> list:
+    return [_decimal(part.strip()) for part in text.split(",") if part.strip() != ""]
+
+
+def _add_id(text: str):
+    """--add's id, stripped, as _decimal reads it; what int() refuses is a
+    usage error, as with type=int."""
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"bad id list {text!r}: {exc}") from exc
+        int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return _decimal(text.strip())
 
 
 def _singleton_window(ids: Sequence[int]) -> D.SequenceWindow:
@@ -165,8 +179,8 @@ def _parse_map(text: str) -> list[tuple]:
     if isinstance(payload, dict) and "map" in payload:
         payload = payload["map"]
     try:
-        if isinstance(payload, dict):  # a key not spelt as a decimal stays a string, for the id gate
-            return [(int(k) if _DECIMAL.fullmatch(k) else k, v) for k, v in payload.items()]
+        if isinstance(payload, dict):
+            return [(_decimal(k), v) for k, v in payload.items()]
         return [(k, v) for k, v in payload]
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed map payload: {exc}") from exc
@@ -252,11 +266,7 @@ def _apply_coloring(d: DSet, scheme: Optional[str]) -> DSet:
     if scheme == "uniform":
         return D.color_uniform(d)
     if scheme.startswith("round_robin:"):
-        try:
-            n_colors = int(scheme.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"bad coloring {scheme!r}") from exc
-        return D.color_round_robin(d, n_colors)
+        return D.color_round_robin(d, _decimal(scheme.split(":", 1)[1]))
     if scheme == "sector_avoiding":
         return D.color_sector_avoiding(d)
     raise InputError(
@@ -366,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--over", required=True, help="comma-separated parameter ids")
     p = add("probe", cmd_probe, "try to extend a partial isomorphism")
     p.add_argument("--map", required=True, help="JSON map file, - for stdin")
-    p.add_argument("--add", required=True, type=int, help="element to cover")
+    p.add_argument("--add", required=True, type=_add_id, help="element to cover")
     p = add("homreport", cmd_homreport, "homogeneity conditions and witnesses")
     p.add_argument("--min-sector-size", type=int, default=2)
     p = add("gen", cmd_gen, "emit a fixture or generated family member", source=False)

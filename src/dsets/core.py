@@ -48,11 +48,14 @@ its rebuild (`_record`); a structure read from JSON certifies from its rows.
 Either way the nodes are numbered by `_numbered`, the one home of that rule.
 
 Trees, as adjacency lists (`_adjacency`): `_walk` is the one breadth-first
-walk.  `_rootings` walks a tree once from each center, and `_rooted` roots
-it at the center whose flat AHU code over that walk is least, equal for two
-trees exactly when they are isomorphic.  are_isomorphic compares such codes
-of two certified trees from `_rebuild`'s parents, with one `_rootings` each.
-`_numbered` numbers `_rebuild`'s clusters and the sets of `_record`'s walk.
+walk.  `_below` walks a tree in hand from element 0's leaf into parent
+indices and a bool `below` matrix, which `_record` numbers as `_rebuild`
+numbers its clusters; `_tree_record` is the one guarded reader of a
+certified (parent, below).  `_rootings` walks a tree once from each center,
+and `_rooted` roots it at the center whose flat AHU code over that walk is
+least, equal for two trees exactly when they are isomorphic.  are_isomorphic
+compares such codes of two certified trees' recorded parents, with one
+`_rootings` each.
 A structure argument that is no DSet is refused by one check, `_require_dset`.
 
 Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
@@ -762,25 +765,19 @@ def _distances(below: np.ndarray) -> np.ndarray:
 
 def _record(adj, leaf_of: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     """_rebuild's parent and below for a tree in hand, given as adjacency
-    lists and its node -> element map (n >= 1 elements): the sets of one
+    lists and its node -> element map (n >= 1 elements): the rows of one
     _below walk from element 0's leaf, numbered by _numbered."""
-    order, parent, below = _below(adj, leaf_of)
-    row = {u: i - 1 for i, u in enumerate(order)}  # the root, element 0's leaf, is -1
-    sets = np.zeros((len(order) - 1, n), dtype=bool)
-    sets.reshape(-1)[[row[u] * n + e for u in order[1:] for e in below[u]]] = True
-    up = np.array([row[parent[u]] for u in order[1:]], dtype=np.int64)
-    return _numbered(sets, up, up < 0)
+    _, parent, below = _below(adj, leaf_of, n)
+    return _numbered(below[1:], parent[1:] - 1, parent[1:] == 0)
 
 
-def _tree_parents(d: DSet) -> list[int]:
-    """The parent of every node of d's certified tree, nodes as in _rebuild
-    (-1 for the root, element 0); d must pass D1..D4."""
-    if d.n < 2:
-        return [-1] * d.n
-    rebuilt = _rebuild(d)
+def _tree_record(d: DSet) -> tuple[np.ndarray, np.ndarray]:
+    """The parent and below of d's certified tree, nodes as in _rebuild
+    (parent -1 for the root, element 0), for every n; d must pass D1..D4."""
+    rebuilt = _rebuild(d) if d.n >= 2 else (np.full(d.n, -1), np.zeros((d.n, d.n), dtype=bool))
     if rebuilt is None:
         raise InvariantViolation("D1..D4 hold but the rooted clusters form no tree")
-    return rebuilt[0].tolist()
+    return rebuilt
 
 
 def _walk(adj, root: int) -> tuple[list[int], dict]:
@@ -805,17 +802,22 @@ def _adjacency(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[i
     return adj
 
 
-def _below(adj, leaf_of: dict) -> tuple[list[int], dict, dict[int, set[int]]]:
-    """One walk from element 0's leaf: visit order, parents, and the elements
-    below each node (below its edge to its parent; all of them at the root)."""
+def _below(adj, leaf_of: dict, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """One walk from element 0's leaf: visit order, each node's parent as an
+    index into it (-1 at the root), and below[i, e], whether element e is
+    under the edge from order[i] to its parent (at the root, every element),
+    gathered as Python int bitmasks, one OR per edge, and unpacked once."""
     order, parent = _walk(adj, next(u for u, e in leaf_of.items() if e == 0))
-    below: dict[int, set[int]] = {u: set() for u in order}
-    for u in reversed(order):
-        if u in leaf_of:
-            below[u].add(leaf_of[u])
-        if parent[u] is not None:
-            below[parent[u]] |= below[u]
-    return order, parent, below
+    index = {u: i for i, u in enumerate(order)}
+    up = [-1] + [index[parent[u]] for u in order[1:]]
+    bits = [0] * len(order)
+    for u, e in leaf_of.items():
+        bits[index[u]] = 1 << e
+    for i in range(len(order) - 1, 0, -1):
+        bits[up[i]] |= bits[i]
+    raw = np.frombuffer(b"".join(b.to_bytes(n // 8 + 1, "little") for b in bits), dtype=np.uint8)
+    below = np.unpackbits(raw.reshape(len(order), -1), axis=1, count=n, bitorder="little")
+    return order, np.array(up), below.astype(bool)
 
 
 def _rootings(adj) -> list[tuple[list[int], dict]]:
@@ -931,6 +933,7 @@ def are_isomorphic(
     """
     _require_dset(d1)
     _require_dset(d2)
+    _natural(max_n, "'max_n' must be a non-negative integer, got {!r}")
     if d1.n != d2.n:
         return None
     if respect_colors and sorted(d1.colors) != sorted(d2.colors):
@@ -953,7 +956,7 @@ def are_isomorphic(
     n = d1.n
     trees = []
     for d in (d1, d2):
-        parents = _tree_parents(d)
+        parents = _tree_record(d)[0].tolist()
         trees.append(_rootings(_adjacency(range(len(parents)), enumerate(parents[1:], 1))))
 
     def code(rootings, tokens) -> tuple:

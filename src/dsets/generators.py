@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DSet, InputError, _require_dset, _rooted, _rootings
+from .core import DSet, InputError, _natural, _require_dset, _rooted, _rootings
 from .splittings import enumerate_splittings
 from .trees import LeafTree, _graft, canonical_form, d_from_tree
 
@@ -119,7 +119,7 @@ def enum_trees(leaves: int, allow_large: bool = False) -> Iterator[LeafTree]:
     Internal nodes all have degree at least three, so the count grows fast;
     past 8 leaves the cap must be lifted explicitly.
     """
-    if leaves < 1:
+    if _natural(leaves, "'leaves' must be a non-negative integer, got {!r}") < 1:
         raise InputError("leaf count must be positive")
     if leaves > ENUM_LEAF_CAP and not allow_large:
         raise InputError(
@@ -166,8 +166,10 @@ class TreeSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("star", "caterpillar", "d_regular_random", "enumerated"):
             raise InputError(f"unknown tree kind {self.kind!r}")
-        if self.leaves < 1:
+        if _natural(self.leaves, "'leaves' must be a non-negative integer, got {!r}") < 1:
             raise InputError("leaf count must be positive")
+        if self.degree is not None:
+            _natural(self.degree, "'degree' must be a non-negative integer, got {!r}")
 
 
 def _caterpillar(leaves: int) -> LeafTree:
@@ -223,7 +225,7 @@ def color_uniform(d: DSet) -> DSet:
 
 def color_round_robin(d: DSet, n_colors: int) -> DSet:
     _require_dset(d)
-    if n_colors < 1:
+    if _natural(n_colors, "'n_colors' must be a non-negative integer, got {!r}") < 1:
         raise InputError("need at least one color")
     return d.recolor([i % n_colors for i in range(d.n)])
 

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import DSet, InputError, _atoms, _require_core, _require_ids
+from .core import DSet, InputError, _atoms, _natural, _require_core, _require_ids
 from .splittings import _subset_outside, complementary, density_witnesses, enumerate_splittings
 from .splittings import induced_splitting, is_regular
 from .trees import Splitting
@@ -227,6 +227,7 @@ def homogeneity_conditions(d: DSet, min_sector_size: int = 2) -> dict:
     the default reading.
     """
     _require_core(d)
+    min_sector_size = _natural(min_sector_size, "'min_sector_size' must be a non-negative integer, got {!r}")
     reg, count = is_regular(d)
     dense_witness = None
     for quad in d.rows:

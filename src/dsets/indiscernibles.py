@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, _atoms, _require_core, _require_dset, _require_ids
+from .core import DSet, InputError, _atoms, _natural, _require_core, _require_dset, _require_ids
 from .splittings import enumerate_splittings
 
 
@@ -406,8 +406,9 @@ def detect_petaled(d: DSet, k: int) -> Optional[SequenceWindow]:
     """Least k-tuple of elements pairwise separated by one splitting; a table
     of more than 6 elements failing D1..D4 raises NotRepresentable."""
     _require_dset(d)
-    if k < 3:
+    if isinstance(k, (int, np.integer)) and k < 3:
         raise InputError("petaled detection needs k of at least 3")
+    k = _natural(k, "'k' must be a non-negative integer, got {!r}")
     if d.n < k:
         return None
     # Sectors are ordered by least element, so the least k elements one

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import trees
 from .core import DSet, InputError, InvariantViolation, _atoms, _first_true, _kept, _require_core
-from .core import _require_dset, _require_ids, check_axioms
+from .core import _require_dset, _require_ids, _tree_record, check_axioms
 from .trees import Splitting
 
 SplittingLike = Union[Splitting, Iterable[Iterable[int]]]
@@ -136,8 +136,9 @@ def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
 @_kept
 def _tree_splittings(d: DSet) -> trees.TreeCorrespondence:
     """The splittings read off d's reconstructed tree with their nodes and
-    edges, kept on d for enumerate_splittings and extend_by_point."""
-    return trees.splittings_from_tree(trees.tree_from_dset(d))
+    edges, kept on d for enumerate_splittings and extend_by_point: read off
+    the kept record, once tree_from_dset has refused a d failing D1..D4."""
+    return trees._correspondence(trees.tree_from_dset(d).nodes, *_tree_record(d))
 
 
 def branch(d: DSet, a: int, b: int, c: int) -> list[int]:

@@ -7,11 +7,12 @@ Splitting type with the splittings read off from internal nodes and edges.
 
 Every traversal is core's breadth-first walk, `_walk`: connectivity, the
 canonical codes (`core._rooted`), and `core._below`, the elements below
-each node from element 0's leaf, which give the splittings and the tree's
-`core._record`.  d_from_tree keeps that record on its result and reads the
-leaf distances off it; the relation is read off a grid of leaf pairs in
-lexicographic order, so its rows come out canonical and sorted.  The tree
-of a D-set is the rooted-cluster rebuild that `core` certifies D1..D4 with.
+each node from element 0's leaf, which `_correspondence` reads splittings
+off and `core._record` numbers.  d_from_tree keeps that record on its
+result and reads the leaf distances off it; the relation is read off a grid
+of leaf pairs in lexicographic order, so its rows come out canonical and
+sorted.  The tree of a D-set is the rooted-cluster rebuild that `core`
+certifies D1..D4 with; its splittings are read off its kept record.
 
 Outside input always takes the checking constructors, `LeafTree(...)`,
 `Splitting(...)` and their `from_json`.  `_trusted` on each class stores
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _distances, _kept
-from .core import _record, _require_ids, _rooted, _rootings, _tree_parents, _walk, check_axioms
+from .core import _record, _require_ids, _rooted, _rootings, _tree_record, _walk, check_axioms
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def tree_from_dset(d: DSet) -> LeafTree:
     report = check_axioms(d)
     if not report.core_pass:
         raise NotRepresentable(f"relation table fails D1..D4: {report.as_dict()}")
-    parent = _tree_parents(d)
+    parent = _tree_record(d)[0].tolist()
     kids, parents = range(1, len(parent)), parent[1:]
     edges = tuple(sorted(zip(map(min, kids, parents), map(max, kids, parents))))
     return LeafTree._trusted(tuple(range(len(parent))), edges, tuple((e, e) for e in range(d.n)))
@@ -294,36 +295,46 @@ class TreeCorrespondence:
     edge_splittings: tuple[tuple[tuple[int, int], Splitting], ...]
     ordered: tuple[Splitting, ...]
 
-    def all_splittings(self) -> list[Splitting]:
-        return list(self.ordered)
-
 
 def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
-    """Read every splitting off the tree.
-
-    Removing an internal node of degree k leaves k components and hence a
-    k-sector splitting; removing an edge leaves two.  One walk gives the
-    elements below each node; the component across an edge is then the
-    part below the far end, or everything outside it.  Each side is sorted
-    once, and its sorted list is both the splitting's sort key and, frozen,
-    its sector.  Distinct features of a tree without degree-2 nodes give
-    distinct splittings, so ordered needs no dedup.
-    """
+    """Read every splitting off the tree, keyed by t's own internal node ids
+    and edges, from one _below walk (see _correspondence)."""
     if not t.nodes:
         return TreeCorrespondence((), (), ())
-    adj = t.adjacency()
-    order, parent, below = _below(adj, t.leaf_map())
-    everything = below[order[0]]
-    side = {}  # (u, v) -> the elements on v's side of the edge uv, sorted
-    for v in order[1:]:
-        side[parent[v], v], side[v, parent[v]] = sorted(below[v]), sorted(everything - below[v])
-    # (sorted sectors, feature): disjoint sorted lists sort by least element.
-    keyed = [(sorted(side[mu, v] for v in adj[mu]), mu) for mu in t.internal_nodes()]
-    keyed += [(sorted((side[u, v], side[v, u])), (u, v)) for u, v in t.edges]
-    keyed.sort(key=lambda pair: pair[0])
-    split = {f: Splitting._trusted(tuple(map(frozenset, lists))) for lists, f in keyed}
-    nodes = tuple((mu, split[mu]) for mu in t.internal_nodes())
-    return TreeCorrespondence(nodes, tuple((e, split[e]) for e in t.edges), tuple(split.values()))
+    return _correspondence(*_below(t.adjacency(), t.leaf_map(), t.n_elements))
+
+
+def _rows(mask: np.ndarray) -> list[list[int]]:
+    """The columns where each row of a bool matrix holds, ascending."""
+    cols, ends = np.nonzero(mask)[1].tolist(), np.cumsum(mask.sum(axis=1)).tolist()
+    return [cols[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _correspondence(ids, parent: np.ndarray, below: np.ndarray) -> TreeCorrespondence:
+    """The splittings of a tree rooted at a leaf, given by rows with the root
+    first: ids[i] is row i's node id, parent[i] its parent's row and
+    below[i] the elements under its edge to that parent (row 0 is not read).
+
+    An internal node's sectors are the parts below its children and the
+    rest; an edge's, the part below its lower end and the rest.  Each side
+    is sorted once; disjoint sorted lists sort by least element, so the
+    sorted lists are the splitting's sort key and, frozen, its sectors.
+    Distinct features of a tree without degree-2 nodes give distinct
+    splittings, so ordered needs no dedup.
+    """
+    inside, outside, up = _rows(below), _rows(~below), parent.tolist()
+    sectors = [[rest] for rest in outside]
+    for v in range(1, len(up)):
+        sectors[up[v]].append(inside[v])
+    # (feature, sorted sector lists), in feature order
+    nodes = sorted((ids[u], sorted(sec)) for u, sec in enumerate(sectors) if u and len(sec) > 1)
+    edges = sorted(
+        (tuple(sorted((ids[up[v]], ids[v]))), sorted((inside[v], outside[v]))) for v in range(1, len(up))
+    )
+    split = {f: Splitting._trusted(tuple(map(frozenset, lists))) for f, lists in nodes + edges}
+    ordered = tuple(split[f] for f, _ in sorted(nodes + edges, key=lambda pair: pair[1]))
+    nodes, edges = (tuple((f, split[f]) for f, _ in features) for features in (nodes, edges))
+    return TreeCorrespondence(nodes, edges, ordered)
 
 
 def _graft(t: LeafTree, feature) -> LeafTree:

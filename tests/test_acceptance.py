@@ -106,8 +106,8 @@ def test_criterion_3_splitting_correspondence(trees_by_k):
                 bad.append(f"{k}-leaf node count")
             if len(corr.edge_splittings) != len(t.edges):
                 bad.append(f"{k}-leaf edge count")
-            read_off = {frozenset(s.sectors) for s in corr.all_splittings()}
-            if len(read_off) != len(corr.all_splittings()):
+            read_off = {frozenset(s.sectors) for s in corr.ordered}
+            if len(read_off) != len(corr.ordered):
                 bad.append(f"{k}-leaf feature collision")
             brute = O.brute_splittings(d)
             if read_off != brute:

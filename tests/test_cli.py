@@ -269,6 +269,38 @@ def test_classify_names_an_unknown_element(run, catalogue):
     assert out == '{"error":{"kind":"input","message":"element 9 out of range 0..4"}}\n'
 
 
+# A command line that puts `bad` where one element id of FLW12 belongs.
+_ID_ARGS = {
+    "classify": lambda bad, mfile: ["classify", "-", "--seq", f"0,1,2,{bad}"],
+    "hull": lambda bad, mfile: ["hull", "-", "--seq", f"0,1,2,{bad}"],
+    "indisc_seq": lambda bad, mfile: ["indisc", "-", "--seq", f"0,1,2,3,{bad}", "--over", "5"],
+    "indisc_over": lambda bad, mfile: ["indisc", "-", "--seq", "0,1,2,3,4", "--over", f"5,{bad}"],
+    "probe": lambda bad, mfile: ["probe", "-", "--map", mfile, "--add", bad],
+}
+
+
+@pytest.mark.parametrize("bad", ("1_0", "+4", "\u0664", "04"))
+@pytest.mark.parametrize("command", sorted(_ID_ARGS))
+def test_ids_not_spelt_as_plain_decimals_are_refused(run, catalogue, tmp_path, command, bad):
+    # int() reads these as 10, 4, 4 and 4; the id gate refuses each as given.
+    mfile = tmp_path / "map.json"
+    mfile.write_text(json.dumps({"0": 0}))
+    code, out, _ = run(_ID_ARGS[command](bad, str(mfile)), catalogue["FLW12"].dset.to_json())
+    assert code == 2
+    assert _payload(out) == {"error": {"kind": "input", "message": f"element ids must be non-negative integers, got {bad!r}"}}
+
+
+@pytest.mark.parametrize("command", sorted(_ID_ARGS))
+def test_ids_keep_whitespace_around_them_and_skip_empty_parts(run, catalogue, tmp_path, command):
+    mfile = tmp_path / "map.json"
+    mfile.write_text(json.dumps({"0": 0}))
+    text = catalogue["FLW12"].dset.to_json()
+    plain = run(_ID_ARGS[command]("4", str(mfile)), text)
+    assert run(_ID_ARGS[command](" 4 ", str(mfile)), text) == plain
+    if command != "probe":  # --add takes one id, not a list
+        assert run(_ID_ARGS[command](", 4,,", str(mfile)), text) == plain
+
+
 def test_hull_reports_interior(run, catalogue):
     code, out, _ = run(
         ["hull", "-", "--seq", "0,1,2,3,4"], catalogue["CAT5X"].dset.to_json()
@@ -420,6 +452,14 @@ def test_gen_spec_with_coloring(run):
     )
     assert code == 0
     assert D.DSet.from_json(out).colors == (0, 1, 0, 1, 0)
+
+
+@pytest.mark.parametrize("bad", ("1_0", "+2", "\u0662", "x", ""))
+def test_gen_round_robin_count_is_read_as_a_plain_decimal(run, bad):
+    # int() reads the first three as 10, 2 and 2; the count check refuses each as given.
+    code, out, _ = run(["gen", "--fixture", "CAT4", "--coloring", f"round_robin:{bad}"])
+    assert code == 2
+    assert _payload(out) == {"error": {"kind": "input", "message": f"'n_colors' must be a non-negative integer, got {bad!r}"}}
 
 
 def test_gen_needs_exactly_one_source(run):

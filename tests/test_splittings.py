@@ -270,15 +270,17 @@ def test_auto_route_refuses_larger_tables_failing_core_axioms():
 
 def test_enumerate_keeps_tree_route_per_structure(catalogue, monkeypatch):
     d = DSet.from_json(catalogue["MIX"].dset.to_json())
-    reads = []
-    read = dsets.trees.splittings_from_tree
-    monkeypatch.setattr(dsets.trees, "splittings_from_tree", lambda t: reads.append(t) or read(t))
+    reads, walks = [], []
+    read = dsets.trees._correspondence
+    monkeypatch.setattr(dsets.trees, "_correspondence", lambda *record: reads.append(record) or read(*record))
+    for module in (dsets.core, dsets.trees):  # the record is read as kept, never walked
+        monkeypatch.setattr(module, "_walk", lambda *args: walks.append(args))
     first = D.enumerate_splittings(d, method="tree")
     expected = list(first)
     first.pop()
     second = D.enumerate_splittings(d, method="tree")
     assert second == expected and second is not first
-    assert len(reads) == 1
+    assert len(reads) == 1 and walks == []
 
 
 def test_enumerate_rejects_unknown_method(catalogue):

@@ -10,6 +10,7 @@ import pytest
 
 import dsets as D
 import dsets.core
+import dsets.splittings
 import dsets.trees
 from dsets import InputError, LeafTree, Splitting
 
@@ -388,7 +389,7 @@ def test_all_read_off_splittings_are_splittings(catalogue):
     for name in ("CAT5X", "MIX", "FLW5"):
         fix = catalogue[name]
         corr = D.splittings_from_tree(fix.tree)
-        for s in corr.all_splittings():
+        for s in corr.ordered:
             ok, witness = O.splitting_ok(fix.dset, [set(c) for c in s.sectors])
             assert ok, witness
 
@@ -513,11 +514,37 @@ def test_trusted_route_equals_checked_rebuilds(trees_by_k):
         assert got == rebuilt == sorted(set(rebuilt), key=Splitting.as_sorted_lists)
         assert all(map(_int_ids, got))
         # The order does not depend on the tree's node ids.
-        assert D.splittings_from_tree(tree).all_splittings() == got
+        assert D.splittings_from_tree(tree).ordered == tuple(got)
         if d.n <= 7:
             assert got == D.enumerate_splittings(d, method="brute")
         swept += 1
     assert swept == 60 + 12
+
+
+def test_kept_record_and_tree_walk_read_the_same_splittings(trees_by_k):
+    # A D-set's splittings are read off its kept (parent, below) record;
+    # splittings_from_tree walks a LeafTree.  Both agree, node and edge keys
+    # included, with enumerate_splittings, the component oracle and, up to
+    # six elements, the brute-force route.
+    structures = [D.DSet(n) for n in range(4)]
+    for tree in _sweep_trees(trees_by_k):
+        d = D.d_from_tree(tree)
+        structures += [d, D.DSet.from_json(d.to_json())]
+    for d in structures:
+        kept = dsets.splittings._tree_splittings(d)
+        t = D.tree_from_dset(d)
+        assert kept == D.splittings_from_tree(t), d
+        nodes = [mu for mu, _ in kept.node_splittings]
+        assert all(type(v) is int for v in itertools.chain(nodes, *(e for e, _ in kept.edge_splittings)))
+        entries = (
+            [(mu, set(s.sectors)) for mu, s in kept.node_splittings],
+            [(e, set(s.sectors)) for e, s in kept.edge_splittings],
+        )
+        assert entries == O.tree_splittings_oracle(t), d
+        assert D.enumerate_splittings(d) == list(kept.ordered)
+        if d.n <= 6:
+            assert D.enumerate_splittings(d, method="brute") == list(kept.ordered)
+    assert len(structures) == 4 + 2 * (60 + 12)
 
 
 def test_trusted_trees_of_up_to_three_elements():
