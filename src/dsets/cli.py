@@ -1,12 +1,13 @@
 """Command line front end.
 
-Every subcommand reads JSON (a file argument, or stdin via "-"), writes one
-deterministic JSON object to stdout, and prints a one-line summary to
-stderr unless --quiet.  Exit codes: 0 success or true verdict, 1 false
-verdict (a witness is in the output), 2 bad input, an unwritable output or
-an internal failure (a machine-readable error object is in the output).
-Library functions are reached through the lazy `dsets` namespace, so a
-command loads only the modules it calls.
+Every subcommand reads JSON (a file argument, or stdin via "-") and returns
+(payload, summary, exit code); `main` alone writes one deterministic JSON
+object (or DOT text) to stdout, then the summary to stderr unless --quiet.
+Exit codes: 0 success or true verdict, 1 false verdict (a witness is in the
+output), 2 bad input, an unwritable output or an internal failure (a
+machine-readable error object is in the output).  Every number on the
+command line is read by one rule, `_decimal`.  Library functions are reached
+through the lazy `dsets` namespace, so a command loads only the modules it calls.
 """
 
 from __future__ import annotations
@@ -19,19 +20,13 @@ from typing import Optional, Sequence
 
 import dsets as D
 
-from .core import DSet, InputError, InvariantViolation, NotRepresentable, _DECIMAL, check_axioms
+from .core import DSet, InputError, InvariantViolation, NotRepresentable, _DECIMAL, _natural, check_axioms
 
 OUTDIR_ENV = "DSETS_OUTDIR"
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _emit(args, payload: str, summary: str) -> None:
-    print(payload)
-    if not args.quiet:
-        print(summary, file=sys.stderr)
 
 
 def _read_source(path: str) -> str:
@@ -64,8 +59,8 @@ def _load_tree(args) -> D.LeafTree:
 
 def _decimal(text: str):
     """text as an int if spelt as a plain decimal, else as given, for the
-    library's id gate or count check to refuse: how ids, map keys and color
-    counts are read."""
+    library's id gate or count check to refuse: how every number on the
+    command line is read."""
     return int(text) if _DECIMAL.fullmatch(text) else text
 
 
@@ -73,9 +68,9 @@ def _parse_ids(text: str) -> list:
     return [_decimal(part.strip()) for part in text.split(",") if part.strip() != ""]
 
 
-def _add_id(text: str):
-    """--add's id, stripped, as _decimal reads it; what int() refuses is a
-    usage error, as with type=int."""
+def _number(text: str):
+    """A number option's value, stripped, as _decimal reads it; what int()
+    refuses is a usage error, as with type=int."""
     try:
         int(text)
     except ValueError:
@@ -87,87 +82,65 @@ def _singleton_window(ids: Sequence[int]) -> D.SequenceWindow:
     return D.SequenceWindow([(v,) for v in ids])
 
 
-def _resolve_output(path: str) -> str:
-    base = os.environ.get(OUTDIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple:
     d = _load_dset(args)
     report = check_axioms(d)
     payload = report.as_dict()
     verdicts = [f"{name} {entry['status']}" for name, entry in payload.items() if isinstance(entry, dict)]
-    _emit(args, _dump(payload), "; ".join(verdicts))
-    return 0 if report.core_pass else 1
+    return payload, "; ".join(verdicts), 0 if report.core_pass else 1
 
 
-def cmd_from_tree(args) -> int:
+def cmd_from_tree(args) -> tuple:
     t = _load_tree(args)
     d = D.d_from_tree(t)
-    _emit(args, d.to_json(), f"{d.n} elements, {len(d.rows)} positive quads")
-    return 0
+    return d.to_json(), f"{d.n} elements, {len(d.rows)} positive quads", 0
 
 
-def cmd_to_tree(args) -> int:
+def cmd_to_tree(args) -> tuple:
     d = _load_dset(args)
     report = check_axioms(d)
     if not report.core_pass:
-        _emit(
-            args,
-            _dump({"representable": False, "witness": report.as_dict()}),
-            "not representable: a core axiom fails",
-        )
-        return 1
+        payload = {"representable": False, "witness": report.as_dict()}
+        return payload, "not representable: a core axiom fails", 1
     t = D.tree_from_dset(d)
-    _emit(args, t.to_json(), f"{len(t.nodes)} nodes, {len(t.internal_nodes())} internal")
-    return 0
+    return t.to_json(), f"{len(t.nodes)} nodes, {len(t.internal_nodes())} internal", 0
 
 
-def cmd_splittings(args) -> int:
+def cmd_splittings(args) -> tuple:
     d = _load_dset(args)
     ss = D.enumerate_splittings(d, method=args.method)
     payload = {"count": len(ss), "splittings": [s.as_sorted_lists() for s in ss]}
-    _emit(args, _dump(payload), f"{len(ss)} splittings")
-    return 0
+    return payload, f"{len(ss)} splittings", 0
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args) -> tuple:
     d = _load_dset(args)
     s = D.Splitting.from_json(_read_source(args.splitting))
     out = D.extend_by_point(d, s)
-    _emit(args, out.to_json(), f"element {d.n} attached; now {out.n} elements")
-    return 0
+    return out.to_json(), f"element {d.n} attached; now {out.n} elements", 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple:
     d = _load_dset(args)
     window = _singleton_window(_parse_ids(args.seq))
     verdict = D.classify_window(d, window)
-    _emit(args, _dump(verdict.as_dict()), verdict.label)
-    return 0 if verdict.label != "not_indiscernible" else 1
+    return verdict.as_dict(), verdict.label, 0 if verdict.label != "not_indiscernible" else 1
 
 
-def cmd_hull(args) -> int:
+def cmd_hull(args) -> tuple:
     d = _load_dset(args)
     window = _singleton_window(_parse_ids(args.seq))
     result = D.hull_window(d, window)
-    _emit(args, _dump(result.as_dict()), f"hull of {len(result.hull)} elements")
-    return 0
+    return result.as_dict(), f"hull of {len(result.hull)} elements", 0
 
 
-def cmd_indisc(args) -> int:
+def cmd_indisc(args) -> tuple:
     d = _load_dset(args)
     window = _singleton_window(_parse_ids(args.seq))
     over = _parse_ids(args.over)
     ok, witness = D.weakly_indiscernible_over(d, window, over)
-    _emit(
-        args,
-        _dump({"weakly_indiscernible": ok, "witness": witness}),
-        "weakly indiscernible" if ok else "discernible; witness emitted",
-    )
-    return 0 if ok else 1
+    summary = "weakly indiscernible" if ok else "discernible; witness emitted"
+    return {"weakly_indiscernible": ok, "witness": witness}, summary, 0 if ok else 1
 
 
 def _parse_map(text: str) -> list[tuple]:
@@ -186,17 +159,13 @@ def _parse_map(text: str) -> list[tuple]:
         raise InputError(f"malformed map payload: {exc}") from exc
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> tuple:
     d = _load_dset(args)
     pairs = _parse_map(_read_source(args.map))
     ok, witness = D.check_partial_iso(d, d, pairs)
     if not ok:
-        _emit(
-            args,
-            _dump({"partial_iso": False, "witness": witness, "candidates": None}),
-            "map is not a partial isomorphism",
-        )
-        return 1
+        payload = {"partial_iso": False, "witness": witness, "candidates": None}
+        return payload, "map is not a partial isomorphism", 1
     candidates = D.extend_partial_iso(d, pairs, args.add)
     payload = {
         "partial_iso": True,
@@ -209,11 +178,10 @@ def cmd_probe(args) -> int:
         if candidates
         else f"stuck: no image for {args.add}"
     )
-    _emit(args, _dump(payload), summary)
-    return 0 if candidates else 1
+    return payload, summary, 0 if candidates else 1
 
 
-def cmd_homreport(args) -> int:
+def cmd_homreport(args) -> tuple:
     d = _load_dset(args)
     conditions = D.homogeneity_conditions(d, min_sector_size=args.min_sector_size)
     found = D.nonextendable_witness(d)
@@ -225,17 +193,13 @@ def cmd_homreport(args) -> int:
             "stuck": found[1] if found else None,
         },
     }
-    all_good = (
-        conditions["regular"]["verdict"]
-        and conditions["dense"]["verdict"]
-        and conditions["color_hitting"]["verdict"]
-        and found is None
-    )
-    _emit(args, _dump(payload), "all homogeneity conditions hold" if all_good else "conditions violated")
-    return 0 if all_good else 1
+    all_good = found is None and all(conditions[k]["verdict"] for k in ("regular", "dense", "color_hitting"))
+    summary = "all homogeneity conditions hold" if all_good else "conditions violated"
+    return payload, summary, 0 if all_good else 1
 
 
 def _parse_spec(text: str) -> D.TreeSpec:
+    """The spec's fields, each number as _decimal reads it; TreeSpec checks them."""
     fields: dict[str, object] = {}
     for part in text.split(","):
         part = part.strip()
@@ -246,15 +210,9 @@ def _parse_spec(text: str) -> D.TreeSpec:
         key, value = part.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key == "kind":
-            fields["kind"] = value
-        elif key in ("leaves", "degree", "seed"):
-            try:
-                fields[key] = int(value)
-            except ValueError as exc:
-                raise InputError(f"{key} must be an integer, got {value!r}") from exc
-        else:
+        if key not in ("kind", "leaves", "degree", "seed"):
             raise InputError(f"unknown spec key {key!r}")
+        fields[key] = value if key == "kind" else _decimal(value)
     if "kind" not in fields or "leaves" not in fields:
         raise InputError("spec needs at least kind=... and leaves=...")
     return D.TreeSpec(**fields)  # type: ignore[arg-type]
@@ -274,10 +232,9 @@ def _apply_coloring(d: DSet, scheme: Optional[str]) -> DSet:
     )
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple:
     if args.list:
-        _emit(args, _dump({"fixtures": D.fixture_names()}), "fixture catalogue")
-        return 0
+        return {"fixtures": D.fixture_names()}, "fixture catalogue", 0
     if (args.fixture is None) == (args.spec is None):
         raise InputError("gen needs exactly one of --fixture or --spec")
     if args.fixture is not None:
@@ -291,14 +248,12 @@ def cmd_gen(args) -> int:
     if args.as_what == "tree":
         if args.coloring is not None:
             raise InputError("colorings apply to the D-set output, not the tree")
-        _emit(args, tree.to_json(), f"{label}: tree with {tree.n_elements} leaves")
-        return 0
+        return tree.to_json(), f"{label}: tree with {tree.n_elements} leaves", 0
     d = _apply_coloring(d, args.coloring)
-    _emit(args, d.to_json(), f"{label}: {d.n} elements")
-    return 0
+    return d.to_json(), f"{label}: {d.n} elements", 0
 
 
-def cmd_export_dot(args) -> int:
+def cmd_export_dot(args) -> tuple:
     if args.from_dset:
         d = _load_dset(args)
         report = check_axioms(d)
@@ -310,16 +265,13 @@ def cmd_export_dot(args) -> int:
         tree = _load_tree(args)
         colors = None
     text = D.export_dot(tree, colors=colors)
-    if args.output:
-        path = _resolve_output(args.output)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit(args, _dump({"written": path}), f"DOT written to {path}")
-    else:
-        print(text, end="")
-        if not args.quiet:
-            print("DOT on stdout", file=sys.stderr)
-    return 0
+    if not args.output:
+        return text, "DOT on stdout", 0
+    # An absolute path, or an unset or empty $DSETS_OUTDIR, is taken as it is.
+    path = os.path.join(os.environ.get(OUTDIR_ENV) or "", args.output)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return {"written": path}, f"DOT written to {path}", 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -336,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-n",
-        type=int,
+        type=_number,
         default=16,
         help="refuse inputs with more elements than this (default 16)",
     )
@@ -376,9 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--over", required=True, help="comma-separated parameter ids")
     p = add("probe", cmd_probe, "try to extend a partial isomorphism")
     p.add_argument("--map", required=True, help="JSON map file, - for stdin")
-    p.add_argument("--add", required=True, type=_add_id, help="element to cover")
+    p.add_argument("--add", required=True, type=_number, help="element to cover")
     p = add("homreport", cmd_homreport, "homogeneity conditions and witnesses")
-    p.add_argument("--min-sector-size", type=int, default=2)
+    p.add_argument("--min-sector-size", type=_number, default=2)
     p = add("gen", cmd_gen, "emit a fixture or generated family member", source=False)
     p.add_argument("--fixture", help="catalogue name, e.g. CAT5 or FLW6")
     p.add_argument("--spec", help="kind=...,leaves=...[,degree=...][,seed=...]")
@@ -412,12 +364,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        _natural(args.max_n, "'max_n' must be a non-negative integer, got {!r}")
+        payload, summary, code = args.handler(args)
+        text = payload if isinstance(payload, str) else _dump(payload)
+        note = "" if args.quiet else summary + "\n"
     except Exception as exc:  # no input may end in a traceback
         kind = next((_ERROR_KINDS[t] for t in type(exc).__mro__ if t in _ERROR_KINDS), "internal")
         message = f"{type(exc).__name__}: {exc}" if kind == "internal" else str(exc)
-        print(_dump({"error": {"kind": kind, "message": message}}))
+        text, note, code = _dump({"error": {"kind": kind, "message": message}}), "", 2
+    if sys.stdout is None:  # descriptor 1 was closed before start-up
         return 2
+    try:
+        sys.stdout.write(text.removesuffix("\n"))
+        # The line end gets a write of its own: a write cut short by a reader
+        # that goes away returns without an error, and only the next one fails.
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+        if note:  # --quiet leaves stderr untouched, even a closed one
+            sys.stderr.write(note)
+    except OSError:  # an unwritable output, such as a pipe whose reader is gone
+        # Point the descriptor at devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -129,6 +129,14 @@ def _require_ids(ids: Iterable, d=_UNBOUND) -> list[int]:
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
+def _integer(v, message: str, *args) -> int:
+    """v as a Python int, if it is an integer other than a bool, else
+    InputError(message.format(v, *args)): the check of a seed, which may be negative."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise InputError(message.format(v, *args))
+    return int(v)
+
+
 def _natural(v, message: str = "'n' must be a non-negative integer", *args) -> int:
     """v as a Python int, if it is a non-negative integer other than a bool,
     else InputError(message.format(v, *args)): the one check of an element

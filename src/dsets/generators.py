@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DSet, InputError, _natural, _require_dset, _rooted, _rootings
+from .core import DSet, InputError, _integer, _natural, _require_dset, _rooted, _rootings
 from .splittings import enumerate_splittings
 from .trees import LeafTree, _graft, canonical_form, d_from_tree
 
@@ -170,6 +170,7 @@ class TreeSpec:
             raise InputError("leaf count must be positive")
         if self.degree is not None:
             _natural(self.degree, "'degree' must be a non-negative integer, got {!r}")
+        _integer(self.seed, "'seed' must be an integer, got {!r}")
 
 
 def _caterpillar(leaves: int) -> LeafTree:
@@ -201,7 +202,7 @@ def _d_regular(leaves: int, degree: int, rng: random.Random) -> LeafTree:
 
 def gen_random(spec: TreeSpec) -> LeafTree:
     """Build the tree a spec describes, deterministically under its seed."""
-    rng = random.Random(spec.seed)
+    rng = random.Random(int(spec.seed))
     if spec.kind == "star":
         if spec.leaves < 3:
             raise InputError("a star needs at least 3 leaves")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -103,6 +105,42 @@ def test_usage_error_exit_code_from_a_process():
                           capture_output=True, text=True, stdin=subprocess.DEVNULL)
     assert proc.returncode == 2
     assert _payload(proc.stdout)["error"]["kind"] == "input"
+
+
+_SPELLINGS = ("1_6", "+4", "\u0662", "04")  # int() reads these as 16, 4, 2 and 4
+
+
+@pytest.mark.parametrize("bad", _SPELLINGS)
+@pytest.mark.parametrize(
+    "argv, name",
+    (
+        (["check", "-", "--max-n", "{}"], "max_n"),
+        (["gen", "--fixture", "CAT5", "--max-n", "{}"], "max_n"),
+        (["gen", "--list", "--max-n", "{}"], "max_n"),
+        (["homreport", "-", "--min-sector-size", "{}"], "min_sector_size"),
+        (["gen", "--spec", "kind=d_regular_random,leaves={},degree=3"], "leaves"),
+        (["gen", "--spec", "kind=d_regular_random,leaves=10,degree={}"], "degree"),
+    ),
+    ids=["max_n", "max_n_fixture", "max_n_list", "min_sector_size", "leaves", "degree"],
+)
+def test_numbers_not_spelt_as_plain_decimals_are_refused(run, catalogue, argv, name, bad):
+    code, out, _ = run([a.format(bad) for a in argv], catalogue["CAT5"].dset.to_json())
+    assert code == 2
+    message = f"'{name}' must be a non-negative integer, got {bad!r}"
+    assert _payload(out) == {"error": {"kind": "input", "message": message}}
+
+
+@pytest.mark.parametrize("bad", _SPELLINGS)
+def test_spec_seeds_not_spelt_as_plain_decimals_are_refused(run, bad):
+    code, out, _ = run(["gen", "--spec", f"kind=d_regular_random,leaves=10,degree=3,seed={bad}"])
+    assert code == 2
+    assert _payload(out) == {"error": {"kind": "input", "message": f"'seed' must be an integer, got {bad!r}"}}
+
+
+def test_plain_decimals_keep_their_reading(run):
+    # A negative seed, and a bound with blanks around it, as int() reads them.
+    assert run(["gen", "--spec", "kind=d_regular_random,leaves=10,degree=3,seed=-2"])[0] == 0
+    assert run(["gen", "--fixture", "CAT5", "--max-n", " 5 "])[0] == 0
 
 
 def test_help_still_exits_zero(run):
@@ -540,3 +578,157 @@ def test_gen_pipes_into_to_tree():
     assert proc.returncode == 0
     tree = D.LeafTree.from_json(proc.stdout)
     assert len(tree.nodes) == 6
+
+
+# ---------------------------------------------------------------------------
+# closed output
+
+
+def _dsets(argv):
+    return [sys.executable, "-m", "dsets", *argv]
+
+
+# One valid command line of each subcommand over CAT5: its D-set on stdin, or
+# its tree where the command reads a tree.
+_CLOSED = {
+    "check": ["check"],
+    "from-tree": ["from-tree"],
+    "to-tree": ["to-tree"],
+    "splittings": ["splittings"],
+    "extend": ["extend", "--splitting", "{cut}"],
+    "classify": ["classify", "--seq", "0,1,2,3,4"],
+    "hull": ["hull", "--seq", "0,1,2,3,4"],
+    "indisc": ["indisc", "--seq", "0,1,2", "--over", "3"],
+    "probe": ["probe", "--map", "{map}", "--add", "3"],
+    "homreport": ["homreport"],
+    "gen": ["gen", "--fixture", "CAT5"],
+    "export-dot": ["export-dot"],
+    "error": ["check", "--max-n", "1_6"],  # an error object has nowhere to go either
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLOSED))
+def test_a_closed_output_exits_two_without_a_traceback(catalogue, tmp_path, command):
+    (tmp_path / "cut.json").write_text(Splitting([{0, 1}, {2, 3, 4}]).to_json())
+    (tmp_path / "map.json").write_text(json.dumps({"0": 0}))
+    argv = [a.format(cut=tmp_path / "cut.json", map=tmp_path / "map.json") for a in _CLOSED[command]]
+    fixture = catalogue["CAT5"]
+    source = fixture.tree.to_json() if command in ("from-tree", "export-dot") else fixture.dset.to_json()
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(_dsets(argv), input=source, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr == ""
+
+
+def test_a_stdout_closed_before_start_up_exits_two():
+    proc = subprocess.run(f"{sys.executable} -m dsets gen --fixture CAT5 >&-", shell=True,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
+def test_a_reader_that_closes_early_ends_a_long_write_with_exit_two():
+    # 40 leaves make about 1.2 MB of JSON, more than a pipe holds.
+    argv = ["gen", "--spec", "kind=d_regular_random,leaves=40,degree=3,seed=1", "--max-n", "40"]
+    proc = subprocess.Popen(_dsets(argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            stdin=subprocess.DEVNULL)
+    assert proc.stdout.read(5) == b'{"col'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz
+
+
+_JUNK = (True, False, None, 1.5, 2.0, -1, 0, 7, 10**30, "3", "1_0", "+1", "\u0662", "04", "", [], [[0]], {"0": 0})
+_NUMBERS = ("1_6", "+4", "\u0662", "04", "-1", "x", "", " 3 ", "1e3", "0x1", "99999999999999999999", "2", "0")
+
+
+def _mutated(rng, value):
+    """value with one seeded change at a random depth: a key dropped,
+    respelt or retyped, an entry dropped or retyped, or the value replaced."""
+    if isinstance(value, (dict, list)) and value and rng.random() < 0.85:
+        out = dict(value) if isinstance(value, dict) else list(value)
+        at = rng.choice(sorted(out) if isinstance(out, dict) else range(len(out)))
+        r = rng.random()
+        if r < 0.2:
+            del out[at]
+        elif r < 0.3 and isinstance(out, dict):
+            out[rng.choice(_NUMBERS)] = out.pop(at)
+        elif r < 0.55:
+            out[at] = rng.choice(_JUNK)
+        else:
+            out[at] = _mutated(rng, out[at])
+        return out
+    return rng.choice(_JUNK)
+
+
+def _text(rng, payload) -> str:
+    text = json.dumps(_mutated(rng, payload) if rng.random() < 0.8 else payload)
+    return text[: rng.randrange(len(text) + 1)] if rng.random() < 0.1 else text
+
+
+def _number(rng, plain: str) -> str:
+    return rng.choice(_NUMBERS) if rng.random() < 0.3 else plain
+
+
+def _ids(rng, plain: str) -> str:
+    parts = plain.split(",")
+    if rng.random() < 0.4:
+        parts[rng.randrange(len(parts))] = rng.choice(_NUMBERS + ("5", "9", "12"))
+    return ",".join(parts)
+
+
+def _fuzz_case(rng, catalogue, tmp_path):
+    """One seeded command line and its stdin, each number and payload
+    possibly mutated."""
+    fixture = catalogue[rng.choice(("CAT5", "CAT5L", "MIX", "FLW5", "CAT4"))]
+    dset, tree = json.loads(fixture.dset.to_json()), json.loads(fixture.tree.to_json())
+    cut = tmp_path / "cut.json"
+    cut.write_text(_text(rng, {"sectors": [[0, 1], [2, 3, 4]]}))
+    mfile = tmp_path / "map.json"
+    mfile.write_text(_text(rng, rng.choice(({"0": 0, "1": 1}, [[0, 0], [2, 2]], {"map": [[1, 1]]}))))
+    spec = (f"kind={rng.choice(('star', 'caterpillar', 'd_regular_random', 'enumerated', 'zigzag'))},"
+            f"leaves={_number(rng, '6')},degree={_number(rng, '4')},seed={_number(rng, '1')}")
+    argv = rng.choice((
+        ["check"], ["to-tree"], ["splittings"], ["extend", "--splitting", str(cut)],
+        ["homreport", "--min-sector-size", _number(rng, "2")],
+        ["classify", "--seq", _ids(rng, "0,1,2,3")], ["hull", "--seq", _ids(rng, "0,1,2,3")],
+        ["indisc", "--seq", _ids(rng, "0,1,2,3,4"), "--over", _ids(rng, "5,6")],
+        ["probe", "--map", str(mfile), "--add", _number(rng, "3")],
+        ["from-tree"], ["export-dot"], ["export-dot", "--from-dset"], ["export-dot", "--output", "t.dot"],
+        ["gen", "--spec", spec], ["gen", "--fixture", "CAT5", "--coloring", f"round_robin:{_number(rng, '2')}"],
+        ["gen", "--list"],
+    ))
+    if rng.random() < 0.2:
+        argv += ["--max-n", _number(rng, "8")]
+    payload = tree if argv[0] == "from-tree" or argv[:2] in (["export-dot"], ["export-dot", "--output"]) else dset
+    return argv, _text(rng, payload)
+
+
+def test_seeded_fuzz_keeps_the_cli_contract(run, catalogue, tmp_path, monkeypatch):
+    """Mutated payloads and number spellings for every command: exit 0, 1 or
+    2, one JSON object (or DOT) on stdout, an error object exactly on exit 2,
+    and never an internal error."""
+    monkeypatch.setenv("DSETS_OUTDIR", str(tmp_path))
+    rng = random.Random(2026)
+    for _ in range(500):
+        argv, stdin = _fuzz_case(rng, catalogue, tmp_path)
+        code, out, _ = run(argv, stdin)
+        case = (argv, stdin)
+        assert code in (0, 1, 2), case
+        if argv[0] == "export-dot" and code == 0 and "--output" not in argv:
+            assert out.startswith("graph dset_tree {\n") and out.endswith("}\n"), case
+            continue
+        payload = _payload(out)
+        assert isinstance(payload, dict), case
+        assert ("error" in payload) == (code == 2), case
+        assert payload.get("error", {}).get("kind") != "internal", (case, payload)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -181,6 +182,16 @@ def test_gen_random_seed_determinism():
     assert D.gen_random(spec) != D.gen_random(
         TreeSpec("d_regular_random", leaves=8, degree=3, seed=6)
     )
+
+
+@pytest.mark.parametrize("kind", ("star", "d_regular_random"))
+def test_tree_spec_refuses_a_seed_that_is_no_integer_and_takes_a_negative_one(kind):
+    # Before the check a star ignored any seed and random.Random hashed a string one.
+    for bad in ("x", 1.5, True, [1], None):
+        with pytest.raises(InputError, match=f"^'seed' must be an integer, got {re.escape(repr(bad))}$"):
+            TreeSpec(kind, leaves=10, degree=3, seed=bad)
+    spec = TreeSpec(kind, leaves=10, degree=3, seed=-3)
+    assert D.gen_random(spec) == D.gen_random(spec)
 
 
 def test_gen_random_output_is_valid_everywhere():

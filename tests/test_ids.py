@@ -180,23 +180,25 @@ def test_leaf_tree_takes_numpy_and_negative_node_ids():
     assert all(type(v) is int for v in t.nodes + sum(t.edges, ()) + sum(t.leaves, ()))
 
 
-# Each library call on CAT5 that takes a count, given the bad count v, and
-# the argument its message names.
+# Each library call on CAT5 that takes a count or a seed, given the bad value
+# v, and the argument its message names.
 _COUNTS = {
     "homogeneity_conditions": (lambda d, v: D.homogeneity_conditions(d, v), "min_sector_size"),
     "detect_petaled": (lambda d, v: D.detect_petaled(d, v), "k"),
     "enum_trees": (lambda d, v: list(D.enum_trees(v)), "leaves"),
     "TreeSpec.leaves": (lambda d, v: D.gen_random(D.TreeSpec("star", v)), "leaves"),
     "TreeSpec.degree": (lambda d, v: D.gen_random(D.TreeSpec("d_regular_random", 10, v)), "degree"),
+    "TreeSpec.seed": (lambda d, v: D.gen_random(D.TreeSpec("d_regular_random", 10, 3, seed=v)), "seed"),
     "color_round_robin": (lambda d, v: D.color_round_robin(d, v), "n_colors"),
     "are_isomorphic": (lambda d, v: D.are_isomorphic(d, d, max_n=v), "max_n"),
 }
 
 
 _BAD_COUNTS = ("3", None, 3.5, True, -1, np.float64(3))
-# Not refused by the count check: a TreeSpec without a degree is valid, and
-# detect_petaled refuses an integer k below 3, bools included, by its range.
-_OTHERWISE = {("TreeSpec.degree", None), ("detect_petaled", True), ("detect_petaled", -1)}
+# Not refused by the count check: a TreeSpec without a degree is valid, a
+# seed may be negative, and detect_petaled refuses an integer k below 3,
+# bools included, by its range.
+_OTHERWISE = {("TreeSpec.degree", None), ("TreeSpec.seed", -1), ("detect_petaled", True), ("detect_petaled", -1)}
 
 
 @pytest.mark.parametrize(
@@ -206,7 +208,8 @@ _OTHERWISE = {("TreeSpec.degree", None), ("detect_petaled", True), ("detect_peta
 )
 def test_counts_pass_the_one_count_check(catalogue, entry, bad):
     call, name = _COUNTS[entry]
-    message = f"'{name}' must be a non-negative integer, got {bad!r}"
+    kind = "an integer" if name == "seed" else "a non-negative integer"  # a seed may be negative
+    message = f"'{name}' must be {kind}, got {bad!r}"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call(catalogue["CAT5"].dset, bad)
     assert repr(call(catalogue["CAT5"].dset, np.int64(4))) == repr(call(catalogue["CAT5"].dset, 4))
