@@ -239,6 +239,7 @@ def cmd_gen(args) -> tuple:
         raise InputError("gen needs exactly one of --fixture or --spec")
     if args.fixture is not None:
         fixture = D.gen_fixture(args.fixture)
+        _check_max_n(args, fixture.tree.n_elements, "leaves")
         tree, d, label = fixture.tree, fixture.dset, args.fixture
     else:
         spec = _parse_spec(args.spec)

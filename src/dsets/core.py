@@ -41,8 +41,8 @@ the least (0, x, y), y >= 1, with x the least element other than y below
 y's neighbour, and D6 at (0, 0, 1, z), z the least element >= 2 outside
 1's branch at 0's neighbour.  Below four elements, or when a test fails,
 D2, D3, D5 and D6 are swept over the table one w at a time by `_sweep`, D3
-and D6 with their fifth element packed into uint64 words; D1 and D4 hold
-by storage.
+and D6 with their fifth element packed into uint64 words, one packed
+layout read through D1's images; D1 and D4 hold by storage.
 d_from_tree, relabel and extend_by_point know their result's tree and store
 its rebuild (`_record`); a structure read from JSON certifies from its rows.
 Either way the nodes are numbered by `_numbered`, the one home of that rule.
@@ -660,11 +660,11 @@ def check_axioms(d: DSet) -> AxiomReport:
 
     # D3 and D6 quantify a fifth element v.  Its axis is packed into uint64
     # words, and both are swept one w at a time, so memory stays O(n^3).
-    # A[x,y,z] = bits of D(vx;yz), P2[w,x,y] = bits of D(wx;yv),
-    # B[w,y,z] = bits of D(wv;yz), C[w,x,z] = bits of D(wx;vz).
+    # A[x,y,z] = bits of D(vx;yz), packed once: by D1, D(wx;yv) = A[y,w,x]
+    # (P2[w,x,y], a view), D(wv;yz) = A[w,y,z] and D(wx;vz) = A[z,w,x].
     full = _pack(np.ones(n, dtype=bool))
     a = _pack(t.transpose(1, 2, 3, 0))
-    p2 = _pack(t)
+    p2 = a.transpose(1, 2, 0, 3)
 
     def bad3(w: int) -> np.ndarray:  # D(wx;yz) but neither D(vx;yz) nor D(wx;yv)
         return t[w] & ((a | p2[w][:, :, None]) != full).any(axis=-1)
@@ -681,11 +681,8 @@ def check_axioms(d: DSet) -> AxiomReport:
     bad5 = (w3 != x3) & (w3 != y3) & (x3 != y3) & lone
     d5 = AxiomVerdict("not_applicable") if n < 3 else _sweep(n, bad5.__getitem__)
 
-    b = _pack(t.transpose(0, 2, 3, 1))
-    c = _pack(t.transpose(0, 1, 3, 2))
-
     def bad6(w: int) -> np.ndarray:  # D(wx;yz) but no v with D(vx;yz), D(wv;yz), D(wx;vz)
-        return t[w] & ~(a & b[w][None] & c[w][:, None]).any(axis=-1)
+        return t[w] & ~(a & a[w][None] & p2[w][:, None]).any(axis=-1)
 
     d6 = AxiomVerdict("not_applicable") if n < 2 else _sweep(n, bad6)
 
@@ -998,10 +995,10 @@ def _backtrack_bijection(d1: DSet, d2: DSet, respect_colors: bool) -> Optional[d
     def compatible(e: int, f: int) -> bool:
         if respect_colors and d1.colors[e] != d2.colors[f]:
             return False
-        # The placed elements already agree, and a tuple repeating e is
-        # forced by its equality pattern, so this compares the tuples with e.
+        # The placed elements already agree, and by D1 every tuple with e
+        # has an image with e first, so this compares the tuples (e, x, y, z).
         placed, images = list(range(e + 1)), image[:e] + [f]
-        return np.array_equal(_atoms(d1, *np.ix_(*[placed] * 4)), _atoms(d2, *np.ix_(*[images] * 4)))
+        return np.array_equal(_atoms(d1, e, *np.ix_(*[placed] * 3)), _atoms(d2, f, *np.ix_(*[images] * 3)))
 
     def place(e: int) -> bool:
         if e == n:
@@ -1014,6 +1011,4 @@ def _backtrack_bijection(d1: DSet, d2: DSet, respect_colors: bool) -> Optional[d
                 image[e] = -1
         return False
 
-    if place(0):
-        return {e: image[e] for e in range(n)}
-    return None
+    return dict(enumerate(image)) if place(0) else None

@@ -5,7 +5,7 @@ operations here classify singleton windows (constant, petaled, monotonic),
 compute discernible hulls and frontier sets, and decide weak indiscernibility
 over a parameter set by comparing each relation atom with the first atom of
 its order type, all atoms read in one gather over a layout kept per window
-shape (up to 2**16 atoms, for at most 32 shapes).
+shape (up to 2**16 atoms, for at most 32 shapes), one slot layout per D1 orbit.
 """
 
 from __future__ import annotations
@@ -290,10 +290,12 @@ def _frontiers(d: DSet, col: Sequence[int]) -> tuple[frozenset[int], frozenset[i
 def _slot_layouts(m: int, k: int, nb: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per slot layout in scan order, the fillings of m rows of arity k over
     nb params: slots, (F, 4) indices into [window cells column-major...,
-    sorted params...], and first_of, each filling's first with its key."""
+    sorted params...], and first_of, each filling's first with its key.
+    A layout marks window slots 1.  D1's slot permutations keep atom values
+    and key classes, so of the 14 mixed layouts only each orbit's first in
+    product order is read: it holds a witness exactly when the others do."""
     km = k * m
-    # 1 marks a window slot; pure-parameter and pure-window atoms are out.
-    for pattern in (p for p in itertools.product((0, 1), repeat=4) if 0 < sum(p) < 4):
+    for pattern in ((0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1)):
         shape = tuple(km if flag else nb for flag in pattern)
         index = np.indices(shape).reshape(4, -1)
         # Key of a filling: each slot's parameter or column, then the
@@ -318,8 +320,8 @@ _KEEP_FILLINGS = 2**16
 
 @functools.lru_cache(maxsize=32)
 def _layout(m: int, k: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every slot layout of a shape in one read-only block: int16 slots and
-    int32 first_of, indexing the whole block."""
+    """A shape's k*m * nb * (k*m + nb)**2 fillings in one read-only block:
+    int16 slots and int32 first_of, indexing the whole block."""
     slots, first_of, start = [], [], 0
     for layout_slots, layout_first in _slot_layouts(m, k, nb):
         slots.append(layout_slots)
@@ -346,10 +348,11 @@ def weakly_indiscernible_over(
     filling.  An empty parameter set is vacuously invariant.
 
     The fillings and their keys depend only on the window's shape (rows,
-    arity, parameter count).  A shape of up to 2**16 fillings has them
-    built once and kept, for at most 32 shapes, and a call reads all its
-    atoms in one gather.  A larger shape builds them for the call, one slot
-    layout at a time, and stops at the first layout with a witness.
+    arity, parameter count), and the 4 layouts of _slot_layouts hold
+    k*m * nb * (k*m + nb)**2 of them.  A shape of up to 2**16 fillings has
+    them built once and kept, for at most 32 shapes, and a call reads all
+    its atoms in one gather.  A larger shape builds them for the call, one
+    slot layout at a time, and stops at the first layout with a witness.
     """
     if len(s) < 5:
         raise InputError("weak indiscernibility needs a window of at least 5 rows")
@@ -359,7 +362,7 @@ def weakly_indiscernible_over(
         return True, None
 
     m, k, nb = len(s), s.arity, len(b_list)
-    fillings = (k * m + nb) ** 4 - (k * m) ** 4 - nb**4
+    fillings = k * m * nb * (k * m + nb) ** 2
     blocks = [_layout(m, k, nb)] if fillings <= _KEEP_FILLINGS else _slot_layouts(m, k, nb)
     # Window slots range over (column, row) pairs column-major.
     ids = np.array([s.rows[r][c] for c in range(k) for r in range(m)] + b_list, dtype=np.intp)

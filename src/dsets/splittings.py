@@ -225,7 +225,7 @@ def extend_by_point(d: DSet, s: SplittingLike) -> DSet:
     return trees.d_from_tree(trees._graft(trees.tree_from_dset(d), feature)).recolor(d.colors + (0,))
 
 
-def _suitable(d: DSet, sector: frozenset[int], x: int, ground: frozenset[int]) -> bool:
+def _suitable(d: DSet, sector: set[int], x: int, ground: set[int]) -> bool:
     """x fits `sector` inside `ground`: every a in the sector separates ax
     from every pair outside the sector."""
     rest = sorted(ground - sector)
@@ -262,15 +262,11 @@ def extend_splitting(
     sectors = [set(sec) for sec in s.sectors]
     ground = set(sub)
     for x in order_list:
-        frozen = [frozenset(sec) for sec in sectors]
-        fits = sorted(
-            (i for i, sec in enumerate(frozen) if _suitable(d, sec, x, frozenset(ground))),
-            key=lambda i: min(frozen[i]),
-        )
+        fits = sorted((sec for sec in sectors if _suitable(d, sec, x, ground)), key=min)
         if not fits:
             sectors.append({x})
-        elif len(fits) == 1 or len(frozen) <= 2:
-            sectors[fits[0]].add(x)
+        elif len(fits) == 1 or len(sectors) <= 2:
+            fits[0].add(x)
         else:
             raise InputError(
                 f"element {x} fits two sectors of a many-sector splitting"

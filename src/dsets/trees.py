@@ -18,7 +18,8 @@ Outside input always takes the checking constructors, `LeafTree(...)`,
 `Splitting(...)` and their `from_json`.  `_trusted` on each class stores
 parts already normalised (sorted tuples; frozensets of ints ordered by least
 element) and checks nothing: only parts built from a certified rebuild, a
-tree or ids `_require_ids` has checked may take it.
+tree or ids `_require_ids` has checked may take it.  A tree argument that is
+no LeafTree is refused by one check, `_require_tree`.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _distances, _kept
-from .core import _record, _require_ids, _rooted, _rootings, _tree_record, _walk, check_axioms
+from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _distances, _integer
+from .core import _kept, _record, _require_ids, _rooted, _rootings, _tree_record, _walk, check_axioms
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class LeafTree:
         nodes, edges = list(nodes), [tuple(e) for e in edges]
         leaf_items = list(leaves.items() if isinstance(leaves, Mapping) else leaves)
         for v in itertools.chain(nodes, *edges, *leaf_items):
-            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
-                raise InputError(f"tree ids must be integers, got {v!r}")
+            if type(v) is not int:  # plain ints, nearly every id, pass at once
+                _integer(v, "tree ids must be integers, got {!r}")
         node_tuple = tuple(sorted(set(map(int, nodes))))
         edge_set = set()
         for u, v in edges:
@@ -154,6 +155,25 @@ class LeafTree:
         return cls(nodes, edges, {int(k): v for k, v in leaves.items()})
 
 
+def _require_tree(t) -> None:
+    """Refuse anything but a LeafTree where a tree belongs: the one check,
+    as core._require_dset is for a structure."""
+    if not isinstance(t, LeafTree):
+        raise InputError(f"expected a LeafTree, got {t!r}")
+
+
+def _per_element(t: LeafTree, values, name: str) -> list:
+    """values as a list indexed by t's element ids, refused unless it is a
+    collection of at least one entry per element."""
+    try:
+        values = list(values)
+    except TypeError as exc:
+        raise InputError(f"{name} must be a sequence indexed by element id, got {values!r}") from exc
+    if len(values) < t.n_elements:
+        raise InputError(f"{name} needs an entry for each of {t.n_elements} elements, got {len(values)}")
+    return values
+
+
 def d_from_tree(t: LeafTree) -> DSet:
     """Leaf relation of a tree: D(wx;yz) iff the two leaf paths are disjoint.
 
@@ -166,6 +186,7 @@ def d_from_tree(t: LeafTree) -> DSet:
     canonical rows, sorted.  Elements inherit the leaf labels; the result
     is monochromatic.
     """
+    _require_tree(t)
     n = t.n_elements
     if n < 2:
         return DSet._from_rows(n, np.empty((0, 4), dtype=np.int64))
@@ -299,6 +320,7 @@ class TreeCorrespondence:
 def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
     """Read every splitting off the tree, keyed by t's own internal node ids
     and edges, from one _below walk (see _correspondence)."""
+    _require_tree(t)
     if not t.nodes:
         return TreeCorrespondence((), (), ())
     return _correspondence(*_below(t.adjacency(), t.leaf_map(), t.n_elements))
@@ -363,9 +385,10 @@ def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple
     The tree is rooted at its center; for an edge center the two rootings
     are tried and the smaller encoding kept.
     """
+    _require_tree(t)
+    tokens = range(t.n_elements) if leaf_tokens is None else _per_element(t, leaf_tokens, "leaf_tokens")
     if not t.nodes:
         return ("empty",)
-    tokens = range(t.n_elements) if leaf_tokens is None else list(leaf_tokens)
     leaf_of, adj = t.leaf_map(), t.adjacency()
 
     def token(u: int) -> tuple:
@@ -376,6 +399,8 @@ def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple
 
 
 def are_isomorphic_trees(t1: LeafTree, t2: LeafTree, respect_labels: bool = True) -> bool:
+    _require_tree(t1)
+    _require_tree(t2)
     if respect_labels:
         return canonical_form(t1) == canonical_form(t2)
     return canonical_form(t1, [0] * t1.n_elements) == canonical_form(t2, [0] * t2.n_elements)
@@ -387,7 +412,8 @@ def export_dot(t: LeafTree, colors: Optional[Iterable[int]] = None) -> str:
     Leaves are boxes labeled with their element id, and carry a color
     attribute when a color sequence (indexed by element id) is given.
     """
-    color_list = list(colors) if colors is not None else None
+    _require_tree(t)
+    color_list = None if colors is None else _per_element(t, colors, "colors")
     leaf_of = t.leaf_map()
     lines = ["graph dset_tree {"]
     for u in t.nodes:

@@ -519,6 +519,17 @@ def test_gen_spec_respects_max_n(run):
     assert code == 2
 
 
+@pytest.mark.parametrize("as_what", ("dset", "tree"))
+def test_gen_fixture_respects_max_n(run, as_what):
+    code, out, _ = run(["gen", "--fixture", "FLW30", "--as", as_what])
+    assert code == 2
+    assert _payload(out)["error"] == {"kind": "input", "message": "30 leaves exceeds the --max-n bound of 16"}
+    code, out, _ = run(["gen", "--fixture", "FLW30", "--as", as_what, "--max-n", "30"])
+    assert code == 0
+    fixture = D.gen_fixture("FLW30")
+    assert _payload(out) == json.loads((fixture.tree if as_what == "tree" else fixture.dset).to_json())
+
+
 # ---------------------------------------------------------------------------
 # export-dot
 

@@ -254,6 +254,16 @@ def test_packed_sweep_matches_slices_on_random_tables():
         assert (report["d3"], report["d6"]) == O.d3_d6_oracle(np.array(D.relation_table(d)))
 
 
+def test_failing_table_is_packed_once(monkeypatch):
+    # Besides the all-ones row `full`, the D3 and D6 sweeps read one packed
+    # layout, D(vx;yz) over v, and its D1 images.
+    d = F.random_table(random.Random(17), 9)
+    pack, packed = D.core._pack, []
+    monkeypatch.setattr(D.core, "_pack", lambda bits: packed.append(bits.shape) or pack(bits))
+    assert not check_axioms(d).core_pass
+    assert packed == [(9,), (9, 9, 9, 9)]
+
+
 # ---------------------------------------------------------------------------
 # substructure
 
@@ -436,6 +446,18 @@ def test_iso_backtracks_on_tables_failing_core():
         assert D.relabel(d, D.are_isomorphic(d, b)) == b
         with pytest.raises(InputError, match="capped at 4"):
             D.are_isomorphic(d, b, max_n=4)
+
+
+def test_iso_backtrack_reads_the_atoms_that_start_with_the_new_element(monkeypatch):
+    # By D1 each tuple with e has an image with e first, so a candidate image
+    # of e is checked on the (e+1)^3 atoms (e, x, y, z) over placed x, y, z.
+    d, *_ = F.failing_tables(4, 1)[0]
+    b = _relabelled(d, d.n)
+    atoms, shapes = D.core._atoms, []
+    monkeypatch.setattr(D.core, "_atoms", lambda *args: shapes.append((read := atoms(*args)).shape) or read)
+    assert D.relabel(d, D.are_isomorphic(d, b)) == b
+    assert {len(s) for s in shapes} == {3} and {len(set(s)) for s in shapes} == {1}
+    assert {s[0] for s in shapes} == set(range(1, d.n + 1))
 
 
 def test_iso_answers_early_without_comparing_trees():

@@ -147,6 +147,58 @@ def test_structure_sweep_covers_every_public_dset_parameter():
     assert takes == {entry.split("/")[0] for entry in _TAKE_A_STRUCTURE}
 
 
+# Each public entry point that takes a tree, called on CAT5's tree (t) with
+# the tree under test (x) in one place and otherwise valid arguments.
+_TAKE_A_TREE = {
+    "d_from_tree": lambda t, x: D.d_from_tree(x),
+    "splittings_from_tree": lambda t, x: D.splittings_from_tree(x),
+    "canonical_form": lambda t, x: D.canonical_form(x),
+    "export_dot": lambda t, x: D.export_dot(x),
+    "are_isomorphic_trees/first": lambda t, x: D.are_isomorphic_trees(x, t),
+    "are_isomorphic_trees/second": lambda t, x: D.are_isomorphic_trees(t, x),
+    "are_isomorphic_trees/shape": lambda t, x: D.are_isomorphic_trees(x, t, respect_labels=False),
+}
+
+
+@pytest.mark.parametrize("bad", (5, None, D.DSet(2)), ids=("int", "None", "DSet"))
+@pytest.mark.parametrize("entry", sorted(_TAKE_A_TREE))
+def test_entry_points_refuse_what_is_no_tree(catalogue, entry, bad):
+    t = catalogue["CAT5"].tree
+    _TAKE_A_TREE[entry](t, t)  # valid with a LeafTree in that place
+    with pytest.raises(InputError, match=f"^{re.escape(f'expected a LeafTree, got {bad!r}')}$"):
+        _TAKE_A_TREE[entry](t, bad)
+
+
+def test_tree_sweep_covers_every_public_tree_parameter():
+    takes = {
+        name for name in D.__all__
+        if inspect.isfunction(f := getattr(D, name))
+        and any(p.annotation == "LeafTree" for p in inspect.signature(f).parameters.values())
+    }
+    assert takes == {entry.split("/")[0] for entry in _TAKE_A_TREE}
+
+
+# The calls that read a sequence indexed by element id off CAT5's tree.
+_PER_ELEMENT = {
+    "leaf_tokens": lambda t, v: D.canonical_form(t, v),
+    "colors": lambda t, v: D.export_dot(t, colors=v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PER_ELEMENT))
+def test_sequences_by_element_need_an_entry_per_element(catalogue, name):
+    call, t = _PER_ELEMENT[name], catalogue["CAT5"].tree
+    message = f"{name} must be a sequence indexed by element id, got 5"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(t, 5)
+    for short in ([], [0], [0, 1, 0, 1]):
+        message = f"{name} needs an entry for each of 5 elements, got {len(short)}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call(t, short)
+    # A longer sequence reads its first entries, as it always did.
+    assert call(t, (0, 1, 0, 1, 1, 7)) == call(t, [0, 1, 0, 1, 1]) == call(t, iter([0, 1, 0, 1, 1]))
+
+
 @pytest.mark.parametrize(
     "mapping, message",
     (

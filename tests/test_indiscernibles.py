@@ -12,7 +12,7 @@ import pytest
 
 import dsets as D
 from dsets import InputError, SequenceWindow
-from dsets.indiscernibles import _KEEP_FILLINGS, _layout
+from dsets.indiscernibles import _KEEP_FILLINGS, _layout, _slot_layouts
 
 import _families as F
 import _oracles as O
@@ -455,16 +455,26 @@ def test_weakly_indiscernible_kept_layouts_match_scalar_scan():
     for (d, rows, params), warm in list(zip(calls, answers))[::3]:
         _layout.cache_clear()
         assert D.weakly_indiscernible_over(d, SequenceWindow(rows), params) == warm
-    # 20 window cells over 2 params: 74,240 fillings, answered layout by
+    # 32 window cells over 2 params: 73,984 fillings, answered layout by
     # layout and not kept.
     _layout.cache_clear()
-    d, rows, params = _spine_window(random.Random(5), 40, 2, 10, 2)
-    assert 22**4 - 20**4 - 2**4 > _KEEP_FILLINGS
+    d, rows, params = _spine_window(random.Random(5), 40, 2, 16, 2)
+    assert 32 * 2 * 34**2 > _KEEP_FILLINGS
     overs = (params, [params[0], rows[3][1]])
     got = [D.weakly_indiscernible_over(d, SequenceWindow(rows), over) for over in overs]
     assert got == [O.weak_oracle(d, rows, over) for over in overs]
     assert [ok for ok, _ in got] == [True, False]
     assert _layout.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("m, k, nb", ((5, 1, 1), (5, 2, 3), (8, 3, 2), (6, 1, 4)))
+def test_layout_holds_the_fillings_of_one_slot_layout_per_d1_orbit(m, k, nb):
+    # Window slots (1) of 0001, 0011, 0101 and 0111: the first of each orbit
+    # of the 14 mixed layouts under D1's slot permutations, in product order.
+    layouts = [tuple((slots[0] < k * m).astype(int).tolist()) for slots, _ in _slot_layouts(m, k, nb)]
+    assert layouts == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1)]
+    slots, first_of = _layout(m, k, nb)
+    assert len(slots) == len(first_of) == k * m * nb * (k * m + nb) ** 2
 
 
 # ---------------------------------------------------------------------------
