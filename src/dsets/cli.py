@@ -237,20 +237,19 @@ def cmd_gen(args) -> tuple:
         return {"fixtures": D.fixture_names()}, "fixture catalogue", 0
     if (args.fixture is None) == (args.spec is None):
         raise InputError("gen needs exactly one of --fixture or --spec")
+    # The tree alone first, held to --max-n; its relation only for --as dset.
     if args.fixture is not None:
-        fixture = D.gen_fixture(args.fixture)
-        _check_max_n(args, fixture.tree.n_elements, "leaves")
-        tree, d, label = fixture.tree, fixture.dset, args.fixture
+        tree, label = D.generators._fixture_tree(args.fixture)[0], args.fixture
+        _check_max_n(args, tree.n_elements, "leaves")
     else:
         spec = _parse_spec(args.spec)
         _check_max_n(args, spec.leaves, "leaves")
-        tree = D.gen_random(spec)
-        d, label = D.d_from_tree(tree), spec.kind
+        tree, label = D.gen_random(spec), spec.kind
     if args.as_what == "tree":
         if args.coloring is not None:
             raise InputError("colorings apply to the D-set output, not the tree")
         return tree.to_json(), f"{label}: tree with {tree.n_elements} leaves", 0
-    d = _apply_coloring(d, args.coloring)
+    d = _apply_coloring(D.d_from_tree(tree), args.coloring)
     return d.to_json(), f"{label}: {d.n} elements", 0
 
 

@@ -113,16 +113,21 @@ def _require_ids(ids: Iterable, d=_UNBOUND) -> list[int]:
     and, given d, at the first id outside 0..d.n-1, checking in order."""
     if d is not _UNBOUND:
         _require_dset(d)
-    try:
-        ids = list(ids)
-    except TypeError as exc:
-        raise InputError(f"element ids must come as a collection, got {ids!r}") from exc
+    ids = _listed(ids, "element ids")
     for v in ids:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
             raise InputError(f"element ids must be non-negative integers, got {v!r}")
         if d is not _UNBOUND and not 0 <= v < d.n:
             raise InputError(f"element {v} out of range 0..{d.n - 1}")
     return list(map(int, ids))
+
+
+def _listed(items, what: str) -> list:
+    """items as a list; InputError naming what they are when not iterable."""
+    try:
+        return list(items)
+    except TypeError as exc:
+        raise InputError(f"{what} must come as a collection, got {items!r}") from exc
 
 
 # The one spelling of an id as a JSON object key: ASCII decimal, no leading zero.
@@ -204,7 +209,7 @@ class DSet:
         self, n: int, positives: Iterable[Quad] = frozenset(), colors: Colors = ()
     ) -> None:
         self._start(n, colors)
-        n, quads = self.n, list(positives)
+        n, quads = self.n, _listed(positives, "positive quads")
         rows = _int_rows(quads, n)
         if rows is None or not _distinct_canonical(rows.T).all():
             _scan_stored_quads(quads, n)  # raises at the first bad quad
@@ -223,7 +228,7 @@ class DSet:
             if missing:
                 raise InputError(f"coloring misses elements {sorted(missing)}")
             colors = [colors[e] for e in range(n)]
-        colors = tuple(colors) or (0,) * n
+        colors = tuple(_listed(colors, "colors")) or (0,) * n
         if len(colors) != n:
             raise InputError("colors must assign one color to every element")
         colors = tuple(_natural(c, "bad color {!r} for element {}", e) for e, c in enumerate(colors))
@@ -273,7 +278,7 @@ class DSet:
     ) -> "DSet":
         """Canonicalize quads and construct.  Rejects repeated-element quads
         and duplicates that collapse to the same canonical representative."""
-        n, quads = _natural(n), list(quads)
+        n, quads = _natural(n), _listed(quads, "positive quads")
         _check_count(n)
         return cls._build(n, quads, _int_rows(quads, n), colors)
 
@@ -328,7 +333,7 @@ class DSet:
         if payload is None:
             try:
                 payload = json.loads(text)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, TypeError) as exc:  # TypeError: text is no str or bytes
                 raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "n" not in payload:
             raise InputError("D-set JSON must be an object with an 'n' field")

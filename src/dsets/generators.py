@@ -75,6 +75,14 @@ def fixture_names() -> list[str]:
 
 def gen_fixture(name: str) -> Fixture:
     """Look up a named fixture; FLWk builds a k-leaf star on demand."""
+    tree, description = _fixture_tree(name)
+    return Fixture(name, tree, d_from_tree(tree), description)
+
+
+def _fixture_tree(name: str) -> tuple[LeafTree, str]:
+    """A named fixture's tree and description, building no relation."""
+    if not isinstance(name, str):
+        raise InputError(f"fixture names are strings, got {name!r}")
     m = _FLW_RE.match(name)
     if m:
         k = int(m.group(1))
@@ -82,14 +90,12 @@ def gen_fixture(name: str) -> Fixture:
             raise InputError("a flower needs at least 3 leaves")
         if k > 64:
             raise InputError("flower size capped at 64")
-        tree = _spine([list(range(k))])
-        return Fixture(name, tree, d_from_tree(tree), f"star with {k} leaves")
+        return _spine([list(range(k))]), f"star with {k} leaves"
     if name not in _CATALOGUE:
         known = ", ".join(fixture_names())
         raise InputError(f"unknown fixture {name!r}; known: {known}")
     loads, description = _CATALOGUE[name]
-    tree = _spine(loads)
-    return Fixture(name, tree, d_from_tree(tree), description)
+    return _spine(loads), description
 
 
 # _SHAPES[k]: one canonically relabelled tree per shape with k leaves, in

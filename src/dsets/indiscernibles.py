@@ -1,11 +1,12 @@
 """Finite windows of would-be indiscernible sequences.
 
-A window is a finite list of same-arity tuples read in list order.  The
-operations here classify singleton windows (constant, petaled, monotonic),
-compute discernible hulls and frontier sets, and decide weak indiscernibility
-over a parameter set by comparing each relation atom with the first atom of
-its order type, all atoms read in one gather over a layout kept per window
-shape (up to 2**16 atoms, for at most 32 shapes), one slot layout per D1 orbit.
+A window is a finite list of same-arity tuples read in list order.  One
+column reader, `_classify`, sorts a column into constant, petaled or
+monotonic for classification and hulls alike; frontier sets come from one
+pass over the sectors; weak indiscernibility over a parameter set compares
+each relation atom with the first atom of its order type, all atoms read in
+one gather over a layout kept per window shape (up to 2**16 atoms, for at
+most 32 shapes), one slot layout per D1 orbit.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ class WindowClass:
 
 # Slots of an index quad (a, b, c, e) in its three pairings ab|ce, ac|be, ae|bc.
 _PAIRINGS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
+# The label of each pairing pattern an indiscernible class allows.
+_LABELS = {(False, False, False): "petaled", (True, False, False): "monotonic"}
 
 
 def classify_window(d: DSet, s: SequenceWindow) -> WindowClass:
@@ -103,20 +106,24 @@ def classify_window(d: DSet, s: SequenceWindow) -> WindowClass:
     """
     if s.arity != 1:
         raise InputError("classification works on singleton windows")
-    if len(s) < 4:
+    return _classify(d, s.column(0))
+
+
+def _classify(d: DSet, col: Sequence[int]) -> WindowClass:
+    """classify_window's verdict on one column of a window: the one reader
+    of a column, for classify_window and hull_window alike."""
+    if len(col) < 4:
         raise InputError("window too short to classify (need at least 4 rows)")
-    col = _require_ids(s.column(0), d)
+    col = _require_ids(col, d)
     if len(set(col)) == 1:
         return WindowClass("constant")
-    if len(set(col)) < len(col):
-        seen: dict[int, int] = {}
-        for i, v in enumerate(col):
-            if v in seen:
-                return WindowClass(
-                    "not_indiscernible",
-                    {"kind": "repeat", "indices": [seen[v], i], "element": v},
-                )
-            seen[v] = i
+    first: dict[int, int] = {}
+    for i, v in enumerate(col):
+        if first.setdefault(v, i) != i:
+            return WindowClass(
+                "not_indiscernible",
+                {"kind": "repeat", "indices": [first[v], i], "element": v},
+            )
 
     quads = np.array(list(itertools.combinations(range(len(col)), 4)), dtype=np.intp)
     args = np.array(col)[quads][:, _PAIRINGS]  # [quad, pairing, slot]
@@ -134,10 +141,9 @@ def classify_window(d: DSet, s: SequenceWindow) -> WindowClass:
                     "pattern_b": pattern,
                 },
             )
-    if first_pattern == [False, False, False]:
-        return WindowClass("petaled")
-    if first_pattern == [True, False, False]:
-        return WindowClass("monotonic")
+    label = _LABELS.get(tuple(first_pattern))
+    if label is not None:
+        return WindowClass(label)
     return WindowClass(
         "not_indiscernible",
         {
@@ -163,17 +169,10 @@ class ColumnHull:
     right: frozenset[int] = frozenset()
 
     def as_dict(self) -> dict:
-        return {
-            "column": self.column,
-            "class": self.klass.as_dict(),
-            "hull": sorted(self.hull),
-            "h1": sorted(self.h1),
-            "h2": sorted(self.h2),
-            "h3": sorted(self.h3),
-            "sector_union": sorted(self.sector_union),
-            "left": sorted(self.left),
-            "right": sorted(self.right),
-        }
+        out: dict = {"column": self.column, "class": self.klass.as_dict()}
+        for name in ("hull", "h1", "h2", "h3", "sector_union", "left", "right"):
+            out[name] = sorted(getattr(self, name))
+        return out
 
 
 @dataclass(frozen=True)
@@ -223,27 +222,24 @@ def hull_window(d: DSet, s: SequenceWindow) -> HullResult:
     _require_core(d)
     hulls: list[ColumnHull] = []
     for j, col in enumerate(s.columns()):
-        window = SequenceWindow([(v,) for v in col])
-        klass = classify_window(d, window)
+        klass = _classify(d, col)
         if klass.label == "not_indiscernible":
             raise InputError(
                 f"column {j} is not indiscernible: {klass.witness}"
             )
         if klass.label == "constant":
             hulls.append(ColumnHull(j, klass, frozenset()))
-            continue
-        if klass.label == "petaled":
+        elif klass.label == "petaled":
             union = _petaled_sectors(d, col)
             hulls.append(ColumnHull(j, klass, union, sector_union=union))
-            continue
-        if len(col) < 5:
-            raise InputError("monotonic hull needs a window of at least 5 rows")
-        h1, h2, h3 = _monotonic_parts(d, col)
-        left, right = _frontiers(d, col)
-        hull = frozenset(col) | h1 | h2 | h3
-        hulls.append(ColumnHull(j, klass, hull, h1, h2, h3, frozenset(), left, right))
-    total = frozenset().union(*(c.hull for c in hulls)) if hulls else frozenset()
-    return HullResult(tuple(hulls), total)
+        else:
+            if len(col) < 5:
+                raise InputError("monotonic hull needs a window of at least 5 rows")
+            h1, h2, h3 = _monotonic_parts(d, col)
+            left, right = _frontiers(d, col)
+            hull = frozenset(col) | h1 | h2 | h3
+            hulls.append(ColumnHull(j, klass, hull, h1, h2, h3, frozenset(), left, right))
+    return HullResult(tuple(hulls), frozenset().union(*(c.hull for c in hulls)))
 
 
 def frontiers(d: DSet, s: SequenceWindow) -> tuple[frozenset[int], frozenset[int]]:
@@ -258,33 +254,25 @@ def frontiers(d: DSet, s: SequenceWindow) -> tuple[frozenset[int], frozenset[int
     klass = classify_window(d, s)
     if klass.label != "monotonic":
         raise InputError(f"frontiers need a monotonic window, got {klass.label}")
-    col = s.column(0)
-    if len(col) < 5:
+    if len(s) < 5:
         raise InputError("frontiers need a window of at least 5 rows")
-    return _frontiers(d, col)
+    return _frontiers(d, s.column(0))
 
 
 def _frontiers(d: DSet, col: Sequence[int]) -> tuple[frozenset[int], frozenset[int]]:
-    """frontiers of a monotonic column of at least 5 rows, unchecked."""
-    m = len(col)
-    initials = [frozenset(col[: t + 1]) for t in range(1, m - 2)]
-    finals = [frozenset(col[t:]) for t in range(2, m - 1)]
-    col_set = frozenset(col)
+    """frontiers of a monotonic column of at least 5 rows, unchecked, from
+    one pass over the sectors: each sector's meet with the window is taken
+    once and, if it has 2..m-2 rows, looked up in the initial (final) segments."""
+    m, window = len(col), frozenset(col)
+    sectors = (sec for splitting in enumerate_splittings(d) for sec in splitting.sectors)
+    met = [(sec, meet) for sec in sectors if 1 < len(meet := sec & window) < m - 1]
 
-    left_family: list[frozenset[int]] = []
-    right_family: list[frozenset[int]] = []
-    for splitting in enumerate_splittings(d):
-        for sec in splitting.sectors:
-            met = sec & col_set
-            if met in initials:
-                left_family.append(sec)
-            if met in finals:
-                right_family.append(sec)
+    def frontier(segments: set[frozenset[int]]) -> frozenset[int]:
+        family = [sec for sec, meet in met if meet in segments]
+        return frozenset.intersection(*family) - window if family else frozenset()
 
-    def core(family: list[frozenset[int]]) -> frozenset[int]:
-        return frozenset.intersection(*family) - col_set if family else frozenset()
-
-    return core(left_family), core(right_family)
+    ts = range(2, m - 1)
+    return frontier({frozenset(col[:t]) for t in ts}), frontier({frozenset(col[-t:]) for t in ts})
 
 
 def _slot_layouts(m: int, k: int, nb: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -394,14 +382,10 @@ def mutually_indiscernible(
     """Each window weakly indiscernible over the other's elements."""
     if len(s1) < 5 or len(s2) < 5:
         raise InputError("mutual indiscernibility needs windows of at least 5 rows")
-    ok, witness = weakly_indiscernible_over(d, s1, s2.elements())
-    if not ok:
-        assert witness is not None
-        return False, {"direction": "first_over_second", **witness}
-    ok, witness = weakly_indiscernible_over(d, s2, s1.elements())
-    if not ok:
-        assert witness is not None
-        return False, {"direction": "second_over_first", **witness}
+    for direction, s, other in (("first_over_second", s1, s2), ("second_over_first", s2, s1)):
+        ok, witness = weakly_indiscernible_over(d, s, other.elements())
+        if not ok:
+            return False, {"direction": direction, **witness}
     return True, None
 
 

@@ -56,11 +56,16 @@ class LeafTree:
         edges: Iterable[tuple[int, int]],
         leaves: Mapping[int, int] | Iterable[tuple[int, int]],
     ) -> None:
-        nodes, edges = list(nodes), [tuple(e) for e in edges]
-        leaf_items = list(leaves.items() if isinstance(leaves, Mapping) else leaves)
+        try:
+            nodes, edges = list(nodes), [tuple(e) for e in edges]
+            leaf_items = [tuple(p) for p in (leaves.items() if isinstance(leaves, Mapping) else leaves)]
+        except TypeError as exc:
+            raise InputError(f"tree nodes, edges and leaves must be collections: {exc}") from exc
         for v in itertools.chain(nodes, *edges, *leaf_items):
             if type(v) is not int:  # plain ints, nearly every id, pass at once
                 _integer(v, "tree ids must be integers, got {!r}")
+        if any(len(pair) != 2 for pair in itertools.chain(edges, leaf_items)):
+            raise InputError("tree edges and leaves must be pairs of ids")
         node_tuple = tuple(sorted(set(map(int, nodes))))
         edge_set = set()
         for u, v in edges:
@@ -139,7 +144,7 @@ class LeafTree:
     def from_json(cls, text: str) -> "LeafTree":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, TypeError) as exc:  # TypeError: text is no str or bytes
             raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise InputError("tree JSON must be an object")
@@ -292,7 +297,7 @@ class Splitting:
     def from_json(cls, text: str) -> "Splitting":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, TypeError) as exc:  # TypeError: text is no str or bytes
             raise InputError(f"invalid JSON: {exc}") from exc
         if isinstance(payload, dict) and "sectors" in payload:
             return cls(payload["sectors"])

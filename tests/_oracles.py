@@ -212,6 +212,23 @@ def tree_splittings_oracle(tree):
     return nodes, edges
 
 
+def frontiers_oracle(tree, col):
+    """(left, right) frontiers of a monotonic column of at least 5 rows on
+    tree's D-set, read off the definition: the sectors of
+    tree_splittings_oracle meeting the window in an initial (final) segment
+    of 2..m-2 rows, intersected, with the window removed; empty when no
+    sector qualifies."""
+    col = list(col)
+    m, window = len(col), set(col)
+    nodes, edges = tree_splittings_oracle(tree)
+    sectors = [set(sec) for _, secs in nodes + edges for sec in secs]
+    out = []
+    for segments in ([set(col[:t]) for t in range(2, m - 1)], [set(col[m - t:]) for t in range(2, m - 1)]):
+        family = [sec for sec in sectors if sec & window in segments]
+        out.append(frozenset(set.intersection(*family) - window) if family else frozenset())
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # branch and complementary elements from holds
 

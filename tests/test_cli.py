@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -528,6 +530,54 @@ def test_gen_fixture_respects_max_n(run, as_what):
     assert code == 0
     fixture = D.gen_fixture("FLW30")
     assert _payload(out) == json.loads((fixture.tree if as_what == "tree" else fixture.dset).to_json())
+
+
+def _counted_d_from_tree(monkeypatch):
+    """The trees d_from_tree is called on from here on, where cli and gen_fixture look it up."""
+    calls, real = [], D.trees.d_from_tree
+
+    def counted(tree):
+        calls.append(tree)
+        return real(tree)
+
+    for home in (D, D.generators):
+        monkeypatch.setattr(home, "d_from_tree", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    (
+        (["--fixture", "FLW64", "--as", "tree", "--max-n", "64"], 0),
+        (["--spec", "kind=d_regular_random,leaves=96,degree=3,seed=1", "--as", "tree", "--max-n", "96"], 0),
+        (["--fixture", "FLW64", "--max-n", "4"], 2),
+        (["--fixture", "FLW64", "--as", "tree", "--max-n", "4"], 2),
+        (["--fixture", "CAT5"], 0),
+        (["--spec", "kind=star,leaves=5"], 0),
+    ),
+    ids=("fixture_tree", "spec_tree", "fixture_refused", "fixture_tree_refused", "fixture_dset", "spec_dset"),
+)
+def test_gen_builds_a_relation_only_to_write_it(run, monkeypatch, argv, code):
+    calls = _counted_d_from_tree(monkeypatch)
+    assert run(["gen", *argv])[0] == code
+    assert len(calls) == (code == 0 and "tree" not in argv)
+
+
+def test_gen_writes_every_catalogue_fixture_as_it_did():
+    # sha256 of the stdout of `gen --fixture NAME --as tree`, then `--as dset`,
+    # for every catalogue name, FLW3, FLW12 and FLW64, concatenated.
+    names = [n for n in D.fixture_names() if not n.startswith("FLW")] + ["FLW3", "FLW12", "FLW64"]
+    outs = []
+    for name in names:
+        for what in ("tree", "dset"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["gen", "--fixture", name, "--as", what, "--max-n", "64", "--quiet"]) == 0
+            outs.append(out.getvalue())
+    assert len(outs) == 28
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "5cd00aa858dd2e06f719db1b8b6c9dec6766b4a70f42e88246117ebb36157552"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -265,3 +265,36 @@ def test_counts_pass_the_one_count_check(catalogue, entry, bad):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call(catalogue["CAT5"].dset, bad)
     assert repr(call(catalogue["CAT5"].dset, np.int64(4))) == repr(call(catalogue["CAT5"].dset, 4))
+
+
+# Public constructors and readers given an argument of the wrong type or
+# shape, and the message each ends in.
+_NOT_ITERABLE = "'int' object is not iterable"
+_NOT_TEXT = "invalid JSON: the JSON object must be str, bytes or bytearray, not "
+_BAD_ARGUMENTS = {
+    "LeafTree/nodes": (lambda: LeafTree(5, [], {}), f"tree nodes, edges and leaves must be collections: {_NOT_ITERABLE}"),
+    "LeafTree/edges": (
+        lambda: LeafTree([0], None, {0: 0}),
+        "tree nodes, edges and leaves must be collections: 'NoneType' object is not iterable",
+    ),
+    "LeafTree/edge": (lambda: LeafTree([0, 1], [5], {0: 0}), f"tree nodes, edges and leaves must be collections: {_NOT_ITERABLE}"),
+    "LeafTree/leaves": (lambda: LeafTree([0], [], 5), f"tree nodes, edges and leaves must be collections: {_NOT_ITERABLE}"),
+    "LeafTree/edge_triple": (lambda: LeafTree([0, 1, 2], [(0, 1, 2)], {0: 0}), "tree edges and leaves must be pairs of ids"),
+    "LeafTree/leaf_single": (lambda: LeafTree([0], [], [(0,)]), "tree edges and leaves must be pairs of ids"),
+    "DSet/positives": (lambda: D.DSet(3, 5), "positive quads must come as a collection, got 5"),
+    "DSet/colors": (lambda: D.DSet(3, [], 5), "colors must come as a collection, got 5"),
+    "DSet.build/quads": (lambda: D.DSet.build(5, 5), "positive quads must come as a collection, got 5"),
+    "DSet.build/colors": (lambda: D.DSet.build(3, [], 5), "colors must come as a collection, got 5"),
+    "gen_fixture": (lambda: D.gen_fixture(5), "fixture names are strings, got 5"),
+    "DSet.from_json/int": (lambda: D.DSet.from_json(5), _NOT_TEXT + "int"),
+    "DSet.from_json/None": (lambda: D.DSet.from_json(None), _NOT_TEXT + "NoneType"),
+    "LeafTree.from_json": (lambda: LeafTree.from_json(5), _NOT_TEXT + "int"),
+    "Splitting.from_json": (lambda: Splitting.from_json(5), _NOT_TEXT + "int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_constructors_and_readers_refuse_arguments_of_the_wrong_shape(case):
+    call, message = _BAD_ARGUMENTS[case]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
@@ -259,6 +260,144 @@ def test_monotonic_columns_under_five_rows_are_refused(mkwin):
         D.hull_window(d, column)
     with pytest.raises(InputError, match=r"^frontiers need a window of at least 5 rows$"):
         D.frontiers(d, column)
+
+
+def _tree_path(tree, u, v):
+    """The nodes of tree's u..v path, in order from u."""
+    adj = {}
+    for a, b in tree.edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    parent, queue = {u: None}, [u]
+    for x in queue:
+        for nb in adj[x]:
+            if nb not in parent:
+                parent[nb] = x
+                queue.append(nb)
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def _monotonic_column(rng, tree, m):
+    """Up to m, and at least 5, elements in the order of a path between two
+    leaves: its ends and elements hanging off its inner nodes, one per
+    node, so that every index quad pairs its first two rows apart from its
+    last two."""
+    leaf_of = dict(tree.leaves)
+    while True:
+        u, v = rng.sample(sorted(leaf_of), 2)
+        path = _tree_path(tree, u, v)
+        on_path = set(path)
+        hanging = []
+        for node in path[1:-1]:
+            off = rng.choice(sorted(x for edge in tree.edges if node in edge for x in edge if x not in on_path))
+            hanging.append(rng.choice(sorted(O._component_elements(tree, off, banned_node=node))))
+        elements = [leaf_of[u], *hanging, leaf_of[v]]
+        if len(elements) >= 5:
+            return [elements[i] for i in sorted(rng.sample(range(len(elements)), min(m, len(elements))))]
+
+
+def test_frontiers_match_the_definition_on_seeded_monotonic_windows():
+    rng = random.Random(28)
+    frontiers = []
+    for kind, degree in (("caterpillar", None), ("d_regular_random", 3), ("d_regular_random", 4)):
+        for leaves in (8, 16, 24, 40):
+            tree = D.gen_random(D.TreeSpec(kind, leaves, degree, seed=rng.randrange(1000)))
+            d = D.d_from_tree(tree)
+            for _ in range(2):
+                col = _monotonic_column(rng, tree, rng.randint(5, 8))
+                for window in (col, col[::-1]):
+                    assert O.classify_oracle(d, window) == {"label": "monotonic"}, (tree, window)
+                    expected = O.frontiers_oracle(tree, window)
+                    s = SequenceWindow([(v,) for v in window])
+                    assert D.frontiers(d, s) == expected, (tree, window)
+                    column = D.hull_window(d, s).columns[0]
+                    assert (column.left, column.right) == expected, (tree, window)
+                    frontiers.extend(expected)
+    assert len(frontiers) == 2 * 48
+    assert sum(map(bool, frontiers)) >= 48 and not all(frontiers)
+
+
+def _hull_error(d, rows):
+    """The message hull_window raises on a window of d, from the scalar
+    scan, its checks taken column by column in order: a column under 4
+    rows, an id out of range, a column that is not indiscernible, a
+    monotonic column under 5 rows; None when the window passes them all."""
+    for j, col in enumerate(zip(*rows)):
+        if len(col) < 4:
+            return "window too short to classify (need at least 4 rows)"
+        bad = [v for v in col if v >= d.n]
+        if bad:
+            return f"element {bad[0]} out of range 0..{d.n - 1}"
+        klass = O.classify_oracle(d, col)
+        if klass["label"] == "not_indiscernible":
+            return f"column {j} is not indiscernible: {klass['witness']}"
+        if klass["label"] == "monotonic" and len(col) < 5:
+            return "monotonic hull needs a window of at least 5 rows"
+    return None
+
+
+def _seeded_column(rng, spine, m):
+    """A column of m rows: an in-order stretch of spine, reversed now and
+    then, a constant or a random sample, then perhaps given a repeat, two
+    rows swapped or an id one past the last element."""
+    style = rng.random()
+    if style < 0.5:
+        col = [spine[i] for i in sorted(rng.sample(range(len(spine)), m))]
+        col = col[::-1] if rng.random() < 0.5 else col
+    elif style < 0.6:
+        col = [rng.choice(spine)] * m
+    else:
+        col = rng.sample(spine, m)
+    fault = rng.random()
+    if fault < 0.15:
+        col[rng.randrange(1, m)] = col[0]
+    elif fault < 0.3:
+        i = rng.randrange(m - 1)
+        col[i], col[i + 1] = col[i + 1], col[i]
+    elif fault < 0.4:
+        col[rng.randrange(m)] = len(spine)
+    return col
+
+
+def test_classify_and_hull_errors_match_scalar_scan():
+    rng = random.Random(29)
+    classes, errors = collections.Counter(), collections.Counter()
+    # Tables failing D1..D4: their windows, constant, and with a repeat.
+    for d, window, _, _ in F.failing_tables(29, 24):
+        for col in (window, window[:1] * len(window), window + window[1:2]):
+            got = D.classify_window(d, SequenceWindow([(v,) for v in col])).as_dict()
+            assert got == O.classify_oracle(d, col), (d, col)
+            classes[got["label"], got.get("witness", {}).get("kind")] += 1
+    # Caterpillars and stars with seeded labels: single and double columns
+    # through classify_window and hull_window.
+    for leaves in (6, 8, 10, 12, 5, 7):
+        spine = rng.sample(range(leaves), leaves)
+        loads = [spine[:2]] + [[v] for v in spine[2:-2]] + [spine[-2:]] if leaves > 7 else [spine]
+        d = D.d_from_tree(spine_tree(loads))
+        for _ in range(40):
+            m = rng.randint(3, min(7, leaves))
+            columns = [_seeded_column(rng, spine, m) for _ in range(rng.choice((1, 1, 2)))]
+            if len(columns) == 1 and m >= 4 and max(columns[0]) < leaves:
+                got = D.classify_window(d, SequenceWindow([(v,) for v in columns[0]])).as_dict()
+                assert got == O.classify_oracle(d, columns[0]), (d, columns[0])
+                classes[got["label"], got.get("witness", {}).get("kind")] += 1
+            rows = list(zip(*columns))
+            expected = _hull_error(d, rows)
+            errors[expected and expected.split(" ")[0]] += 1
+            if expected is None:
+                got = D.hull_window(d, SequenceWindow(rows)).columns
+                assert [c.klass.as_dict() for c in got] == [O.classify_oracle(d, col) for col in columns]
+            else:
+                with pytest.raises(InputError, match=f"^{re.escape(expected)}$"):
+                    D.hull_window(d, SequenceWindow(rows))
+    assert set(classes) == {
+        ("constant", None), ("petaled", None), ("monotonic", None),
+        ("not_indiscernible", "repeat"), ("not_indiscernible", "order"), ("not_indiscernible", "forbidden_pattern"),
+    }, classes
+    assert set(errors) == {None, "window", "element", "column", "monotonic"}, errors
 
 
 # ---------------------------------------------------------------------------
