@@ -54,8 +54,8 @@ numbers its clusters; `_tree_record` is the one guarded reader of a
 certified (parent, below).  `_rootings` walks a tree once from each center,
 and `_rooted` roots it at the center whose flat AHU code over that walk is
 least, equal for two trees exactly when they are isomorphic.  are_isomorphic
-compares such codes of two certified trees' recorded parents, with one
-`_rootings` each.
+ranks each walk of two certified trees once by `_ranks`, into integer ranks
+both trees share, and re-ranks one root path per individualised element.
 A structure argument that is no DSet is refused by one check, `_require_dset`.
 
 Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
@@ -149,6 +149,14 @@ def _natural(v, message: str = "'n' must be a non-negative integer", *args) -> i
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
         raise InputError(message.format(v, *args))
     return int(v)
+
+
+def _flag(v, name: str) -> bool:
+    """v as a Python bool, if it is a Python or numpy bool, else InputError
+    naming the argument: no other object stands for a yes or no by its truthiness."""
+    if not isinstance(v, (bool, np.bool_)):
+        raise InputError(f"{name!r} must be True or False, got {v!r}")
+    return bool(v)
 
 
 def normalize_quad(w: int, x: int, y: int, z: int) -> Quad:
@@ -860,6 +868,16 @@ def _subtree_codes(order: list[int], parent: dict, token) -> dict[int, tuple]:
     return code
 
 
+def _ranks(order: list[int], parent: dict, adj, tokens: list, intern: dict) -> dict[int, int]:
+    """Interned AHU ranks over a walk (order, parent) of the tree adj: a
+    node's rank numbers (tokens[u], *sorted child ranks) in intern, so ranks
+    from one intern are equal exactly for isomorphic subtrees, tokens matched."""
+    rank: dict[int, int] = {}
+    for u in reversed(order):
+        rank[u] = intern.setdefault((tokens[u], *sorted(rank[v] for v in adj[u] if v != parent[u])), len(intern))
+    return rank
+
+
 def _rooted(rootings, token) -> tuple[int, dict, dict[int, tuple]]:
     """The center of _rootings whose code is least (the least such center on
     a tie), with its walk's parents and its _subtree_codes.  Its code is
@@ -932,17 +950,18 @@ def are_isomorphic(
     """The lexicographically least relation-preserving bijection (element 0
     gets the least feasible image, and so on), or None.
 
-    Tables that satisfy D1..D4 are compared through canonical codes
-    (_rooted) of their certified trees, equal exactly when a leaf-matching
-    tree isomorphism exists.  The bijection is then built greedily by
-    individualisation: element e and its candidate image f get the fresh
-    leaf token (color, e + 1), and e keeps the least unused f for which the
-    two codes still agree: O(n^2) codes, all over each tree's one _rootings.
+    Tables that satisfy D1..D4 are compared through their certified trees'
+    interned ranks (_ranks) at each center.  The bijection is then built
+    greedily by individualisation: e takes the least unused f whose ranks up
+    to some root read as e's do up to the first tree's first root, exactly
+    when an isomorphism matching the tokens sends e to f; both then get the
+    token (color, e + 1), and only their root paths are ranked again.
     Tables that fail D1..D4 fall back to backtracking, capped at max_n
     elements; raise the cap explicitly for bigger instances.
     """
     _require_dset(d1)
     _require_dset(d2)
+    respect_colors = _flag(respect_colors, "respect_colors")
     _natural(max_n, "'max_n' must be a non-negative integer, got {!r}")
     if d1.n != d2.n:
         return None
@@ -963,33 +982,39 @@ def are_isomorphic(
             )
         return _backtrack_bijection(d1, d2, respect_colors)
 
-    n = d1.n
-    trees = []
+    n, intern = d1.n, {}
+    trees = []  # per tree: its adjacency, its nodes' tokens, and per center (parent, rank)
     for d in (d1, d2):
         parents = _tree_record(d)[0].tolist()
-        trees.append(_rootings(_adjacency(range(len(parents)), enumerate(parents[1:], 1))))
+        adj = _adjacency(range(len(parents)), enumerate(parents[1:], 1))
+        tokens = [(c if respect_colors else 0, 0) for c in d.colors] + [None] * (len(parents) - n)
+        trees.append((adj, tokens, [(p, _ranks(order, p, adj, tokens, intern)) for order, p in _rootings(adj)]))
+    (_, tokens1, roots1), (_, tokens2, roots2) = trees
 
-    def code(rootings, tokens) -> tuple:
-        root, _, codes = _rooted(rootings, lambda u: tokens[u] if u < n else (-1,))
-        return codes[root]
+    def up(parent: dict, u: int):  # u, then each node above it
+        while u is not None:
+            yield u
+            u = parent[u]
 
-    colors1, colors2 = (d1.colors, d2.colors) if respect_colors else ((0,) * n,) * 2
-    tokens1, tokens2 = [(c, 0) for c in colors1], [(c, 0) for c in colors2]
-    if code(trees[0], tokens1) != code(trees[1], tokens2):
+    def path(rooting, u: int) -> list[int]:  # the ranks up from u, the root's last
+        parent, rank = rooting
+        return [rank[v] for v in up(parent, u)]
+
+    if sorted(path(r, 0)[-1] for r in roots1) != sorted(path(r, 0)[-1] for r in roots2):
         return None
     image = {}
-    for e, color in enumerate(colors1):
-        tokens1[e] = (color, e + 1)
-        target = code(trees[0], tokens1)
-        for f in range(n):
-            if tokens2[f] == (color, 0):  # not yet an image, and e's color
-                tokens2[f] = (color, e + 1)
-                if code(trees[1], tokens2) == target:
-                    image[e] = f
-                    break
-                tokens2[f] = (color, 0)
-        else:
+    for e, (color, _) in enumerate(tokens1[:n]):
+        target = path(roots1[0], e)
+        f = next((f for f in range(n) if tokens2[f] == tokens1[e] and any(path(r, f) == target for r in roots2)), None)
+        if f is None:
             raise InvariantViolation("equal canonical forms but no individualised image")
+        image[e] = f
+        tokens1[e] = tokens2[f] = (color, e + 1)
+        for leaf, (adj, tokens, rootings) in zip((e, f), trees):
+            for parent, rank in rootings:  # ranked again as by _ranks, up one path
+                for u in up(parent, leaf):
+                    kid_ranks = sorted(rank[v] for v in adj[u] if v != parent[u])
+                    rank[u] = intern.setdefault((tokens[u], *kid_ranks), len(intern))
     return image
 
 

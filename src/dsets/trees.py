@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _distances, _integer
+from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _distances, _flag, _integer
 from .core import _kept, _record, _require_ids, _rooted, _rootings, _tree_record, _walk, check_axioms
 
 
@@ -406,7 +406,7 @@ def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple
 def are_isomorphic_trees(t1: LeafTree, t2: LeafTree, respect_labels: bool = True) -> bool:
     _require_tree(t1)
     _require_tree(t2)
-    if respect_labels:
+    if _flag(respect_labels, "respect_labels"):
         return canonical_form(t1) == canonical_form(t2)
     return canonical_form(t1, [0] * t1.n_elements) == canonical_form(t2, [0] * t2.n_elements)
 

@@ -6,7 +6,10 @@ come from filtering raw set partitions, order invariance from scanning
 index quadruples, the axioms from boolean masks over a relation table,
 trees from inserting one element at a time, and shape counts from gluing
 leaves onto Pruefer-coded skeletons.  Expected values are frozen into
-tests only after one of these oracles produced them.
+tests only after one of these oracles produced them.  One reference is
+built on the package instead: `flat_code_bijection`, isomorphism by whole
+flat AHU codes (`core._rooted`, which canonical forms are made of), the
+slow exact route that the rank search of `are_isomorphic` must agree with.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from collections import deque
 from functools import lru_cache
 
 import numpy as np
+
+from dsets import core
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +623,42 @@ def least_bijection_oracle(d1, d2, respect_colors):
         if np.array_equal(t1, t2[np.ix_(*[images] * 4)]):
             return dict(enumerate(images))
     return None
+
+
+# ---------------------------------------------------------------------------
+# isomorphism by flat-code individualisation
+
+
+def flat_code_bijection(d1, d2, respect_colors):
+    """are_isomorphic's bijection for two structures passing D1..D4, by the
+    whole flat AHU codes (core._rooted) of their certified trees: None when
+    the codes differ; else e takes the least unused f of its color for which
+    they still agree once both carry the fresh token (color, e + 1)."""
+    if d1.n != d2.n:
+        return None
+    n = d1.n
+    colors = [d.colors if respect_colors else (0,) * n for d in (d1, d2)]
+    tokens = [[(c, 0) for c in cs] for cs in colors]
+    parents = [core._tree_record(d)[0].tolist() for d in (d1, d2)]
+    rootings = [core._rootings(core._adjacency(range(len(p)), enumerate(p[1:], 1))) for p in parents]
+
+    def code(i):
+        root, _, codes = core._rooted(rootings[i], lambda u: tokens[i][u] if u < n else (-1,))
+        return codes[root]
+
+    if code(0) != code(1):
+        return None
+    image = {}
+    for e, color in enumerate(colors[0]):
+        tokens[0][e] = (color, e + 1)
+        target = code(0)
+        for f in (f for f in range(n) if tokens[1][f] == (color, 0)):
+            tokens[1][f] = (color, e + 1)
+            if code(1) == target:
+                image[e] = f
+                break
+            tokens[1][f] = (color, 0)
+    return image
 
 
 # ---------------------------------------------------------------------------

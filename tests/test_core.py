@@ -488,6 +488,129 @@ def test_iso_walks_each_tree_once_per_center(monkeypatch, leaves):
             assert D.relabel(a, image).rows.tolist() == b.rows.tolist()
 
 
+@pytest.mark.parametrize("leaves", (16, 32))
+def test_iso_ranks_each_tree_once_per_center(monkeypatch, leaves):
+    # Each tree is ranked in full once per center, from the walk that
+    # _rootings makes there (after two walks that find the centers); a
+    # candidate image reads one root path, and no flat code is made.
+    rng = random.Random(leaves)
+    pairs = []
+    for kind in ("caterpillar", "star", "d_regular_random"):
+        a = F.seeded_tree_dset(rng, leaves, kind).recolor([rng.randrange(2) for _ in range(leaves)])
+        pairs.append((a, _relabelled(a, leaves)))
+    walk, ranks, walks, ranked = D.core._walk, D.core._ranks, [], []
+    monkeypatch.setattr(D.core, "_walk", lambda adj, root: walks.append(root) or walk(adj, root))
+    monkeypatch.setattr(D.core, "_ranks", lambda order, *args: ranked.append(order[0]) or ranks(order, *args))
+    monkeypatch.setattr(D.core, "_subtree_codes", lambda *args: pytest.fail("a whole flat code was made"))
+    for a, b in pairs:
+        for respect_colors in (True, False):
+            walks.clear()
+            ranked.clear()
+            image = D.are_isomorphic(a, b, respect_colors)
+            centers = len(ranked) // 2  # per tree; walks holds 2 + centers roots per tree
+            assert 2 <= len(ranked) == len(walks) - 4 <= 4, (ranked, walks)
+            assert ranked == walks[2 : 2 + centers] + walks[4 + centers :]
+            assert D.relabel(a, image).rows.tolist() == b.rows.tolist()
+
+
+def _moved_leaves(t, perm):
+    """t with element perm[e] on the leaf that carried e."""
+    return D.LeafTree(t.nodes, t.edges, {u: perm[e] for u, e in t.leaf_map().items()})
+
+
+def _carried_colors(colors, perm):
+    """colors as they fall on the elements of _moved_leaves(t, perm)."""
+    moved = [0] * len(perm)
+    for e, f in enumerate(perm):
+        moved[f] = colors[e]
+    return moved
+
+
+def _grafted_elsewhere(t, rng):
+    """t with one leaf cut off, its old neighbour smoothed out if left with
+    two edges, and hung on a new node that splits another edge."""
+    adj, edges, nodes = t.adjacency(), {frozenset(e) for e in t.edges}, set(t.nodes)
+    leaf = rng.choice(sorted(t.leaf_map()))
+    (p,) = adj[leaf]
+    edges.discard(frozenset((leaf, p)))
+    if len(adj[p]) == 3:
+        u, v = (w for w in adj[p] if w != leaf)
+        edges = edges - {frozenset((p, u)), frozenset((p, v))} | {frozenset((u, v))}
+        nodes.discard(p)
+    u, v = rng.choice(sorted(sorted(e) for e in edges))
+    w = max(t.nodes) + 1
+    edges = edges - {frozenset((u, v))} | {frozenset((u, w)), frozenset((v, w)), frozenset((leaf, w))}
+    return D.LeafTree(sorted(nodes | {w}), sorted(sorted(e) for e in edges), t.leaf_map())
+
+
+_TREE_KINDS = ("caterpillar", "star", "d_regular_random")
+
+
+def _seeded_tree(kind, leaves):
+    return D.gen_random(D.TreeSpec(kind, leaves, 3 if kind == "d_regular_random" else None, seed=leaves))
+
+
+@pytest.mark.parametrize("leaves", (9, 16, 32, 64))
+@pytest.mark.parametrize("kind", _TREE_KINDS)
+def test_iso_matches_flat_codes_on_seeded_relabellings(kind, leaves):
+    """The rank search gives the whole-code individualisation's bijection on
+    a seeded leaf relabelling, under 1, 2 and 3 colors, colors respected or
+    not; ignoring colors, every coloring gives the plain bijection."""
+    rng = random.Random(leaves)
+    t = _seeded_tree(kind, leaves)
+    perm = list(range(leaves))
+    rng.shuffle(perm)
+    a, b = D.d_from_tree(t), D.d_from_tree(_moved_leaves(t, perm))
+    plain = O.flat_code_bijection(a, b, False)
+    assert D.are_isomorphic_trees(_moved_leaves(t, plain), _moved_leaves(t, perm), respect_labels=False)
+    for k in (1, 2, 3):
+        colors = [rng.randrange(k) for _ in range(leaves)]
+        ca, cb = a.recolor(colors), b.recolor(_carried_colors(colors, perm))
+        assert D.are_isomorphic(ca, cb) == O.flat_code_bijection(ca, cb, True)
+        assert D.are_isomorphic(ca, cb, respect_colors=False) == plain
+
+
+def _distance_profile(t, leaf):
+    """The sorted distances from a leaf node to every leaf."""
+    adj, depth, queue = t.adjacency(), {leaf: 0}, [leaf]
+    for u in queue:
+        for v in adj[u]:
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    return sorted(depth[u] for u in t.leaf_map())
+
+
+@pytest.mark.parametrize("leaves", (16, 32, 64))
+@pytest.mark.parametrize("kind", _TREE_KINDS)
+def test_iso_none_for_a_moved_color_or_a_grafted_leaf(kind, leaves):
+    """One color moved onto a leaf with another distance profile, so into
+    another orbit, and one leaf grafted onto another edge, into a tree of
+    another shape: both the rank search and the flat codes return None."""
+    rng = random.Random(leaves)
+    t = _seeded_tree(kind, leaves)
+    perm = list(range(leaves))
+    rng.shuffle(perm)
+    a, b = D.d_from_tree(t), D.d_from_tree(_moved_leaves(t, perm))
+    node = {e: u for u, e in t.leaf_map().items()}
+    profiles = [_distance_profile(t, node[e]) for e in range(leaves)]
+    y = next((y for y in range(leaves) if profiles[y] != profiles[0]), None)
+    assert (y is None) == (kind == "star")
+    if y is not None:
+        ca, cb = a.recolor([int(e == 0) for e in range(leaves)]), b.recolor([int(f == perm[y]) for f in range(leaves)])
+        assert D.are_isomorphic(ca, cb) is None and O.flat_code_bijection(ca, cb, True) is None
+        plain = O.flat_code_bijection(a, b, False)
+        assert plain is not None and D.are_isomorphic(ca, cb, respect_colors=False) == plain
+    grafted = _grafted_elsewhere(t, rng)
+    while D.are_isomorphic_trees(grafted, t, respect_labels=False):
+        grafted = _grafted_elsewhere(t, rng)
+    g = D.d_from_tree(_moved_leaves(grafted, perm))
+    assert D.are_isomorphic(a, g, respect_colors=False) is None and O.flat_code_bijection(a, g, False) is None
+    colors = [e % 2 for e in range(leaves)]
+    ca, cg = a.recolor(colors), g.recolor(_carried_colors(colors, perm))
+    assert D.are_isomorphic(ca, cg) is None and O.flat_code_bijection(ca, cg, True) is None
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

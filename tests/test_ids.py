@@ -298,3 +298,22 @@ def test_constructors_and_readers_refuse_arguments_of_the_wrong_shape(case):
     call, message = _BAD_ARGUMENTS[case]
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("v", ("no", "", 1, 0, None, 1.0, np.int64(1), [True]), ids=repr)
+def test_yes_no_arguments_take_a_bool_only(v):
+    # Read by its truthiness, respect_colors="no" would respect colors.
+    fixture = D.gen_fixture("CAT5")
+    with pytest.raises(InputError, match=f"^'respect_colors' must be True or False, got {re.escape(repr(v))}$"):
+        D.are_isomorphic(fixture.dset, fixture.dset, respect_colors=v)
+    with pytest.raises(InputError, match=f"^'respect_labels' must be True or False, got {re.escape(repr(v))}$"):
+        D.are_isomorphic_trees(fixture.tree, fixture.tree, respect_labels=v)
+
+
+def test_yes_no_arguments_take_python_and_numpy_bools():
+    fixture = D.gen_fixture("CAT5")
+    d, other = fixture.dset.recolor([1, 0, 0, 0, 0]), fixture.dset.recolor([0, 0, 0, 0, 1])
+    t, moved = fixture.tree, D.tree_from_dset(D.relabel(fixture.dset, {0: 2, 1: 1, 2: 0, 3: 3, 4: 4}))
+    for v in (True, False, np.True_, np.False_):
+        assert D.are_isomorphic(d, other, respect_colors=v) == D.are_isomorphic(d, other, respect_colors=bool(v))
+        assert D.are_isomorphic_trees(t, moved, respect_labels=v) is (not v)
