@@ -442,7 +442,7 @@ def _read_own_spelling(text) -> Optional[dict]:
     if not isinstance(text, str):
         return None
     end = len(text.rstrip(" \t\n\r"))
-    at = text.rfind(_POSITIVES, 0, end)
+    at = text.find(_POSITIVES, 0, end)  # the head is short; a second marker fails the quads
     if at < 0 or text[end - 2 : end] != "]}" or not text.isascii():
         return None
     try:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DSet, InputError, _integer, _natural, _require_dset, _rooted, _rootings
+from .core import DSet, InputError, _flag, _integer, _natural, _require_dset, _rooted, _rootings
 from .splittings import enumerate_splittings
 from .trees import LeafTree, _graft, canonical_form, d_from_tree
 
@@ -127,7 +127,7 @@ def enum_trees(leaves: int, allow_large: bool = False) -> Iterator[LeafTree]:
     """
     if _natural(leaves, "'leaves' must be a non-negative integer, got {!r}") < 1:
         raise InputError("leaf count must be positive")
-    if leaves > ENUM_LEAF_CAP and not allow_large:
+    if not _flag(allow_large, "allow_large") and leaves > ENUM_LEAF_CAP:
         raise InputError(
             f"enumeration beyond {ENUM_LEAF_CAP} leaves needs allow_large=True"
         )
@@ -248,11 +248,9 @@ def color_sector_avoiding(d: DSet) -> DSet:
     _require_dset(d)
     if d.n < 2:
         raise InputError("nothing to starve in a one-element D-set")
-    for splitting in enumerate_splittings(d):
-        for sec in splitting.sectors:
-            if len(sec) < 2:
-                continue
-            colors = [0] * d.n
-            colors[min(d.elements - sec)] = 1
-            return d.recolor(colors)
-    raise InputError("no splitting offers a sector worth starving")
+    sec = next((sec for s in enumerate_splittings(d) for sec in s.sectors if len(sec) > 1), None)
+    if sec is None:
+        raise InputError("no splitting offers a sector worth starving")
+    colors = [0] * d.n
+    colors[min(d.elements - sec)] = 1
+    return d.recolor(colors)

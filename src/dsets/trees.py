@@ -7,12 +7,12 @@ Splitting type with the splittings read off from internal nodes and edges.
 
 Every traversal is core's breadth-first walk, `_walk`: connectivity, the
 canonical codes (`core._rooted`), and `core._below`, the elements below
-each node from element 0's leaf, which `_correspondence` reads splittings
-off and `core._record` numbers.  d_from_tree keeps that record on its
-result and reads the leaf distances off it; the relation is read off a grid
-of leaf pairs in lexicographic order, so its rows come out canonical and
-sorted.  The tree of a D-set is the rooted-cluster rebuild that `core`
-certifies D1..D4 with; its splittings are read off its kept record.
+each node from element 0's leaf, which `core._record` numbers.  d_from_tree
+keeps that record on its result and reads the leaf distances off it; the
+relation is read off a grid of leaf pairs in lexicographic order, so its
+rows come out canonical and sorted.  The tree of a D-set is the rebuild
+that certifies D1..D4; `_correspondence` reads splittings off its record as
+one sector layout, each sector a side of an edge, that readers count in numpy.
 
 Outside input always takes the checking constructors, `LeafTree(...)`,
 `Splitting(...)` and their `from_json`.  `_trusted` on each class stores
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -228,9 +228,8 @@ def tree_from_dset(d: DSet) -> LeafTree:
     if not report.core_pass:
         raise NotRepresentable(f"relation table fails D1..D4: {report.as_dict()}")
     parent = _tree_record(d)[0].tolist()
-    kids, parents = range(1, len(parent)), parent[1:]
-    edges = tuple(sorted(zip(map(min, kids, parents), map(max, kids, parents))))
-    return LeafTree._trusted(tuple(range(len(parent))), edges, tuple((e, e) for e in range(d.n)))
+    edges = tuple(sorted([(a, b) if a < b else (b, a) for a, b in enumerate(parent[1:], 1)]))
+    return LeafTree._trusted(tuple(range(len(parent))), edges, tuple(zip(range(d.n), range(d.n))))
 
 
 @dataclass(frozen=True)
@@ -264,10 +263,10 @@ class Splitting:
         object.__setattr__(self, "sectors", tuple(normalized))
 
     @classmethod
-    def _trusted(cls, sectors: tuple[frozenset[int], ...]) -> "Splitting":
-        """The splitting of these sectors as given, unchecked (see the module docstring)."""
-        s = object.__new__(cls)
-        vars(s).update(sectors=sectors)
+    def _trusted(cls, sectors: tuple[frozenset[int], ...], _new=object.__new__) -> "Splitting":
+        """These sectors as given, unchecked (see the module docstring); _new is bound once, for bulk use."""
+        s = _new(cls)
+        s.__dict__["sectors"] = sectors
         return s
 
     @property
@@ -320,6 +319,7 @@ class TreeCorrespondence:
     node_splittings: tuple[tuple[int, Splitting], ...]
     edge_splittings: tuple[tuple[tuple[int, int], Splitting], ...]
     ordered: tuple[Splitting, ...]
+    _layout: tuple = field(default=(), compare=False, repr=False)  # ordered's sectors as edge sides
 
 
 def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
@@ -331,37 +331,44 @@ def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
     return _correspondence(*_below(t.adjacency(), t.leaf_map(), t.n_elements))
 
 
-def _rows(mask: np.ndarray) -> list[list[int]]:
-    """The columns where each row of a bool matrix holds, ascending."""
-    cols, ends = np.nonzero(mask)[1].tolist(), np.cumsum(mask.sum(axis=1)).tolist()
-    return [cols[start:end] for start, end in zip([0, *ends], ends)]
-
-
 def _correspondence(ids, parent: np.ndarray, below: np.ndarray) -> TreeCorrespondence:
-    """The splittings of a tree rooted at a leaf, given by rows with the root
-    first: ids[i] is row i's node id, parent[i] its parent's row and
-    below[i] the elements under its edge to that parent (row 0 is not read).
+    """The splittings of a tree rooted at element 0's leaf, given by rows with
+    the root first: ids[i] is row i's node id, parent[i] its parent's row
+    and below[i] the elements under its edge to that parent (row 0 unread).
 
-    An internal node's sectors are the parts below its children and the
-    rest; an edge's, the part below its lower end and the rest.  Each side
-    is sorted once; disjoint sorted lists sort by least element, so the
-    sorted lists are the splitting's sort key and, frozen, its sectors.
-    Distinct features of a tree without degree-2 nodes give distinct
-    splittings, so ordered needs no dedup.
+    The layout (below, top, child, size, order), in numpy: feature f (edges
+    by row, then nodes) has the sectors outside top[f], then inside top[f]
+    or its size[f - edges] rows of child, by least element; ordered[k] is
+    feature order[k], by one sort of the first two sectors as bytes that
+    sort as their sorted lists (1 held, 2 not, 0 past the largest).  Each
+    side is frozen once, an outside as the full set less the inside.
     """
-    inside, outside, up = _rows(below), _rows(~below), parent.tolist()
-    sectors = [[rest] for rest in outside]
-    for v in range(1, len(up)):
-        sectors[up[v]].append(inside[v])
-    # (feature, sorted sector lists), in feature order
-    nodes = sorted((ids[u], sorted(sec)) for u, sec in enumerate(sectors) if u and len(sec) > 1)
-    edges = sorted(
-        (tuple(sorted((ids[up[v]], ids[v]))), sorted((inside[v], outside[v]))) for v in range(1, len(up))
-    )
-    split = {f: Splitting._trusted(tuple(map(frozenset, lists))) for f, lists in nodes + edges}
-    ordered = tuple(split[f] for f, _ in sorted(nodes + edges, key=lambda pair: pair[1]))
-    nodes, edges = (tuple((f, split[f]) for f, _ in features) for features in (nodes, edges))
-    return TreeCorrespondence(nodes, edges, ordered)
+    rows, n = below.shape
+    if rows < 2:
+        return TreeCorrespondence((), (), (), (below, *np.zeros((4, 0), dtype=int)))
+    up, edge = parent[1:], np.arange(1, rows)
+    kids = np.bincount(up, minlength=rows)
+    inner = kids[1:].nonzero()[0] + 1
+    child = np.lexsort((below[1:].argmax(axis=1), up))[kids[0] :] + 1  # by internal node, then least element
+    stop = kids[inner].cumsum()  # where each internal node's children end in child
+    at = np.concatenate([edge, inner, edge, child[stop - kids[inner]]])  # each feature's top row, then first inside
+    top, side = at[: len(at) // 2], below[at]
+    side[: len(top)] ^= True  # the outsides
+    held = np.arange(n - 1, -1, -1) >= side[:, ::-1].argmax(axis=1)[:, None]  # up to the largest
+    key = ((held.view(np.uint8) << 1) - side.view(np.uint8)).view(np.dtype((np.void, n)))[:, 0]
+    order = np.lexsort((key[len(top) :], key[: len(top)]))
+
+    r, cols = below[1:].nonzero()
+    cols, ends = cols.tolist(), r.searchsorted(edge).tolist()  # where each row's elements end
+    inside = [frozenset(range(n)), *[frozenset(cols[a:b]) for a, b in zip([0, *ends], ends)]]  # row 0: all
+    outside, kid_sides = list(map(inside[0].__sub__, inside)), list(map(inside.__getitem__, child.tolist()))
+    nodes = [(outside[u], *kid_sides[a:b]) for u, a, b in zip(inner.tolist(), [0, *stop.tolist()], stop.tolist())]
+    split = list(map(Splitting._trusted, [*zip(outside[1:], inside[1:]), *nodes]))  # edges then nodes
+    pairs = [(a, b) if a < b else (b, a) for a, b in zip(map(ids.__getitem__, up.tolist()), ids[1:])]
+    edges = tuple(sorted(zip(pairs, split)))
+    nodes = tuple(sorted(zip(map(ids.__getitem__, inner.tolist()), split[rows - 1 :])))
+    ordered = tuple(map(split.__getitem__, order.tolist()))
+    return TreeCorrespondence(nodes, edges, ordered, (below, top, child, kids[inner], order))
 
 
 def _graft(t: LeafTree, feature) -> LeafTree:

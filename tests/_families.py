@@ -241,3 +241,28 @@ def failing_tables(seed, count):
         e, *subset = rng.sample(range(d.n), rng.randint(4, d.n))
         out.append((d, window, sorted(subset), e))
     return out
+
+
+def splitting_structures(fixtures, sizes=(16, 40, 64)):
+    """The D-sets of the given fixtures, then seeded caterpillars, stars and
+    3- and 4-regular trees of each size, each but the star followed by its
+    growth by one point at its first node splitting, whose node splittings
+    then differ in size."""
+    yield from (fixture.dset for fixture in fixtures)
+    for leaves in sizes:
+        for kind, degree in (("caterpillar", None), ("star", None), ("d_regular_random", 3), ("d_regular_random", 4)):
+            d = D.d_from_tree(D.gen_random(D.TreeSpec(kind, leaves, degree, seed=leaves)))
+            yield d
+            if kind != "star":
+                yield D.extend_by_point(d, next(s for s in D.enumerate_splittings(d) if s.kind == "node"))
+
+
+def colorings(d):
+    """d under one, two and three colors: as it is, round robin over two and
+    three, sector-avoiding, and seeded at random over three."""
+    rng = random.Random(d.n)
+    yield d
+    yield D.color_round_robin(d, 2)
+    yield D.color_round_robin(d, 3)
+    yield D.color_sector_avoiding(d)
+    yield d.recolor([rng.randrange(3) for _ in range(d.n)])

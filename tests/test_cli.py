@@ -580,6 +580,23 @@ def test_gen_writes_every_catalogue_fixture_as_it_did():
     )
 
 
+def test_splittings_and_homreport_write_as_they_did(run, catalogue):
+    # sha256 of each exit code and stdout, concatenated: `splittings` on every
+    # member of F.splitting_structures, and `homreport` on each of its
+    # F.colorings (round robin over three alone above 17 elements).
+    outs = []
+    for d in F.splitting_structures(catalogue.values()):
+        texts = [c.to_json() for c in F.colorings(d)]
+        homreports = texts if d.n <= 17 else texts[2:3]
+        for command, text in [("splittings", texts[0])] + [("homreport", t) for t in homreports]:
+            code, out, _ = run([command, "-", "--max-n", "65", "--quiet"], text)
+            outs.append(f"{code}:{out}")
+    assert len(outs) == 166
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "5cdcd0f44336d1d2e70bacc76858ba6297c13e51061ed25ce5f40583dfed8f5d"
+    )
+
+
 # ---------------------------------------------------------------------------
 # export-dot
 

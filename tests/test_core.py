@@ -771,6 +771,27 @@ def test_dset_json_matches_oracle_on_mutations():
     assert own["ok"] > 0 and own["error"] > 0
 
 
+def test_dset_json_with_the_marker_twice_reads_as_json_loads():
+    # The positives marker is found from the head; a text holding it twice
+    # reads as json.loads reads it, or fails as json.loads fails.
+    head = '{"colors":{"0":0,"1":1,"2":0,"3":0,"4":0},"n":5'
+    quads = "[0,1,2,3],[0,1,2,4]"
+    texts = [
+        f'{head},"positives":[[0,1,2,4]],"positives":[{quads}]}}',  # the last key wins
+        f'{head},"positives":[],"positives":[{quads}]}}',
+        f'{head},"positives":[{quads}],"positives":[]}}',
+        f'{{"x":{{"y":1,"positives":[1]}},{head[1:]},"positives":[{quads}]}}',
+        f'{head},"x":",\\"positives\\":[0]","positives":[{quads}]}}',
+        f'{head},"positives":[,"positives":[{quads}]}}',
+    ]
+    for text in texts:
+        read = D.core._read_own_spelling(text)
+        assert read is None or {**read, "positives": np.asarray(read["positives"]).tolist()} == json.loads(text)
+        assert _from_json_outcome(text) == O.dset_json_oracle(text), text
+    assert DSet.from_json(texts[0]).positives == {(0, 1, 2, 3), (0, 1, 2, 4)}
+    assert DSet.from_json(texts[2]).positives == frozenset()
+
+
 def _block_sizes(text, monkeypatch):
     """The number of quads in each block that from_json reads text in."""
     sizes, read = [], D.core._quad_ids
@@ -1145,6 +1166,7 @@ def test_analyses_computed_once(catalogue):
 # only once it is shown to ignore the colors.
 _KEPT_ANALYSES = {
     "core": ["_rebuild", "check_axioms", "positives", "relation_table"],
+    "homtypes": ["_sector_sides"],
     "splittings": ["_brute_force_splittings", "_tree_splittings"],
     "trees": ["tree_from_dset"],
 }

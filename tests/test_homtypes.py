@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 import re
 
@@ -390,6 +392,25 @@ def test_nonextendable_unequal_nodes(catalogue):
 
 def test_nonextendable_none_on_uniform_regular(catalogue):
     assert D.nonextendable_witness(catalogue["CAT4"].dset) is None
+
+
+def test_regularity_hitting_and_witnesses_answer_as_they_did(catalogue, trees_by_k):
+    # sha256 of the newline-joined JSON of is_regular, homogeneity_conditions
+    # at sector sizes 0..3 and nonextendable_witness (its map as sorted
+    # pairs) under each of F.colorings: every tree of 4..7 leaves, then the
+    # 16- and 40-leaf F.splitting_structures.
+    lines = []
+    ds = [D.d_from_tree(t) for k in range(4, 8) for t in trees_by_k[k]]
+    for d in ds + list(F.splitting_structures(catalogue.values(), (16, 40))):
+        for c in F.colorings(d):
+            found = D.nonextendable_witness(c)
+            conditions = [D.homogeneity_conditions(c, k) for k in (0, 1, 2, 3)]
+            found = found and [sorted(found[0].items()), found[1]]
+            lines.append(json.dumps([D.is_regular(c), conditions, found], sort_keys=True))
+    assert len(lines) == 275
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "b7fc6dd2d78a30a17b64f63dc4afac4ea864f76d6f596105498799ce34a79998"
+    )
 
 
 def _library_order(tree, perm):

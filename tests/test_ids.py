@@ -310,6 +310,17 @@ def test_yes_no_arguments_take_a_bool_only(v):
         D.are_isomorphic_trees(fixture.tree, fixture.tree, respect_labels=v)
 
 
+@pytest.mark.parametrize("v", ("no", "", 1, None), ids=repr)
+def test_enum_trees_takes_a_bool_flag_only(v):
+    # Read by its truthiness, allow_large="no" would lift the 8-leaf cap.
+    with pytest.raises(InputError, match=f"^'allow_large' must be True or False, got {re.escape(repr(v))}$"):
+        next(D.enum_trees(9, allow_large=v))
+    with pytest.raises(InputError, match="^'allow_large' must be True or False"):
+        next(D.enum_trees(4, allow_large=v))
+    assert next(D.enum_trees(9, allow_large=np.True_)).n_elements == 9
+    assert [t.to_json() for t in D.enum_trees(6, allow_large=np.False_)] == [t.to_json() for t in D.enum_trees(6)]
+
+
 def test_yes_no_arguments_take_python_and_numpy_bools():
     fixture = D.gen_fixture("CAT5")
     d, other = fixture.dset.recolor([1, 0, 0, 0, 0]), fixture.dset.recolor([0, 0, 0, 0, 1])

@@ -427,6 +427,51 @@ def test_splittings_match_component_oracle_on_large_trees(kind, leaves):
     assert _entries(t) == O.tree_splittings_oracle(t)
 
 
+def _layout_sectors(corr):
+    """corr.ordered's sectors as its private layout spells them: feature f
+    has the outside of row top[f] first, then the inside of top[f] (an
+    edge) or of each of its size[f - edges] rows of child (a node)."""
+    below, top, child, size, order = corr._layout
+    starts = np.cumsum(size) - size
+    edges = len(top) - len(size)
+    members = [[v] for v in top[:edges].tolist()] + [child[a : a + k].tolist() for a, k in zip(starts, size)]
+
+    def side(row, out):
+        return frozenset(np.flatnonzero(below[row] != out).tolist())
+
+    return [(side(top[f], True), *(side(r, False) for r in members[f])) for f in order.tolist()]
+
+
+def test_correspondence_and_its_layout_match_the_component_oracle(trees_by_k):
+    # Every tree of 1..8 leaves and seeded families of 16 to 128 leaves, each
+    # read off its LeafTree (nodes renumbered) and, up to 64 leaves, off the
+    # kept record of its D-set: the features and their sectors are the
+    # oracle's, ordered sorts them by sorted sector lists, each splitting's
+    # sectors go by least element, and the layout spells the same sectors.
+    rng = random.Random("layout")
+    trees = [t for k in range(1, 9) for t in trees_by_k[k]]
+    for leaves in (16, 32, 64, 128):
+        for kind, degree in (("caterpillar", None), ("star", None), ("d_regular_random", 3), ("d_regular_random", 4)):
+            trees.append(D.gen_random(D.TreeSpec(kind, leaves, degree, seed=leaves)))
+    read = 0
+    for tree in trees:
+        moved = _renumbered(tree, rng)
+        pairs = [(D.splittings_from_tree(moved), moved)]
+        if tree.n_elements <= 64:
+            d = D.DSet.from_json(D.d_from_tree(tree).to_json())
+            pairs.append((dsets.splittings._tree_splittings(d), D.tree_from_dset(d)))
+        for corr, t in pairs:
+            nodes, edges = O.tree_splittings_oracle(t)
+            assert [(mu, set(s.sectors)) for mu, s in corr.node_splittings] == nodes, t.to_json()
+            assert [(e, set(s.sectors)) for e, s in corr.edge_splittings] == edges, t.to_json()
+            features = [s for _, s in corr.node_splittings + corr.edge_splittings]
+            assert corr.ordered == tuple(sorted(features, key=Splitting.as_sorted_lists))
+            assert all(list(s.sectors) == sorted(s.sectors, key=min) for s in corr.ordered)
+            assert _layout_sectors(corr) == [s.sectors for s in corr.ordered]
+            read += 1
+    assert read == 2 * (60 + 12) + 4
+
+
 # ---------------------------------------------------------------------------
 # the trusted route: what tree_from_dset and the splitting readers build
 # without checks equals what the checking constructors build
