@@ -248,9 +248,11 @@ def color_sector_avoiding(d: DSet) -> DSet:
     _require_dset(d)
     if d.n < 2:
         raise InputError("nothing to starve in a one-element D-set")
-    sec = next((sec for s in enumerate_splittings(d) for sec in s.sectors if len(sec) > 1), None)
-    if sec is None:
-        raise InputError("no splitting offers a sector worth starving")
-    colors = [0] * d.n
-    colors[min(d.elements - sec)] = 1
-    return d.recolor(colors)
+    for splitting in enumerate_splittings(d):
+        for sec in splitting.sectors:
+            if len(sec) < 2:
+                continue
+            colors = [0] * d.n
+            colors[min(d.elements - sec)] = 1
+            return d.recolor(colors)
+    raise InputError("no splitting offers a sector worth starving")

@@ -23,8 +23,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import DSet, InputError, _atoms, _first_true, _kept, _natural, _require_core, _require_ids
-from .splittings import _subset_outside, _tree_splittings, complementary, density_witnesses
+from .core import DSet, InputError, _atoms, _natural, _require_core, _require_ids
+from .splittings import _subset_outside, complementary, density_witnesses, enumerate_splittings
 from .splittings import induced_splitting, is_regular
 from .trees import Splitting
 
@@ -201,34 +201,18 @@ def extend_partial_iso(d: DSet, m: PairsLike, x: int) -> list[int]:
     return ys[fits.all(axis=(1, 2, 3))].tolist()
 
 
-@_kept
-def _sector_sides(d: DSet) -> tuple:
-    """(side, first) for d's ordered splittings, off its layout: side[i, e] is 1 when element e lies
-    in sector i, and splitting k's sectors start at row first[k].  Color-free, so kept."""
-    below, top, child, size, order = _tree_splittings(d)._layout
-    edges = len(top) - len(size)
-    feature = np.concatenate([np.arange(len(top)), np.arange(edges), np.repeat(np.arange(edges, len(top)), size)])
-    at = np.argsort(np.argsort(order)[feature], kind="stable")  # by splitting: its outside, then its insides
-    row, out = np.concatenate([top, top[:edges], child])[at], at < len(top)  # out: the side holding element 0
-    return (below[row] ^ out[:, None]).astype(np.float32), np.flatnonzero(out)
-
-
-def _sector_colors(d: DSet) -> tuple:
-    """(ordered, first, size, count, colors): d's splittings, where each one's sectors start, and each
-    sector's size and count of each of d's colors, by one matmul per call (not kept: recolor hands it on)."""
-    (side, first), colors = _sector_sides(d), sorted(set(d.colors))
-    code = list(map({c: i for i, c in enumerate(colors)}.__getitem__, d.colors))
-    count = side @ np.eye(len(colors), dtype=np.float32)[code]
-    return _tree_splittings(d).ordered, first, count.sum(axis=1), count, colors
-
-
-def _starved_sectors(found: tuple, min_size: int) -> Iterator[tuple]:
-    """(splitting, sector, color) for each sector of at least min_size elements
-    and each color it misses, in that order, from _sector_colors."""
-    ordered, first, size, count, colors = found
-    for k, c in zip(*np.nonzero((count == 0) & (size >= min_size)[:, None])):
-        i = np.searchsorted(first, k, side="right") - 1
-        yield ordered[i], ordered[i].sectors[k - first[i]], colors[c]
+def _starved_sectors(d: DSet, splits: Iterable[Splitting], min_size: int) -> Iterator[tuple]:
+    """(splitting, sector, color) for each sector of at least min_size
+    elements and each color of d that it misses, in splitting, sector and
+    color order."""
+    colors_present = sorted(set(d.colors))
+    for s in splits:
+        for sec in s.sectors:
+            if len(sec) >= min_size:
+                sector_colors = {d.colors[a] for a in sec}
+                for color in colors_present:
+                    if color not in sector_colors:
+                        yield s, sec, color
 
 
 def homogeneity_conditions(d: DSet, min_sector_size: int = 2) -> dict:
@@ -245,13 +229,27 @@ def homogeneity_conditions(d: DSet, min_sector_size: int = 2) -> dict:
     _require_core(d)
     min_sector_size = _natural(min_sector_size, "'min_sector_size' must be a non-negative integer, got {!r}")
     reg, count = is_regular(d)
-    dense = next((quad.tolist() for quad in d.rows if not density_witnesses(d, *quad)), None)
-    first = next(_starved_sectors(_sector_colors(d), min_sector_size), None)
-    hitting = first and {"sector": sorted(first[1]), "color": first[2], "splitting": first[0].as_sorted_lists()}
+    dense_witness = None
+    for quad in d.rows:
+        if not density_witnesses(d, *quad):
+            dense_witness = quad.tolist()
+            break
+    hitting_witness = None
+    for s, sec, color in _starved_sectors(d, enumerate_splittings(d), min_sector_size):
+        hitting_witness = {"sector": sorted(sec), "color": color, "splitting": s.as_sorted_lists()}
+        break
     return {
         "regular": {"verdict": reg, "sector_count": count},
-        "dense": {"verdict": dense is None, "witness": dense, "positive_quads": len(d.rows)},
-        "color_hitting": {"verdict": hitting is None, "witness": hitting, "min_sector_size": min_sector_size},
+        "dense": {
+            "verdict": dense_witness is None,
+            "witness": dense_witness,
+            "positive_quads": len(d.rows),
+        },
+        "color_hitting": {
+            "verdict": hitting_witness is None,
+            "witness": hitting_witness,
+            "min_sector_size": min_sector_size,
+        },
     }
 
 
@@ -267,34 +265,38 @@ def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
     representative of the extra sector.  None means neither applies.
     """
     _require_core(d)
-    ordered, first, size, count, colors = _sector_colors(d)
+    splits = enumerate_splittings(d)
 
     # Each map below respects colors and has every atom false on both sides
     # (three elements, or one per sector of a node splitting), so it is a
-    # partial isomorphism without a check of its own.  A sector holding no
-    # two elements of one color offers no swap.
-    paired = np.where((count > 1).any(axis=1), size, 0)
-    for s, sec, color in _starved_sectors((ordered, first, paired, count, colors), 2):
+    # partial isomorphism without a check of its own.
+    for s, sec, color in _starved_sectors(d, splits, 2):
         # All of S's outside enters S at one place, so D(b a1; a2 a3) is one
         # value for every b outside S and, by D2, puts a3 in S.  An image y of
         # b0 lies outside S: D(y a2; a1 a3) = D(b0 a2; a1 a3) is false by D2.
         b0 = d.colors.index(color)
-        for a1, a2 in (p for p in itertools.permutations(sorted(sec), 2) if d.colors[p[0]] == d.colors[p[1]]):
+        for a1, a2 in itertools.permutations(sorted(sec), 2):
+            if d.colors[a1] != d.colors[a2]:
+                continue
             a3 = [a for a in np.flatnonzero(_atoms(d, b0, a1, a2, slice(None))).tolist() if a != a2]
             if a3:
                 return {a1: a2, a2: a1, a3[0]: a3[0]}, b0
 
     # An image y of the stuck rep shares small's sector with some rep r, so
     # D(y r; r' r'') holds; the stuck rep's atom meets four sectors of big.
-    # The first (big, small, color): small meets the color in each sector, big in more sectors.
-    sectors = np.diff([*first, len(size)])
-    big = np.flatnonzero(sectors > sectors[sectors > 2].min(initial=len(size)))  # more than the fewest
-    hit = np.add.reduceat(count > 0, first, axis=0, dtype=int) if len(first) else count
-    small = np.flatnonzero((sectors > 2) & (hit == sectors[:, None]).any(axis=1))  # meets a color everywhere
-    found = len(big) and _first_true((hit[big, None] > sectors[small, None]) & (hit[small] == sectors[small, None]))
-    if not found:
-        return None
-    side, tint = _sector_sides(d)[0], np.array([v == colors[found[2]] for v in d.colors])
-    held = [side[first[s] : first[s] + sectors[s]] * tint for s in (big[found[0]], small[found[1]])]
-    big_reps, small_reps = ([v for v, h in zip(m.argmax(axis=1).tolist(), m.any(axis=1)) if h] for m in held)
-    return dict(zip(big_reps, small_reps)), big_reps[len(small_reps)]
+    node_splits = [s for s in splits if len(s.sectors) > 2]
+    for big, small in itertools.permutations(node_splits, 2):
+        if len(big.sectors) <= len(small.sectors):
+            continue
+        n = len(small.sectors)
+        for color in sorted(set(d.colors)):
+            # The least element of this color in each sector, or None.
+            big_reps, small_reps = (
+                [min((v for v in sec if d.colors[v] == color), default=None) for sec in t.sectors]
+                for t in (big, small)
+            )
+            big_reps = [v for v in big_reps if v is not None]
+            if len(big_reps) < n + 1 or None in small_reps:
+                continue
+            return dict(zip(big_reps[:n], small_reps)), big_reps[n]
+    return None

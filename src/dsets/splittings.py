@@ -135,9 +135,9 @@ def enumerate_splittings(d: DSet, method: str = "auto") -> list[Splitting]:
 
 @_kept
 def _tree_splittings(d: DSet) -> trees.TreeCorrespondence:
-    """The splittings read off d's reconstructed tree with their nodes, edges
-    and sector layout, kept on d for their readers: read off the kept
-    record, once tree_from_dset has refused a d failing D1..D4."""
+    """The splittings read off d's reconstructed tree with their nodes and
+    edges, kept on d for enumerate_splittings and extend_by_point: read off
+    the kept record, once tree_from_dset has refused a d failing D1..D4."""
     return trees._correspondence(trees.tree_from_dset(d).nodes, *_tree_record(d))
 
 
@@ -298,10 +298,7 @@ def is_regular(d: DSet) -> tuple[bool, Optional[int]]:
     Returns (True, count) with the common count, (True, None) when there
     is no node splitting at all, (False, None) otherwise.
     """
-    if check_axioms(d).core_pass:  # a tree's node has its outside and one sector per child
-        counts = set((_tree_splittings(d)._layout[3] + 1).tolist())
-    else:
-        counts = {len(s.sectors) for s in enumerate_splittings(d) if len(s.sectors) > 2}
+    counts = {len(s.sectors) for s in enumerate_splittings(d) if len(s.sectors) > 2}
     if len(counts) > 1:
         return False, None
     return True, next(iter(counts), None)
@@ -319,10 +316,16 @@ def is_true_edge_splitting(d: DSet, p: SplittingLike) -> bool:
     p = _as_splitting(p)
     if check_axioms(d).core_pass or not is_splitting(d, p)[0]:
         return False
-    if len(p.sectors) != 2 or any(len(sec) == 1 for sec in p.sectors):
+    if len(p.sectors) != 2:
         return False
-    nodes = (o for o in enumerate_splittings(d) if len(o.sectors) > 2)
-    return not any(all(any(t <= s for s in p.sectors) for t in o.sectors) for o in nodes)
+    if any(len(sec) == 1 for sec in p.sectors):
+        return False
+    for other in enumerate_splittings(d):
+        if len(other.sectors) <= 2:
+            continue
+        if all(any(t <= sec for sec in p.sectors) for t in other.sectors):
+            return False
+    return True
 
 
 def density_witnesses(d: DSet, w: int, x: int, y: int, z: int) -> list[int]:

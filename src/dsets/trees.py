@@ -11,8 +11,8 @@ each node from element 0's leaf, which `core._record` numbers.  d_from_tree
 keeps that record on its result and reads the leaf distances off it; the
 relation is read off a grid of leaf pairs in lexicographic order, so its
 rows come out canonical and sorted.  The tree of a D-set is the rebuild
-that certifies D1..D4; `_correspondence` reads splittings off its record as
-one sector layout, each sector a side of an edge, that readers count in numpy.
+that certifies D1..D4; `_correspondence` reads splittings off its record
+through one sector layout, in which each sector is a side of an edge.
 
 Outside input always takes the checking constructors, `LeafTree(...)`,
 `Splitting(...)` and their `from_json`.  `_trusted` on each class stores
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -229,7 +229,7 @@ def tree_from_dset(d: DSet) -> LeafTree:
         raise NotRepresentable(f"relation table fails D1..D4: {report.as_dict()}")
     parent = _tree_record(d)[0].tolist()
     edges = tuple(sorted([(a, b) if a < b else (b, a) for a, b in enumerate(parent[1:], 1)]))
-    return LeafTree._trusted(tuple(range(len(parent))), edges, tuple(zip(range(d.n), range(d.n))))
+    return LeafTree._trusted(tuple(range(len(parent))), edges, tuple((e, e) for e in range(d.n)))
 
 
 @dataclass(frozen=True)
@@ -263,9 +263,9 @@ class Splitting:
         object.__setattr__(self, "sectors", tuple(normalized))
 
     @classmethod
-    def _trusted(cls, sectors: tuple[frozenset[int], ...], _new=object.__new__) -> "Splitting":
-        """These sectors as given, unchecked (see the module docstring); _new is bound once, for bulk use."""
-        s = _new(cls)
+    def _trusted(cls, sectors: tuple[frozenset[int], ...]) -> "Splitting":
+        """The splitting of these sectors as given, unchecked (see the module docstring)."""
+        s = object.__new__(cls)
         s.__dict__["sectors"] = sectors
         return s
 
@@ -319,7 +319,6 @@ class TreeCorrespondence:
     node_splittings: tuple[tuple[int, Splitting], ...]
     edge_splittings: tuple[tuple[tuple[int, int], Splitting], ...]
     ordered: tuple[Splitting, ...]
-    _layout: tuple = field(default=(), compare=False, repr=False)  # ordered's sectors as edge sides
 
 
 def splittings_from_tree(t: LeafTree) -> TreeCorrespondence:
@@ -336,27 +335,29 @@ def _correspondence(ids, parent: np.ndarray, below: np.ndarray) -> TreeCorrespon
     the root first: ids[i] is row i's node id, parent[i] its parent's row
     and below[i] the elements under its edge to that parent (row 0 unread).
 
-    The layout (below, top, child, size, order), in numpy: feature f (edges
-    by row, then nodes) has the sectors outside top[f], then inside top[f]
-    or its size[f - edges] rows of child, by least element; ordered[k] is
-    feature order[k], by one sort of the first two sectors as bytes that
-    sort as their sorted lists (1 held, 2 not, 0 past the largest).  Each
-    side is frozen once, an outside as the full set less the inside.
+    Every sector is one side of one edge, laid out in numpy: a feature (the
+    edges by row, then the internal nodes) has the outside of its top row
+    first, then that row's inside (an edge) or its children's by least
+    element (a node), so no sector needs a sort.  Each side is frozen once,
+    an outside as the full set less its inside.  ordered comes from one
+    argsort of each feature's first two sectors as byte strings that compare
+    as their sorted lists: 1 held, 2 not, 0 past the largest, so a prefix
+    sorts first.
     """
     rows, n = below.shape
     if rows < 2:
-        return TreeCorrespondence((), (), (), (below, *np.zeros((4, 0), dtype=int)))
+        return TreeCorrespondence((), (), ())
     up, edge = parent[1:], np.arange(1, rows)
     kids = np.bincount(up, minlength=rows)
     inner = kids[1:].nonzero()[0] + 1
     child = np.lexsort((below[1:].argmax(axis=1), up))[kids[0] :] + 1  # by internal node, then least element
     stop = kids[inner].cumsum()  # where each internal node's children end in child
     at = np.concatenate([edge, inner, edge, child[stop - kids[inner]]])  # each feature's top row, then first inside
-    top, side = at[: len(at) // 2], below[at]
-    side[: len(top)] ^= True  # the outsides
+    features, side = len(at) // 2, below[at]
+    side[:features] ^= True  # the outsides
     held = np.arange(n - 1, -1, -1) >= side[:, ::-1].argmax(axis=1)[:, None]  # up to the largest
-    key = ((held.view(np.uint8) << 1) - side.view(np.uint8)).view(np.dtype((np.void, n)))[:, 0]
-    order = np.lexsort((key[len(top) :], key[: len(top)]))
+    key = (held.view(np.uint8) << 1) - side.view(np.uint8)
+    order = np.argsort(np.hstack((key[:features], key[features:])).view(f"S{2 * n}")[:, 0]).tolist()
 
     r, cols = below[1:].nonzero()
     cols, ends = cols.tolist(), r.searchsorted(edge).tolist()  # where each row's elements end
@@ -367,8 +368,8 @@ def _correspondence(ids, parent: np.ndarray, below: np.ndarray) -> TreeCorrespon
     pairs = [(a, b) if a < b else (b, a) for a, b in zip(map(ids.__getitem__, up.tolist()), ids[1:])]
     edges = tuple(sorted(zip(pairs, split)))
     nodes = tuple(sorted(zip(map(ids.__getitem__, inner.tolist()), split[rows - 1 :])))
-    ordered = tuple(map(split.__getitem__, order.tolist()))
-    return TreeCorrespondence(nodes, edges, ordered, (below, top, child, kids[inner], order))
+    ordered = tuple(map(split.__getitem__, order))
+    return TreeCorrespondence(nodes, edges, ordered)
 
 
 def _graft(t: LeafTree, feature) -> LeafTree:

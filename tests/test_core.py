@@ -1166,7 +1166,6 @@ def test_analyses_computed_once(catalogue):
 # only once it is shown to ignore the colors.
 _KEPT_ANALYSES = {
     "core": ["_rebuild", "check_axioms", "positives", "relation_table"],
-    "homtypes": ["_sector_sides"],
     "splittings": ["_brute_force_splittings", "_tree_splittings"],
     "trees": ["tree_from_dset"],
 }
