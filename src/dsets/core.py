@@ -134,19 +134,12 @@ def _listed(items, what: str) -> list:
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
-def _integer(v, message: str, *args) -> int:
-    """v as a Python int, if it is an integer other than a bool, else
-    InputError(message.format(v, *args)): the check of a seed, which may be negative."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise InputError(message.format(v, *args))
-    return int(v)
-
-
-def _natural(v, message: str = "'n' must be a non-negative integer", *args) -> int:
-    """v as a Python int, if it is a non-negative integer other than a bool,
-    else InputError(message.format(v, *args)): the one check of an element
-    count (the default message), of a color and of a quad's ids."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+def _natural(v, message: str = "'n' must be a non-negative integer", *args, low=0) -> int:
+    """v as a Python int, if it is an integer other than a bool and not below
+    low, else InputError(message.format(v, *args)): the one check of an element
+    count (the default message), of a color and of a quad's ids, and with
+    low=None of a tree id or a seed, which may be negative."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or (low is not None and v < low):
         raise InputError(message.format(v, *args))
     return int(v)
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DSet, InputError, _flag, _integer, _natural, _require_dset, _rooted, _rootings
+from .core import DSet, InputError, _flag, _natural, _require_dset, _rooted, _rootings
 from .splittings import enumerate_splittings
 from .trees import LeafTree, _graft, canonical_form, d_from_tree
 
@@ -176,7 +176,7 @@ class TreeSpec:
             raise InputError("leaf count must be positive")
         if self.degree is not None:
             _natural(self.degree, "'degree' must be a non-negative integer, got {!r}")
-        _integer(self.seed, "'seed' must be an integer, got {!r}")
+        _natural(self.seed, "'seed' must be an integer, got {!r}", low=None)
 
 
 def _caterpillar(leaves: int) -> LeafTree:

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _distances, _flag, _integer
+from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _distances, _flag, _natural
 from .core import _kept, _record, _require_ids, _rooted, _rootings, _tree_record, _walk, check_axioms
 
 
@@ -63,7 +63,7 @@ class LeafTree:
             raise InputError(f"tree nodes, edges and leaves must be collections: {exc}") from exc
         for v in itertools.chain(nodes, *edges, *leaf_items):
             if type(v) is not int:  # plain ints, nearly every id, pass at once
-                _integer(v, "tree ids must be integers, got {!r}")
+                _natural(v, "tree ids must be integers, got {!r}", low=None)
         if any(len(pair) != 2 for pair in itertools.chain(edges, leaf_items)):
             raise InputError("tree edges and leaves must be pairs of ids")
         node_tuple = tuple(sorted(set(map(int, nodes))))

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import random
@@ -16,20 +14,15 @@ import pytest
 
 import dsets as D
 from dsets import Splitting
-from dsets.cli import main
 
+import _corpus
 import _families as F
 
 
 @pytest.fixture
-def run(monkeypatch, capsys):
-    def invoke(argv, stdin=""):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        code = main(argv)
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    return invoke
+def run():
+    """(exit code, stdout, stderr) of `cli.main(argv)` with the given stdin, in process."""
+    return _corpus.invoke
 
 
 def _payload(out):
@@ -561,23 +554,6 @@ def test_gen_builds_a_relation_only_to_write_it(run, monkeypatch, argv, code):
     calls = _counted_d_from_tree(monkeypatch)
     assert run(["gen", *argv])[0] == code
     assert len(calls) == (code == 0 and "tree" not in argv)
-
-
-def test_gen_writes_every_catalogue_fixture_as_it_did():
-    # sha256 of the stdout of `gen --fixture NAME --as tree`, then `--as dset`,
-    # for every catalogue name, FLW3, FLW12 and FLW64, concatenated.
-    names = [n for n in D.fixture_names() if not n.startswith("FLW")] + ["FLW3", "FLW12", "FLW64"]
-    outs = []
-    for name in names:
-        for what in ("tree", "dset"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert main(["gen", "--fixture", name, "--as", what, "--max-n", "64", "--quiet"]) == 0
-            outs.append(out.getvalue())
-    assert len(outs) == 28
-    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
-        "5cd00aa858dd2e06f719db1b8b6c9dec6766b4a70f42e88246117ebb36157552"
-    )
 
 
 def test_splittings_and_homreport_write_as_they_did(run, catalogue):
