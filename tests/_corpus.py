@@ -12,8 +12,9 @@ A case is one JSON object, one line of the file:
 - "stdin" (optional): the text itself, or a source {"argv": [...]}, which is
   the stdout of that command line (its own "stdin" read the same way) with
   any positive quads listed under "drop" removed;
-- "files" (optional): {name: text}, written to a fresh directory that the
-  command and its sources run in, so that their argv names them;
+- "files" (optional): {name: text or source}, each written in turn to a
+  fresh directory that the command and its sources run in, so that their
+  argv names them (a structure by its path, a --splitting or --map file);
 - "exit": the expected exit code;
 - "stdout": the expected stdout, or "sha256": its digest when it is longer
   than SHORT bytes.
@@ -64,35 +65,32 @@ def invoke_executable(argv, stdin: str = "") -> tuple:
     return proc.returncode, proc.stdout.decode(errors="surrogateescape"), proc.stderr.decode(errors="replace")
 
 
-def _stdin(source, call, files: dict, sources: dict) -> str:
+def _text(source, call) -> str:
+    """source itself if text, else the stdout of its argv."""
     if isinstance(source, str):
         return source
-    key = json.dumps([source, files], sort_keys=True)
-    if key not in sources:
-        code, out, err = call(source["argv"], _stdin(source.get("stdin", ""), call, files, sources))
-        if code != 0 or "Traceback" in err:
-            raise _SourceFailed(f"stdin source {source['argv']} exited {code}\n{err}")
-        if "drop" in source:
-            payload = json.loads(out)
-            for quad in source["drop"]:
-                payload["positives"].remove(quad)
-            out = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        sources[key] = out
-    return sources[key]
+    code, out, err = call(source["argv"], _text(source.get("stdin", ""), call))
+    if code != 0 or "Traceback" in err:
+        raise _SourceFailed(f"source {source['argv']} exited {code}\n{err}")
+    if "drop" in source:
+        payload = json.loads(out)
+        for quad in source["drop"]:
+            payload["positives"].remove(quad)
+        out = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return out
 
 
-def failure(case: dict, call=invoke, sources=None):
+def failure(case: dict, call=invoke):
     """None if the case holds when run by `call`, else a report that names it
     with its actual exit code, the sha256 of its stdout and, when short, the
-    stdout as a JSON string. A `sources` dict shared between calls keeps each
-    source's stdout, so that each source runs once."""
-    here, files, sources = os.getcwd(), case.get("files", {}), {} if sources is None else sources
+    stdout as a JSON string."""
+    here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in files.items():
-            Path(tmp, name).write_text(text, encoding="utf-8")
         os.chdir(tmp)
         try:
-            code, out, err = call(case["argv"], _stdin(case.get("stdin", ""), call, files, sources))
+            for name, source in case.get("files", {}).items():
+                Path(name).write_text(_text(source, call), encoding="utf-8")
+            code, out, err = call(case["argv"], _text(case.get("stdin", ""), call))
         except _SourceFailed as exc:
             return f"{case['id']}: {exc}"
         finally:
@@ -108,8 +106,8 @@ def failure(case: dict, call=invoke, sources=None):
 
 
 def main() -> int:
-    cases, sources = load(), {}
-    failures = [report for report in (failure(case, invoke_executable, sources) for case in cases) if report]
+    cases = load()
+    failures = [report for report in (failure(case, invoke_executable) for case in cases) if report]
     print(*failures, f"{len(cases) - len(failures)} of {len(cases)} cases hold", sep="\n")
     return 1 if failures else 0
 
