@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 import dsets as D
 
-from .core import DSet, InputError, InvariantViolation, NotRepresentable, _DECIMAL, _natural, check_axioms
+from ._gates import InputError, _DECIMAL, _natural, _refused
+from .core import DSet, InvariantViolation, NotRepresentable, check_axioms
 
 OUTDIR_ENV = "DSETS_OUTDIR"
 
@@ -32,11 +33,8 @@ def _dump(obj) -> str:
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    with _refused(f"cannot read {path}", OSError), open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _check_max_n(args, count: int, noun: str) -> None:
@@ -145,18 +143,14 @@ def cmd_indisc(args) -> tuple:
 
 def _parse_map(text: str) -> list[tuple]:
     """The pairs of a JSON map, as given; check_partial_iso reads them."""
-    try:
+    with _refused("invalid map JSON", json.JSONDecodeError):
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid map JSON: {exc}") from exc
     if isinstance(payload, dict) and "map" in payload:
         payload = payload["map"]
-    try:
+    with _refused("malformed map payload", ValueError):
         if isinstance(payload, dict):
             return [(_decimal(k), v) for k, v in payload.items()]
         return [(k, v) for k, v in payload]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed map payload: {exc}") from exc
 
 
 def cmd_probe(args) -> tuple:
@@ -207,9 +201,7 @@ def _parse_spec(text: str) -> D.TreeSpec:
             continue
         if "=" not in part:
             raise InputError(f"spec entries look like key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+        key, value = (side.strip() for side in part.split("=", 1))
         if key not in ("kind", "leaves", "degree", "seed"):
             raise InputError(f"unknown spec key {key!r}")
         fields[key] = value if key == "kind" else _decimal(value)

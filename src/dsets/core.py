@@ -56,7 +56,8 @@ and `_rooted` roots it at the center whose flat AHU code over that walk is
 least, equal for two trees exactly when they are isomorphic.  are_isomorphic
 ranks each walk of two certified trees once by `_ranks`, into integer ranks
 both trees share, and re-ranks one root path per individualised element.
-A structure argument that is no DSet is refused by one check, `_require_dset`.
+A structure argument that is no DSet is refused by one check, `_require_dset`;
+every input check that needs no class of the package lives in `_gates`.
 
 Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
 ...]} with sorted keys, no whitespace and the rows in order, _BLOCK = 8,192
@@ -72,19 +73,15 @@ import functools
 import itertools
 import json
 import math
-import re
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
+from ._gates import InputError, _DECIMAL, _check_count, _decoded, _flag, _listed, _natural
+
 Quad = tuple[int, int, int, int]
 Colors = Union[Iterable[int], Mapping[int, int]]  # per element, or element -> color
-
-
-class InputError(ValueError):
-    """Malformed data: bad ids, bad JSON shape, inconsistent tables."""
 
 
 class NotRepresentable(ValueError):
@@ -115,41 +112,11 @@ def _require_ids(ids: Iterable, d=_UNBOUND) -> list[int]:
         _require_dset(d)
     ids = _listed(ids, "element ids")
     for v in ids:
-        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
-            raise InputError(f"element ids must be non-negative integers, got {v!r}")
+        if type(v) is not int:  # plain ints, nearly every id, pass at once
+            _natural(v, "element ids must be non-negative integers, got {!r}", low=None)
         if d is not _UNBOUND and not 0 <= v < d.n:
             raise InputError(f"element {v} out of range 0..{d.n - 1}")
     return list(map(int, ids))
-
-
-def _listed(items, what: str) -> list:
-    """items as a list; InputError naming what they are when not iterable."""
-    try:
-        return list(items)
-    except TypeError as exc:
-        raise InputError(f"{what} must come as a collection, got {items!r}") from exc
-
-
-# The one spelling of an id as a JSON object key: ASCII decimal, no leading zero.
-_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def _natural(v, message: str = "'n' must be a non-negative integer", *args, low=0) -> int:
-    """v as a Python int, if it is an integer other than a bool and not below
-    low, else InputError(message.format(v, *args)): the one check of an element
-    count (the default message), of a color and of a quad's ids, and with
-    low=None of a tree id or a seed, which may be negative."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or (low is not None and v < low):
-        raise InputError(message.format(v, *args))
-    return int(v)
-
-
-def _flag(v, name: str) -> bool:
-    """v as a Python bool, if it is a Python or numpy bool, else InputError
-    naming the argument: no other object stands for a yes or no by its truthiness."""
-    if not isinstance(v, (bool, np.bool_)):
-        raise InputError(f"{name!r} must be True or False, got {v!r}")
-    return bool(v)
 
 
 def normalize_quad(w: int, x: int, y: int, z: int) -> Quad:
@@ -221,8 +188,7 @@ class DSet:
     def _start(self, n: int, colors: Colors) -> None:
         """Check n and colors (per element, all 0 if empty, or a map that
         covers every element) and start the analyses kept on this instance."""
-        n = _natural(n)
-        _check_count(n)
+        n = _check_count(_natural(n))
         object.__setattr__(self, "n", n)
         if isinstance(colors, Mapping):
             missing = self.elements - set(_require_ids(colors, self))
@@ -330,12 +296,7 @@ class DSet:
         object with a non-negative integer 'n', building nothing n-long.
         to_json's own spelling is read by _read_own_spelling; any other goes
         through json.loads."""
-        payload = _read_own_spelling(text)
-        if payload is None:
-            try:
-                payload = json.loads(text)
-            except (json.JSONDecodeError, TypeError) as exc:  # TypeError: text is no str or bytes
-                raise InputError(f"invalid JSON: {exc}") from exc
+        payload = _read_own_spelling(text) or _decoded(text)  # a payload read is never empty
         if not isinstance(payload, dict) or "n" not in payload:
             raise InputError("D-set JSON must be an object with an 'n' field")
         _natural(payload["n"])
@@ -345,8 +306,7 @@ class DSet:
     def _from_payload(cls, payload: dict) -> "DSet":
         """from_json's second step: validate the rest of a decoded payload
         and construct."""
-        n = payload["n"]
-        _check_count(n)
+        n = _check_count(payload["n"])
         raw_colors = payload.get("colors", {})
         if not isinstance(raw_colors, dict):
             raise InputError("'colors' must map element ids to color ids")
@@ -371,12 +331,6 @@ class DSet:
                 if any(not isinstance(v, int) or not 0 <= v < n for v in item):
                     raise InputError(f"positive entry {item!r} has ids outside 0..{n - 1}")
         return cls._build(n, quads, rows, colors)
-
-
-def _check_count(n: int) -> None:
-    """Refuse an n too large to index, before anything n-long is built."""
-    if n > sys.maxsize:
-        raise InputError(f"element count must be at most {sys.maxsize}")
 
 
 def _int_rows(quads: list, n: int) -> Optional[np.ndarray]:

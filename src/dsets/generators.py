@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DSet, InputError, _flag, _natural, _require_dset, _rooted, _rootings
+from ._gates import InputError, _flag, _natural
+from .core import DSet, _require_dset, _rooted, _rootings
 from .splittings import enumerate_splittings
 from .trees import LeafTree, _graft, canonical_form, d_from_tree
 

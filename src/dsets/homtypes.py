@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import DSet, InputError, _atoms, _natural, _require_core, _require_ids
+from ._gates import InputError, _natural, _refused
+from .core import DSet, _atoms, _require_core, _require_ids
 from .splittings import _subset_outside, complementary, density_witnesses, enumerate_splittings
 from .splittings import induced_splitting, is_regular
 from .trees import Splitting
@@ -32,10 +33,8 @@ PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
 def _as_map(m: PairsLike) -> dict[int, int]:
-    try:
+    with _refused("a map must be a mapping or a sequence of pairs"):  # m, or an entry, is not iterable
         items = [_require_ids(tuple(p)) for p in (m.items() if isinstance(m, Mapping) else m)]
-    except TypeError as exc:  # m, or one of its entries, is not iterable
-        raise InputError(f"a map must be a mapping or a sequence of pairs: {exc}") from exc
     out: dict[int, int] = {}
     for pair in items:
         if len(pair) != 2:

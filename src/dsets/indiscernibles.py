@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import DSet, InputError, _atoms, _natural, _require_core, _require_dset, _require_ids
+from ._gates import InputError, _natural, _refused
+from .core import DSet, _atoms, _require_core, _require_dset, _require_ids
 from .splittings import enumerate_splittings
 
 
@@ -30,10 +31,8 @@ class SequenceWindow:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Sequence[int]]) -> None:
-        try:
+        with _refused("window rows must be a sequence of sequences"):  # rows, or a row, is not iterable
             packed = tuple(tuple(_require_ids(tuple(row))) for row in rows)
-        except TypeError as exc:  # rows, or one of them, is not iterable
-            raise InputError(f"window rows must be a sequence of sequences: {exc}") from exc
         if not packed:
             raise InputError("window must hold at least one row")
         arity = len(packed[0])
@@ -64,11 +63,8 @@ class SequenceWindow:
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceWindow":
-        try:
-            payload = json.loads(text)
-            rows = [tuple(row) for row in payload["rows"]]  # TypeError if rows or a row is not iterable
-        except (json.JSONDecodeError, TypeError, KeyError) as exc:
-            raise InputError(f"bad window payload: {exc}") from exc
+        with _refused("bad window payload", json.JSONDecodeError, KeyError):
+            rows = [tuple(row) for row in json.loads(text)["rows"]]  # TypeError if rows or a row is not iterable
         return cls(rows)
 
 
@@ -333,7 +329,10 @@ def weakly_indiscernible_over(
     are taken in product order and, within one, fillings in product order
     of their slots; the witness pair is the first filling whose value
     differs from the first filling with its key, together with that first
-    filling.  An empty parameter set is vacuously invariant.
+    filling.  An empty parameter set is vacuously invariant.  A parameter
+    that is also a window entry tells that entry's row apart by equality, a
+    true verdict of False: on CAT5 over [0], D(00;00) at row 0 is False and
+    D(00;11) at row 1 True.
 
     The fillings and their keys depend only on the window's shape (rows,
     arity, parameter count), and the 4 layouts of _slot_layouts hold

@@ -19,7 +19,8 @@ Outside input always takes the checking constructors, `LeafTree(...)`,
 parts already normalised (sorted tuples; frozensets of ints ordered by least
 element) and checks nothing: only parts built from a certified rebuild, a
 tree or ids `_require_ids` has checked may take it.  A tree argument that is
-no LeafTree is refused by one check, `_require_tree`.
+no LeafTree is refused by one check, `_require_tree`; `_gates` holds the
+input checks that need no class of the package (JSON, collections, numbers).
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import DSet, InputError, NotRepresentable, _DECIMAL, _adjacency, _below, _distances, _flag, _natural
-from .core import _kept, _record, _require_ids, _rooted, _rootings, _tree_record, _walk, check_axioms
+from ._gates import InputError, _DECIMAL, _decoded, _flag, _listed, _natural, _refused
+from .core import DSet, NotRepresentable, _adjacency, _below, _distances, _kept, _record, _require_ids
+from .core import _rooted, _rootings, _tree_record, _walk, check_axioms
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,9 @@ class LeafTree:
         edges: Iterable[tuple[int, int]],
         leaves: Mapping[int, int] | Iterable[tuple[int, int]],
     ) -> None:
-        try:
+        with _refused("tree nodes, edges and leaves must be collections"):
             nodes, edges = list(nodes), [tuple(e) for e in edges]
             leaf_items = [tuple(p) for p in (leaves.items() if isinstance(leaves, Mapping) else leaves)]
-        except TypeError as exc:
-            raise InputError(f"tree nodes, edges and leaves must be collections: {exc}") from exc
         for v in itertools.chain(nodes, *edges, *leaf_items):
             if type(v) is not int:  # plain ints, nearly every id, pass at once
                 _natural(v, "tree ids must be integers, got {!r}", low=None)
@@ -142,15 +142,10 @@ class LeafTree:
 
     @classmethod
     def from_json(cls, text: str) -> "LeafTree":
-        try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, TypeError) as exc:  # TypeError: text is no str or bytes
-            raise InputError(f"invalid JSON: {exc}") from exc
+        payload = _decoded(text)
         if not isinstance(payload, dict):
             raise InputError("tree JSON must be an object")
-        nodes = payload.get("nodes", [])
-        edges = payload.get("edges", [])
-        leaves = payload.get("leaves", {})
+        nodes, edges, leaves = payload.get("nodes", []), payload.get("edges", []), payload.get("leaves", {})
         if not isinstance(nodes, list) or not isinstance(edges, list):
             raise InputError("tree 'nodes' and 'edges' must be lists")
         if not all(isinstance(e, list) and len(e) == 2 for e in edges):
@@ -165,18 +160,6 @@ def _require_tree(t) -> None:
     as core._require_dset is for a structure."""
     if not isinstance(t, LeafTree):
         raise InputError(f"expected a LeafTree, got {t!r}")
-
-
-def _per_element(t: LeafTree, values, name: str) -> list:
-    """values as a list indexed by t's element ids, refused unless it is a
-    collection of at least one entry per element."""
-    try:
-        values = list(values)
-    except TypeError as exc:
-        raise InputError(f"{name} must be a sequence indexed by element id, got {values!r}") from exc
-    if len(values) < t.n_elements:
-        raise InputError(f"{name} needs an entry for each of {t.n_elements} elements, got {len(values)}")
-    return values
 
 
 def d_from_tree(t: LeafTree) -> DSet:
@@ -246,11 +229,9 @@ class Splitting:
     sectors: tuple[frozenset[int], ...]
 
     def __init__(self, sectors: Iterable[Iterable[int]]) -> None:
-        try:
+        with _refused("sectors must be lists of element ids"):
             sectors = [tuple(s) for s in sectors]  # each sector read once
             normalized = list(map(frozenset, sectors))
-        except TypeError as exc:
-            raise InputError(f"sectors must be lists of element ids: {exc}") from exc
         if not all(normalized):
             raise InputError("empty sector")
         # Each id is checked as given: an id given twice may hide a bool or a
@@ -294,10 +275,7 @@ class Splitting:
 
     @classmethod
     def from_json(cls, text: str) -> "Splitting":
-        try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, TypeError) as exc:  # TypeError: text is no str or bytes
-            raise InputError(f"invalid JSON: {exc}") from exc
+        payload = _decoded(text)
         if isinstance(payload, dict) and "sectors" in payload:
             return cls(payload["sectors"])
         # bare list form, as emitted by the splittings CLI payload
@@ -399,7 +377,7 @@ def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple
     are tried and the smaller encoding kept.
     """
     _require_tree(t)
-    tokens = range(t.n_elements) if leaf_tokens is None else _per_element(t, leaf_tokens, "leaf_tokens")
+    tokens = range(t.n_elements) if leaf_tokens is None else _listed(leaf_tokens, "leaf_tokens", t.n_elements)
     if not t.nodes:
         return ("empty",)
     leaf_of, adj = t.leaf_map(), t.adjacency()
@@ -426,7 +404,7 @@ def export_dot(t: LeafTree, colors: Optional[Iterable[int]] = None) -> str:
     attribute when a color sequence (indexed by element id) is given.
     """
     _require_tree(t)
-    color_list = None if colors is None else _per_element(t, colors, "colors")
+    color_list = None if colors is None else _listed(colors, "colors", t.n_elements)
     leaf_of = t.leaf_map()
     lines = ["graph dset_tree {"]
     for u in t.nodes:

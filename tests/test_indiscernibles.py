@@ -423,6 +423,21 @@ def test_weak_holds_over_frontier(catalogue, mkwin):
     assert ok and witness is None
 
 
+def test_weak_fails_over_a_window_element_by_equality(catalogue, mkwin):
+    # The parameter 0 is window row 0: D(00;00) is False there, D(00;11) True at row 1.
+    d, window = catalogue["CAT5"].dset, mkwin(range(5))
+    assert D.weakly_indiscernible_over(d, window, []) == (True, None)
+    ok, witness = D.weakly_indiscernible_over(d, window, [0])
+    assert not ok and witness["kind"] == "order_type"
+    first, second = witness["first"], witness["second"]
+    assert (first["args"], first["value"]) == ([0, 0, 0, 0], False)
+    assert (second["args"], second["value"]) == ([0, 0, 1, 1], True)
+    assert [s.get("row") for s in first["slots"]] == [None, None, 0, 0]
+    assert [s.get("row") for s in second["slots"]] == [None, None, 1, 1]
+    for atom in (first, second):
+        assert d.holds(*atom["args"]) is atom["value"]
+
+
 def test_weak_constant_window(catalogue, mkwin):
     ok, _ = D.weakly_indiscernible_over(catalogue["CAT5"].dset, mkwin([2] * 5), [0, 3])
     assert ok

@@ -37,19 +37,20 @@ ALL = [
     "tree_from_dset", "weakly_indiscernible_over",
 ]
 
-BASE = {"dsets", "dsets.cli", "dsets.core"}
+BASE = {"dsets", "dsets._gates", "dsets.cli", "dsets.core"}
 
 # The import order of the library: each module imports only modules before it.
-ORDER = ("core", "trees", "splittings", "homtypes", "indiscernibles", "generators", "cli")
+ORDER = ("_gates", "core", "trees", "splittings", "homtypes", "indiscernibles", "generators", "cli")
 # The dsets modules that importing each one alone loads, besides the package.
 LOADS = {
-    "core": {"core"},
-    "trees": {"core", "trees"},
-    "splittings": {"core", "trees", "splittings"},
-    "homtypes": {"core", "trees", "splittings", "homtypes"},
-    "indiscernibles": {"core", "trees", "splittings", "indiscernibles"},
-    "generators": {"core", "trees", "splittings", "generators"},
-    "cli": {"core", "cli"},
+    "_gates": {"_gates"},
+    "core": {"_gates", "core"},
+    "trees": {"_gates", "core", "trees"},
+    "splittings": {"_gates", "core", "trees", "splittings"},
+    "homtypes": {"_gates", "core", "trees", "splittings", "homtypes"},
+    "indiscernibles": {"_gates", "core", "trees", "splittings", "indiscernibles"},
+    "generators": {"_gates", "core", "trees", "splittings", "generators"},
+    "cli": {"_gates", "core", "cli"},
 }
 
 
@@ -109,21 +110,21 @@ def inputs(tmp_path_factory, catalogue):
     return {name: str(where / f"{name}.json") for name in files}
 
 
-# argv, and the library modules beyond core that the command loads on these
+# argv, and the library modules beyond core and _gates that the command loads on these
 # inputs: its own module and the modules that one imports.
 COMMANDS = {
     "check": (["check", "{flw}"], set()),
     "from-tree": (["from-tree", "{tree}"], {"trees"}),
     "to-tree": (["to-tree", "{flw}"], {"trees"}),
     "export-dot": (["export-dot", "{tree}"], {"trees"}),
-    "splittings": (["splittings", "{flw}"], LOADS["splittings"] - {"core"}),
-    "extend": (["extend", "{flw}", "--splitting", "{cut}"], LOADS["splittings"] - {"core"}),
-    "probe": (["probe", "{flw}", "--map", "{map}", "--add", "3"], LOADS["homtypes"] - {"core"}),
-    "homreport": (["homreport", "{flw}"], LOADS["homtypes"] - {"core"}),
-    "classify": (["classify", "{flw}", "--seq", "0,1,2,3,4"], LOADS["indiscernibles"] - {"core"}),
-    "hull": (["hull", "{flw}", "--seq", "0,1,2,3,4"], LOADS["indiscernibles"] - {"core"}),
-    "indisc": (["indisc", "{flw}", "--seq", "0,1,2,3,4", "--over", "5"], LOADS["indiscernibles"] - {"core"}),
-    "gen": (["gen", "--fixture", "CAT5"], LOADS["generators"] - {"core"}),
+    "splittings": (["splittings", "{flw}"], LOADS["splittings"] - LOADS["core"]),
+    "extend": (["extend", "{flw}", "--splitting", "{cut}"], LOADS["splittings"] - LOADS["core"]),
+    "probe": (["probe", "{flw}", "--map", "{map}", "--add", "3"], LOADS["homtypes"] - LOADS["core"]),
+    "homreport": (["homreport", "{flw}"], LOADS["homtypes"] - LOADS["core"]),
+    "classify": (["classify", "{flw}", "--seq", "0,1,2,3,4"], LOADS["indiscernibles"] - LOADS["core"]),
+    "hull": (["hull", "{flw}", "--seq", "0,1,2,3,4"], LOADS["indiscernibles"] - LOADS["core"]),
+    "indisc": (["indisc", "{flw}", "--seq", "0,1,2,3,4", "--over", "5"], LOADS["indiscernibles"] - LOADS["core"]),
+    "gen": (["gen", "--fixture", "CAT5"], LOADS["generators"] - LOADS["core"]),
 }
 
 
@@ -183,6 +184,22 @@ def test_no_function_imports_a_module():
         for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert inner == []
+
+
+def test_gates_import_nothing_from_the_package():
+    # _gates holds every input check that needs no package class, so any module may use it.
+    imports = [node for node in ast.walk(_sources()["_gates"]) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+        assert getattr(node, "level", 0) == 0, ast.dump(node)
+        assert all(name.split(".")[0] != "dsets" for name in names), ast.dump(node)
+
+
+def test_input_error_is_one_class():
+    from dsets import _gates, core
+
+    assert D.InputError is core.InputError is _gates.InputError
 
 
 def test_only_core_reads_the_relation_table():
