@@ -29,8 +29,9 @@ def _refused(what: str, *kinds: type):
 
 
 def _decoded(text):
-    """json.loads(text), refused as invalid JSON, as is a text that is no str or bytes."""
-    with _refused("invalid JSON", json.JSONDecodeError):
+    """json.loads(text), refused as invalid JSON, as is a text that is no str
+    or bytes or one nested too deep for the decoder (RecursionError)."""
+    with _refused("invalid JSON", json.JSONDecodeError, RecursionError):
         return json.loads(text)
 
 

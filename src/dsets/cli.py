@@ -143,7 +143,7 @@ def cmd_indisc(args) -> tuple:
 
 def _parse_map(text: str) -> list[tuple]:
     """The pairs of a JSON map, as given; check_partial_iso reads them."""
-    with _refused("invalid map JSON", json.JSONDecodeError):
+    with _refused("invalid map JSON", json.JSONDecodeError, RecursionError):
         payload = json.loads(text)
     if isinstance(payload, dict) and "map" in payload:
         payload = payload["map"]

@@ -51,11 +51,11 @@ Trees, as adjacency lists (`_adjacency`): `_walk` is the one breadth-first
 walk.  `_below` walks a tree in hand from element 0's leaf into parent
 indices and a bool `below` matrix, which `_record` numbers as `_rebuild`
 numbers its clusters; `_tree_record` is the one guarded reader of a
-certified (parent, below).  `_rootings` walks a tree once from each center,
-and `_rooted` roots it at the center whose flat AHU code over that walk is
-least, equal for two trees exactly when they are isomorphic.  are_isomorphic
-ranks each walk of two certified trees once by `_ranks`, into integer ranks
-both trees share, and re-ranks one root path per individualised element.
+certified (parent, below).  `_rootings` walks a tree once from each center;
+`_ranks`, interned integer ranks, is the one subtree code.  `_coded` orders
+ranks as flat AHU codes for canonical forms and tree enumeration.
+are_isomorphic ranks each walk of two certified trees once, into ranks both
+trees share, and re-ranks one root path per individualised element.
 A structure argument that is no DSet is refused by one check, `_require_dset`;
 every input check that needs no class of the package lives in `_gates`.
 
@@ -793,44 +793,48 @@ def _rootings(adj) -> list[tuple[list[int], dict]]:
     path = [order[-1]]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
-    length = len(path) - 1
-    return [_walk(adj, c) for c in sorted(path[length // 2 : (length + 1) // 2 + 1])]
+    return [_walk(adj, c) for c in sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1])]
 
 
-def _subtree_codes(order: list[int], parent: dict, token) -> dict[int, tuple]:
-    """Flat AHU codes of every subtree over a walk (order, parent).
-
-    A node's code is (token(u),) followed by its children's codes in sorted
-    order and a closing (); tokens are non-empty tuples, so () sorts below
-    all of them.  Flat codes therefore compare and order exactly as nested
-    (token, sorted children) codes would, and comparing two of them never
-    recurses past a token.
-    """
-    kids: dict[int, list[tuple]] = {u: [] for u in order}
-    code: dict[int, tuple] = {}
-    for u in reversed(order):
-        code[u] = (token(u), *itertools.chain.from_iterable(sorted(kids.pop(u))), ())
-        if parent[u] is not None:
-            kids[parent[u]].append(code[u])
-    return code
-
-
-def _ranks(order: list[int], parent: dict, adj, tokens: list, intern: dict) -> dict[int, int]:
-    """Interned AHU ranks over a walk (order, parent) of the tree adj: a
-    node's rank numbers (tokens[u], *sorted child ranks) in intern, so ranks
-    from one intern are equal exactly for isomorphic subtrees, tokens matched."""
-    rank: dict[int, int] = {}
-    for u in reversed(order):
-        rank[u] = intern.setdefault((tokens[u], *sorted(rank[v] for v in adj[u] if v != parent[u])), len(intern))
+def _ranks(nodes: Iterable[int], parent: dict, adj, tokens, intern: dict, rank: dict) -> dict[int, int]:
+    """Interned AHU ranks of nodes, each after its children (a walk reversed,
+    or a path up to the root), set in rank: a node's rank numbers (tokens[u],
+    *sorted child ranks) in intern, equal exactly for isomorphic subtrees."""
+    for u in nodes:
+        rank[u] = intern.setdefault((tokens[u], *sorted([rank[v] for v in adj[u] if v != parent[u]])), len(intern))
     return rank
 
 
-def _rooted(rootings, token) -> tuple[int, dict, dict[int, tuple]]:
-    """The center of _rootings whose code is least (the least such center on
-    a tie), with its walk's parents and its _subtree_codes.  Its code is
-    equal for two trees exactly when an isomorphism matching the tokens exists."""
-    coded = [(order[0], parent, _subtree_codes(order, parent, token)) for order, parent in rootings]
-    return min(coded, key=lambda r: (r[2][r[0]], r[0]))
+def _coded(adj, tokens) -> tuple:
+    """The walks of _rootings ranked into one intern and ordered as flat AHU
+    codes: a node's token, its children's codes sorted, then ().  Tokens are
+    non-empty tuples, so () sorts first: the first differing token or child
+    decides, else the key with fewer children.  Keys list children first, so
+    one pass sorts each key's children.  Returns the least center by code,
+    then id; its parents and ranks; the keys by rank; and code, a sort key."""
+    intern: dict = {}
+    rooted = [(order[0], p, _ranks(order[::-1], p, adj, tokens, intern, {})) for order, p in _rootings(adj)]
+    keys = list(intern)
+
+    def compare(a: int, b: int) -> int:
+        while a != b:
+            ka, kb = keys[a], keys[b]
+            for i, (x, y) in enumerate(zip(ka, kb)):
+                if x != y:
+                    break
+            else:  # one key's children begin the other's
+                return len(ka) - len(kb)
+            if i == 0:  # the tokens differ
+                return -1 if x < y else 1
+            a, b = x, y
+        return 0
+
+    code = functools.cmp_to_key(compare)
+    for r, key in enumerate(keys):
+        if len(key) > 2:
+            keys[r] = (key[0], *sorted(key[1:], key=code))
+    root, parent, rank = min(rooted, key=lambda c: (code(c[2][c[0]]), c[0]))
+    return root, parent, rank, keys, code
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -935,7 +939,7 @@ def are_isomorphic(
         parents = _tree_record(d)[0].tolist()
         adj = _adjacency(range(len(parents)), enumerate(parents[1:], 1))
         tokens = [(c if respect_colors else 0, 0) for c in d.colors] + [None] * (len(parents) - n)
-        trees.append((adj, tokens, [(p, _ranks(order, p, adj, tokens, intern)) for order, p in _rootings(adj)]))
+        trees.append((adj, tokens, [(p, _ranks(order[::-1], p, adj, tokens, intern, {})) for order, p in _rootings(adj)]))
     (_, tokens1, roots1), (_, tokens2, roots2) = trees
 
     def up(parent: dict, u: int):  # u, then each node above it
@@ -958,10 +962,8 @@ def are_isomorphic(
         image[e] = f
         tokens1[e] = tokens2[f] = (color, e + 1)
         for leaf, (adj, tokens, rootings) in zip((e, f), trees):
-            for parent, rank in rootings:  # ranked again as by _ranks, up one path
-                for u in up(parent, leaf):
-                    kid_ranks = sorted(rank[v] for v in adj[u] if v != parent[u])
-                    rank[u] = intern.setdefault((tokens[u], *kid_ranks), len(intern))
+            for parent, rank in rootings:  # ranked again up one path
+                _ranks(up(parent, leaf), parent, adj, tokens, intern, rank)
     return image
 
 

@@ -2,8 +2,8 @@
 
 Everything here is deterministic: fixtures have stable ids (leaf node ids
 equal element ids, internal ids counted upward from the element count),
-enumeration emits one canonically labeled representative per isomorphism
-class, and random kinds are pure functions of their seed.
+enumeration emits one representative per isomorphism class, relabelled in
+flat code order (`core._coded`), and random kinds are pure functions of a seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ._gates import InputError, _flag, _natural
-from .core import DSet, _require_dset, _rooted, _rootings
+from .core import DSet, _coded, _require_dset
 from .splittings import enumerate_splittings
 from .trees import LeafTree, _graft, canonical_form, d_from_tree
 
@@ -141,19 +141,16 @@ def _canonical_relabel(t: LeafTree) -> LeafTree:
     Leaves take 0..k-1 in visit order and double as their own node ids;
     internal nodes continue from k.
     """
-    adj = t.adjacency()
-    labeled = set(t.leaf_map())
-    root, parent, code = _rooted(_rootings(adj), lambda u: ("leaf",) if u in labeled else ("node",))
+    adj, labeled = t.adjacency(), set(t.leaf_map())
+    root, parent, rank, _, code = _coded(adj, {u: ("leaf",) if u in labeled else ("node",) for u in adj})
 
-    next_leaf = itertools.count(0)
-    next_internal = itertools.count(t.n_elements)
+    next_leaf, next_internal = itertools.count(0), itertools.count(t.n_elements)
     mapping: dict[int, int] = {}
     stack = [root]  # preorder: each node's children in (code, id) order
     while stack:
         u = stack.pop()
         mapping[u] = next(next_leaf) if u in labeled else next(next_internal)
-        kids = (v for v in adj[u] if v != parent[u])
-        stack.extend(sorted(kids, key=lambda v: (code[v], v), reverse=True))
+        stack += sorted((v for v in adj[u] if v != parent[u]), key=lambda v: (code(rank[v]), v), reverse=True)
     return LeafTree(
         sorted(mapping.values()),
         [(mapping[u], mapping[v]) for u, v in t.edges],

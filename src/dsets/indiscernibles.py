@@ -63,7 +63,7 @@ class SequenceWindow:
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceWindow":
-        with _refused("bad window payload", json.JSONDecodeError, KeyError):
+        with _refused("bad window payload", json.JSONDecodeError, RecursionError, KeyError):
             rows = [tuple(row) for row in json.loads(text)["rows"]]  # TypeError if rows or a row is not iterable
         return cls(rows)
 

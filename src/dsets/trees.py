@@ -6,7 +6,7 @@ holds the tree type, the two directions of that correspondence, and the
 Splitting type with the splittings read off from internal nodes and edges.
 
 Every traversal is core's breadth-first walk, `_walk`: connectivity, the
-canonical codes (`core._rooted`), and `core._below`, the elements below
+canonical forms (`core._coded`), and `core._below`, the elements below
 each node from element 0's leaf, which `core._record` numbers.  d_from_tree
 keeps that record on its result and reads the leaf distances off it; the
 relation is read off a grid of leaf pairs in lexicographic order, so its
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._gates import InputError, _DECIMAL, _decoded, _flag, _listed, _natural, _refused
 from .core import DSet, NotRepresentable, _adjacency, _below, _distances, _kept, _record, _require_ids
-from .core import _rooted, _rootings, _tree_record, _walk, check_axioms
+from .core import _coded, _tree_record, _walk, check_axioms
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,7 @@ class LeafTree:
                 raise InputError(f"self-loop at node {u}")
             edge_set.add((min(u, v), max(u, v)))
         leaf_tuple = tuple(sorted((int(a), int(b)) for a, b in leaf_items))
-        object.__setattr__(self, "nodes", node_tuple)
-        object.__setattr__(self, "edges", tuple(sorted(edge_set)))
-        object.__setattr__(self, "leaves", leaf_tuple)
+        vars(self).update(nodes=node_tuple, edges=tuple(sorted(edge_set)), leaves=leaf_tuple)
         self._validate()
 
     @classmethod
@@ -369,9 +367,9 @@ def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple
 
     With leaf_tokens None each leaf is encoded by its element id, so two
     trees get the same form exactly when a graph isomorphism matching the
-    labels exists.  Passing a sequence indexed by element id (for example
-    a color tuple, or a constant) coarsens the leaf encoding accordingly;
-    all-equal tokens give plain shape isomorphism.
+    labels exists.  Passing a sequence of hashable, comparable tokens indexed
+    by element id (a color tuple, or a constant) coarsens the leaf encoding
+    accordingly; all-equal tokens give plain shape isomorphism.
 
     The tree is rooted at its center; for an edge center the two rootings
     are tried and the smaller encoding kept.
@@ -380,13 +378,16 @@ def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple
     tokens = range(t.n_elements) if leaf_tokens is None else _listed(leaf_tokens, "leaf_tokens", t.n_elements)
     if not t.nodes:
         return ("empty",)
-    leaf_of, adj = t.leaf_map(), t.adjacency()
-
-    def token(u: int) -> tuple:
-        return ("leaf", tokens[leaf_of[u]]) if u in leaf_of else ("i",)
-
-    root, _, code = _rooted(_rootings(adj), token)
-    return code[root]
+    adj = t.adjacency()
+    root, _, rank, keys, _ = _coded(adj, dict.fromkeys(adj, ("i",)) | {u: ("leaf", tokens[e]) for u, e in t.leaves})
+    code, stack = [], [rank[root]]
+    while stack:  # the least center's flat code, built once: a rank stands for its token, its children and ()
+        r = stack.pop()
+        if type(r) is int:
+            stack += ((), *keys[r][:0:-1], keys[r][0])
+        else:
+            code.append(r)
+    return tuple(code)
 
 
 def are_isomorphic_trees(t1: LeafTree, t2: LeafTree, respect_labels: bool = True) -> bool:

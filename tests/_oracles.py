@@ -4,12 +4,13 @@ Everything here is written directly from the definitions and shares no
 code with the package: paths are plain BFS over the edge list, splittings
 come from filtering raw set partitions, order invariance from scanning
 index quadruples, the axioms from boolean masks over a relation table,
-trees from inserting one element at a time, and shape counts from gluing
-leaves onto Pruefer-coded skeletons.  Expected values are frozen into
-tests only after one of these oracles produced them.  One reference is
-built on the package instead: `flat_code_bijection`, isomorphism by whole
-flat AHU codes (`core._rooted`, which canonical forms are made of), the
-slow exact route that the rank search of `are_isomorphic` must agree with.
+trees from inserting one element at a time, shape counts from gluing
+leaves onto Pruefer-coded skeletons, and canonical forms from flat AHU
+codes over breadth-first walks at the centers (`flat_code`), the slow exact
+route that the rank search of `are_isomorphic` must agree with
+(`flat_code_bijection`, given each certified tree's parent array).
+Expected values are frozen into tests only after one of these oracles
+produced them.
 """
 
 from __future__ import annotations
@@ -629,10 +630,49 @@ def least_bijection_oracle(d1, d2, respect_colors):
 # isomorphism by flat-code individualisation
 
 
+def flat_code(parent, token):
+    """The least flat AHU code of a tree over its one or two centers.  The
+    tree is a parent array (-1 at the root); token(u) is a non-empty tuple.
+    A node's code is (token(u),), its children's codes in sorted order, and
+    a closing ().  The centers are what is left after stripping leaves layer
+    by layer; each is the start of one breadth-first walk."""
+    adj = {u: [] for u in range(len(parent))}
+    for u, p in enumerate(parent):
+        if p >= 0:
+            adj[u].append(p)
+            adj[p].append(u)
+    degree = {u: len(vs) for u, vs in adj.items()}
+    layer, left = [u for u in adj if degree[u] <= 1], len(adj)
+    while left > 2:
+        left -= len(layer)
+        stripped = []
+        for u in layer:
+            for v in adj[u]:
+                degree[v] -= 1
+                if degree[v] == 1:
+                    stripped.append(v)
+        layer = stripped
+    codes = []
+    for center in layer:
+        up, order = {center: None}, [center]
+        for u in order:
+            for v in adj[u]:
+                if v != up[u]:
+                    up[v] = u
+                    order.append(v)
+        kids = {u: [] for u in order}
+        for u in reversed(order):
+            code = (token(u), *itertools.chain.from_iterable(sorted(kids[u])), ())
+            if up[u] is not None:
+                kids[up[u]].append(code)
+        codes.append(code)
+    return min(codes)
+
+
 def flat_code_bijection(d1, d2, respect_colors):
     """are_isomorphic's bijection for two structures passing D1..D4, by the
-    whole flat AHU codes (core._rooted) of their certified trees: None when
-    the codes differ; else e takes the least unused f of its color for which
+    whole flat codes (flat_code) of their certified trees: None when the
+    codes differ; else e takes the least unused f of its color for which
     they still agree once both carry the fresh token (color, e + 1)."""
     if d1.n != d2.n:
         return None
@@ -640,11 +680,9 @@ def flat_code_bijection(d1, d2, respect_colors):
     colors = [d.colors if respect_colors else (0,) * n for d in (d1, d2)]
     tokens = [[(c, 0) for c in cs] for cs in colors]
     parents = [core._tree_record(d)[0].tolist() for d in (d1, d2)]
-    rootings = [core._rootings(core._adjacency(range(len(p)), enumerate(p[1:], 1))) for p in parents]
 
     def code(i):
-        root, _, codes = core._rooted(rootings[i], lambda u: tokens[i][u] if u < n else (-1,))
-        return codes[root]
+        return flat_code(parents[i], lambda u: tokens[i][u] if u < n else (-1,))
 
     if code(0) != code(1):
         return None

@@ -54,6 +54,26 @@ def test_check_rejects_malformed_json(run):
 
 
 @pytest.mark.parametrize(
+    "argv, what",
+    (
+        (["check", "-"], "invalid JSON"),
+        (["from-tree", "-"], "invalid JSON"),
+        (["extend", "{cat5}", "--splitting", "-"], "invalid JSON"),
+        (["probe", "{cat5}", "--map", "-", "--add", "1"], "invalid map JSON"),
+    ),
+    ids=["check", "from-tree", "extend-splitting", "probe-map"],
+)
+def test_json_nested_too_deep_is_an_input_error(run, catalogue, tmp_path, argv, what):
+    # json.loads gives up on it with RecursionError, refused as malformed JSON is.
+    cat5 = tmp_path / "cat5.json"
+    cat5.write_text(catalogue["CAT5"].dset.to_json())
+    code, out, _ = run([a.format(cat5=cat5) for a in argv], "[" * 100_000 + "]" * 100_000)
+    assert code == 2
+    error = _payload(out)["error"]
+    assert error["kind"] == "input" and error["message"].startswith(f"{what}: maximum recursion depth"), error
+
+
+@pytest.mark.parametrize(
     "payload",
     (
         {"n": True},

@@ -491,8 +491,8 @@ def test_iso_walks_each_tree_once_per_center(monkeypatch, leaves):
 @pytest.mark.parametrize("leaves", (16, 32))
 def test_iso_ranks_each_tree_once_per_center(monkeypatch, leaves):
     # Each tree is ranked in full once per center, from the walk that
-    # _rootings makes there (after two walks that find the centers); a
-    # candidate image reads one root path, and no flat code is made.
+    # _rootings makes there (after two walks that find the centers); every
+    # other ranking is of one root path, after a leaf took a fresh token.
     rng = random.Random(leaves)
     pairs = []
     for kind in ("caterpillar", "star", "d_regular_random"):
@@ -500,8 +500,17 @@ def test_iso_ranks_each_tree_once_per_center(monkeypatch, leaves):
         pairs.append((a, _relabelled(a, leaves)))
     walk, ranks, walks, ranked = D.core._walk, D.core._ranks, [], []
     monkeypatch.setattr(D.core, "_walk", lambda adj, root: walks.append(root) or walk(adj, root))
-    monkeypatch.setattr(D.core, "_ranks", lambda order, *args: ranked.append(order[0]) or ranks(order, *args))
-    monkeypatch.setattr(D.core, "_subtree_codes", lambda *args: pytest.fail("a whole flat code was made"))
+
+    def counted(nodes, parent, adj, tokens, intern, rank):
+        nodes = list(nodes)
+        if not rank:  # a whole walk, reversed: its root comes last
+            assert len(nodes) == len(adj)
+            ranked.append(nodes[-1])
+        else:  # a path up to the root, each node the parent of the one before
+            assert [parent[u] for u in nodes] == [*nodes[1:], None], nodes
+        return ranks(nodes, parent, adj, tokens, intern, rank)
+
+    monkeypatch.setattr(D.core, "_ranks", counted)
     for a, b in pairs:
         for respect_colors in (True, False):
             walks.clear()

@@ -328,3 +328,41 @@ def test_yes_no_arguments_take_python_and_numpy_bools():
     for v in (True, False, np.True_, np.False_):
         assert D.are_isomorphic(d, other, respect_colors=v) == D.are_isomorphic(d, other, respect_colors=bool(v))
         assert D.are_isomorphic_trees(t, moved, respect_labels=v) is (not v)
+
+
+_CAT5 = D.gen_fixture("CAT5").dset
+_OF_0123 = D.induced_splitting(_CAT5, [0, 1, 2, 3], 4)  # a splitting of 0..3 only
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: SequenceWindow([]), "window must hold at least one row"),
+        (lambda: SequenceWindow([()]), "window rows must be nonempty tuples"),
+        (lambda: SequenceWindow([(0,), (1, 2)]), "window rows must share one arity"),
+        (lambda: D.relabel(_CAT5, {0: 0, 1: 0, 2: 2, 3: 3, 4: 4}), "relabeling must be a bijection of the element range"),
+        (lambda: D.DSet(3, colors=[0, 1]), "colors must assign one color to every element"),
+        (lambda: D.color_sector_avoiding(D.DSet(1)), "nothing to starve in a one-element D-set"),
+        (lambda: D.color_sector_avoiding(D.DSet(2)), "no splitting offers a sector worth starving"),
+        (lambda: next(D.enum_trees(0)), "leaf count must be positive"),
+        (lambda: D.induced_splitting(_CAT5, [0], 4), "need at least two elements to induce a splitting"),
+        (lambda: D.complementary(_CAT5, _OF_0123, range(4), 0), "sector does not belong to the splitting"),
+        (lambda: D.extend_splitting(_CAT5, [0, 1, 2], _OF_0123), "splitting does not cover the given subset"),
+        (lambda: D.extend_splitting(_CAT5, range(4), _OF_0123, order=[]), "order must enumerate exactly the uncovered elements"),
+        (lambda: _OF_0123.sector_of(4), "element 4 not covered by this splitting"),
+    ),
+    ids=(
+        "window-no-row", "window-empty-row", "window-two-arities", "relabel-no-bijection", "colors-short",
+        "sector-avoiding-one-element", "sector-avoiding-singletons", "enum-no-leaves", "induced-one-element", "complementary-foreign-sector",
+        "extend-other-ground", "extend-wrong-order", "sector-of-uncovered",
+    ),
+)
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_window_json_nested_too_deep_is_refused():
+    # json.loads gives up on it with RecursionError, refused as malformed JSON is.
+    with pytest.raises(InputError, match="^bad window payload: maximum recursion depth"):
+        SequenceWindow.from_json("[" * 100_000 + "]" * 100_000)

@@ -619,12 +619,50 @@ def test_tree_iso_respects_labels(catalogue):
     assert not D.are_isomorphic_trees(cat4, relabeled, respect_labels=True)
 
 
-def test_deep_caterpillar_canonical_form():
-    # 1,500 leaves: a spine of 1,498 nodes, deeper than the interpreter's
-    # default recursion limit.
-    n = 1500
+def _oracle_code(t, leaf_tokens):
+    """O.flat_code of t with canonical_form's node tokens, its nodes numbered
+    in t.nodes order and hung from the first one by a plain walk of t.edges."""
+    index = {u: i for i, u in enumerate(t.nodes)}
+    near = {i: [] for i in index.values()}
+    for u, v in t.edges:
+        near[index[u]].append(index[v])
+        near[index[v]].append(index[u])
+    parent, queue = {0: -1}, [0]
+    for u in queue:
+        for v in near[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    leaf = {index[u]: e for u, e in t.leaves}
+    token = lambda i: ("leaf", leaf_tokens[leaf[i]]) if i in leaf else ("i",)  # noqa: E731
+    return O.flat_code([parent[i] for i in range(len(t.nodes))], token)
+
+
+def test_canonical_form_is_the_oracle_flat_code(trees_by_k):
+    # Every tree of 1..8 leaves and seeded caterpillars, stars, 3- and
+    # 4-regular trees of 16 to 300 leaves, under element ids, a constant and
+    # e % 3; enumeration lists each leaf count's shapes in code order.
+    seeded = [
+        D.gen_random(D.TreeSpec(kind, leaves, degree, seed=leaves))
+        for kind, degree in (("caterpillar", None), ("star", None), ("d_regular_random", 3), ("d_regular_random", 4))
+        for leaves in (16, 50, 300)
+    ]
+    for t in itertools.chain(*trees_by_k.values(), seeded):
+        n = t.n_elements
+        for tokens in (range(n), [0] * n, [e % 3 for e in range(n)]):
+            assert D.canonical_form(t, tokens) == _oracle_code(t, tokens)
+    for trees in trees_by_k.values():
+        codes = [_oracle_code(t, [0] * t.n_elements) for t in trees]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert D.canonical_form(LeafTree([], [], {})) == ("empty",)
+
+
+@pytest.mark.parametrize("n", (1500, 3000))
+def test_deep_caterpillar_canonical_form(n):
+    # A spine of n - 2 nodes, deeper than the interpreter's default
+    # recursion limit.
     t = D.gen_random(D.TreeSpec("caterpillar", n))
-    rng = random.Random(1500)
+    rng = random.Random(n)
     shuffled = _renumbered(t, rng)
     # Reversing the spine is an automorphism: leaf e goes where n-1-e was.
     mirrored = LeafTree(t.nodes, t.edges, {u: n - 1 - e for u, e in t.leaves})
