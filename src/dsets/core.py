@@ -24,10 +24,10 @@ What is stored: each DSet holds its relation once, as a read-only (k, 4)
 int array of those canonical quadruples in lexicographic order (`rows`).
 What is derived from it, on first request and then kept on the structure:
 the `positives` frozenset, the dense relation table, the axiom report and
-the reconstructed tree.  `_atoms` is the one reader of atoms D(wx;yz),
-over broadcastable id arrays, from the kept table: every read of the
-relation goes through it, `holds` included, except the D2, D3, D5 and D6
-sweep of check_axioms, which reads the table itself.
+the tree with its leaf distances.  `_atoms` is the one reader of atoms
+D(wx;yz), over broadcastable id arrays, from the kept table: every read
+of the relation goes through it, `holds` included, except the D2, D3, D5
+and D6 sweep of check_axioms, which reads the table itself.
 
 Certification: D1..D4 are proved by rebuilding the tree.  Rooted at
 element 0, the cluster {c >= 1 : not D(ab;c0)} of elements a, b >= 1 is
@@ -36,13 +36,14 @@ that start with 0 give every cluster.  The distinct clusters are the
 nodes, each one's parent its smallest strict superset.  The rows are that
 tree's relation, so D1..D4 hold, when each passes the four-point condition
 on the tree's own leaf distances and they number C(n,4) less the quads
-with their four leaves in four branches at one node.  D5 then fails at
-the least (0, x, y), y >= 1, with x the least element other than y below
-y's neighbour, and D6 at (0, 0, 1, z), z the least element >= 2 outside
-1's branch at 0's neighbour.  Below four elements, or when a test fails,
-D2, D3, D5 and D6 are swept over the table one w at a time by `_sweep`, D3
-and D6 with their fifth element packed into uint64 words, one packed
-layout read through D1's images; D1 and D4 hold by storage.
+with their four leaves in four branches at one node.  The tree is kept
+with its leaf distances d: D(wx;yz) iff d(w,x) + d(y,z) < d(w,y) + d(x,z),
+degenerate values included.  D5 then fails at the least (0, x, y) with
+d(0,x) + 2 = d(0,y) + d(x,y), and D6 at (0, 0, 1, z), z the least with
+d(1,z) + 2 = d(0,1) + d(0,z).  Below four elements, or when a test
+fails, D2, D3, D5 and D6 are swept over the table one w at a time by
+`_sweep`, D3 and D6 with their fifth element packed into uint64 words,
+one packed layout read through D1's images; D1 and D4 hold by storage.
 d_from_tree, relabel and extend_by_point know their result's tree and store
 its rebuild (`_record`); a structure read from JSON certifies from its rows.
 Either way the nodes are numbered by `_numbered`, the one home of that rule.
@@ -50,8 +51,8 @@ Either way the nodes are numbered by `_numbered`, the one home of that rule.
 Trees, as adjacency lists (`_adjacency`): `_walk` is the one breadth-first
 walk.  `_below` walks a tree in hand from element 0's leaf into parent
 indices and a bool `below` matrix, which `_record` numbers as `_rebuild`
-numbers its clusters; `_tree_record` is the one guarded reader of a
-certified (parent, below).  `_rootings` walks a tree once from each center;
+numbers its clusters; `_tree_record` is the one guarded reader of the
+record (parent, below, dist).  `_rootings` walks a tree once per center;
 `_ranks`, interned integer ranks, is the one subtree code.  `_coded` orders
 ranks as flat AHU codes for canonical forms and tree enumeration.
 are_isomorphic ranks each walk of two certified trees once, into ranks both
@@ -599,16 +600,11 @@ def check_axioms(d: DSet) -> AxiomReport:
     passed = AxiomVerdict("pass")
     rebuilt = _rebuild(d) if n >= 4 else None
     if rebuilt is not None:
-        parent, below = rebuilt
-        # D5: the least (0, x, y) with x below y's neighbour, x != y.
-        y = np.arange(1, n)
-        beside = below[parent[y]]
-        beside[y - 1, y] = False
-        x, y = divmod(int((beside.argmax(axis=1) * n + y).min()), n)
-        d5 = AxiomVerdict("fail", (0, x, y))
-        # D6: (0, 0, 1, z), z >= 2 least outside 1's branch at 0's neighbour.
-        branch = np.flatnonzero((parent == np.flatnonzero(parent == 0)[0]) & below[:, 1])[0]
-        d6 = AxiomVerdict("fail", (0, 0, 1, int(np.flatnonzero(~below[branch])[1])))
+        dist = rebuilt[2]
+        # D5: the least (0, x, y) whose paths meet next to y; D6: (0, 0, 1, z),
+        # z the least whose path to 1 leaves 0's at 0's neighbour.
+        d5 = AxiomVerdict("fail", (0, *_first_true(dist[0, :, None] + 2 == dist[0] + dist)))
+        d6 = AxiomVerdict("fail", (0, 0, 1, int(np.argmax(dist[1] + 2 == dist[0, 1] + dist[0]))))
         return AxiomReport(passed, passed, passed, passed, d5, d6)
 
     if n == 0:
@@ -657,10 +653,10 @@ def _require_core(d: DSet) -> None:
 
 
 @_kept
-def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """d's tree rooted at element 0, certified as in the module docstring,
     or None: the distinct clusters and their parents, numbered by
-    _numbered once they pass.  n >= 2."""
+    _numbered once they pass, and the leaf distances.  n >= 2."""
     n, rows = d.n, d.rows
     head = rows[: np.searchsorted(rows[:, 0], 1)]  # rows (0, c, a, b): D(ab;c0)
     inside = np.broadcast_to(np.arange(n) > 0, (n, n, n)).copy()
@@ -696,7 +692,7 @@ def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     e4 = (e3 * p1 - e2 * p2 + p1 * p3 - p4) // 4
     if len(rows) != math.comb(n, 4) - int(e4.sum()):
         return None
-    return _numbered(sets, up, top)
+    return (*_numbered(sets, up, top), dist)
 
 
 def _numbered(sets: np.ndarray, up: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -728,18 +724,20 @@ def _distances(below: np.ndarray) -> np.ndarray:
     return (depth[:, None] + depth - 2 * shared).astype(np.int64)
 
 
-def _record(adj, leaf_of: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_rebuild's parent and below for a tree in hand, given as adjacency
-    lists and its node -> element map (n >= 1 elements): the rows of one
-    _below walk from element 0's leaf, numbered by _numbered."""
+def _record(adj, leaf_of: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_rebuild's parent, below and dist for a tree in hand, given as
+    adjacency lists and its node -> element map (n >= 1 elements): the rows
+    of one _below walk from element 0's leaf, numbered by _numbered."""
     _, parent, below = _below(adj, leaf_of, n)
-    return _numbered(below[1:], parent[1:] - 1, parent[1:] == 0)
+    parent, below = _numbered(below[1:], parent[1:] - 1, parent[1:] == 0)
+    return parent, below, _distances(below)
 
 
-def _tree_record(d: DSet) -> tuple[np.ndarray, np.ndarray]:
-    """The parent and below of d's certified tree, nodes as in _rebuild
+def _tree_record(d: DSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(parent, below, dist) of d's certified tree, nodes as in _rebuild
     (parent -1 for the root, element 0), for every n; d must pass D1..D4."""
-    rebuilt = _rebuild(d) if d.n >= 2 else (np.full(d.n, -1), np.zeros((d.n, d.n), dtype=bool))
+    n = d.n
+    rebuilt = _rebuild(d) if n >= 2 else (np.full(n, -1), np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=np.int64))
     if rebuilt is None:
         raise InvariantViolation("D1..D4 hold but the rooted clusters form no tree")
     return rebuilt

@@ -7,7 +7,7 @@ the base by a three-way case split.  On top of that sit the validator and
 one-step extender for partial isomorphisms, a report of the conditions a
 colored D-set must meet to be homogeneous, and the two counterexample
 constructions that produce non-extendable partial isomorphisms when those
-conditions fail.
+conditions fail; these two read the certified tree's leaf distances.
 
 These are theorems about D-sets, so five entry points require D1..D4 and
 raise InputError("input fails D1..D4") up front on any other table:
@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 import numpy as np
 
 from ._gates import InputError, _natural, _refused
-from .core import DSet, _atoms, _require_core, _require_ids
-from .splittings import _subset_outside, complementary, density_witnesses, enumerate_splittings
+from .core import DSet, _atoms, _require_core, _require_ids, _tree_record
+from .splittings import _subset_outside, complementary, enumerate_splittings
 from .splittings import induced_splitting, is_regular
 from .trees import Splitting
 
@@ -228,11 +228,11 @@ def homogeneity_conditions(d: DSet, min_sector_size: int = 2) -> dict:
     _require_core(d)
     min_sector_size = _natural(min_sector_size, "'min_sector_size' must be a non-negative integer, got {!r}")
     reg, count = is_regular(d)
-    dense_witness = None
-    for quad in d.rows:
-        if not density_witnesses(d, *quad):
-            dense_witness = quad.tolist()
-            break
+    # The density witnesses of wx|yz attach strictly inside the path joining the
+    # paths of wx and yz, (d(w,y) + d(x,z) - d(w,x) - d(y,z)) / 2 edges: none if 1.
+    dist, rows = _tree_record(d)[2], map(np.ndarray.tolist, d.rows)
+    lacking = ([w, x, y, z] for w, x, y, z in rows if dist[w, y] + dist[x, z] < dist[w, x] + dist[y, z] + 4)
+    dense_witness = next(lacking, None)
     hitting_witness = None
     for s, sec, color in _starved_sectors(d, enumerate_splittings(d), min_sector_size):
         hitting_witness = {"sector": sorted(sec), "color": color, "splitting": s.as_sorted_lists()}
@@ -264,7 +264,7 @@ def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
     representative of the extra sector.  None means neither applies.
     """
     _require_core(d)
-    splits = enumerate_splittings(d)
+    splits, dist = enumerate_splittings(d), _tree_record(d)[2]
 
     # Each map below respects colors and has every atom false on both sides
     # (three elements, or one per sector of a node splitting), so it is a
@@ -277,7 +277,7 @@ def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
         for a1, a2 in itertools.permutations(sorted(sec), 2):
             if d.colors[a1] != d.colors[a2]:
                 continue
-            a3 = [a for a in np.flatnonzero(_atoms(d, b0, a1, a2, slice(None))).tolist() if a != a2]
+            a3 = [a for a in np.flatnonzero(dist[b0, a1] + dist[a2] < dist[b0, a2] + dist[a1]).tolist() if a != a2]
             if a3:
                 return {a1: a2, a2: a1, a3[0]: a3[0]}, b0
 

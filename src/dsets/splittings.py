@@ -138,7 +138,7 @@ def _tree_splittings(d: DSet) -> trees.TreeCorrespondence:
     """The splittings read off d's reconstructed tree with their nodes and
     edges, kept on d for enumerate_splittings and extend_by_point: read off
     the kept record, once tree_from_dset has refused a d failing D1..D4."""
-    return trees._correspondence(trees.tree_from_dset(d).nodes, *_tree_record(d))
+    return trees._correspondence(trees.tree_from_dset(d).nodes, *_tree_record(d)[:2])
 
 
 def branch(d: DSet, a: int, b: int, c: int) -> list[int]:

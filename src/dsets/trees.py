@@ -8,9 +8,9 @@ Splitting type with the splittings read off from internal nodes and edges.
 Every traversal is core's breadth-first walk, `_walk`: connectivity, the
 canonical forms (`core._coded`), and `core._below`, the elements below
 each node from element 0's leaf, which `core._record` numbers.  d_from_tree
-keeps that record on its result and reads the leaf distances off it; the
-relation is read off a grid of leaf pairs in lexicographic order, so its
-rows come out canonical and sorted.  The tree of a D-set is the rebuild
+keeps that record on its result and reads the relation off its leaf
+distances, on a grid of leaf pairs in lexicographic order, so its rows
+come out canonical and sorted.  The tree of a D-set is the rebuild
 that certifies D1..D4; `_correspondence` reads splittings off its record
 through one sector layout, in which each sector is a side of an edge.
 
@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from ._gates import InputError, _DECIMAL, _decoded, _flag, _listed, _natural, _refused
-from .core import DSet, NotRepresentable, _adjacency, _below, _distances, _kept, _record, _require_ids
+from .core import DSet, NotRepresentable, _adjacency, _below, _kept, _record, _require_ids
 from .core import _coded, _tree_record, _walk, check_axioms
 
 
@@ -179,7 +179,7 @@ def d_from_tree(t: LeafTree) -> DSet:
     record = _record(t.adjacency(), t.leaf_map(), n)
     # int16 holds every element id and every sum of two leaf distances (at
     # most 2n - 2) at any n whose pair grid fits in memory.
-    dist = _distances(record[1]).astype(np.int16)
+    dist = record[2].astype(np.int16)
     a, b = (v.astype(np.int16) for v in np.triu_indices(n, 1))
     pair = dist[a, b]
     rows = [np.empty((0, 4), dtype=np.int16)]
@@ -379,7 +379,8 @@ def canonical_form(t: LeafTree, leaf_tokens: Optional[Iterable] = None) -> tuple
     if not t.nodes:
         return ("empty",)
     adj = t.adjacency()
-    root, _, rank, keys, _ = _coded(adj, dict.fromkeys(adj, ("i",)) | {u: ("leaf", tokens[e]) for u, e in t.leaves})
+    with _refused("leaf_tokens must be hashable and comparable"):
+        root, _, rank, keys, _ = _coded(adj, dict.fromkeys(adj, ("i",)) | {u: ("leaf", tokens[e]) for u, e in t.leaves})
     code, stack = [], [rank[root]]
     while stack:  # the least center's flat code, built once: a rank stands for its token, its children and ()
         r = stack.pop()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dsets"
 GATES = "_gates.py"
-CEILING = 3165
+CEILING = 3164
 
 
 def count() -> tuple[int, int]:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dsets as D
+import dsets.core
 from dsets import InputError, Splitting
 
 import _families as F
@@ -440,6 +441,54 @@ def _colored_trees(leaves):
         splittings = _library_order(tree, perm)
         for colored in (D.color_sector_avoiding(d), D.color_round_robin(d, rng.choice((2, 3)))):
             yield colored, splittings
+
+
+def _relabelled_trees(trees_by_k):
+    """Every tree of 4..8 leaves, then seeded caterpillars, stars and 3- and
+    4-regular trees of 16, 32 and 64 leaves, each as built and relabelled at
+    random: (D-set, the tree oracle's splittings in the library's order)."""
+    rng = random.Random(34)
+    shapes = (("caterpillar", None), ("star", None), ("d_regular_random", 3), ("d_regular_random", 4))
+    trees = [t for k in range(4, 9) for t in trees_by_k[k]]
+    trees += [D.gen_random(D.TreeSpec(kind, k, degree, seed=k)) for k in (16, 32, 64) for kind, degree in shapes]
+    for tree in trees:
+        d, k = D.d_from_tree(tree), tree.n_elements
+        perm = rng.sample(range(k), k)
+        yield d, _library_order(tree, range(k))
+        yield D.relabel(d, dict(enumerate(perm))), _library_order(tree, perm)
+
+
+def test_distance_reads_equal_table_reads(trees_by_k):
+    # The density witness, the swap's third element and the D5 and D6
+    # witnesses are read off the certified tree's leaf distances.  They
+    # equal the first row the table route finds witnessless, the scalar
+    # oracles and, where the dense oracle is affordable, its axiom sweep.
+    swept = 0
+    for d, splittings in _relabelled_trees(trees_by_k):
+        lacking = next((row for row in map(np.ndarray.tolist, d.rows) if D.density_witnesses(d, *row) == []), None)
+        t = O.dense_table(d) if d.n <= 32 else D.relation_table(d)
+        if d.n <= 32:
+            assert D.check_axioms(d).as_dict() == O.axioms_oracle(t), d
+        for c in F.colorings(d):
+            assert D.homogeneity_conditions(c)["dense"]["witness"] == lacking, c
+            assert D.nonextendable_witness(c) == O.nonextendable_oracle(t, c.colors, splittings), c
+            swept += 1
+    assert swept == 2 * 5 * (sum(len(trees_by_k[k]) for k in range(4, 9)) + 12)
+
+
+def test_report_on_rows_alone_builds_no_table(monkeypatch):
+    d = D.d_from_tree(D.gen_random(D.TreeSpec("d_regular_random", 32, 3, seed=32)))
+    colors = [e % 3 for e in range(d.n)]
+    report = (D.homogeneity_conditions, D.nonextendable_witness)
+    expected = [f(d.recolor(colors)) for f in report]
+
+    def refuse(d):
+        raise AssertionError("built the relation table")
+
+    monkeypatch.setattr(dsets.core, "relation_table", refuse)
+    fresh = D.DSet._from_rows(d.n, d.rows, colors)
+    assert [f(fresh) for f in report] == expected
+    assert expected[0]["dense"]["witness"] is not None and expected[1] is not None
 
 
 def _grown_colored_iso(t, colors, rng, size):

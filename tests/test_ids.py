@@ -87,7 +87,8 @@ def test_arguments_of_the_wrong_type_are_input_errors(catalogue, entry):
 
 
 # Each public entry point that takes a structure, called on CAT5 (d) with
-# the structure under test (x) in one place and otherwise valid arguments.
+# the structure under test (x) in one place and otherwise valid arguments;
+# the splittings and windows are bound when each lambda is made.
 _CUT, _NODE = Splitting([[0, 1], [2, 3, 4]]), Splitting([[0], [1], [2, 3, 4]])
 _W4, _W5 = (SequenceWindow([(v,) for v in range(k)]) for k in (4, 5))
 _TAKE_A_STRUCTURE = {
@@ -98,17 +99,17 @@ _TAKE_A_STRUCTURE = {
     "are_isomorphic/first": lambda d, x: D.are_isomorphic(x, d),
     "are_isomorphic/second": lambda d, x: D.are_isomorphic(d, x),
     "tree_from_dset": lambda d, x: D.tree_from_dset(x),
-    "is_splitting": lambda d, x: D.is_splitting(x, _CUT),
+    "is_splitting": lambda d, x, cut=_CUT: D.is_splitting(x, cut),
     "enumerate_splittings": lambda d, x: D.enumerate_splittings(x),
     "enumerate_splittings/tree": lambda d, x: D.enumerate_splittings(x, method="tree"),
     "branch": lambda d, x: D.branch(x, 4, 0, 1),
     "induced_splitting": lambda d, x: D.induced_splitting(x, [0, 1, 2], 3),
-    "complementary": lambda d, x: D.complementary(x, _CUT, [2, 3, 4], 2),
-    "extend_by_point": lambda d, x: D.extend_by_point(x, _CUT),
+    "complementary": lambda d, x, cut=_CUT: D.complementary(x, cut, [2, 3, 4], 2),
+    "extend_by_point": lambda d, x, cut=_CUT: D.extend_by_point(x, cut),
     "extend_splitting": lambda d, x: D.extend_splitting(x, [0, 1, 2], Splitting([[0], [1], [2]])),
-    "one_sector": lambda d, x: D.one_sector(x, _NODE, _CUT),
+    "one_sector": lambda d, x, cut=_CUT, node=_NODE: D.one_sector(x, node, cut),
     "is_regular": lambda d, x: D.is_regular(x),
-    "is_true_edge_splitting": lambda d, x: D.is_true_edge_splitting(x, _CUT),
+    "is_true_edge_splitting": lambda d, x, cut=_CUT: D.is_true_edge_splitting(x, cut),
     "density_witnesses": lambda d, x: D.density_witnesses(x, 0, 1, 2, 3),
     "qftp_base": lambda d, x: D.qftp_base(x, [0, 1, 2], 3),
     "same_qftp": lambda d, x: D.same_qftp(x, [0, 1, 2], 3, 4),
@@ -117,11 +118,11 @@ _TAKE_A_STRUCTURE = {
     "extend_partial_iso": lambda d, x: D.extend_partial_iso(x, {0: 0}, 1),
     "homogeneity_conditions": lambda d, x: D.homogeneity_conditions(x),
     "nonextendable_witness": lambda d, x: D.nonextendable_witness(x),
-    "classify_window": lambda d, x: D.classify_window(x, _W4),
-    "hull_window": lambda d, x: D.hull_window(x, _W5),
-    "frontiers": lambda d, x: D.frontiers(x, _W5),
-    "weakly_indiscernible_over": lambda d, x: D.weakly_indiscernible_over(x, _W5, [0]),
-    "mutually_indiscernible": lambda d, x: D.mutually_indiscernible(x, _W5, _W5),
+    "classify_window": lambda d, x, w4=_W4: D.classify_window(x, w4),
+    "hull_window": lambda d, x, w5=_W5: D.hull_window(x, w5),
+    "frontiers": lambda d, x, w5=_W5: D.frontiers(x, w5),
+    "weakly_indiscernible_over": lambda d, x, w5=_W5: D.weakly_indiscernible_over(x, w5, [0]),
+    "mutually_indiscernible": lambda d, x, w5=_W5: D.mutually_indiscernible(x, w5, w5),
     "detect_petaled": lambda d, x: D.detect_petaled(x, 3),
     "color_uniform": lambda d, x: D.color_uniform(x),
     "color_round_robin": lambda d, x: D.color_round_robin(x, 2),
@@ -286,6 +287,14 @@ _BAD_ARGUMENTS = {
     "DSet.build/quads": (lambda: D.DSet.build(5, 5), "positive quads must come as a collection, got 5"),
     "DSet.build/colors": (lambda: D.DSet.build(3, [], 5), "colors must come as a collection, got 5"),
     "gen_fixture": (lambda: D.gen_fixture(5), "fixture names are strings, got 5"),
+    "canonical_form/unhashable": (
+        lambda: D.canonical_form(D.gen_fixture("CAT5").tree, [[0]] * 5),
+        "leaf_tokens must be hashable and comparable: unhashable type: 'list'",
+    ),
+    "canonical_form/incomparable": (
+        lambda: D.canonical_form(D.gen_fixture("CAT5").tree, [0, "a", 0, "a", 0]),
+        "leaf_tokens must be hashable and comparable: '<' not supported between instances of 'str' and 'int'",
+    ),
     "DSet.from_json/int": (lambda: D.DSet.from_json(5), _NOT_TEXT + "int"),
     "DSet.from_json/None": (lambda: D.DSet.from_json(None), _NOT_TEXT + "NoneType"),
     "LeafTree.from_json": (lambda: LeafTree.from_json(5), _NOT_TEXT + "int"),

@@ -182,12 +182,27 @@ def test_d_from_tree_rows_match_path_oracle(trees_by_k):
 def test_leaf_distances_match_path_oracle(trees_by_k):
     for tree in _oracle_trees(trees_by_k):
         expected = O.leaf_distance_oracle(tree)
-        _, below = dsets.core._record(tree.adjacency(), tree.leaf_map(), tree.n_elements)
-        assert np.array_equal(dsets.core._distances(below), expected), tree
+        record = dsets.core._record(tree.adjacency(), tree.leaf_map(), tree.n_elements)
+        assert np.array_equal(record[2], expected), tree
         d = D.d_from_tree(tree)
         if d.n >= 2:  # a rows-only copy's own rebuild, leaves by element id
-            _, below = dsets.core._rebuild(D.DSet._from_rows(d.n, d.rows))
-            assert np.array_equal(dsets.core._distances(below), expected), tree
+            record = dsets.core._rebuild(D.DSet._from_rows(d.n, d.rows))
+            assert np.array_equal(record[2], expected), tree
+
+
+def test_kept_leaf_distances_carry_the_relation(trees_by_k):
+    # Buneman's four-point condition on the record's leaf distances is the
+    # relation table, degenerate values included, for a record made from a
+    # tree in hand and for one rebuilt from the rows.
+    shapes = (("caterpillar", None), ("star", None), ("d_regular_random", 3), ("d_regular_random", 4))
+    trees = [t for k in range(1, 9) for t in trees_by_k[k]]
+    trees += [D.gen_random(D.TreeSpec(kind, k, degree, seed=k)) for k in (16, 24) for kind, degree in shapes]
+    for tree in trees:
+        d = D.d_from_tree(tree)
+        w, x, y, z = np.ix_(*[range(d.n)] * 4)
+        for e in (d, D.DSet._from_rows(d.n, d.rows)):
+            dist = dsets.core._tree_record(e)[2]
+            assert np.array_equal(dist[w, x] + dist[y, z] < dist[w, y] + dist[x, z], D.relation_table(e)), tree
 
 
 def test_built_structures_skip_certification(monkeypatch):
@@ -197,10 +212,14 @@ def test_built_structures_skip_certification(monkeypatch):
     b = D.relabel(a, dict(enumerate(random.Random(16).sample(range(16), 16))))
     grown = [D.extend_by_point(a, s) for s in D.enumerate_splittings(a)[::7]]
 
-    def refuse(below):
-        raise AssertionError("certified from the rows")
+    rebuild = dsets.core._rebuild
 
-    monkeypatch.setattr(dsets.core, "_distances", refuse)
+    def refuse(d):  # certification from the rows runs the rebuild a record kept on d skips
+        if "_rebuild" not in d._analyses:
+            raise AssertionError("certified from the rows")
+        return rebuild(d)
+
+    monkeypatch.setattr(dsets.core, "_rebuild", refuse)
     with pytest.raises(AssertionError, match="from the rows"):
         D.check_axioms(D.DSet._from_rows(a.n, a.rows))
     for d in (a, b, *grown):
