@@ -25,7 +25,8 @@ int array of those canonical quadruples in lexicographic order (`rows`).
 What is derived from it, on first request and then kept on the structure:
 the `positives` frozenset, the dense relation table, the axiom report and
 the tree with its leaf distances.  `_atoms` is the one reader of atoms
-D(wx;yz), over broadcastable id arrays, from the kept table: every read
+D(wx;yz), over broadcastable id arrays (`_grid` lays id lists out on their
+own axes, as np.ix_ does), from the kept table: every read
 of the relation goes through it, `holds` included, except the D2, D3, D5
 and D6 sweep of check_axioms, which reads the table itself.
 
@@ -521,6 +522,13 @@ def _atoms(d: DSet, w, x, y, z) -> np.ndarray:
     return table[w, x, y, z]
 
 
+def _grid(*ids) -> tuple[np.ndarray, ...]:
+    """np.ix_ of id sequences (lists, tuples or int arrays) without its dtype
+    checks: each sequence as an intp array along its own axis of the grid."""
+    axes = len(ids) - 1
+    return tuple(np.asarray(v, np.intp).reshape((1,) * i + (-1,) + (1,) * (axes - i)) for i, v in enumerate(ids))
+
+
 @_kept
 def relation_table(d: DSet) -> np.ndarray:
     """Dense boolean table T[w,x,y,z] = D(wx;yz), degenerate values included.
@@ -662,7 +670,7 @@ def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     inside = np.broadcast_to(np.arange(n) > 0, (n, n, n)).copy()
     inside[head[:, 2], head[:, 3], head[:, 1]] = False
     sets = np.concatenate([np.eye(n, dtype=bool)[1:], inside[np.triu_indices(n, 1)]])
-    sets = sets[np.unique(np.packbits(sets, axis=1), axis=0, return_index=True)[1]]
+    sets = sets[np.unique((bits := np.packbits(sets, axis=1)).view(f"V{bits.shape[1]}")[:, 0], return_index=True)[1]]
 
     # up[i]: the smallest set strictly containing set i; top: none does.
     size = sets.sum(axis=1)
@@ -829,7 +837,9 @@ def _coded(adj, tokens) -> tuple:
 
     code = functools.cmp_to_key(compare)
     for r, key in enumerate(keys):
-        if len(key) > 2:
+        if len(key) == 3:  # two children: the one comparison sorted would make
+            keys[r] = (key[0], key[2], key[1]) if compare(key[2], key[1]) < 0 else key
+        elif len(key) > 3:
             keys[r] = (key[0], *sorted(key[1:], key=code))
     root, parent, rank = min(rooted, key=lambda c: (code(c[2][c[0]]), c[0]))
     return root, parent, rank, keys, code
@@ -975,7 +985,7 @@ def _backtrack_bijection(d1: DSet, d2: DSet, respect_colors: bool) -> Optional[d
         # The placed elements already agree, and by D1 every tuple with e
         # has an image with e first, so this compares the tuples (e, x, y, z).
         placed, images = list(range(e + 1)), image[:e] + [f]
-        return np.array_equal(_atoms(d1, e, *np.ix_(*[placed] * 3)), _atoms(d2, f, *np.ix_(*[images] * 3)))
+        return np.array_equal(_atoms(d1, e, *_grid(*[placed] * 3)), _atoms(d2, f, *_grid(*[images] * 3)))
 
     def place(e: int) -> bool:
         if e == n:

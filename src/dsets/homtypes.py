@@ -24,9 +24,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 import numpy as np
 
 from ._gates import InputError, _natural, _refused
-from .core import DSet, _atoms, _require_core, _require_ids, _tree_record
-from .splittings import _subset_outside, complementary, enumerate_splittings
-from .splittings import induced_splitting, is_regular
+from .core import DSet, _atoms, _grid, _require_core, _require_ids, _tree_record
+from .splittings import _complementary, _induced, _subset_outside, enumerate_splittings, is_regular
 from .trees import Splitting
 
 PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
@@ -122,18 +121,15 @@ def qftp_base(d: DSet, subset: Iterable[int], e: int) -> QftpBase:
     sub, (e,) = _subset_outside(d, subset, e)
     sub = tuple(sub)
     if len(sub) < 3:
-        found = np.argwhere(_atoms(d, e, *np.ix_(sub, sub, sub))).tolist()
+        found = np.argwhere(_atoms(d, e, *_grid(sub, sub, sub))).tolist()
         atoms = frozenset((sub[i], sub[j], sub[k]) for i, j, k in found)
         return QftpBase(d, sub, e, "small", (), None, atoms)
-    s = induced_splitting(d, sub, e)
+    s = _induced(d, list(sub), e)
     if len(s.sectors) > 2:
         base = tuple(min(sec) for sec in s.sectors[:3])
         return QftpBase(d, sub, e, "node", base, s)
-    first, second = s.sectors
-    p = min(first)
-    q = complementary(d, s, first, p)
-    r = min(second)
-    return QftpBase(d, sub, e, "edge", (p, q, r), s)
+    first, second = map(sorted, s.sectors)
+    return QftpBase(d, sub, e, "edge", (first[0], _complementary(d, first[0], first, second), second[0]), s)
 
 
 def same_qftp(d: DSet, subset: Iterable[int], e1: int, e2: int) -> bool:
@@ -144,37 +140,35 @@ def same_qftp(d: DSet, subset: Iterable[int], e1: int, e2: int) -> bool:
     from these by pair symmetry or is forced by the degenerate rules.
     """
     sub, pair = _subset_outside(d, subset, e1, e2)
-    first, second = _atoms(d, np.array(pair)[:, None, None, None], *np.ix_(sub, sub, sub))
+    first, second = _atoms(d, *_grid(pair, sub, sub, sub))
     return bool(np.array_equal(first, second))
 
 
-def check_partial_iso(
-    d1: DSet, d2: DSet, m: PairsLike
-) -> tuple[bool, Optional[dict]]:
+def check_partial_iso(d1: DSet, d2: DSet, m: PairsLike) -> tuple[bool, Optional[dict]]:
     """Validate a partial isomorphism candidate between two D-sets.
 
     Checks colors first, then every quadruple truth value over the domain
     against its image; the witness names the first violation.  Degenerate
     quadruples are preserved by any injective map and are skipped.
     """
-    pairs = _as_map(m)
+    return _iso_fault(d1, d2, _as_map(m))
+
+
+def _iso_fault(d1: DSet, d2: DSet, pairs: dict[int, int]) -> tuple[bool, Optional[dict]]:
+    """check_partial_iso of the map _as_map read."""
     _require_ids(sorted(pairs), d1)
     _require_ids(sorted(pairs.values()), d2)
     for a, b in sorted(pairs.items()):
         if d1.colors[a] != d2.colors[b]:
             return False, {"kind": "color", "element": a, "image": b}
-    dom = np.array(sorted(pairs), dtype=int)
-    if dom.size >= 4:
-        img = np.array([pairs[int(a)] for a in dom], dtype=int)
-        t1 = _atoms(d1, *np.ix_(dom, dom, dom, dom))
-        t2 = _atoms(d2, *np.ix_(img, img, img, img))
+    dom = sorted(pairs)
+    if len(dom) >= 4:
+        img = [pairs[a] for a in dom]
+        t1 = _atoms(d1, *_grid(dom, dom, dom, dom))
+        t2 = _atoms(d2, *_grid(img, img, img, img))
         if not np.array_equal(t1, t2):
-            quad = dom[np.argwhere(t1 != t2)[0]].tolist()
-            return False, {
-                "kind": "quad",
-                "quad": quad,
-                "image": [pairs[v] for v in quad],
-            }
+            quad = [dom[i] for i in np.argwhere(t1 != t2)[0].tolist()]
+            return False, {"kind": "quad", "quad": quad, "image": [pairs[v] for v in quad]}
     return True, None
 
 
@@ -186,17 +180,18 @@ def extend_partial_iso(d: DSet, m: PairsLike, x: int) -> list[int]:
     equals D(x a; b c) for all a, b, c in the domain.
     """
     pairs = _as_map(m)
-    ok, witness = check_partial_iso(d, d, pairs)
+    ok, witness = _iso_fault(d, d, pairs)
     if not ok:
         raise InputError(f"not a partial isomorphism: {witness}")
     (x,) = _require_ids([x], d)
     if x in pairs:
         raise InputError(f"element {x} already mapped")
     dom = sorted(pairs)
-    img = [pairs[a] for a in dom]
-    ys = np.array([y for y in sorted(d.elements - set(img)) if d.colors[y] == d.colors[x]], dtype=int)
+    img, color = [pairs[a] for a in dom], d.colors[x]
+    used = set(img)
+    ys = np.array([y for y, c in enumerate(d.colors) if c == color and y not in used], dtype=np.intp)
     # [candidate, a, b, c]: D(y m(a); m(b) m(c)) against x's slice D(x a; b c).
-    fits = _atoms(d, ys[:, None, None, None], *np.ix_(img, img, img)) == _atoms(d, x, *np.ix_(dom, dom, dom))
+    fits = _atoms(d, *_grid(ys, img, img, img)) == _atoms(d, x, *_grid(dom, dom, dom))
     return ys[fits.all(axis=(1, 2, 3))].tolist()
 
 

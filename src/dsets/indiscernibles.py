@@ -2,11 +2,13 @@
 
 A window is a finite list of same-arity tuples read in list order.  One
 column reader, `_classify`, sorts a column into constant, petaled or
-monotonic for classification and hulls alike; frontier sets come from one
-pass over the sectors; weak indiscernibility over a parameter set compares
-each relation atom with the first atom of its order type, all atoms read in
-one gather over a layout kept per window shape (up to 2**16 atoms, for at
-most 32 shapes), one slot layout per D1 orbit.
+monotonic for classification and hulls alike, its index quads in their
+pairings read from a block kept per window length (`_block`: up to 2**12
+quads, 4..19 rows, 1.6 MB in all); frontier sets come from one pass over
+the sectors; weak indiscernibility over a parameter set compares each
+relation atom with the first atom of its order type, all atoms read in one
+gather over a layout kept per window shape (up to 2**16 atoms, for at most
+32 shapes), one slot layout per D1 orbit.
 """
 
 from __future__ import annotations
@@ -90,6 +92,25 @@ class WindowClass:
 _PAIRINGS = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]])
 # The label of each pairing pattern an indiscernible class allows.
 _LABELS = {(False, False, False): "petaled", (True, False, False): "monotonic"}
+# Window blocks are kept for each length of at most _KEEP_QUADS index quads,
+# 4..19 rows: 1,604,640 bytes in all.  A longer window builds its own per call.
+_KEEP_QUADS = 2**12
+_BLOCKS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _block(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """An m-row window's index quads in their three pairings [slot, pairing,
+    quad], pairing 0 being the quads themselves, and its index triples
+    [slot, triple], both in combinations order: read-only, kept per length."""
+    if m in _BLOCKS:
+        return _BLOCKS[m]
+    quads, triples = (np.array(list(itertools.combinations(range(m), k)), np.intp).reshape(-1, k).T for k in (4, 3))
+    block = quads[_PAIRINGS.T], triples.copy()
+    for array in block:
+        array.flags.writeable = False
+    if quads.shape[1] <= _KEEP_QUADS:
+        _BLOCKS[m] = block
+    return block
 
 
 def classify_window(d: DSet, s: SequenceWindow) -> WindowClass:
@@ -121,33 +142,18 @@ def _classify(d: DSet, col: Sequence[int]) -> WindowClass:
                 {"kind": "repeat", "indices": [first[v], i], "element": v},
             )
 
-    quads = np.array(list(itertools.combinations(range(len(col)), 4)), dtype=np.intp)
-    args = np.array(col)[quads][:, _PAIRINGS]  # [quad, pairing, slot]
-    patterns = _atoms(d, *np.moveaxis(args, -1, 0)).tolist()
-    first_pattern = patterns[0]
-    for q, pattern in enumerate(patterns):
-        if pattern != first_pattern:
-            return WindowClass(
-                "not_indiscernible",
-                {
-                    "kind": "order",
-                    "quad_a": quads[0].tolist(),
-                    "pattern_a": first_pattern,
-                    "quad_b": quads[q].tolist(),
-                    "pattern_b": pattern,
-                },
-            )
-    label = _LABELS.get(tuple(first_pattern))
+    pairings = _block(len(col))[0]
+    quads, patterns = pairings[:, 0], _atoms(d, *np.array(col)[pairings])  # [slot, quad], [pairing, quad]
+    pattern, q = patterns[:, 0].tolist(), int((patterns != patterns[:, :1]).any(axis=0).argmax())
+    if q:  # the first quad whose pattern differs from quad 0's
+        witness = {"kind": "order", "quad_a": quads[:, 0].tolist(), "pattern_a": pattern}
+        witness.update(quad_b=quads[:, q].tolist(), pattern_b=patterns[:, q].tolist())
+        return WindowClass("not_indiscernible", witness)
+    label = _LABELS.get(tuple(pattern))
     if label is not None:
         return WindowClass(label)
-    return WindowClass(
-        "not_indiscernible",
-        {
-            "kind": "forbidden_pattern",
-            "quad": quads[0].tolist(),
-            "pattern": first_pattern,
-        },
-    )
+    witness = {"kind": "forbidden_pattern", "quad": quads[:, 0].tolist(), "pattern": pattern}
+    return WindowClass("not_indiscernible", witness)
 
 
 @dataclass(frozen=True)
@@ -185,15 +191,14 @@ class HullResult:
         }
 
 
-def _monotonic_parts(
-    d: DSet, col: Sequence[int]
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+def _monotonic_parts(d: DSet, col: Sequence[int]) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     others = np.array(sorted(d.elements.difference(col)), dtype=np.int64)
     x = others[:, None]  # [outside element, index triple or quad of col]
-    a, b, c = np.array(list(itertools.combinations(col, 3)), dtype=np.int64).reshape(-1, 3).T
+    pairings, triples = _block(len(col))
+    a, b, c = (col := np.array(col))[triples]
     h1 = _atoms(d, a, c, b, x).any(axis=1)
     h2 = ~(_atoms(d, a, b, c, x) | _atoms(d, a, c, b, x) | _atoms(d, a, x, b, c)).all(axis=1)
-    a, b, c, e = np.array(list(itertools.combinations(col, 4)), dtype=np.int64).reshape(-1, 4).T
+    a, b, c, e = col[pairings[:, 0]]
     h3 = (_atoms(d, a, x, c, e) & _atoms(d, a, b, x, e)).any(axis=1)
     return tuple(frozenset(others[h].tolist()) for h in (h1, h2, h3))
 
@@ -220,9 +225,7 @@ def hull_window(d: DSet, s: SequenceWindow) -> HullResult:
     for j, col in enumerate(s.columns()):
         klass = _classify(d, col)
         if klass.label == "not_indiscernible":
-            raise InputError(
-                f"column {j} is not indiscernible: {klass.witness}"
-            )
+            raise InputError(f"column {j} is not indiscernible: {klass.witness}")
         if klass.label == "constant":
             hulls.append(ColumnHull(j, klass, frozenset()))
         elif klass.label == "petaled":
@@ -317,9 +320,7 @@ def _layout(m: int, k: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def weakly_indiscernible_over(
-    d: DSet, s: SequenceWindow, params: Iterable[int]
-) -> tuple[bool, Optional[dict]]:
+def weakly_indiscernible_over(d: DSet, s: SequenceWindow, params: Iterable[int]) -> tuple[bool, Optional[dict]]:
     """Order-invariance of every relation atom mixing the window with params.
 
     Each atom fills the four slots with parameters and window entries, the
@@ -375,9 +376,7 @@ def weakly_indiscernible_over(
     return True, None
 
 
-def mutually_indiscernible(
-    d: DSet, s1: SequenceWindow, s2: SequenceWindow
-) -> tuple[bool, Optional[dict]]:
+def mutually_indiscernible(d: DSet, s1: SequenceWindow, s2: SequenceWindow) -> tuple[bool, Optional[dict]]:
     """Each window weakly indiscernible over the other's elements."""
     if len(s1) < 5 or len(s2) < 5:
         raise InputError("mutual indiscernibility needs windows of at least 5 rows")

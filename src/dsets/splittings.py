@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import trees
-from .core import DSet, InputError, InvariantViolation, _atoms, _first_true, _kept, _require_core
+from .core import DSet, InputError, InvariantViolation, _atoms, _first_true, _grid, _kept, _require_core
 from .core import _require_dset, _require_ids, _tree_record, check_axioms
 from .trees import Splitting
 
@@ -62,7 +62,7 @@ def is_splitting(d: DSet, candidate: SplittingLike) -> tuple[bool, Optional[dict
     for inside in sectors:
         outside = sorted(d.elements.difference(inside))
         # [a, b, c, dd] over a <= b inside and c <= dd outside, in loop order.
-        fails = ~_atoms(d, *np.ix_(inside, inside, outside, outside))
+        fails = ~_atoms(d, *_grid(inside, inside, outside, outside))
         fails &= np.tri(len(inside), dtype=bool).T[:, :, None, None] & np.tri(len(outside), dtype=bool).T
         found = _first_true(fails)
         if found is not None:
@@ -81,7 +81,7 @@ def is_splitting(d: DSet, candidate: SplittingLike) -> tuple[bool, Optional[dict
     for i, sec in enumerate(sectors):
         lab[sec] = i
     t = _atoms(d, *[slice(None)] * 4)
-    a, b, c, dd = np.ix_(*[lab] * 4)
+    a, b, c, dd = _grid(*[lab] * 4)
     bad = (t | t.transpose(0, 2, 1, 3) | t.transpose(0, 2, 3, 1)) & (a < b) & (b < c) & (c < dd)
     if bad.any():
         found = np.nonzero(bad)
@@ -162,11 +162,15 @@ def induced_splitting(d: DSet, subset: Iterable[int], e: int) -> Splitting:
     sub, (e,) = _subset_outside(d, subset, e)
     if len(sub) < 2:
         raise InputError("need at least two elements to induce a splitting")
+    return _induced(d, sub, e)
 
+
+def _induced(d: DSet, sub: list[int], e: int) -> Splitting:
+    """induced_splitting of a checked, sorted subset of two or more ids and a checked e outside it."""
     # related[i, j]: some x in the subset has D(sub[i] sub[j]; e x).  It is an
     # equivalence exactly when two elements are related just when their least
     # related elements agree; those least elements then name the classes.
-    related = _atoms(d, *np.ix_(sub, sub, [e], sub))[:, :, 0].any(axis=-1)
+    related = _atoms(d, *_grid(sub, sub, [e], sub))[:, :, 0].any(axis=-1)
     least = related.argmax(axis=1)
     if not (related == (least[:, None] == least)).all():
         raise InputError(f"grouping induced by {e} is not an equivalence on {sub}")
@@ -193,9 +197,13 @@ def complementary(d: DSet, s: SplittingLike, sector: Iterable[int], a: int) -> i
     (a,) = _require_ids([a], d)
     if a not in sec:
         raise InputError(f"element {a} not in the given sector")
-    inside, outside = sorted(sec), _require_ids(sorted(s.ground - sec), d)
+    return _complementary(d, a, sorted(sec), _require_ids(sorted(s.ground - sec), d))
+
+
+def _complementary(d: DSet, a: int, inside: list[int], outside: list[int]) -> int:
+    """complementary's b for a in the sorted sector `inside`, `outside` the rest of the ground, sorted; unchecked."""
     # [b, c, x]: D(ab;cx) for b, c inside and x outside.
-    separated = _atoms(d, a, *np.ix_(inside, inside, outside)).any(axis=(1, 2))
+    separated = _atoms(d, a, *_grid(inside, inside, outside)).any(axis=(1, 2))
     if not separated.all():
         return inside[int(np.argmin(separated))]
     raise InvariantViolation(f"no complementary element for {a} in sector {inside}")
@@ -228,14 +236,11 @@ def _suitable(d: DSet, sector: set[int], x: int, ground: set[int]) -> bool:
     """x fits `sector` inside `ground`: every a in the sector separates ax
     from every pair outside the sector."""
     rest = sorted(ground - sector)
-    return bool(_atoms(d, *np.ix_(sorted(sector), [x], rest, rest)).all())
+    return bool(_atoms(d, *_grid(sorted(sector), [x], rest, rest)).all())
 
 
 def extend_splitting(
-    d: DSet,
-    subset: Iterable[int],
-    s: SplittingLike,
-    order: Optional[Sequence[int]] = None,
+    d: DSet, subset: Iterable[int], s: SplittingLike, order: Optional[Sequence[int]] = None
 ) -> Splitting:
     """Grow a splitting of a subset to one of the whole D-set.
 
@@ -267,9 +272,7 @@ def extend_splitting(
         elif len(fits) == 1 or len(sectors) <= 2:
             fits[0].add(x)
         else:
-            raise InputError(
-                f"element {x} fits two sectors of a many-sector splitting"
-            )
+            raise InputError(f"element {x} fits two sectors of a many-sector splitting")
         ground.add(x)
     return Splitting._trusted(tuple(sorted(map(frozenset, sectors), key=min)))
 
@@ -286,9 +289,7 @@ def one_sector(d: DSet, c1: SplittingLike, c2: SplittingLike) -> frozenset[int]:
         raise InputError("the two splittings must differ")
     hits = [sec for sec in c2.sectors if sum(t <= sec for t in c1.sectors) >= len(c1.sectors) - 1]
     if len(hits) != 1:
-        raise InvariantViolation(
-            f"expected exactly one swallowing sector, found {len(hits)}"
-        )
+        raise InvariantViolation(f"expected exactly one swallowing sector, found {len(hits)}")
     return hits[0]
 
 
@@ -314,18 +315,10 @@ def is_true_edge_splitting(d: DSet, p: SplittingLike) -> bool:
     through enumerate_splittings, which raises NotRepresentable above 6 elements.
     """
     p = _as_splitting(p)
-    if check_axioms(d).core_pass or not is_splitting(d, p)[0]:
+    if check_axioms(d).core_pass or not is_splitting(d, p)[0] or len(p.sectors) != 2 or min(map(len, p.sectors)) == 1:
         return False
-    if len(p.sectors) != 2:
-        return False
-    if any(len(sec) == 1 for sec in p.sectors):
-        return False
-    for other in enumerate_splittings(d):
-        if len(other.sectors) <= 2:
-            continue
-        if all(any(t <= sec for sec in p.sectors) for t in other.sectors):
-            return False
-    return True
+    nodes = (other for other in enumerate_splittings(d) if len(other.sectors) > 2)
+    return not any(all(any(t <= sec for sec in p.sectors) for t in other.sectors) for other in nodes)
 
 
 def density_witnesses(d: DSet, w: int, x: int, y: int, z: int) -> list[int]:

@@ -16,7 +16,7 @@ import pytest
 
 import dsets as D
 from dsets import DSet, InputError, check_axioms, normalize_quad
-from dsets.core import _atoms, _backtrack_bijection
+from dsets.core import _atoms, _backtrack_bijection, _grid
 
 import _families as F
 import _oracles as O
@@ -486,6 +486,27 @@ def test_iso_walks_each_tree_once_per_center(monkeypatch, leaves):
             image = D.are_isomorphic(a, b, respect_colors)
             assert 0 < len(walks) <= 8, len(walks)
             assert D.relabel(a, image).rows.tolist() == b.rows.tolist()
+
+
+@pytest.mark.parametrize(
+    "ids",
+    (
+        ([3, 1, 2],),
+        ([0, 4], (2, 1, 3)),
+        ((5,), [6], np.array([1, 0], dtype=np.int64)),
+        ([2, 3, 4], [], [1]),
+        ([],),
+        (np.arange(3), np.arange(3), [7], np.array([2, 2, 0, 1])),
+        (np.array([4], dtype=np.int64),) * 4,
+    ),
+)
+def test_grid_lays_ids_out_as_ix_does(ids):
+    # Lists, tuples, int64 arrays, one id and no ids, as the package passes them.
+    got, expected = _grid(*ids), np.ix_(*ids)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("leaves", (16, 32))

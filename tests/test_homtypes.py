@@ -13,7 +13,7 @@ import pytest
 
 import dsets as D
 import dsets.core
-from dsets import InputError, Splitting
+from dsets import InputError, Splitting, homtypes, splittings
 
 import _families as F
 import _oracles as O
@@ -261,6 +261,71 @@ def test_extend_refuses_a_map_that_is_no_partial_iso(catalogue):
 def test_extend_requires_unmapped_source(catalogue):
     with pytest.raises(InputError):
         D.extend_partial_iso(catalogue["CAT4"].dset, {0: 0, 1: 1}, 0)
+
+
+def _counted(monkeypatch, modules, name):
+    """Count the calls of `name`, patched in each module that reads it."""
+    calls, real = [], getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_extend_partial_iso_reads_its_map_once(monkeypatch):
+    # The map is parsed once per call, for the check and the candidates
+    # alike, and the candidates still equal a scan of check_partial_iso.
+    rng = random.Random(35)
+    calls = _counted(monkeypatch, [homtypes], "_as_map")
+    answered, refused = 0, 0
+    for leaves in (16, 24, 40):
+        d = F.seeded_tree_dset(rng, leaves).recolor([rng.randrange(2) for _ in range(leaves)])
+        for i in range(6):
+            x, *dom = rng.sample(range(leaves), rng.randint(3, 6))
+            m = {a: a for a in dom} if i < 4 else list(zip(dom, rng.sample(range(leaves), len(dom))))
+            calls.clear()
+            try:
+                got = D.extend_partial_iso(d, m, x)
+            except InputError:
+                assert len(calls) == 1, calls
+                refused += 1
+                continue
+            assert len(calls) == 1, calls
+            answered += 1
+            pairs = dict(m)
+            expected = [y for y in range(leaves) if y not in pairs.values() and D.check_partial_iso(d, d, {**pairs, x: y})[0]]
+            assert got == expected
+    assert answered >= 12 and refused > 0, (answered, refused)
+
+
+def test_qftp_base_checks_its_subset_once(monkeypatch):
+    # One check of the subset and the element per call, whatever the case;
+    # induced_splitting and complementary, called on their own, still check.
+    rng = random.Random(36)
+    calls = _counted(monkeypatch, [homtypes, splittings], "_subset_outside")
+    cases = set()
+    for leaves in (16, 24, 40):
+        d = F.seeded_tree_dset(rng, leaves)
+        for size in (2, 3, 4, 6, 9):
+            e, *subset = rng.sample(range(leaves), size + 1)
+            calls.clear()
+            base = D.qftp_base(d, subset, e)
+            assert len(calls) == 1, calls
+            cases.add(base.case)
+            if base.case != "small":
+                assert base.splitting == D.induced_splitting(d, subset, e)
+            if base.case == "edge":
+                first = base.splitting.sector_of(base.base[0])
+                assert base.base[1] == D.complementary(d, base.splitting, first, base.base[0])
+    assert cases == {"small", "node", "edge"}
+    with pytest.raises(InputError, match="^element 99 out of range 0..39$"):
+        D.induced_splitting(d, [0, 1, 99], 5)
+    with pytest.raises(InputError, match="^element 99 out of range 0..39$"):
+        D.complementary(d, D.Splitting([[0, 1], [2, 99]]), [0, 1], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import json
 import random
 import re
 
@@ -13,7 +14,8 @@ import pytest
 
 import dsets as D
 from dsets import InputError, SequenceWindow
-from dsets.indiscernibles import _KEEP_FILLINGS, _layout, _slot_layouts
+from dsets import indiscernibles
+from dsets.indiscernibles import _KEEP_FILLINGS, _KEEP_QUADS, _block, _layout, _slot_layouts
 
 import _families as F
 import _oracles as O
@@ -398,6 +400,109 @@ def test_classify_and_hull_errors_match_scalar_scan():
         ("not_indiscernible", "repeat"), ("not_indiscernible", "order"), ("not_indiscernible", "forbidden_pattern"),
     }, classes
     assert set(errors) == {None, "window", "element", "column", "monotonic"}, errors
+
+
+def test_window_blocks_are_read_only_combinations_kept_up_to_the_bound(monkeypatch):
+    # Lengths of at most 2**12 index quads are kept, 4..19 rows, and the
+    # kept blocks hold 1,604,640 bytes at most; longer ones are built per call.
+    monkeypatch.setattr(indiscernibles, "_BLOCKS", {})
+    kept = [m for m in range(4, 30) if len(list(itertools.combinations(range(m), 4))) <= _KEEP_QUADS]
+    assert kept == list(range(4, 20))
+    for m in range(4, 23):
+        pairings, triples = _block(m)
+        assert not pairings.flags.writeable and not triples.flags.writeable
+        quads = list(itertools.combinations(range(m), 4))
+        for p, (i, j, k, l) in enumerate(((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))):
+            assert pairings[:, p].T.tolist() == [[q[i], q[j], q[k], q[l]] for q in quads], (m, p)
+        assert triples.T.tolist() == list(map(list, itertools.combinations(range(m), 3)))
+        assert (_block(m) is _block(m)) == (m in kept)
+    assert sorted(indiscernibles._BLOCKS) == kept
+    assert sum(a.nbytes for block in indiscernibles._BLOCKS.values() for a in block) == 1_604_640
+
+
+def _quad_elements(col, witness, side):
+    return [col[i] for i in witness[f"quad_{side}"]], witness[f"pattern_{side}"]
+
+
+def _window_columns(rng, leaves):
+    """(d, column) on seeded structures of `leaves` elements: per length from
+    4 to two rows past the kept bound, an in-order stretch of a caterpillar's
+    spine (monotonic), a sample of a star's leaves (petaled), a sample of a
+    3-regular tree's elements and a sample given a repeat."""
+    spine = rng.sample(range(leaves), leaves)
+    caterpillar = D.d_from_tree(spine_tree([spine[:2]] + [[v] for v in spine[2:-2]] + [spine[-2:]]))
+    star = F.seeded_tree_dset(rng, leaves, "star")
+    cubic = F.seeded_tree_dset(rng, leaves, "d_regular_random")
+    for m in range(4, min(leaves, 21) + 1):
+        stretch = [spine[i] for i in sorted(rng.sample(range(leaves), m))]
+        yield caterpillar, stretch[::-1] if rng.random() < 0.5 else stretch
+        yield star, rng.sample(range(leaves), m)
+        yield cubic, rng.sample(range(leaves), m)
+        repeated = rng.sample(range(leaves), m)
+        repeated[rng.randrange(1, m)] = repeated[0]
+        yield cubic, repeated
+
+
+def _classify_and_hull(d, col):
+    """classify_window's and hull_window's answers on a singleton column, as
+    JSON text (a refusal as its message)."""
+    w = SequenceWindow([(v,) for v in col])
+    try:
+        hull = json.dumps(D.hull_window(d, w).as_dict())
+    except InputError as exc:
+        hull = str(exc)
+    return json.dumps(D.classify_window(d, w).as_dict()), hull
+
+
+def test_classify_and_hull_read_kept_and_built_blocks_alike(monkeypatch):
+    # Every length from 4 to 21 rows on 16- to 40-leaf structures: the
+    # answers with blocks kept (read a second time once kept) are the bytes
+    # of the answers with every block built for its call, and agree with
+    # the scalar order-invariance oracle.
+    rng = random.Random(35)
+    cases = [case for leaves in (16, 24, 40) for case in _window_columns(rng, leaves)]
+    monkeypatch.setattr(indiscernibles, "_BLOCKS", {})
+    kept = [_classify_and_hull(d, col) for d, col in cases]
+    assert kept == [_classify_and_hull(d, col) for d, col in cases]
+    monkeypatch.setattr(indiscernibles, "_KEEP_QUADS", -1)
+    monkeypatch.setattr(indiscernibles, "_BLOCKS", {})
+    assert kept == [_classify_and_hull(d, col) for d, col in cases]
+    assert indiscernibles._BLOCKS == {}
+    labels = collections.Counter()
+    for (d, col), (klass, _) in zip(cases, kept):
+        got = json.loads(klass)
+        kind = got.get("witness", {}).get("kind")
+        labels[got["label"], kind, len(col) > 19] += 1
+        if kind == "repeat":
+            continue
+        invariant, witness = O.order_invariant(d, col)
+        if invariant:  # one pattern: a label, or at 4 rows perhaps a forbidden one
+            pattern = list(O.quad_pattern(d, *col[:4]))
+            label = {(False,) * 3: "petaled", (True, False, False): "monotonic"}.get(tuple(pattern))
+            forbidden = {"kind": "forbidden_pattern", "quad": [0, 1, 2, 3], "pattern": pattern}
+            assert got == ({"label": label} if label else {"label": "not_indiscernible", "witness": forbidden})
+            assert label or len(col) == 4, (col, got)
+        else:
+            assert kind == "order", (col, got)
+            first, second = witness["first"], witness["second"]
+            assert _quad_elements(col, got["witness"], "a") == (list(first[0]), list(first[1]))
+            assert _quad_elements(col, got["witness"], "b") == (list(second[0]), list(second[1]))
+    for long in (False, True):
+        for label, kind in (("petaled", None), ("monotonic", None), ("not_indiscernible", "order")):
+            assert labels[label, kind, long] > 0, labels
+    assert labels["not_indiscernible", "repeat", False] > 0, labels
+    assert labels["not_indiscernible", "forbidden_pattern", False] > 0, labels
+
+
+def test_a_window_past_the_bound_is_classified_without_being_kept(monkeypatch):
+    monkeypatch.setattr(indiscernibles, "_BLOCKS", {})
+    d = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 24)))
+    for m in (20, 22):
+        col = list(range(1, m + 1))
+        got = D.classify_window(d, SequenceWindow([(v,) for v in col]))
+        assert got.as_dict() == O.classify_oracle(d, col) == {"label": "monotonic"}
+        assert m not in indiscernibles._BLOCKS
+    assert indiscernibles._BLOCKS == {}
 
 
 # ---------------------------------------------------------------------------
