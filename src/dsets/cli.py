@@ -142,7 +142,7 @@ def cmd_indisc(args) -> tuple:
 
 
 def _parse_map(text: str) -> list[tuple]:
-    """The pairs of a JSON map, as given; check_partial_iso reads them."""
+    """The pairs of a JSON map, as given; homtypes._as_map reads them."""
     with _refused("invalid map JSON", json.JSONDecodeError, RecursionError):
         payload = json.loads(text)
     if isinstance(payload, dict) and "map" in payload:
@@ -155,18 +155,13 @@ def _parse_map(text: str) -> list[tuple]:
 
 def cmd_probe(args) -> tuple:
     d = _load_dset(args)
-    pairs = _parse_map(_read_source(args.map))
-    ok, witness = D.check_partial_iso(d, d, pairs)
+    pairs = D.homtypes._as_map(_parse_map(_read_source(args.map)))
+    ok, witness = D.homtypes._iso_fault(d, d, pairs)
     if not ok:
         payload = {"partial_iso": False, "witness": witness, "candidates": None}
         return payload, "map is not a partial isomorphism", 1
-    candidates = D.extend_partial_iso(d, pairs, args.add)
-    payload = {
-        "partial_iso": True,
-        "element": args.add,
-        "candidates": candidates,
-        "map": sorted(dict(pairs).items()),
-    }
+    candidates = D.homtypes._extensions(d, pairs, args.add)
+    payload = {"partial_iso": True, "element": args.add, "candidates": candidates, "map": sorted(pairs.items())}
     summary = (
         f"{len(candidates)} candidate images for {args.add}"
         if candidates
@@ -219,9 +214,7 @@ def _apply_coloring(d: DSet, scheme: Optional[str]) -> DSet:
         return D.color_round_robin(d, _decimal(scheme.split(":", 1)[1]))
     if scheme == "sector_avoiding":
         return D.color_sector_avoiding(d)
-    raise InputError(
-        f"unknown coloring {scheme!r}; try uniform, round_robin:N, sector_avoiding"
-    )
+    raise InputError(f"unknown coloring {scheme!r}; try uniform, round_robin:N, sector_avoiding")
 
 
 def cmd_gen(args) -> tuple:
@@ -275,31 +268,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     common.add_argument(
-        "--quiet", action="store_true", help="suppress the stderr summary"
+        "--max-n", type=_number, default=16, help="refuse inputs with more elements than this (default 16)"
     )
-    common.add_argument(
-        "--max-n",
-        type=_number,
-        default=16,
-        help="refuse inputs with more elements than this (default 16)",
-    )
-
-    parser = _Parser(
-        prog="dsets",
-        description="Inspect finite D-sets, their trees, splittings and windows.",
-    )
+    parser = _Parser(prog="dsets", description="Inspect finite D-sets, their trees, splittings and windows.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, handler, help_text: str, source: bool = True):
         p = sub.add_parser(name, parents=[common], help=help_text)
         if source:
-            p.add_argument(
-                "source",
-                nargs="?",
-                default="-",
-                help="input JSON file, - for stdin (default)",
-            )
+            p.add_argument("source", nargs="?", default="-", help="input JSON file, - for stdin (default)")
         p.set_defaults(handler=handler)
         return p
 
@@ -326,15 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("gen", cmd_gen, "emit a fixture or generated family member", source=False)
     p.add_argument("--fixture", help="catalogue name, e.g. CAT5 or FLW6")
     p.add_argument("--spec", help="kind=...,leaves=...[,degree=...][,seed=...]")
+    p.add_argument("--coloring", help="uniform, round_robin:N, or sector_avoiding")
     p.add_argument(
-        "--coloring", help="uniform, round_robin:N, or sector_avoiding"
-    )
-    p.add_argument(
-        "--as",
-        dest="as_what",
-        choices=("dset", "tree"),
-        default="dset",
-        help="output schema (default dset)",
+        "--as", dest="as_what", choices=("dset", "tree"), default="dset", help="output schema (default dset)"
     )
     p.add_argument("--list", action="store_true", help="list fixture names")
     p = add("export-dot", cmd_export_dot, "render a tree to DOT")

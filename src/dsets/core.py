@@ -63,10 +63,12 @@ every input check that needs no class of the package lives in `_gates`.
 
 Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
 ...]} with sorted keys, no whitespace and the rows in order, _BLOCK = 8,192
-quads at a time.  from_json reads it back in blocks of about as many quads,
-each parsed and checked on its bytes into one preallocated array, with about
-2 MiB of scratch at 40 to 64 leaves.  Any other spelling of the same object
-goes through json.loads, with the same checks and messages.
+quads at a time from a token table kept per id count.  from_json reads it
+back in blocks of about as many quads, each checked on its bytes: deleting
+the digits must leave '[,,,],' repeated, and 4k runs of digits must fill the
+id places, each at most as wide as n - 1 and read by shifted multiply-adds.
+Any other spelling of the same object, or a wider id, goes through
+json.loads, with the same checks and messages.
 """
 
 from __future__ import annotations
@@ -286,7 +288,7 @@ class DSet:
     def to_json(self) -> str:
         head = {"colors": {str(e): c for e, c in enumerate(self.colors)}, "n": self.n}
         text = json.dumps(head, sort_keys=True, separators=(",", ":"))
-        return f'{text[:-1]}{_POSITIVES}{_quad_text(self.rows)}]}}'
+        return "".join([text[:-1], _POSITIVES, *_quad_text(self.rows), "]}"])
 
     @classmethod
     def from_json(cls, text: str) -> "DSet":
@@ -357,37 +359,44 @@ _SKELETON = np.frombuffer(b"[,,,],", dtype=np.uint8)  # one quad's non-digit byt
 _BLOCK = 8192
 
 
-def _quad_text(rows: np.ndarray) -> str:
-    """'[a,b,c,d],...' for a (k, 4) array of ids >= 0, _BLOCK quads at a time:
-    each quad's ids are gathered into one reused fixed-width record from a
-    table of zero-padded tokens, and the zero bytes are dropped."""
-    if not len(rows):
-        return ""
-    ids = np.arange(int(rows.max()) + 1)[:, None]
-    powers = 10 ** np.arange(len(str(len(ids) - 1)))[::-1]
-    # Each id's decimal digits, right-aligned after zero bytes, as one token.
+@functools.lru_cache(maxsize=8)
+def _tokens(count: int) -> np.ndarray:
+    """Each id below count as one read-only void token, its decimal digits
+    right-aligned after zero bytes: _quad_text's table, kept per count."""
+    ids, powers = np.arange(count)[:, None], 10 ** np.arange(len(str(count - 1)))[::-1]
     digits = np.where((ids >= powers) | (powers == 1), ids // powers % 10 + 48, 0)
     tokens = digits.astype(np.uint8).view(np.dtype((np.void, len(powers))))[:, 0]
-    record = np.zeros((min(len(rows), _BLOCK), 5, len(powers) + 1), dtype=np.uint8)
+    tokens.flags.writeable = False
+    return tokens
+
+
+def _quad_text(rows: np.ndarray) -> list[str]:
+    """'[a,b,c,d],...' for a (k, 4) array of ids >= 0, in parts of _BLOCK
+    quads: each quad's ids are gathered into one reused fixed-width record
+    from the tokens, and the zero bytes are dropped."""
+    if not len(rows):
+        return []
+    tokens = _tokens(int(rows.max()) + 1)
+    record = np.zeros((min(len(rows), _BLOCK), 5, tokens.itemsize + 1), dtype=np.uint8)
     record[:, :4, 0], record[:, 4, :2] = _SKELETON[:4], _SKELETON[4:]
     slots = record[:, :4, 1:].view(tokens.dtype)[..., 0]
     parts = []
     for start in range(0, len(rows), _BLOCK):
         block = rows[start : start + _BLOCK]
         slots[: len(block)] = tokens[block]
-        flat = record[: len(block)].reshape(-1)
-        parts.append(str(flat[flat != 0], "ascii"))
+        parts.append(record[: len(block)].tobytes().translate(None, b"\0").decode("ascii"))
     parts[-1] = parts[-1][:-1]
-    return "".join(parts)
+    return parts
 
 
 def _read_own_spelling(text) -> Optional[dict]:
     """The payload of a text in to_json's spelling, a JSON object ending in
     ,"positives":[...]} (then JSON whitespace), as json.loads gives it; None
-    for any other text.  json.loads decodes the head; the quads are read in
-    blocks of about _BLOCK, cut at quad boundaries, into one (k, 4) int64
-    array, kept if they are the stored rows of an n-element DSet, else
-    turned into lists."""
+    for any other text, or one with an id longer than n - 1, which json.loads
+    reads to the same payload.  json.loads decodes the head; the quads are
+    read in blocks of about _BLOCK, cut at quad boundaries, each block's ids
+    kept in _quad_ids' narrow dtype and joined into one (k, 4) int64 array,
+    kept if they are the stored rows of an n-element DSet, else as lists."""
     if not isinstance(text, str):
         return None
     end = len(text.rstrip(" \t\n\r"))
@@ -399,47 +408,51 @@ def _read_own_spelling(text) -> Optional[dict]:
     except (json.JSONDecodeError, RecursionError):
         return None
     n = payload["n"] if isinstance(payload.get("n"), int) else -1  # any bad n fails later
+    width = min(len(str(max(n - 1, 0))), 18)
     start, end = at + len(_POSITIVES), end - 2
-    rows = np.empty((text.count("[", start, end), 4), dtype=np.int64)
-    every = _BLOCK * (end - start) // max(len(rows), 1)  # bytes in about _BLOCK quads
-    done, stored = 0, True
+    blocks, last, stored = [], -1, n <= 1 << 16  # ids of 16 bits make 64-bit row keys
     while start < end:
-        cut = text.find("],[", start + every, end) + 1 or end
-        ids = _quad_ids(text[start:cut].encode("ascii"))
+        cut = text.find("],[", start + _BLOCK * (6 + 4 * width), end) + 1 or end
+        ids = _quad_ids(text[start:cut].encode("ascii"), width)
         if ids is None:
             return None
-        rows[done : done + ids.shape[1]] = ids.T
-        # Each quad's first change from the quad before it (or from -1s) is a rise.
-        step = np.sign(np.diff(ids, prepend=rows[done - 1, :, None] if done else -1))
-        rise = (step * [[8], [4], [2], [1]]).sum(axis=0) > 0
-        stored = stored and int(ids.max()) < n and rise.all() and _distinct_canonical(ids).all()
-        done, start = done + ids.shape[1], cut + 1
+        key = ids.T.astype(">u2").view(">u8")[:, 0]  # a row's ids as big-endian words, in row order
+        stored = stored and int(ids.max()) < n and int(key[0]) > last
+        stored = stored and (key[1:] > key[:-1]).all() and _distinct_canonical(ids).all()
+        blocks.append(ids.T)
+        start, last = cut + 1, int(key[-1])
+    rows = np.concatenate(blocks or [np.empty((0, 4), np.int64)], dtype=np.int64)
     payload["positives"] = rows if stored else rows.tolist()
     return payload
 
 
-def _quad_ids(raw: bytes) -> Optional[np.ndarray]:
-    """The ids of b'[a,b,c,d],...,[a,b,c,d]' as a (4, k) int64 array, or None
-    unless the non-digit bytes are b'[,,,],' repeated less the last comma and
-    every id is 1 to 18 decimal digits without a leading zero."""
-    digit = np.frombuffer(raw + b",", dtype=np.uint8) - 48  # wraps: other bytes are >= 10
-    sep = digit >= 10
-    seps = np.flatnonzero(sep)
-    if len(seps) % 6:
+def _quad_ids(raw: bytes, width: int) -> Optional[np.ndarray]:
+    """The ids of b'[a,b,c,d],...,[a,b,c,d]' as a (4, k) array, or None
+    unless the non-digit bytes are b'[,,,],' repeated less the last comma
+    and every id is 1 to width (at most 18) digits without a leading zero."""
+    skeleton = raw.translate(None, b"0123456789")
+    k = (len(skeleton) + 1) // 6
+    digit = np.frombuffer(raw, dtype=np.uint8) - 48  # wraps: other bytes are >= 10
+    run = digit < 10
+    ends = np.flatnonzero(run[:-1] > run[1:])  # the last digit of each run but a final one
+    # With no digit before a '[' or after a ']', each of 4k runs fills one id's place.
+    if skeleton != (b"[,,,]," * k)[:-1] or len(ends) != 4 * k or (
+        run[:-1] & (digit[1:] == ord("[") - 48) | run[1:] & (digit[:-1] == ord("]") - 48)
+    ).any():
         return None
-    seps = seps.reshape(-1, 6).T.copy()  # the i-th non-digit byte of every quad
-    ends = seps[1:5]  # where each id ends
-    lengths = ends - seps[:4] - 1
-    width = int(lengths.max())
-    if (
-        not (digit[seps] == _SKELETON[:, None] - 48).all()
-        or lengths.min() < 1 or width > 18 or lengths.sum() != len(digit) - seps.size
-        or (sep[:-2] & (digit[1:-1] == 0) & ~sep[2:]).any()  # a leading zero
-    ):
+    # Each run's last width digits as one number, at every byte: the digit s
+    # places before counts when the s bytes from it on are digits.
+    digit = digit.astype(np.min_scalar_type(10**width - 1), copy=False)
+    value, chain = digit.copy(), run
+    for s in range(1, width):
+        if s > 1:
+            chain = chain[:-1] & run[s - 1 :]  # chain[j]: the s bytes from j on are digits
+        value[s:] += digit[:-s] * chain[: len(run) - s] * 10**s
+    ids = value[ends].reshape(k, 4).T  # its transpose, the rows, is C-contiguous
+    # A leading zero, a run of more than width digits or a final run leaves
+    # the ids' widths short of the digit bytes.
+    if ids.size + sum(int(np.count_nonzero(ids >= 10**s)) for s in range(1, width)) != len(raw) - len(skeleton):
         return None
-    ids = digit[ends - 1].astype(np.int64)
-    for place in range(1, width):
-        ids += digit[ends - 1 - place] * ((lengths > place) * 10**place)
     return ids
 
 
@@ -686,8 +699,12 @@ def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         return None
 
     dist = _distances(sets)  # the rows of below but element 0's, which is empty
-    w, x, y, z = rows.T
-    if not (dist[w, x] + dist[y, z] < dist[w, y] + dist[x, z]).all():
+    # One flat int16 table read at w * n + x, the ids in the narrowest dtype that holds n * n:
+    # int16 holds each sum of two leaf distances (at most 2n - 2) at any n whose n^3 `inside` fits.
+    flat = dist.astype(np.int16).ravel()
+    w, x, y, z = rows.T.astype(np.min_scalar_type(n * n))
+    w *= n
+    if not (flat.take(w + x) + flat.take(y * n + z) < flat.take(w + y) + flat.take(x * n + z)).all():
         return None
     # Quads in four branches at a node: e4 of its branch sizes, by Newton.
     p1, p2, p3, p4 = (

@@ -129,9 +129,7 @@ def enum_trees(leaves: int, allow_large: bool = False) -> Iterator[LeafTree]:
     if _natural(leaves, "'leaves' must be a non-negative integer, got {!r}") < 1:
         raise InputError("leaf count must be positive")
     if not _flag(allow_large, "allow_large") and leaves > ENUM_LEAF_CAP:
-        raise InputError(
-            f"enumeration beyond {ENUM_LEAF_CAP} leaves needs allow_large=True"
-        )
+        raise InputError(f"enumeration beyond {ENUM_LEAF_CAP} leaves needs allow_large=True")
     yield from _shapes(leaves)
 
 
@@ -187,9 +185,7 @@ def _d_regular(leaves: int, degree: int, rng: random.Random) -> LeafTree:
     if degree < 3:
         raise InputError("regular degree must be at least 3")
     if leaves < degree or (leaves - 2) % (degree - 2) != 0:
-        raise InputError(
-            f"no {degree}-regular tree exists with {leaves} leaves"
-        )
+        raise InputError(f"no {degree}-regular tree exists with {leaves} leaves")
     j = (leaves - 2) // (degree - 2)
     # Random internal skeleton, capped at the target degree; node u then
     # carries the next degree - deg[u] elements.
@@ -206,6 +202,8 @@ def _d_regular(leaves: int, degree: int, rng: random.Random) -> LeafTree:
 
 def gen_random(spec: TreeSpec) -> LeafTree:
     """Build the tree a spec describes, deterministically under its seed."""
+    if not isinstance(spec, TreeSpec):
+        raise InputError(f"expected a TreeSpec, got {spec!r}")
     rng = random.Random(int(spec.seed))
     if spec.kind == "star":
         if spec.leaves < 3:

@@ -183,6 +183,11 @@ def extend_partial_iso(d: DSet, m: PairsLike, x: int) -> list[int]:
     ok, witness = _iso_fault(d, d, pairs)
     if not ok:
         raise InputError(f"not a partial isomorphism: {witness}")
+    return _extensions(d, pairs, x)
+
+
+def _extensions(d: DSet, pairs: dict[int, int], x: int) -> list[int]:
+    """extend_partial_iso of a map that _as_map read and _iso_fault passed."""
     (x,) = _require_ids([x], d)
     if x in pairs:
         raise InputError(f"element {x} already mapped")

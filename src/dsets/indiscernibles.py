@@ -70,6 +70,14 @@ class SequenceWindow:
         return cls(rows)
 
 
+def _require_window(*windows) -> None:
+    """Refuse anything but a SequenceWindow where a window belongs: the one
+    check, run by every entry point that takes a window."""
+    for s in windows:
+        if not isinstance(s, SequenceWindow):
+            raise InputError(f"expected a SequenceWindow, got {s!r}")
+
+
 @dataclass(frozen=True)
 class WindowClass:
     """Verdict of the singleton-window trichotomy.
@@ -121,6 +129,7 @@ def classify_window(d: DSet, s: SequenceWindow) -> WindowClass:
     outer pairing alone means monotonic.  Anything else is returned as
     not_indiscernible with a witness of the offending quad(s).
     """
+    _require_window(s)
     if s.arity != 1:
         raise InputError("classification works on singleton windows")
     return _classify(d, s.column(0))
@@ -137,10 +146,7 @@ def _classify(d: DSet, col: Sequence[int]) -> WindowClass:
     first: dict[int, int] = {}
     for i, v in enumerate(col):
         if first.setdefault(v, i) != i:
-            return WindowClass(
-                "not_indiscernible",
-                {"kind": "repeat", "indices": [first[v], i], "element": v},
-            )
+            return WindowClass("not_indiscernible", {"kind": "repeat", "indices": [first[v], i], "element": v})
 
     pairings = _block(len(col))[0]
     quads, patterns = pairings[:, 0], _atoms(d, *np.array(col)[pairings])  # [slot, quad], [pairing, quad]
@@ -185,10 +191,7 @@ class HullResult:
     hull: frozenset[int] = field(default=frozenset())
 
     def as_dict(self) -> dict:
-        return {
-            "hull": sorted(self.hull),
-            "columns": [c.as_dict() for c in self.columns],
-        }
+        return {"hull": sorted(self.hull), "columns": [c.as_dict() for c in self.columns]}
 
 
 def _monotonic_parts(d: DSet, col: Sequence[int]) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
@@ -220,6 +223,7 @@ def hull_window(d: DSet, s: SequenceWindow) -> HullResult:
     it meets of its one separating splitting.  A monotonic column takes its
     elements and the three witnessed side sets, and reports its frontiers.
     """
+    _require_window(s)
     _require_core(d)
     hulls: list[ColumnHull] = []
     for j, col in enumerate(s.columns()):
@@ -342,6 +346,7 @@ def weakly_indiscernible_over(d: DSet, s: SequenceWindow, params: Iterable[int])
     its atoms in one gather.  A larger shape builds them for the call, one
     slot layout at a time, and stops at the first layout with a witness.
     """
+    _require_window(s)
     if len(s) < 5:
         raise InputError("weak indiscernibility needs a window of at least 5 rows")
     b_list = sorted(set(_require_ids(params, d)))
@@ -378,6 +383,7 @@ def weakly_indiscernible_over(d: DSet, s: SequenceWindow, params: Iterable[int])
 
 def mutually_indiscernible(d: DSet, s1: SequenceWindow, s2: SequenceWindow) -> tuple[bool, Optional[dict]]:
     """Each window weakly indiscernible over the other's elements."""
+    _require_window(s1, s2)
     if len(s1) < 5 or len(s2) < 5:
         raise InputError("mutual indiscernibility needs windows of at least 5 rows")
     for direction, s, other in (("first_over_second", s1, s2), ("second_over_first", s2, s1)):

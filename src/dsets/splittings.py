@@ -51,11 +51,7 @@ def is_splitting(d: DSet, candidate: SplittingLike) -> tuple[bool, Optional[dict
     _require_dset(d)
     candidate = _as_splitting(candidate)
     if candidate.ground != d.elements:
-        return False, {
-            "kind": "ground_mismatch",
-            "expected": sorted(d.elements),
-            "got": sorted(candidate.ground),
-        }
+        return False, {"kind": "ground_mismatch", "expected": sorted(d.elements), "got": sorted(candidate.ground)}
     if len(candidate.sectors) < 2:
         return False, {"kind": "too_few_sectors", "count": len(candidate.sectors)}
     sectors = [sorted(sec) for sec in candidate.sectors]
@@ -281,7 +277,7 @@ def one_sector(d: DSet, c1: SplittingLike, c2: SplittingLike) -> frozenset[int]:
     """The sector of c2 containing all but one sector of c1.
 
     For two different splittings of one D-set exactly one such sector
-    exists; anything else signals corrupt input.
+    exists; any other pair is refused as bad input.
     """
     _require_dset(d)
     c1, c2 = _as_splitting(c1), _as_splitting(c2)
@@ -289,7 +285,7 @@ def one_sector(d: DSet, c1: SplittingLike, c2: SplittingLike) -> frozenset[int]:
         raise InputError("the two splittings must differ")
     hits = [sec for sec in c2.sectors if sum(t <= sec for t in c1.sectors) >= len(c1.sectors) - 1]
     if len(hits) != 1:
-        raise InvariantViolation(f"expected exactly one swallowing sector, found {len(hits)}")
+        raise InputError(f"expected exactly one swallowing sector, found {len(hits)}")
     return hits[0]
 
 

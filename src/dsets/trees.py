@@ -189,7 +189,8 @@ def d_from_tree(t: LeafTree) -> DSet:
         ai, bi, aj, bj = a[i], b[i], a[j], b[j]
         grid = pair[i, None] + pair[j] < dist[ai].take(aj, axis=1) + dist[bi].take(bj, axis=1)
         grid &= ai[:, None] < aj
-        r, c = np.nonzero(grid)
+        cells = np.flatnonzero(grid)  # the columns overwrite them: two index arrays, as np.nonzero's
+        r, c = np.divmod(cells, grid.shape[1], out=(np.empty_like(cells), cells))
         rows.append(np.stack([ai[r], bi[r], aj[c], bj[c]], axis=1))
     d = DSet._from_rows(n, np.concatenate(rows, dtype=np.int64))
     d._analyses["_rebuild"] = record

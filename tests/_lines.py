@@ -15,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dsets"
 GATES = "_gates.py"
-CEILING = 3161
+CEILING = 3157
 
 
 def modules() -> dict[str, int]:

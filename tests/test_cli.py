@@ -470,6 +470,25 @@ def test_probe_reads_the_list_form_of_a_map(run, catalogue, tmp_path):
     assert _payload(out)["map"] == [[0, 0], [1, 1], [2, 2]]
 
 
+def test_probe_reads_and_checks_its_map_once(run, monkeypatch, tmp_path):
+    # One _as_map per command, and one _iso_fault once the map is read, on
+    # maps that extend, that are no partial isomorphism and that are refused;
+    # the answers are the library's.
+    calls = {"_as_map": [], "_iso_fault": []}
+    for name, seen in calls.items():
+        real = getattr(D.homtypes, name)
+        monkeypatch.setattr(D.homtypes, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    d = F.seeded_tree_dset(random.Random(36), 12, "d_regular_random").recolor([e % 2 for e in range(12)])
+    mfile = tmp_path / "map.json"
+    for pairs, code in (([[0, 0], [1, 1], [2, 2], [3, 3]], 0), ([[0, 1], [1, 0], [2, 2], [3, 3]], 1), ([[0, 1], [0, 2]], 2)):
+        mfile.write_text(json.dumps(pairs))
+        calls["_as_map"].clear(), calls["_iso_fault"].clear()
+        got, out, _ = run(["probe", "-", "--map", str(mfile), "--add", "5", "--max-n", "12"], d.to_json())
+        assert got == code and [len(seen) for seen in calls.values()] == [1, 0 if code == 2 else 1], (pairs, calls)
+        if code == 0:
+            assert _payload(out)["candidates"] == D.extend_partial_iso(d, pairs, 5) != []
+
+
 def test_homreport_flower_all_good(run, catalogue):
     code, out, _ = run(["homreport", "-"], catalogue["FLW5"].dset.to_json())
     assert code == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import inspect
 import itertools
 import json
 import pathlib
@@ -297,6 +298,12 @@ def test_substructure_flw4_identity(catalogue):
     sub, remap = D.substructure(flw4, range(4))
     assert sub == flw4
     assert remap == {e: e for e in range(4)}
+
+
+def test_a_dset_equals_no_object_of_another_class(catalogue):
+    d = catalogue["CAT4"].dset
+    assert d.__eq__(d.rows) is NotImplemented and d.__eq__(None) is NotImplemented
+    assert d != 4 and not d == "CAT4" and d == DSet._from_rows(d.n, d.rows, d.colors)
 
 
 def test_substructure_requires_subset(catalogue):
@@ -801,6 +808,67 @@ def test_dset_json_matches_oracle_on_mutations():
     assert own["ok"] > 0 and own["error"] > 0
 
 
+def test_dset_json_of_one_to_three_digit_ids_matches_oracle():
+    # A 12-leaf relation spread over ids of one, two and three digits below
+    # n = 107 by an increasing relabelling, which keeps its rows canonical
+    # and in order: the block reader at a width of three digits.
+    rng = random.Random(36)
+    ids = np.array([0, 7, 9, 10, 42, 95, 99, 100, 101, 104, 105, 106])
+    rows = ids[D.d_from_tree(D.gen_random(D.TreeSpec("d_regular_random", 12, 3, seed=1))).rows]
+    text = DSet._from_rows(107, rows, [rng.randrange(3) for _ in range(107)]).to_json()
+    assert isinstance(D.core._read_own_spelling(text)["positives"], np.ndarray)
+    assert _from_json_outcome(text) == O.dset_json_oracle(text) == ("ok", text)
+    own = {"ok": 0, "error": 0}
+    for _ in range(6):
+        for kind, changed in _mutations(text, 107, JSON_MUTATIONS, rng):
+            outcome = _from_json_outcome(changed)
+            assert outcome == O.dset_json_oracle(changed), kind
+            if D.core._read_own_spelling(changed) is not None:
+                own[outcome[0]] += 1
+    assert own["ok"] > 0 and own["error"] > 0
+
+
+def test_dset_json_with_an_id_moved_missing_or_equal_to_n_matches_oracle():
+    # Changes that keep the '[,,,],' skeleton: an id moved over a bracket, so
+    # that it stands before a '[' or after a ']' and leaves its place empty;
+    # an id deleted; the last id raised to n, the rows still canonical and in
+    # order.  At ids of one or two digits, and of up to three below 107.
+    d = D.d_from_tree(D.gen_random(D.TreeSpec("caterpillar", 12)))
+    wide = np.array([0, 7, 9, 10, 42, 95, 99, 100, 101, 104, 105, 106])
+    for n, text in ((12, d.to_json()), (107, DSet._from_rows(107, wide[d.rows]).to_json())):
+        at = text.rindex('"positives":[')
+        quads = list(re.finditer(r"\[(\d+),(\d+),(\d+),(\d+)\]", text[at:]))
+        last = quads[-1]
+        changed = [text[: at + last.start(4)] + str(n) + text[at + last.end(4) :]]
+        for before, q in list(zip(quads, quads[1:]))[:: len(quads) // 8]:
+            a, b = (at + v for v in q.span(1))
+            changed.append(text[: a - 1] + text[a:b] + text[a - 1] + text[b:])
+            a, b = (at + v for v in before.span(4))
+            changed.append(text[:a] + text[b] + text[a:b] + text[b + 1 :])
+            a, b = (at + v for v in q.span(2))
+            changed.append(text[:a] + text[b:])
+        for t in changed:
+            outcome = _from_json_outcome(t)
+            assert outcome[0] == "error" and outcome == O.dset_json_oracle(t), (n, t[at:][:200])
+
+
+# _rebuild's dedupe of its cluster rows, as written there.
+_DEDUPE = 'np.unique((bits := np.packbits(sets, axis=1)).view(f"V{bits.shape[1]}")[:, 0], return_index=True)[1]'
+
+
+def test_rebuild_dedupe_equals_unique_rows():
+    # A void view of the packed rows sorts and dedupes them as np.unique(axis=0)
+    # does, first occurrences kept, at every width of 1 to 100 columns.
+    assert inspect.getsource(D.core).count(_DEDUPE) == 1
+    rng = np.random.default_rng(36)
+    for width in range(1, 101):
+        sets = rng.random((40, width)) < rng.random()
+        sets = np.concatenate([sets, sets[rng.integers(0, 40, 20)]])
+        first = eval(_DEDUPE, {"np": np, "sets": sets})
+        unique, index = np.unique(sets, axis=0, return_index=True)
+        assert np.array_equal(sets[first], unique) and np.array_equal(first, index), width
+
+
 def test_dset_json_with_the_marker_twice_reads_as_json_loads():
     # The positives marker is found from the head; a text holding it twice
     # reads as json.loads reads it, or fails as json.loads fails.
@@ -826,8 +894,8 @@ def _block_sizes(text, monkeypatch):
     """The number of quads in each block that from_json reads text in."""
     sizes, read = [], D.core._quad_ids
 
-    def spy(raw):
-        ids = read(raw)
+    def spy(raw, width):
+        ids = read(raw, width)
         sizes.append(ids.shape[1])
         return ids
 

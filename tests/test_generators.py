@@ -148,6 +148,12 @@ def test_gen_random_enumerated_picks_a_seeded_index():
             assert D.gen_random(TreeSpec("enumerated", k, seed=seed)) == expected
 
 
+@pytest.mark.parametrize("bad", (5, None, "star", ("star", 5)), ids=repr)
+def test_gen_random_refuses_what_is_no_spec(bad):
+    with pytest.raises(InputError, match=f"^{re.escape(f'expected a TreeSpec, got {bad!r}')}$"):
+        D.gen_random(bad)
+
+
 def test_gen_random_regular():
     t = D.gen_random(TreeSpec("d_regular_random", leaves=6, degree=3, seed=1))
     assert D.is_regular(D.d_from_tree(t)) == (True, 3)

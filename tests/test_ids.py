@@ -179,6 +179,36 @@ def test_tree_sweep_covers_every_public_tree_parameter():
     assert takes == {entry.split("/")[0] for entry in _TAKE_A_TREE}
 
 
+# Each public entry point that takes a window, called on CAT5 (d) with the
+# window under test (x) in one place and otherwise valid arguments.
+_TAKE_A_WINDOW = {
+    "classify_window": lambda d, x: D.classify_window(d, x),
+    "hull_window": lambda d, x: D.hull_window(d, x),
+    "frontiers": lambda d, x: D.frontiers(d, x),
+    "weakly_indiscernible_over": lambda d, x: D.weakly_indiscernible_over(d, x, [0]),
+    "mutually_indiscernible/first": lambda d, x, w5=_W5: D.mutually_indiscernible(d, x, w5),
+    "mutually_indiscernible/second": lambda d, x, w5=_W5: D.mutually_indiscernible(d, w5, x),
+}
+
+
+@pytest.mark.parametrize("bad", (None, [(0,), (1,), (2,), (3,), (4,)], 5), ids=("None", "list", "int"))
+@pytest.mark.parametrize("entry", sorted(_TAKE_A_WINDOW))
+def test_entry_points_refuse_what_is_no_window(catalogue, entry, bad):
+    d = catalogue["CAT5"].dset
+    _TAKE_A_WINDOW[entry](d, _W5)  # valid with a SequenceWindow in that place
+    with pytest.raises(InputError, match=f"^{re.escape(f'expected a SequenceWindow, got {bad!r}')}$"):
+        _TAKE_A_WINDOW[entry](d, bad)
+
+
+def test_window_sweep_covers_every_public_window_parameter():
+    takes = {
+        name for name in D.__all__
+        if inspect.isfunction(f := getattr(D, name))
+        and any(p.annotation == "SequenceWindow" for p in inspect.signature(f).parameters.values())
+    }
+    assert takes == {entry.split("/")[0] for entry in _TAKE_A_WINDOW}
+
+
 # The calls that read a sequence indexed by element id off CAT5's tree.
 _PER_ELEMENT = {
     "leaf_tokens": lambda t, v: D.canonical_form(t, v),

@@ -556,6 +556,14 @@ def test_extend_splitting_recovers_restricted_node(catalogue):
         assert D.extend_splitting(d, {0, 1, 2}, restricted, order=order) == full
 
 
+def test_extend_splitting_refuses_a_point_fitting_two_of_many_sectors():
+    # With every quad of four elements positive, 3 fits each sector of the
+    # singletons {0}, {1}, {2}: no D-set's splitting does that.
+    d = DSet(4, [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)])
+    with pytest.raises(InputError, match="^element 3 fits two sectors of a many-sector splitting$"):
+        D.extend_splitting(d, [0, 1, 2], [[0], [1], [2]])
+
+
 # ---------------------------------------------------------------------------
 # one_sector
 
@@ -579,6 +587,12 @@ def test_one_sector_requires_distinct(catalogue):
     s = Splitting([{0, 1}, {2, 3}])
     with pytest.raises(InputError):
         D.one_sector(catalogue["CAT4"].dset, s, s)
+
+
+def test_one_sector_refuses_splittings_with_no_swallowing_sector(catalogue):
+    # No sector of the edge {0,2 | 1,3,4} holds three of the four sectors.
+    with pytest.raises(InputError, match="^expected exactly one swallowing sector, found 0$"):
+        D.one_sector(catalogue["CAT5"].dset, [[0], [1], [2], [3, 4]], [[0, 2], [1, 3, 4]])
 
 
 def test_raw_sectors_stand_for_their_splitting(catalogue):
