@@ -30,36 +30,35 @@ own axes, as np.ix_ does), from the kept table: every read
 of the relation goes through it, `holds` included, except the D2, D3, D5
 and D6 sweep of check_axioms, which reads the table itself.
 
-Certification: D1..D4 are proved by rebuilding the tree.  Rooted at
-element 0, the cluster {c >= 1 : not D(ab;c0)} of elements a, b >= 1 is
-the set of leaves below the node where their paths to 0 meet; the rows
-that start with 0 give every cluster.  The distinct clusters are the
-nodes, each one's parent its smallest strict superset.  The rows are that
-tree's relation, so D1..D4 hold, when each passes the four-point condition
-on the tree's own leaf distances and they number C(n,4) less the quads
-with their four leaves in four branches at one node.  The tree is kept
-with its leaf distances d: D(wx;yz) iff d(w,x) + d(y,z) < d(w,y) + d(x,z),
-degenerate values included.  D5 then fails at the least (0, x, y) with
-d(0,x) + 2 = d(0,y) + d(x,y), and D6 at (0, 0, 1, z), z the least with
-d(1,z) + 2 = d(0,1) + d(0,z).  Below four elements, or when a test
-fails, D2, D3, D5 and D6 are swept over the table one w at a time by
-`_sweep`, D3 and D6 with their fifth element packed into uint64 words,
-one packed layout read through D1's images; D1 and D4 hold by storage.
-d_from_tree, relabel and extend_by_point know their result's tree and store
-its rebuild (`_record`); a structure read from JSON certifies from its rows.
-Either way the nodes are numbered by `_numbered`, the one home of that rule.
+Certification: D1..D4 are proved by rebuilding the tree.  Rooted at element
+0, the cluster {c >= 1 : not D(ab;c0)} of elements a, b >= 1 is the set of
+leaves below the node where their paths to 0 meet; the rows that start with
+0 give every cluster.  The distinct clusters are the nodes, each one's
+parent its smallest strict superset.  The rows are that tree's relation, so
+D1..D4 hold, when each passes the four-point condition on the tree's own
+leaf distances and they number C(n,4) less the quads with their four leaves
+in four branches at one node.  The tree is kept with its leaf distances d
+(`_Record`): D(wx;yz) iff d(w,x) + d(y,z) < d(w,y) + d(x,z), degenerate
+values included.  D5 then fails at the least (0, x, y) with d(0,x) + 2 =
+d(0,y) + d(x,y), and D6 at (0, 0, 1, z), z the least with d(1,z) + 2 =
+d(0,1) + d(0,z).  Below four elements, or when a test fails, D2, D3, D5 and
+D6 are swept over the table one w at a time by `_sweep`, D3 and D6 with
+their fifth element packed into uint64 words, one packed layout read
+through D1's images; D1 and D4 hold by storage.  d_from_tree, relabel and
+extend_by_point know their result's tree and keep its `_record`; a
+structure read from JSON certifies from its rows.  Either way `_numbered`
+builds the record, the one home of the numbering rule.
 
 Trees, as adjacency lists (`_adjacency`): `_walk` is the one breadth-first
-walk.  `_below` walks a tree in hand from element 0's leaf into parent
-indices and a bool `below` matrix, which `_record` numbers as `_rebuild`
-numbers its clusters; `_tree_record` is the one guarded reader of the
-record (parent, below, dist).  `_rootings` walks a tree once per center;
-`_ranks`, interned integer ranks, is the one subtree code.  `_coded` orders
-ranks as flat AHU codes for canonical forms and tree enumeration.
-are_isomorphic ranks each walk of two certified trees once, into ranks both
-trees share, and re-ranks one root path per individualised element.
-A structure argument that is no DSet is refused by one check, `_require_dset`;
-every input check that needs no class of the package lives in `_gates`.
+walk.  `_below` walks a tree in hand from element 0's leaf into the rows
+that `_record` numbers; `_tree_record` is the one guarded reader of the
+record.  `_rootings` walks a tree once per center; `_ranks`, interned
+integer ranks, is the one subtree code.  `_coded` orders ranks as flat AHU
+codes for canonical forms and tree enumeration.  are_isomorphic ranks each
+walk of two certified trees once, into ranks both trees share, and re-ranks
+one root path per individualised element.  A structure argument that is no
+DSet is refused by one check, `_require_dset`; every input check that needs
+no class of the package lives in `_gates`.
 
 Relation JSON: to_json writes {"colors":{...},"n":N,"positives":[[a,b,c,d],
 ...]} with sorted keys, no whitespace and the rows in order, _BLOCK = 8,192
@@ -73,6 +72,7 @@ json.loads, with the same checks and messages.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -86,6 +86,9 @@ from ._gates import InputError, _DECIMAL, _check_count, _decoded, _flag, _listed
 
 Quad = tuple[int, int, int, int]
 Colors = Union[Iterable[int], Mapping[int, int]]  # per element, or element -> color
+# The tree of a certified structure, rooted at element 0 and numbered by _numbered: parent[u] (u's parent, -1 at
+# the root), below[u, e] (element e lies under u's edge to its parent) and dist (the n x n leaf distances).
+_Record = collections.namedtuple("_Record", "parent below dist")
 
 
 class NotRepresentable(ValueError):
@@ -372,19 +375,19 @@ def _tokens(count: int) -> np.ndarray:
 
 def _quad_text(rows: np.ndarray) -> list[str]:
     """'[a,b,c,d],...' for a (k, 4) array of ids >= 0, in parts of _BLOCK
-    quads: each quad's ids are gathered into one reused fixed-width record
+    quads: each quad's ids are gathered into one reused fixed-width buffer
     from the tokens, and the zero bytes are dropped."""
     if not len(rows):
         return []
     tokens = _tokens(int(rows.max()) + 1)
-    record = np.zeros((min(len(rows), _BLOCK), 5, tokens.itemsize + 1), dtype=np.uint8)
-    record[:, :4, 0], record[:, 4, :2] = _SKELETON[:4], _SKELETON[4:]
-    slots = record[:, :4, 1:].view(tokens.dtype)[..., 0]
+    buf = np.zeros((min(len(rows), _BLOCK), 5, tokens.itemsize + 1), dtype=np.uint8)
+    buf[:, :4, 0], buf[:, 4, :2] = _SKELETON[:4], _SKELETON[4:]
+    slots = buf[:, :4, 1:].view(tokens.dtype)[..., 0]
     parts = []
     for start in range(0, len(rows), _BLOCK):
         block = rows[start : start + _BLOCK]
         slots[: len(block)] = tokens[block]
-        parts.append(record[: len(block)].tobytes().translate(None, b"\0").decode("ascii"))
+        parts.append(buf[: len(block)].tobytes().translate(None, b"\0").decode("ascii"))
     parts[-1] = parts[-1][:-1]
     return parts
 
@@ -621,7 +624,7 @@ def check_axioms(d: DSet) -> AxiomReport:
     passed = AxiomVerdict("pass")
     rebuilt = _rebuild(d) if n >= 4 else None
     if rebuilt is not None:
-        dist = rebuilt[2]
+        dist = rebuilt.dist
         # D5: the least (0, x, y) whose paths meet next to y; D6: (0, 0, 1, z),
         # z the least whose path to 1 leaves 0's at 0's neighbour.
         d5 = AxiomVerdict("fail", (0, *_first_true(dist[0, :, None] + 2 == dist[0] + dist)))
@@ -674,10 +677,9 @@ def _require_core(d: DSet) -> None:
 
 
 @_kept
-def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """d's tree rooted at element 0, certified as in the module docstring,
-    or None: the distinct clusters and their parents, numbered by
-    _numbered once they pass, and the leaf distances.  n >= 2."""
+def _rebuild(d: DSet) -> Optional[_Record]:
+    """d's tree, its distinct clusters as _numbered numbers them, certified
+    as in the module docstring, or None.  n >= 2."""
     n, rows = d.n, d.rows
     head = rows[: np.searchsorted(rows[:, 0], 1)]  # rows (0, c, a, b): D(ab;c0)
     inside = np.broadcast_to(np.arange(n) > 0, (n, n, n)).copy()
@@ -717,14 +719,14 @@ def _rebuild(d: DSet) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     e4 = (e3 * p1 - e2 * p2 + p1 * p3 - p4) // 4
     if len(rows) != math.comb(n, 4) - int(e4.sum()):
         return None
-    return (*_numbered(sets, up, top), dist)
+    return _numbered(sets, up, top, dist)
 
 
-def _numbered(sets: np.ndarray, up: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """parent (-1 for node 0) and below by node id of the tree rooted at
-    element 0 whose other nodes hold sets[i], under row up[i] or node 0 if
-    top[i]: leaves are element ids, internal nodes n, n+1, ... by the second
-    least of their children's least elements, the one numbering rule."""
+def _numbered(sets: np.ndarray, up: np.ndarray, top: np.ndarray, dist: np.ndarray) -> _Record:
+    """The _Record of the tree rooted at element 0 whose other nodes hold
+    sets[i], under row up[i] or node 0 if top[i], with leaf distances dist:
+    leaves are element ids, internal nodes n, n+1, ... by the second least
+    of their children's least elements, the one numbering rule."""
     n, size = sets.shape[1], sets.sum(axis=1)
     child, inner = np.flatnonzero(~top), np.flatnonzero(size > 1)
     least = sets.argmax(axis=1)
@@ -736,7 +738,7 @@ def _numbered(sets: np.ndarray, up: np.ndarray, top: np.ndarray) -> tuple[np.nda
     parent[ids] = np.where(top, 0, ids[up])
     below = np.zeros((len(parent), n), dtype=bool)
     below[ids] = sets
-    return parent, below
+    return _Record(parent, below, dist)
 
 
 def _distances(below: np.ndarray) -> np.ndarray:
@@ -749,20 +751,18 @@ def _distances(below: np.ndarray) -> np.ndarray:
     return (depth[:, None] + depth - 2 * shared).astype(np.int64)
 
 
-def _record(adj, leaf_of: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_rebuild's parent, below and dist for a tree in hand, given as
-    adjacency lists and its node -> element map (n >= 1 elements): the rows
-    of one _below walk from element 0's leaf, numbered by _numbered."""
+def _record(adj, leaf_of: dict, n: int) -> _Record:
+    """The _Record of a tree in hand, given as adjacency lists and its node
+    -> element map (n >= 1 elements): _numbered over one _below walk from
+    element 0's leaf, whose rows give the same distances in any order."""
     _, parent, below = _below(adj, leaf_of, n)
-    parent, below = _numbered(below[1:], parent[1:] - 1, parent[1:] == 0)
-    return parent, below, _distances(below)
+    return _numbered(below[1:], parent[1:] - 1, parent[1:] == 0, _distances(below[1:]))
 
 
-def _tree_record(d: DSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(parent, below, dist) of d's certified tree, nodes as in _rebuild
-    (parent -1 for the root, element 0), for every n; d must pass D1..D4."""
+def _tree_record(d: DSet) -> _Record:
+    """The _Record of d's certified tree, for every n; d must pass D1..D4."""
     n = d.n
-    rebuilt = _rebuild(d) if n >= 2 else (np.full(n, -1), np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=np.int64))
+    rebuilt = _rebuild(d) if n >= 2 else _Record(np.full(n, -1), np.zeros((n, n), bool), np.zeros((n, n), np.int64))
     if rebuilt is None:
         raise InvariantViolation("D1..D4 hold but the rooted clusters form no tree")
     return rebuilt
@@ -912,7 +912,7 @@ def relabel(d: DSet, mapping: Mapping[int, int]) -> DSet:
     out = DSet._from_rows(d.n, _sort_rows(_canonical_rows(image[d.rows]), d.n)[0], colors)
     record = d._analyses.get("_rebuild")
     if record is not None:  # the same tree, leaf u now carrying element image[u]
-        adj = _adjacency(range(len(record[0])), enumerate(record[0][1:].tolist(), 1))
+        adj = _adjacency(range(len(record.parent)), enumerate(record.parent[1:].tolist(), 1))
         out._analyses["_rebuild"] = _record(adj, dict(enumerate(image.tolist())), d.n)
     return out
 
@@ -961,7 +961,7 @@ def are_isomorphic(
     n, intern = d1.n, {}
     trees = []  # per tree: its adjacency, its nodes' tokens, and per center (parent, rank)
     for d in (d1, d2):
-        parents = _tree_record(d)[0].tolist()
+        parents = _tree_record(d).parent.tolist()
         adj = _adjacency(range(len(parents)), enumerate(parents[1:], 1))
         tokens = [(c if respect_colors else 0, 0) for c in d.colors] + [None] * (len(parents) - n)
         trees.append((adj, tokens, [(p, _ranks(order[::-1], p, adj, tokens, intern, {})) for order, p in _rootings(adj)]))

@@ -166,7 +166,7 @@ class TreeSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("star", "caterpillar", "d_regular_random", "enumerated"):
+        if not isinstance(self.kind, str) or self.kind not in ("star", "caterpillar", "d_regular_random", "enumerated"):
             raise InputError(f"unknown tree kind {self.kind!r}")
         if _natural(self.leaves, "'leaves' must be a non-negative integer, got {!r}") < 1:
             raise InputError("leaf count must be positive")

@@ -230,7 +230,7 @@ def homogeneity_conditions(d: DSet, min_sector_size: int = 2) -> dict:
     reg, count = is_regular(d)
     # The density witnesses of wx|yz attach strictly inside the path joining the
     # paths of wx and yz, (d(w,y) + d(x,z) - d(w,x) - d(y,z)) / 2 edges: none if 1.
-    dist, rows = _tree_record(d)[2], map(np.ndarray.tolist, d.rows)
+    dist, rows = _tree_record(d).dist, map(np.ndarray.tolist, d.rows)
     lacking = ([w, x, y, z] for w, x, y, z in rows if dist[w, y] + dist[x, z] < dist[w, x] + dist[y, z] + 4)
     dense_witness = next(lacking, None)
     hitting_witness = None
@@ -264,7 +264,7 @@ def nonextendable_witness(d: DSet) -> Optional[tuple[dict[int, int], int]]:
     representative of the extra sector.  None means neither applies.
     """
     _require_core(d)
-    splits, dist = enumerate_splittings(d), _tree_record(d)[2]
+    splits, dist = enumerate_splittings(d), _tree_record(d).dist
 
     # Each map below respects colors and has every atom false on both sides
     # (three elements, or one per sector of a node splitting), so it is a

@@ -6,13 +6,13 @@ holds the tree type, the two directions of that correspondence, and the
 Splitting type with the splittings read off from internal nodes and edges.
 
 Every traversal is core's breadth-first walk, `_walk`: connectivity, the
-canonical forms (`core._coded`), and `core._below`, the elements below
-each node from element 0's leaf, which `core._record` numbers.  d_from_tree
-keeps that record on its result and reads the relation off its leaf
-distances, on a grid of leaf pairs in lexicographic order, so its rows
-come out canonical and sorted.  The tree of a D-set is the rebuild
-that certifies D1..D4; `_correspondence` reads splittings off its record
-through one sector layout, in which each sector is a side of an edge.
+canonical forms (`core._coded`), and `core._below`, the elements below each
+node from element 0's leaf, which `core._record` makes a `core._Record`.
+d_from_tree keeps that record on its result and reads the relation off its
+`dist`, on a grid of leaf pairs in lexicographic order, so its rows come
+out canonical and sorted.  The tree of a D-set is the rebuild that
+certifies D1..D4; `_correspondence` reads splittings off its `parent` and
+`below` through one sector layout, each sector one side of an edge.
 
 Outside input always takes the checking constructors, `LeafTree(...)`,
 `Splitting(...)` and their `from_json`.  `_trusted` on each class stores
@@ -179,7 +179,7 @@ def d_from_tree(t: LeafTree) -> DSet:
     record = _record(t.adjacency(), t.leaf_map(), n)
     # int16 holds every element id and every sum of two leaf distances (at
     # most 2n - 2) at any n whose pair grid fits in memory.
-    dist = record[2].astype(np.int16)
+    dist = record.dist.astype(np.int16)
     a, b = (v.astype(np.int16) for v in np.triu_indices(n, 1))
     pair = dist[a, b]
     rows = [np.empty((0, 4), dtype=np.int16)]
@@ -209,7 +209,7 @@ def tree_from_dset(d: DSet) -> LeafTree:
     report = check_axioms(d)
     if not report.core_pass:
         raise NotRepresentable(f"relation table fails D1..D4: {report.as_dict()}")
-    parent = _tree_record(d)[0].tolist()
+    parent = _tree_record(d).parent.tolist()
     edges = tuple(sorted([(a, b) if a < b else (b, a) for a, b in enumerate(parent[1:], 1)]))
     return LeafTree._trusted(tuple(range(len(parent))), edges, tuple((e, e) for e in range(d.n)))
 

@@ -679,7 +679,7 @@ def flat_code_bijection(d1, d2, respect_colors):
     n = d1.n
     colors = [d.colors if respect_colors else (0,) * n for d in (d1, d2)]
     tokens = [[(c, 0) for c in cs] for cs in colors]
-    parents = [core._tree_record(d)[0].tolist() for d in (d1, d2)]
+    parents = [core._tree_record(d).parent.tolist() for d in (d1, d2)]
 
     def code(i):
         return flat_code(parents[i], lambda u: tokens[i][u] if u < n else (-1,))

@@ -7,6 +7,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 import dsets as D
@@ -148,10 +149,23 @@ def test_gen_random_enumerated_picks_a_seeded_index():
             assert D.gen_random(TreeSpec("enumerated", k, seed=seed)) == expected
 
 
-@pytest.mark.parametrize("bad", (5, None, "star", ("star", 5)), ids=repr)
+_NO_KINDS = (np.zeros((2, 2)), np.array([1, 2]))  # the `in` test alone raised numpy's ValueError on these
+
+
+def _named(v) -> str:
+    return f"array{v.shape}" if isinstance(v, np.ndarray) else repr(v)
+
+
+@pytest.mark.parametrize("bad", (5, None, "star", ("star", 5), *_NO_KINDS), ids=_named)
 def test_gen_random_refuses_what_is_no_spec(bad):
     with pytest.raises(InputError, match=f"^{re.escape(f'expected a TreeSpec, got {bad!r}')}$"):
         D.gen_random(bad)
+
+
+@pytest.mark.parametrize("bad", ("zigzag", "", 5, None, ["star"], *_NO_KINDS), ids=_named)
+def test_tree_spec_refuses_a_kind_that_is_no_kind_name(bad):
+    with pytest.raises(InputError, match=f"^{re.escape(f'unknown tree kind {bad!r}')}$"):
+        TreeSpec(bad, 5)
 
 
 def test_gen_random_regular():

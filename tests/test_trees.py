@@ -183,11 +183,11 @@ def test_leaf_distances_match_path_oracle(trees_by_k):
     for tree in _oracle_trees(trees_by_k):
         expected = O.leaf_distance_oracle(tree)
         record = dsets.core._record(tree.adjacency(), tree.leaf_map(), tree.n_elements)
-        assert np.array_equal(record[2], expected), tree
+        assert np.array_equal(record.dist, expected), tree
         d = D.d_from_tree(tree)
         if d.n >= 2:  # a rows-only copy's own rebuild, leaves by element id
             record = dsets.core._rebuild(D.DSet._from_rows(d.n, d.rows))
-            assert np.array_equal(record[2], expected), tree
+            assert np.array_equal(record.dist, expected), tree
 
 
 def test_kept_leaf_distances_carry_the_relation(trees_by_k):
@@ -201,7 +201,7 @@ def test_kept_leaf_distances_carry_the_relation(trees_by_k):
         d = D.d_from_tree(tree)
         w, x, y, z = np.ix_(*[range(d.n)] * 4)
         for e in (d, D.DSet._from_rows(d.n, d.rows)):
-            dist = dsets.core._tree_record(e)[2]
+            dist = dsets.core._tree_record(e).dist
             assert np.array_equal(dist[w, x] + dist[y, z] < dist[w, y] + dist[x, z], D.relation_table(e)), tree
 
 
@@ -492,11 +492,41 @@ def _sweep_trees(trees_by_k):
 
 def _same_as_rows_rebuild(d):
     """The tree record kept on d and d's axiom report equal those of an
-    independent rebuild from a rows-only copy of d."""
+    independent rebuild from a rows-only copy of d: both records are
+    _Records, equal field by field in values and dtypes."""
     fresh = D.DSet._from_rows(d.n, d.rows, d.colors)
     kept, rebuilt = d._analyses["_rebuild"], dsets.core._rebuild(fresh)
-    assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(kept, rebuilt)), d
+    assert type(kept) is type(rebuilt) is dsets.core._Record, d
+    for field in kept._fields:
+        x, y = getattr(kept, field), getattr(rebuilt, field)
+        assert np.array_equal(x, y) and x.dtype == y.dtype, (d, field)
     assert D.check_axioms(d) == D.check_axioms(fresh), d
+
+
+def test_tree_records_below_four_elements():
+    # The record of each route at 0-3 elements: parent by node, below by
+    # node and element, leaf distances by element pair.
+    expected = {
+        0: ([], np.zeros((0, 0), bool), np.zeros((0, 0))),
+        1: ([-1], [[False]], [[0]]),
+        2: ([-1, 0], [[False, False], [False, True]], 1 - np.eye(2)),
+        3: ([-1, 3, 3, 0], [[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]], 2 - 2 * np.eye(3)),
+    }
+    for n, (parent, below, dist) in expected.items():
+        d = D.DSet(n)
+        records = [dsets.core._tree_record(d)]
+        if n >= 1:
+            t = D.tree_from_dset(d)
+            records.append(dsets.core._record(t.adjacency(), t.leaf_map(), n))
+        if n >= 2:
+            records.append(dsets.core._rebuild(D.DSet(n)))
+        for record in records:
+            assert type(record) is dsets.core._Record and record._fields == ("parent", "below", "dist")
+            m = len(parent)
+            assert (record.parent.shape, record.below.shape, record.dist.shape) == ((m,), (m, n), (n, n))
+            assert (record.parent.dtype, record.below.dtype, record.dist.dtype) == (np.int64, bool, np.int64)
+            assert record.parent.tolist() == parent, n
+            assert np.array_equal(record.below, below) and np.array_equal(record.dist, dist), n
 
 
 def test_handed_on_records_equal_rows_rebuilds(trees_by_k, catalogue):
